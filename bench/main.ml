@@ -707,27 +707,30 @@ let readmostly_measure ~replicate () =
    balancer delivers is itself a pinned regression metric. *)
 let balance_measure ~balance () =
   let p = W.Sor_core.with_size W.Sor_core.default ~rows:61 ~cols:421 in
-  A.Cluster.run_value (A.Config.make ~nodes:4 ~cpus:4 ()) (fun rt ->
-      let c =
-        {
-          (W.Sor_amber.default_cfg rt) with
-          W.Sor_amber.placement = Some (fun _ -> 0);
-        }
-      in
-      let lb =
-        if balance then
-          Some
-            (Balance.Driver.start rt
-               {
-                 Balance.Driver.default_cfg with
-                 Balance.Driver.policy = Balance.Rebalancer.Hybrid;
-                 steal = true;
-               })
-        else None
-      in
-      let r = W.Sor_amber.run rt p ~cfg:c ~iters:10 () in
-      (match lb with Some lb -> Balance.Driver.stop lb | None -> ());
-      r.W.Sor_amber.compute_elapsed)
+  let layers =
+    if balance then
+      {
+        Session.off with
+        Session.balance =
+          {
+            Balance.Driver.default_cfg with
+            Balance.Driver.policy = Balance.Rebalancer.Hybrid;
+            steal = true;
+          };
+      }
+    else Session.off
+  in
+  let o =
+    Session.run layers (A.Config.make ~nodes:4 ~cpus:4 ()) (fun rt ->
+        let c =
+          {
+            (W.Sor_amber.default_cfg rt) with
+            W.Sor_amber.placement = Some (fun _ -> 0);
+          }
+        in
+        (W.Sor_amber.run rt p ~cfg:c ~iters:10 ()).W.Sor_amber.compute_elapsed)
+  in
+  Result.get_ok o.Session.result
 
 (* Profiled Fig-3 run: remote-invoke latency percentiles and the share of
    the main thread's critical path spent on the wire.  Pinning the
@@ -736,20 +739,21 @@ let balance_measure ~balance () =
    chattier without getting slower (yet). *)
 let profiled_sor_measure () =
   let p = W.Sor_core.with_size W.Sor_core.default ~rows:61 ~cols:421 in
-  let box = ref None in
-  A.Cluster.run_value (A.Config.make ~nodes:4 ~cpus:4 ()) (fun rt ->
-      let prof = Scope.Profile.attach rt in
-      ignore (W.Sor_amber.run rt p ~iters:5 () : W.Sor_amber.result);
-      Scope.Profile.seal prof;
-      let lat = A.Runtime.remote_invoke_latency rt in
-      let pct q = Sim.Stats.Summary.percentile lat q *. 1e6 in
-      box :=
-        Some
-          ( pct 50.0,
-            pct 99.0,
-            Scope.Critical_path.network_frac (Scope.Profile.critical_path prof)
-          ));
-  Option.get !box
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let o =
+    Session.run ~ppf:quiet
+      { Session.off with Session.profile = true }
+      (A.Config.make ~nodes:4 ~cpus:4 ())
+      (fun rt ->
+        ignore (W.Sor_amber.run rt p ~iters:5 () : W.Sor_amber.result);
+        A.Runtime.remote_invoke_latency rt)
+  in
+  let lat = Result.get_ok o.Session.result in
+  let pct q = Sim.Stats.Summary.percentile lat q *. 1e6 in
+  ( pct 50.0,
+    pct 99.0,
+    Scope.Critical_path.network_frac
+      (Scope.Profile.critical_path (Option.get o.Session.profile)) )
 
 (* Pipelined (async) Fig-3 SOR with wire-level coalescing on: the elapsed
    time pins the overlap win delivered by Amber-Async, and the coalesced

@@ -1,24 +1,49 @@
 (* amber_sim — command-line driver for the Amber reproduction.
 
    Subcommands:
-     sor        run Red/Black SOR (amber | ivy | seq) with custom parameters
-     workqueue  run the distributed work-queue workload
-     matmul     run the replicated matrix multiply
-     trace      run a small scenario with protocol tracing and dump it
+     sor         run Red/Black SOR (amber | ivy | seq) with custom parameters
+     workqueue   run the distributed work-queue workload
+     matmul      run the replicated matrix multiply
+     tsp         run branch-and-bound TSP with work stealing
+     readmostly  run the read-mostly workload (replicas vs remote invokes)
+     serve       serve open-loop traffic with per-class SLO reporting
+     trace       run a small scenario with protocol tracing and dump it
+     fixture     run a seeded sanitizer fixture
+     check       model-check a protocol fixture
+
+   Every workload subcommand runs through [Session], which attaches the
+   optional layers (sanitizer, profiler, watch, flight recorder,
+   balancer) and prints their sections; this file only maps flags onto
+   a [Session.t].  Exit status: 0; 3 on sanitizer findings; 4 when an
+   SLO burns; 5 when a typed failure (node death, object loss, overload,
+   failed join) ends the run; 124 on a usage error.
 
    Examples:
      amber_sim sor --nodes 8 --cpus 4 --iters 20
      amber_sim sor --system ivy --nodes 4 --rows 32 --cols 64
-     amber_sim workqueue --items 400 --move-at 150
-     amber_sim trace *)
+     amber_sim sor --profile --jsonl --out trace.json
+     amber_sim serve --admission --watch --slo 'serve.latency_ms.p99<=60'
+     amber_sim workqueue --items 400 --move-at 150 *)
 
 open Cmdliner
 
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let nodes_arg =
-  Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Cluster nodes.")
+  Arg.(
+    value & opt positive 4
+    & info [ "nodes"; "n" ] ~docv:"N" ~doc:"Cluster nodes.")
 
 let cpus_arg =
-  Arg.(value & opt int 4 & info [ "cpus"; "p" ] ~docv:"P" ~doc:"CPUs per node.")
+  Arg.(
+    value & opt positive 4
+    & info [ "cpus"; "p" ] ~docv:"P" ~doc:"CPUs per node.")
 
 (* --- fault injection (shared by every subcommand) ------------------------ *)
 
@@ -150,16 +175,18 @@ let crashes_term =
   let mk crashes rate = (crashes, rate) in
   Term.(const mk $ crashes $ rate)
 
-let mk_config nodes cpus faults seed (crashes, crash_rate) =
-  if nodes <= 0 || cpus <= 0 then failwith "nodes and cpus must be positive";
-  let seed =
-    match seed with
-    | Some s -> Int64.of_int s
-    | None -> Amber.Config.default.Amber.Config.seed
+let config_term =
+  let mk nodes cpus faults seed (crashes, crash_rate) =
+    let seed =
+      match seed with
+      | Some s -> Int64.of_int s
+      | None -> Amber.Config.default.Amber.Config.seed
+    in
+    Amber.Config.make ~nodes ~cpus ~seed ~faults ~crashes ~crash_rate ()
   in
-  Amber.Config.make ~nodes ~cpus ~seed ~faults ~crashes ~crash_rate ()
+  Term.(const mk $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term)
 
-(* --- sanitizer (shared by every subcommand) ------------------------------ *)
+(* --- run-harness layers (mapped onto a Session.t) ------------------------ *)
 
 let sanitize_arg =
   Arg.(
@@ -169,7 +196,14 @@ let sanitize_arg =
           "Run under AmberSan: report data races, lock-order cycles and \
            coherence drift; exit 3 on any finding.")
 
-(* --- load balancing (shared by sor and tsp) ------------------------------ *)
+let report_arg =
+  Arg.(
+    value & flag
+    & info [ "report" ]
+        ~doc:
+          "Print the full cluster report after the run: per-node \
+           utilization, protocol counters and one section per attached \
+           layer.")
 
 let balance_term =
   let policy =
@@ -209,88 +243,36 @@ let balance_term =
   in
   Term.(const mk $ policy $ steal $ gossip)
 
-(* Bracket a workload body with the load-balancing subsystem.  With the
-   default cfg the handle is inert and the run is untouched. *)
-let with_balance rt bal f =
-  let lb = Balance.Driver.start rt bal in
-  let r = f () in
-  Balance.Driver.stop lb;
-  r
-
-(* Attach AmberSan around a cluster run when requested.  Returns the
-   workload result plus the exit status (3 on findings). *)
-let run_cluster ~sanitize cfg f =
-  let san = ref None in
-  let r =
-    Amber.Cluster.run_value cfg (fun rt ->
-        if sanitize then san := Some (Analysis.Ambersan.attach rt);
-        f rt)
+let profile_term ~jsonl =
+  let profile =
+    Arg.(
+      value & flag
+      & info [ "profile" ]
+          ~doc:
+            "Enable causal span tracing and print the virtual-time profile \
+             and critical-path decomposition after the run.")
   in
-  let status =
-    match !san with
-    | None -> 0
-    | Some s ->
-      let rep = Analysis.Ambersan.finalize s in
-      Format.printf "%a" Analysis.Ambersan.pp_report rep;
-      if Analysis.Ambersan.failed rep then 3 else 0
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out" ] ~docv:"FILE"
+          ~doc:
+            "Write the span trace as Chrome trace-event JSON (loadable in \
+             Perfetto) to $(docv).  Implies $(b,--profile).")
   in
-  (r, status)
-
-(* --- profiling (shared by sor and the profile subcommand) ----------------- *)
-
-let profile_flag =
-  Arg.(
-    value & flag
-    & info [ "profile" ]
-        ~doc:
-          "Enable causal span tracing and print the virtual-time profile \
-           and critical-path decomposition after the run.")
-
-let out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:
-          "Write the span trace as Chrome trace-event JSON (loadable in \
-           Perfetto) to $(docv).  Implies $(b,--profile).")
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-(* Like [run_cluster], but optionally attach the span profiler to the main
-   thread and seal it when the workload body returns (so the measured
-   region excludes teardown). *)
-let run_profiled ~profile ~sanitize cfg f =
-  let prof_box = ref None in
-  let r, status =
-    run_cluster ~sanitize cfg (fun rt ->
-        let prof = if profile then Some (Scope.Profile.attach rt) else None in
-        prof_box := prof;
-        let r = f rt in
-        Option.iter Scope.Profile.seal prof;
-        r)
+  let jsonl =
+    if jsonl then
+      Arg.(
+        value & flag
+        & info [ "jsonl" ]
+            ~doc:
+              "Also dump every span as one JSON object per line on stdout.  \
+               Implies $(b,--profile).")
+    else Term.const false
   in
-  (r, status, !prof_box)
-
-(* Print the profile section and critical-path decomposition; export the
-   Chrome trace if [out] was given.  [counters] merges watch time series
-   into the export as Perfetto counter tracks. *)
-let finish_profile ?(counters = []) ~out prof =
-  List.iter print_endline (Scope.Profile.report_lines prof);
-  Format.printf "%a" Scope.Critical_path.pp (Scope.Profile.critical_path prof);
-  match out with
-  | None -> ()
-  | Some path ->
-    let spans = Scope.Profile.spans prof in
-    write_file path
-      (Scope.Export.chrome_json ~counters ~clip:(Scope.Profile.total prof)
-         spans);
-    Printf.printf "wrote %s (%d spans)\n" path (List.length spans)
-
-(* --- watch (continuous telemetry; shared by sor, serve and watch) --------- *)
+  let mk profile out jsonl = (profile || out <> None || jsonl, out, jsonl) in
+  Term.(const mk $ profile $ out $ jsonl)
 
 let slo_conv =
   let parse s =
@@ -300,15 +282,6 @@ let slo_conv =
     Format.pp_print_string ppf r.Watch.Slo.text
   in
   Arg.conv (parse, print)
-
-type watch_opts = {
-  w_on : bool;
-  w_interval : float;
-  w_out : string option;
-  w_csv : string option;
-  w_slo : Watch.Slo.rule list;
-  w_flight : string option;
-}
 
 let watch_term =
   let watch_flag =
@@ -371,68 +344,38 @@ let watch_term =
              plus the victim node's final spans — under $(docv).")
   in
   let mk watch interval out csv slo flight =
-    {
-      w_on = watch || out <> None || csv <> None || slo <> [];
-      w_interval = interval;
-      w_out = out;
-      w_csv = csv;
-      w_slo = slo;
-      w_flight = flight;
-    }
+    let on = watch || out <> None || csv <> None || slo <> [] in
+    ((if on then Some { Session.interval; slo } else None), out, csv, flight)
   in
   Term.(const mk $ watch_flag $ interval $ watch_out $ watch_csv $ slo $ flight)
 
-(* Bracket a workload body with the watch subsystem: flight recorder
-   first (so failure hooks are live for the whole run), then the
-   sampling tick, stopped before the body returns so the engine can
-   quiesce.  With every option off nothing attaches and the run is
-   untouched. *)
-let with_watch rt w f =
-  let flight =
-    Option.map (fun dir -> Watch.Flight.attach rt ~dir ()) w.w_flight
+(* The layers a subcommand offers; the rest stay off. *)
+let session_term ?(report = false) ?(balance = false) ?(profile = false)
+    ?(jsonl = false) ?(watch = false) () =
+  let opt on term off = if on then term else Term.const off in
+  let mk sanitize report balance (profile, out, jsonl)
+      (watch, watch_out, watch_csv, flight) =
+    {
+      Session.sanitize;
+      report;
+      balance;
+      profile;
+      out;
+      jsonl;
+      watch;
+      watch_out;
+      watch_csv;
+      flight;
+    }
   in
-  if not w.w_on then begin
-    let r = f () in
-    (r, None, flight)
-  end
-  else begin
-    let cfg = { Watch.default_cfg with Watch.interval = w.w_interval } in
-    let t = Watch.attach rt ~cfg ~slo:w.w_slo ?flight () in
-    let r = f () in
-    Watch.stop t;
-    (r, Some t, flight)
-  end
+  Term.(
+    const mk $ sanitize_arg
+    $ opt report report_arg false
+    $ opt balance balance_term Balance.Driver.default_cfg
+    $ opt profile (profile_term ~jsonl) (false, None, false)
+    $ opt watch watch_term (None, None, None, None))
 
-let watch_counters = function Some t -> Watch.series t | None -> []
-
-(* Print SLO verdicts and the flight-recorder summary, export the series,
-   and fold an SLO burn into the exit status as 4 (the sanitizer's 3
-   takes precedence). *)
-let finish_watch w (watch, flight) status =
-  let status = ref status in
-  (match watch with
-  | None -> ()
-  | Some t ->
-    let series = Watch.series t in
-    (match w.w_out with
-    | Some path ->
-      write_file path
-        (String.concat ""
-           (List.map (fun l -> l ^ "\n") (Scope.Export.series_jsonl series)));
-      Printf.printf "wrote %s (%d series)\n" path (List.length series)
-    | None -> ());
-    (match w.w_csv with
-    | Some path ->
-      write_file path (Scope.Export.series_csv series);
-      Printf.printf "wrote %s (%d series)\n" path (List.length series)
-    | None -> ());
-    let outcomes = Watch.outcomes t in
-    List.iter (fun o -> print_endline (Watch.Slo.outcome_line o)) outcomes;
-    if Watch.Slo.any_fired outcomes && !status = 0 then status := 4);
-  (match flight with
-  | None -> ()
-  | Some f -> List.iter print_endline (Watch.Flight.report_lines f));
-  !status
+let status (o : _ Session.outcome) = o.Session.status
 
 (* --- sor ---------------------------------------------------------------- *)
 
@@ -465,11 +408,6 @@ let sor_cmd =
       & info [ "no-overlap" ]
           ~doc:"Disable overlapping of edge exchange with computation.")
   in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ] ~doc:"Print per-node utilization and protocol counters.")
-  in
   let skew =
     Arg.(
       value & flag
@@ -496,49 +434,39 @@ let sor_cmd =
             "Enable wire-level datagram coalescing with the given flush \
              window (e.g. 200e-6).")
   in
-  let run nodes cpus faults seed crash system rows cols iters sections no_overlap
-      report skew async coalesce bal sanitize profile out w =
-    let profile = profile || out <> None in
-    let p = Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows ~cols in
-    let cfg = mk_config nodes cpus faults seed crash in
-    let cfg =
-      match coalesce with
-      | Some w when w > 0.0 ->
-        {
-          cfg with
-          Amber.Config.rpc_coalesce =
-            Some { Topaz.Rpc.default_coalesce with Topaz.Rpc.flush_window = w };
-        }
-      | Some _ | None -> cfg
+  let run cfg s system rows cols iters sections no_overlap skew async coalesce =
+    let bal = s.Session.balance in
+    let amber_only =
+      [
+        ("--async", async);
+        ("--skew", skew);
+        ("--sections", sections <> None);
+        ("--balance", bal.Balance.Driver.policy <> Balance.Rebalancer.Off);
+        ("--steal", bal.Balance.Driver.steal);
+      ]
     in
-    let seq_pred = Workloads.Sor_seq.predicted_elapsed p ~iters in
-    let maybe_report rt =
-      if report then
-        Format.printf "@.%a" Amber.Stats_report.pp
-          (Amber.Stats_report.capture rt)
-    in
-    let maybe_profile wh prof =
-      match prof with
-      | None -> ()
-      | Some prof -> finish_profile ~counters:(watch_counters wh) ~out prof
-    in
-    match system with
-    | `Seq ->
-      let (r, wh, fl), status, prof =
-        run_profiled ~profile ~sanitize cfg (fun rt ->
-            let rwf =
-              with_watch rt w (fun () -> Workloads.Sor_seq.run rt p ~iters)
-            in
-            maybe_report rt;
-            rwf)
+    match (system, List.find_opt snd amber_only) with
+    | (`Seq | `Ivy), Some (flag, _) ->
+      `Error (true, flag ^ " applies to --system amber only")
+    | _ ->
+      let cfg =
+        match coalesce with
+        | Some w when w > 0.0 ->
+          {
+            cfg with
+            Amber.Config.rpc_coalesce =
+              Some
+                { Topaz.Rpc.default_coalesce with Topaz.Rpc.flush_window = w };
+          }
+        | Some _ | None -> cfg
       in
-      Printf.printf "sequential: %d iterations in %.3f virtual s (checksum %.6g)\n"
-        r.Workloads.Sor_seq.iterations r.Workloads.Sor_seq.compute_elapsed
-        r.Workloads.Sor_seq.checksum;
-      maybe_profile wh prof;
-      finish_watch w (wh, fl) status
-    | `Amber ->
-      let mk_sor_cfg rt =
+      let nodes = cfg.Amber.Config.nodes in
+      let cpus = cfg.Amber.Config.cpus_per_node in
+      let p = Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows ~cols in
+      let speedup elapsed =
+        Workloads.Sor_seq.predicted_elapsed p ~iters /. elapsed
+      in
+      let sor_cfg rt =
         let c = Workloads.Sor_amber.default_cfg rt in
         let c =
           match sections with
@@ -552,82 +480,73 @@ let sor_cmd =
         in
         { c with Workloads.Sor_amber.overlap = not no_overlap }
       in
-      if async then begin
-        let (r, wh, fl), status, prof =
-          run_profiled ~profile ~sanitize cfg (fun rt ->
-              let c = mk_sor_cfg rt in
-              let rwf =
-                with_watch rt w (fun () ->
-                    with_balance rt bal (fun () ->
-                        Workloads.Sor_pipe.run rt p ~cfg:c ~iters ()))
-              in
-              maybe_report rt;
-              rwf)
-        in
-        Printf.printf
-          "amber-async %dNx%dP: compute %.3f virtual s, speedup %.2f, \
-           checksum %.6g\n"
-          nodes cpus r.Workloads.Sor_pipe.compute_elapsed
-          (seq_pred /. r.Workloads.Sor_pipe.compute_elapsed)
-          r.Workloads.Sor_pipe.checksum;
-        Printf.printf
-          "  remote invocations: %d, thread migrations: %d, async \
-           invocations: %d\n"
-          r.Workloads.Sor_pipe.remote_invocations
-          r.Workloads.Sor_pipe.thread_migrations
-          r.Workloads.Sor_pipe.async_invocations;
-        maybe_profile wh prof;
-        finish_watch w (wh, fl) status
-      end
-      else begin
-        let (r, wh, fl), status, prof =
-          run_profiled ~profile ~sanitize cfg (fun rt ->
-              let c = mk_sor_cfg rt in
-              let rwf =
-                with_watch rt w (fun () ->
-                    with_balance rt bal (fun () ->
-                        Workloads.Sor_amber.run rt p ~cfg:c ~iters ()))
-              in
-              maybe_report rt;
-              rwf)
-        in
-        Printf.printf
-          "amber %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum %.6g\n"
-          nodes cpus r.Workloads.Sor_amber.compute_elapsed
-          (seq_pred /. r.Workloads.Sor_amber.compute_elapsed)
-          r.Workloads.Sor_amber.checksum;
-        Printf.printf "  remote invocations: %d, thread migrations: %d\n"
-          r.Workloads.Sor_amber.remote_invocations
-          r.Workloads.Sor_amber.thread_migrations;
-        maybe_profile wh prof;
-        finish_watch w (wh, fl) status
-      end
-    | `Ivy ->
-      let (r, wh, fl), status, prof =
-        run_profiled ~profile ~sanitize cfg (fun rt ->
-            let rwf =
-              with_watch rt w (fun () -> Workloads.Sor_ivy.run rt p ~iters ())
-            in
-            maybe_report rt;
-            rwf)
+      (* Each system's body returns the printer of its own summary. *)
+      let body : Amber.Runtime.t -> unit -> unit =
+        match system with
+        | `Seq ->
+          fun rt ->
+            let r = Workloads.Sor_seq.run rt p ~iters in
+            fun () ->
+              Printf.printf
+                "sequential: %d iterations in %.3f virtual s (checksum %.6g)\n"
+                r.Workloads.Sor_seq.iterations
+                r.Workloads.Sor_seq.compute_elapsed
+                r.Workloads.Sor_seq.checksum
+        | `Ivy ->
+          fun rt ->
+            let r = Workloads.Sor_ivy.run rt p ~iters () in
+            fun () ->
+              Printf.printf
+                "ivy %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum \
+                 %.6g\n"
+                nodes cpus r.Workloads.Sor_ivy.compute_elapsed
+                (speedup r.Workloads.Sor_ivy.compute_elapsed)
+                r.Workloads.Sor_ivy.checksum;
+              Printf.printf
+                "  faults: %d read, %d write; invalidations: %d; %d bytes\n"
+                r.Workloads.Sor_ivy.read_faults r.Workloads.Sor_ivy.write_faults
+                r.Workloads.Sor_ivy.invalidations
+                r.Workloads.Sor_ivy.transfer_bytes
+        | `Amber when async ->
+          fun rt ->
+            let r = Workloads.Sor_pipe.run rt p ~cfg:(sor_cfg rt) ~iters () in
+            fun () ->
+              Printf.printf
+                "amber-async %dNx%dP: compute %.3f virtual s, speedup %.2f, \
+                 checksum %.6g\n"
+                nodes cpus r.Workloads.Sor_pipe.compute_elapsed
+                (speedup r.Workloads.Sor_pipe.compute_elapsed)
+                r.Workloads.Sor_pipe.checksum;
+              Printf.printf
+                "  remote invocations: %d, thread migrations: %d, async \
+                 invocations: %d\n"
+                r.Workloads.Sor_pipe.remote_invocations
+                r.Workloads.Sor_pipe.thread_migrations
+                r.Workloads.Sor_pipe.async_invocations
+        | `Amber ->
+          fun rt ->
+            let r = Workloads.Sor_amber.run rt p ~cfg:(sor_cfg rt) ~iters () in
+            fun () ->
+              Printf.printf
+                "amber %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum \
+                 %.6g\n"
+                nodes cpus r.Workloads.Sor_amber.compute_elapsed
+                (speedup r.Workloads.Sor_amber.compute_elapsed)
+                r.Workloads.Sor_amber.checksum;
+              Printf.printf "  remote invocations: %d, thread migrations: %d\n"
+                r.Workloads.Sor_amber.remote_invocations
+                r.Workloads.Sor_amber.thread_migrations
       in
-      Printf.printf
-        "ivy %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum %.6g\n"
-        nodes cpus r.Workloads.Sor_ivy.compute_elapsed
-        (seq_pred /. r.Workloads.Sor_ivy.compute_elapsed)
-        r.Workloads.Sor_ivy.checksum;
-      Printf.printf "  faults: %d read, %d write; invalidations: %d; %d bytes\n"
-        r.Workloads.Sor_ivy.read_faults r.Workloads.Sor_ivy.write_faults
-        r.Workloads.Sor_ivy.invalidations r.Workloads.Sor_ivy.transfer_bytes;
-      maybe_profile wh prof;
-      finish_watch w (wh, fl) status
+      `Ok (status (Session.run ~print:(fun print -> print ()) s cfg body))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ system
-      $ rows $ cols $ iters $ sections $ no_overlap $ report_flag $ skew
-      $ async_flag $ coalesce_window $ balance_term $ sanitize_arg
-      $ profile_flag $ out_arg $ watch_term)
+      ret
+        (const run $ config_term
+        $ session_term ~report:true ~balance:true ~profile:true ~jsonl:true
+            ~watch:true ()
+        $ system $ rows $ cols $ iters $ sections $ no_overlap $ skew
+        $ async_flag $ coalesce_window))
   in
   Cmd.v (Cmd.info "sor" ~doc:"Run Red/Black SOR (the paper's §6 application).")
     term
@@ -653,44 +572,31 @@ let workqueue_cmd =
       & info [ "move-at" ] ~docv:"K"
           ~doc:"Migrate the queue after K items are taken.")
   in
-  let run nodes cpus faults seed crash items batch workers move_at report sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt ->
-          let r =
-            Workloads.Work_queue.run rt
-              {
-                Workloads.Work_queue.items;
-                work_cpu = 10e-3;
-                batch;
-                workers_per_node = workers;
-                move_queue_at = move_at;
-              }
-          in
-          if report then
-            Format.printf "@.%a" Amber.Stats_report.pp
-              (Amber.Stats_report.capture rt);
-          r)
+  let run cfg s items batch workers move_at =
+    let print (r : Workloads.Work_queue.result) =
+      Printf.printf "processed %d items in %.3f virtual s\n"
+        r.Workloads.Work_queue.processed r.Workloads.Work_queue.elapsed;
+      Array.iteri
+        (fun node count -> Printf.printf "  node %d: %d items\n" node count)
+        r.Workloads.Work_queue.per_node;
+      Printf.printf "queue finished on node %d\n"
+        r.Workloads.Work_queue.queue_final_node
     in
-    Printf.printf "processed %d items in %.3f virtual s\n"
-      r.Workloads.Work_queue.processed r.Workloads.Work_queue.elapsed;
-    Array.iteri
-      (fun node count -> Printf.printf "  node %d: %d items\n" node count)
-      r.Workloads.Work_queue.per_node;
-    Printf.printf "queue finished on node %d\n"
-      r.Workloads.Work_queue.queue_final_node;
     status
-  in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:"Print per-node utilization and protocol counters.")
+      (Session.run ~print s cfg (fun rt ->
+           Workloads.Work_queue.run rt
+             {
+               Workloads.Work_queue.items;
+               work_cpu = 10e-3;
+               batch;
+               workers_per_node = workers;
+               move_queue_at = move_at;
+             }))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ items
-      $ batch $ workers $ move_at $ report_flag $ sanitize_arg)
+      const run $ config_term $ session_term ~report:true () $ items $ batch
+      $ workers $ move_at)
   in
   Cmd.v
     (Cmd.info "workqueue" ~doc:"Run the distributed work-queue workload.")
@@ -711,35 +617,35 @@ let matmul_cmd =
       & info [ "no-replicate" ]
           ~doc:"Keep A and B on node 0 instead of replicating.")
   in
-  let run nodes cpus faults seed crash n block no_replicate sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
+  let run cfg s n block no_replicate =
     let mcfg =
       {
         Workloads.Matmul.n;
         block;
         replicate = not no_replicate;
-        workers_per_node = cpus;
+        workers_per_node = cfg.Amber.Config.cpus_per_node;
         flop_cpu = 5e-6;
       }
     in
     let want = Workloads.Matmul.reference_checksum mcfg in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt -> Workloads.Matmul.run rt mcfg)
+    let print (r : Workloads.Matmul.result) =
+      let ok =
+        Float.abs (r.Workloads.Matmul.checksum -. want) <= 1e-6 *. want
+      in
+      Printf.printf
+        "matmul %dx%d (%s): %.3f virtual s, %d remote invocations, %d copies \
+         %s\n"
+        n n
+        (if no_replicate then "no replication" else "replicated inputs")
+        r.Workloads.Matmul.elapsed r.Workloads.Matmul.remote_invocations
+        r.Workloads.Matmul.copies
+        (if ok then "(correct)" else "(WRONG)")
     in
-    let ok = Float.abs (r.Workloads.Matmul.checksum -. want) <= 1e-6 *. want in
-    Printf.printf
-      "matmul %dx%d (%s): %.3f virtual s, %d remote invocations, %d copies %s\n"
-      n n
-      (if no_replicate then "no replication" else "replicated inputs")
-      r.Workloads.Matmul.elapsed r.Workloads.Matmul.remote_invocations
-      r.Workloads.Matmul.copies
-      (if ok then "(correct)" else "(WRONG)");
-    status
+    status (Session.run ~print s cfg (fun rt -> Workloads.Matmul.run rt mcfg))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ n $ block
-      $ no_replicate $ sanitize_arg)
+      const run $ config_term $ session_term () $ n $ block $ no_replicate)
   in
   Cmd.v (Cmd.info "matmul" ~doc:"Run the replicated matrix multiply.") term
 
@@ -770,45 +676,40 @@ let tsp_cmd =
             "Pathological placement: leave the per-node pools and bound \
              caches on node 0 (a load-balancer stress input).")
   in
-  let run nodes cpus faults sim_seed crash cities seed central check skew bal
-      sanitize =
-    let cfg = mk_config nodes cpus faults sim_seed crash in
+  let run cfg s cities seed central check skew =
     let tcfg =
       {
         Workloads.Tsp.cities;
         seed;
-        workers_per_node = cpus;
+        workers_per_node = cfg.Amber.Config.cpus_per_node;
         expand_cpu = 50e-6;
         centralize = central;
         skew;
       }
     in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt ->
-          with_balance rt bal (fun () -> Workloads.Tsp.run rt tcfg))
+    let print (r : Workloads.Tsp.result) =
+      Printf.printf "tsp %d cities (%s): best tour cost %d in %.3f virtual s\n"
+        cities
+        (if central then "central pool" else "per-node pools")
+        r.Workloads.Tsp.best_cost r.Workloads.Tsp.elapsed;
+      Printf.printf "  tour: %s\n"
+        (String.concat " -> "
+           (Array.to_list (Array.map string_of_int r.Workloads.Tsp.best_tour)));
+      Printf.printf "  %d expansions, %d pruned, %d steals, %d remote invocations\n"
+        r.Workloads.Tsp.expansions r.Workloads.Tsp.pruned r.Workloads.Tsp.steals
+        r.Workloads.Tsp.remote_invocations;
+      if check then begin
+        let want = Workloads.Tsp.brute_force tcfg in
+        Printf.printf "  brute force says %d: %s\n" want
+          (if want = r.Workloads.Tsp.best_cost then "OPTIMAL" else "WRONG")
+      end
     in
-    Printf.printf
-      "tsp %d cities (%s): best tour cost %d in %.3f virtual s\n"
-      cities
-      (if central then "central pool" else "per-node pools")
-      r.Workloads.Tsp.best_cost r.Workloads.Tsp.elapsed;
-    Printf.printf "  tour: %s\n"
-      (String.concat " -> "
-         (Array.to_list (Array.map string_of_int r.Workloads.Tsp.best_tour)));
-    Printf.printf "  %d expansions, %d pruned, %d steals, %d remote invocations\n"
-      r.Workloads.Tsp.expansions r.Workloads.Tsp.pruned r.Workloads.Tsp.steals
-      r.Workloads.Tsp.remote_invocations;
-    if check then begin
-      let want = Workloads.Tsp.brute_force tcfg in
-      Printf.printf "  brute force says %d: %s\n" want
-        (if want = r.Workloads.Tsp.best_cost then "OPTIMAL" else "WRONG")
-    end;
-    status
+    status (Session.run ~print s cfg (fun rt -> Workloads.Tsp.run rt tcfg))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ cities
-      $ seed $ central $ check $ skew $ balance_term $ sanitize_arg)
+      const run $ config_term $ session_term ~balance:true () $ cities $ seed
+      $ central $ check $ skew)
   in
   Cmd.v
     (Cmd.info "tsp" ~doc:"Run parallel branch-and-bound TSP with work stealing.")
@@ -848,52 +749,38 @@ let readmostly_cmd =
             "Install a read replica of every object on every node (and \
              refresh after each write round).")
   in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:"Print per-node utilization and protocol counters.")
-  in
-  let run nodes cpus faults seed crash objects readers reads write_every replicate
-      report sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let r, status =
-      run_cluster ~sanitize cfg (fun rt ->
-          let r =
-            Workloads.Read_mostly.run rt
-              {
-                Workloads.Read_mostly.objects;
-                readers_per_node = readers;
-                reads_per_reader = reads;
-                write_every;
-                replicate;
-              }
-          in
-          if report then
-            Format.printf "@.%a" Amber.Stats_report.pp
-              (Amber.Stats_report.capture rt);
-          r)
+  let run cfg s objects readers reads write_every replicate =
+    let print (r : Workloads.Read_mostly.result) =
+      Printf.printf
+        "read-mostly (%s): %d reads, %d writes in %.3f virtual s (checksum \
+         %d)\n"
+        (if replicate then "replicated" else "no replication")
+        r.Workloads.Read_mostly.reads r.Workloads.Read_mostly.writes
+        r.Workloads.Read_mostly.elapsed r.Workloads.Read_mostly.checksum;
+      Printf.printf "  replica reads: %d, remote invocations: %d\n"
+        r.Workloads.Read_mostly.replica_reads
+        r.Workloads.Read_mostly.remote_invocations;
+      let lat = r.Workloads.Read_mostly.read_latency in
+      if Sim.Stats.Summary.count lat > 0 then
+        Printf.printf "  remote-node read latency: mean %.1f us, p95 %.1f us\n"
+          (Sim.Stats.Summary.mean lat *. 1e6)
+          (Sim.Stats.Summary.percentile lat 95.0 *. 1e6)
     in
-    Printf.printf
-      "read-mostly (%s): %d reads, %d writes in %.3f virtual s (checksum %d)\n"
-      (if replicate then "replicated" else "no replication")
-      r.Workloads.Read_mostly.reads r.Workloads.Read_mostly.writes
-      r.Workloads.Read_mostly.elapsed r.Workloads.Read_mostly.checksum;
-    Printf.printf "  replica reads: %d, remote invocations: %d\n"
-      r.Workloads.Read_mostly.replica_reads
-      r.Workloads.Read_mostly.remote_invocations;
-    let lat = r.Workloads.Read_mostly.read_latency in
-    if Sim.Stats.Summary.count lat > 0 then
-      Printf.printf "  remote-node read latency: mean %.1f us, p95 %.1f us\n"
-        (Sim.Stats.Summary.mean lat *. 1e6)
-        (Sim.Stats.Summary.percentile lat 95.0 *. 1e6);
     status
+      (Session.run ~print s cfg (fun rt ->
+           Workloads.Read_mostly.run rt
+             {
+               Workloads.Read_mostly.objects;
+               readers_per_node = readers;
+               reads_per_reader = reads;
+               write_every;
+               replicate;
+             }))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ objects
-      $ readers $ reads $ write_every $ replicate $ report_flag
-      $ sanitize_arg)
+      const run $ config_term $ session_term ~report:true () $ objects
+      $ readers $ reads $ write_every $ replicate)
   in
   Cmd.v
     (Cmd.info "readmostly"
@@ -942,51 +829,6 @@ let mix_conv =
       m.Serve.Trafficgen.write m.Serve.Trafficgen.compute
   in
   Arg.conv (parse, print)
-
-(* Execute a serve scenario and print its summary (shared by the serve and
-   watch subcommands). *)
-let exec_serve ~nodes ~cfg ~scfg ~report ~bal ~sanitize ~profile ~out w =
-  let profile = profile || out <> None in
-  let (r, wh, fl), status, prof =
-    run_profiled ~profile ~sanitize cfg (fun rt ->
-        let rwf =
-          with_watch rt w (fun () ->
-              with_balance rt bal (fun () -> Serve.run rt scfg))
-        in
-        if report then
-          Format.printf "%a@." Amber.Stats_report.pp
-            (Amber.Stats_report.capture rt);
-        rwf)
-  in
-  Printf.printf
-    "serve (%s, %d nodes): issued %d, completed %d, rejected %d, failed %d \
-     in %.3f virtual s\n"
-    (match scfg.Serve.arrival with
-    | Serve.Trafficgen.Poisson r -> Printf.sprintf "poisson %.0f rps" r
-    | Serve.Trafficgen.Bursty b ->
-      Printf.sprintf "bursty %.0fx%.0f rps" b.rate
-        b.factor)
-    nodes r.Serve.issued r.Serve.completed r.Serve.rejected
-    r.Serve.failed r.Serve.elapsed;
-  Printf.printf "  goodput %.1f rps, reject %.1f%%\n" r.Serve.goodput_rps
-    (100.0 *. r.Serve.reject_frac);
-  let lat = r.Serve.latency in
-  if Sim.Stats.Summary.count lat > 0 then
-    Printf.printf "  admitted latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n"
-      (Sim.Stats.Summary.percentile lat 50.0 *. 1e3)
-      (Sim.Stats.Summary.percentile lat 95.0 *. 1e3)
-      (Sim.Stats.Summary.percentile lat 99.0 *. 1e3);
-  List.iter
-    (fun (st : Serve.class_stats) ->
-      Printf.printf "  %-7s issued %d, ok %d, rej %d, fail %d\n"
-        (Serve.Trafficgen.cls_name st.Serve.cls)
-        st.Serve.issued st.Serve.completed st.Serve.rejected
-        st.Serve.failed)
-    r.Serve.per_class;
-  Option.iter
-    (fun p -> finish_profile ~counters:(watch_counters wh) ~out p)
-    prof;
-  finish_watch w (wh, fl) status
 
 let serve_cmd =
   let rps =
@@ -1075,18 +917,8 @@ let serve_cmd =
       & info [ "replicate" ]
           ~doc:"Replicate every service object on every node.")
   in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:
-            "Print the full cluster report (including the per-class \
-             $(b,serve:) section) after the run.")
-  in
-  let run nodes cpus faults seed crash rps burst zipf objects duration classes
-      workers admission admit_rate admit_burst cutoff replicate report bal
-      sanitize profile out w =
-    let cfg = mk_config nodes cpus faults seed crash in
+  let run cfg s rps burst zipf objects duration classes workers admission
+      admit_rate admit_burst cutoff replicate =
     let arrival =
       match burst with
       | None -> Serve.Trafficgen.Poisson rps
@@ -1109,95 +941,49 @@ let serve_cmd =
            else None);
       }
     in
-    exec_serve ~nodes ~cfg ~scfg ~report ~bal ~sanitize ~profile ~out w
+    let print (r : Serve.result) =
+      Printf.printf
+        "serve (%s, %d nodes): issued %d, completed %d, rejected %d, failed \
+         %d in %.3f virtual s\n"
+        (match arrival with
+        | Serve.Trafficgen.Poisson r -> Printf.sprintf "poisson %.0f rps" r
+        | Serve.Trafficgen.Bursty b ->
+          Printf.sprintf "bursty %.0fx%.0f rps" b.rate b.factor)
+        cfg.Amber.Config.nodes r.Serve.issued r.Serve.completed
+        r.Serve.rejected r.Serve.failed r.Serve.elapsed;
+      Printf.printf "  goodput %.1f rps, reject %.1f%%\n" r.Serve.goodput_rps
+        (100.0 *. r.Serve.reject_frac);
+      let lat = r.Serve.latency in
+      if Sim.Stats.Summary.count lat > 0 then
+        Printf.printf
+          "  admitted latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n"
+          (Sim.Stats.Summary.percentile lat 50.0 *. 1e3)
+          (Sim.Stats.Summary.percentile lat 95.0 *. 1e3)
+          (Sim.Stats.Summary.percentile lat 99.0 *. 1e3);
+      List.iter
+        (fun (st : Serve.class_stats) ->
+          Printf.printf "  %-7s issued %d, ok %d, rej %d, fail %d\n"
+            (Serve.Trafficgen.cls_name st.Serve.cls)
+            st.Serve.issued st.Serve.completed st.Serve.rejected
+            st.Serve.failed)
+        r.Serve.per_class
+    in
+    status (Session.run ~print s cfg (fun rt -> Serve.run rt scfg))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term
+      const run $ config_term
+      $ session_term ~report:true ~balance:true ~profile:true ~watch:true ()
       $ rps $ burst $ zipf $ objects $ duration $ classes $ workers $ admission
-      $ admit_rate $ admit_burst $ cutoff $ replicate $ report_flag
-      $ balance_term $ sanitize_arg $ profile_flag $ out_arg $ watch_term)
+      $ admit_rate $ admit_burst $ cutoff $ replicate)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Serve open-loop traffic (Poisson or bursty, Zipf-skewed, mixed \
           read/write/compute) with per-class SLO reporting and optional \
-          admission control.")
-    term
-
-(* --- watch (one-command telemetry smoke over serve) ----------------------- *)
-
-let watch_cmd =
-  let rps =
-    Arg.(
-      value & opt float 400.0
-      & info [ "rps" ] ~docv:"RATE"
-          ~doc:
-            "Mean arrival rate, requests per virtual second (push it past \
-             capacity to watch the SLO monitors trip).")
-  in
-  let duration =
-    Arg.(
-      value & opt float 0.5
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"Traffic window, virtual seconds.")
-  in
-  let workers =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Service worker threads per node.")
-  in
-  let report_flag =
-    Arg.(
-      value & flag
-      & info [ "report" ]
-          ~doc:
-            "Print the full cluster report (including the $(b,watch:) \
-             series summary) after the run.")
-  in
-  let run nodes cpus faults seed crash rps duration workers report bal sanitize
-      profile out w =
-    let cfg = mk_config nodes cpus faults seed crash in
-    (* Telemetry is the point of this subcommand: force the tick on and,
-       with no explicit rules, watch the canonical serving objective. *)
-    let default_rules =
-      List.filter_map
-        (fun s -> Result.to_option (Watch.Slo.parse s))
-        [ "serve.latency_ms.p99<=60" ]
-    in
-    let w =
-      {
-        w with
-        w_on = true;
-        w_slo = (if w.w_slo = [] then default_rules else w.w_slo);
-      }
-    in
-    let scfg =
-      {
-        Serve.default_cfg with
-        arrival = Serve.Trafficgen.Poisson rps;
-        duration;
-        workers_per_node = workers;
-        admission =
-          Some { Serve.admit_rate = 0.0; admit_burst = 4.0; cutoff = 8 };
-      }
-    in
-    exec_serve ~nodes ~cfg ~scfg ~report ~bal ~sanitize ~profile ~out w
-  in
-  let term =
-    Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term
-      $ rps $ duration $ workers $ report_flag $ balance_term $ sanitize_arg
-      $ profile_flag $ out_arg $ watch_term)
-  in
-  Cmd.v
-    (Cmd.info "watch"
-       ~doc:
-         "Run an admission-controlled serve scenario under continuous \
-          telemetry: sampled time series, a default p99 latency SLO \
-          burn-rate monitor (exit 4 when it fires), and optional series \
-          exports / flight recorder.")
+          admission control.  With $(b,--watch) and $(b,--slo) it runs \
+          under continuous telemetry and exits 4 when an SLO burns.")
     term
 
 (* --- trace --------------------------------------------------------------- *)
@@ -1255,52 +1041,50 @@ let trace_cmd =
             "Also collect causal spans during the run and write them to \
              $(docv) as Chrome trace-event JSON (loadable in Perfetto).")
   in
-  let run nodes cpus faults seed crash limit category lint json out variant =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let rt_box = ref None in
-    let () =
-      Amber.Cluster.run_value cfg (fun rt ->
-          rt_box := Some rt;
-          Sim.Trace.set_enabled (Amber.Runtime.trace rt) true;
-          if out <> None || lint then
-            Sim.Span.set_enabled (Amber.Runtime.spans rt) true;
-          if lint then
-            (* Record the "san" event stream without online analysis. *)
-            ignore (Analysis.Ambersan.attach ~analyze:false rt : Analysis.Ambersan.t);
-          let counter = Amber.Api.create rt ~name:"counter" (ref 0) in
-          Amber.Api.move_to rt counter ~dest:(min 1 (nodes - 1));
-          let lock = Amber.Sync.Lock.create rt () in
-          (* The racy variant runs the same two-step increment without the
-             lock: the Read and Write steps of different workers carry no
-             happens-before edge, which offline lint must flag. *)
-          let increment =
-            match variant with
-            | `Clean ->
-              fun () ->
-                Amber.Sync.Lock.with_lock rt lock (fun () ->
-                    Amber.Api.invoke rt counter (fun c -> incr c))
-            | `Racy ->
-              fun () ->
-                let v =
-                  Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Read counter
-                    (fun c -> !c)
-                in
-                Sim.Fiber.consume 200e-6;
-                Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Write counter
-                  (fun c -> c := v + 1)
-          in
-          let ts =
-            List.init 3 (fun i ->
-                Amber.Api.start rt ~name:(Printf.sprintf "w%d" i) (fun () ->
-                    for _ = 1 to 3 do
-                      increment ()
-                    done))
-          in
-          List.iter (fun t -> Amber.Api.join rt t) ts)
+  let run cfg limit category lint json out variant =
+    let body rt =
+      Sim.Trace.set_enabled (Amber.Runtime.trace rt) true;
+      if out <> None || lint then
+        Sim.Span.set_enabled (Amber.Runtime.spans rt) true;
+      if lint then
+        (* Record the "san" event stream without online analysis. *)
+        ignore (Analysis.Ambersan.attach ~analyze:false rt : Analysis.Ambersan.t);
+      let counter = Amber.Api.create rt ~name:"counter" (ref 0) in
+      Amber.Api.move_to rt counter ~dest:(min 1 (cfg.Amber.Config.nodes - 1));
+      let lock = Amber.Sync.Lock.create rt () in
+      (* The racy variant runs the same two-step increment without the
+         lock: the Read and Write steps of different workers carry no
+         happens-before edge, which offline lint must flag. *)
+      let increment =
+        match variant with
+        | `Clean ->
+          fun () ->
+            Amber.Sync.Lock.with_lock rt lock (fun () ->
+                Amber.Api.invoke rt counter (fun c -> incr c))
+        | `Racy ->
+          fun () ->
+            let v =
+              Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Read counter
+                (fun c -> !c)
+            in
+            Sim.Fiber.consume 200e-6;
+            Amber.Invoke.invoke rt ~mode:Amber.San_hooks.Write counter
+              (fun c -> c := v + 1)
+      in
+      let ts =
+        List.init 3 (fun i ->
+            Amber.Api.start rt ~name:(Printf.sprintf "w%d" i) (fun () ->
+                for _ = 1 to 3 do
+                  increment ()
+                done))
+      in
+      List.iter (fun t -> Amber.Api.join rt t) ts;
+      rt
     in
-    match !rt_box with
-    | None -> 0
-    | Some rt ->
+    let o = Session.run Session.off cfg body in
+    match o.Session.result with
+    | Error _ -> o.Session.status
+    | Ok rt ->
       let trace = Amber.Runtime.trace rt in
       let records =
         match category with
@@ -1327,7 +1111,8 @@ let trace_cmd =
       | None -> ()
       | Some path ->
         let spans = Sim.Span.spans (Amber.Runtime.spans rt) in
-        write_file path (Scope.Export.chrome_json spans);
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Scope.Export.chrome_json spans));
         if not json then
           Printf.printf "wrote %s (%d spans)\n" path (List.length spans));
       if lint then begin
@@ -1347,71 +1132,12 @@ let trace_cmd =
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ limit
-      $ category $ lint_flag $ json_flag $ trace_out $ variant)
+      const run $ config_term $ limit $ category $ lint_flag $ json_flag
+      $ trace_out $ variant)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run a small scenario with protocol tracing enabled and dump it.")
-    term
-
-(* --- profile -------------------------------------------------------------- *)
-
-let profile_cmd =
-  let workload =
-    Arg.(
-      value
-      & pos 0 (enum [ ("sor", `Sor) ]) `Sor
-      & info [] ~docv:"WORKLOAD" ~doc:"Workload to profile (currently $(b,sor)).")
-  in
-  let rows =
-    Arg.(value & opt int 122 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
-  in
-  let cols =
-    Arg.(value & opt int 842 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
-  in
-  let iters =
-    Arg.(value & opt int 10 & info [ "iters"; "i" ] ~docv:"I" ~doc:"Iterations.")
-  in
-  let jsonl_flag =
-    Arg.(
-      value & flag
-      & info [ "jsonl" ]
-          ~doc:"Also dump every span as one JSON object per line on stdout.")
-  in
-  let run nodes cpus faults seed crash workload rows cols iters out jsonl =
-    let cfg = mk_config nodes cpus faults seed crash in
-    match workload with
-    | `Sor ->
-      let p =
-        Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows ~cols
-      in
-      let r, status, prof =
-        run_profiled ~profile:true ~sanitize:false cfg (fun rt ->
-            Workloads.Sor_amber.run rt p ~iters ())
-      in
-      let prof = Option.get prof in
-      Printf.printf "amber %dNx%dP: compute %.3f virtual s, checksum %.6g\n"
-        nodes cpus r.Workloads.Sor_amber.compute_elapsed
-        r.Workloads.Sor_amber.checksum;
-      finish_profile ~out prof;
-      if jsonl then
-        List.iter print_endline
-          (Scope.Export.spans_jsonl ~clip:(Scope.Profile.total prof)
-             (Scope.Profile.spans prof));
-      status
-  in
-  let term =
-    Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ workload
-      $ rows $ cols $ iters $ out_arg $ jsonl_flag)
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run a workload under the span profiler: per-operation latency \
-          summaries, per-node busy/blocked attribution and a critical-path \
-          decomposition of the main thread's elapsed time.")
     term
 
 (* --- fixture ------------------------------------------------------------- *)
@@ -1437,24 +1163,24 @@ let fixture_cmd =
       value & opt int 25
       & info [ "increments" ] ~docv:"K" ~doc:"Increments per thread.")
   in
-  let run nodes cpus faults seed crash variant threads increments sanitize =
-    let cfg = mk_config nodes cpus faults seed crash in
-    let (r : Workloads.Fixtures.result), status =
-      run_cluster ~sanitize cfg (fun rt ->
-          match variant with
-          | `Racy -> Workloads.Fixtures.racy_counter rt ~threads ~increments
-          | `Clean -> Workloads.Fixtures.clean_counter rt ~threads ~increments)
+  let run cfg s variant threads increments =
+    let print (r : Workloads.Fixtures.result) =
+      Printf.printf "counter: %d of %d expected increments%s\n"
+        r.Workloads.Fixtures.final r.Workloads.Fixtures.expected
+        (if r.Workloads.Fixtures.final = r.Workloads.Fixtures.expected then ""
+         else " (updates lost)")
     in
-    Printf.printf "counter: %d of %d expected increments%s\n"
-      r.Workloads.Fixtures.final r.Workloads.Fixtures.expected
-      (if r.Workloads.Fixtures.final = r.Workloads.Fixtures.expected then ""
-       else " (updates lost)");
     status
+      (Session.run ~print s cfg (fun rt ->
+           match variant with
+           | `Racy -> Workloads.Fixtures.racy_counter rt ~threads ~increments
+           | `Clean ->
+             Workloads.Fixtures.clean_counter rt ~threads ~increments))
   in
   let term =
     Term.(
-      const run $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term $ variant
-      $ threads $ increments $ sanitize_arg)
+      const run $ config_term $ session_term () $ variant $ threads
+      $ increments)
   in
   Cmd.v
     (Cmd.info "fixture"
@@ -1658,5 +1384,4 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ sor_cmd; workqueue_cmd; matmul_cmd; tsp_cmd; readmostly_cmd;
-            serve_cmd; watch_cmd; trace_cmd; profile_cmd; fixture_cmd;
-            check_cmd ]))
+            serve_cmd; trace_cmd; fixture_cmd; check_cmd ]))

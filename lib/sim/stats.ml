@@ -17,117 +17,6 @@ module Counter = struct
     else Format.fprintf ppf "%s=%d" t.name t.n
 end
 
-module Summary = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    mutable total : float;
-    mutable samples : float array;
-    mutable sample_count : int;
-    mutable sorted : bool;
-    reservoir : int;
-    mutable rstate : int64;
-  }
-
-  let default_reservoir = 2048
-
-  let create ?(reservoir = default_reservoir) () =
-    if reservoir <= 0 then invalid_arg "Summary.create: reservoir";
-    {
-      n = 0;
-      mean = 0.0;
-      m2 = 0.0;
-      min = Float.infinity;
-      max = Float.neg_infinity;
-      total = 0.0;
-      samples = [||];
-      sample_count = 0;
-      sorted = true;
-      reservoir;
-      rstate = 0x1234_5678_9ABC_DEF0L;
-    }
-
-  (* Private splitmix64 stream, seeded from a constant and advanced once
-     per overflowing [add]: a pure function of the add sequence, so
-     percentiles stay seed-reproducible and no engine RNG is drawn. *)
-  let rand_below t bound =
-    t.rstate <- Int64.add t.rstate 0x9E3779B97F4A7C15L;
-    let z = t.rstate in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int bound))
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.total <- t.total +. x;
-    if t.sample_count < t.reservoir then begin
-      if t.sample_count >= Array.length t.samples then begin
-        let cap = min t.reservoir (max 64 (2 * Array.length t.samples)) in
-        let bigger = Array.make cap 0.0 in
-        Array.blit t.samples 0 bigger 0 t.sample_count;
-        t.samples <- bigger
-      end;
-      t.samples.(t.sample_count) <- x;
-      t.sample_count <- t.sample_count + 1;
-      t.sorted <- false
-    end
-    else begin
-      (* Algorithm R: the reservoir is full; keep the new sample with
-         probability reservoir/n, evicting a uniformly-chosen slot. *)
-      let j = rand_below t t.n in
-      if j < t.reservoir then begin
-        t.samples.(j) <- x;
-        t.sorted <- false
-      end
-    end
-
-  let count t = t.n
-  let mean t = t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int t.n
-  let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-  let total t = t.total
-  let retained t = t.sample_count
-  let capacity t = t.reservoir
-
-  let percentile t p =
-    if t.n = 0 then invalid_arg "Summary.percentile: empty";
-    if p < 0.0 || p > 100.0 then invalid_arg "Summary.percentile: range";
-    if not t.sorted then begin
-      let live = Array.sub t.samples 0 t.sample_count in
-      Array.sort compare live;
-      Array.blit live 0 t.samples 0 t.sample_count;
-      t.sorted <- true
-    end;
-    let rank =
-      int_of_float (ceil (p /. 100.0 *. float_of_int t.sample_count)) - 1
-    in
-    let rank = Stdlib.max 0 (Stdlib.min (t.sample_count - 1) rank) in
-    t.samples.(rank)
-
-  let pp ppf t =
-    if t.n = 0 then Format.fprintf ppf "(empty)"
-    else
-      Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" t.n
-        t.mean (stddev t) t.min t.max
-end
-
 module Log_histogram = struct
   type t = {
     lo : float;
@@ -264,56 +153,39 @@ module Log_histogram = struct
         t.n (mean t) t.min t.max (percentile t 50.0) (percentile t 99.0)
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array;
-    mutable underflow : int;
-    mutable overflow : int;
-    mutable n : int;
-  }
+module Summary = struct
+  (* Exact Welford moments; everything else (count, min, max, total and
+     the percentile buckets) lives in the histogram. *)
+  type t = { mutable mean : float; mutable m2 : float; hist : Log_histogram.t }
 
-  let create ~lo ~hi ~buckets =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets";
-    if not (hi > lo) then invalid_arg "Histogram.create: bounds";
-    {
-      lo;
-      hi;
-      width = (hi -. lo) /. float_of_int buckets;
-      counts = Array.make buckets 0;
-      underflow = 0;
-      overflow = 0;
-      n = 0;
-    }
+  let create () = { mean = 0.0; m2 = 0.0; hist = Log_histogram.create () }
 
   let add t x =
-    t.n <- t.n + 1;
-    if x < t.lo then t.underflow <- t.underflow + 1
-    else if x >= t.hi then t.overflow <- t.overflow + 1
-    else begin
-      let i = int_of_float ((x -. t.lo) /. t.width) in
-      let i = Stdlib.min (Array.length t.counts - 1) i in
-      t.counts.(i) <- t.counts.(i) + 1
-    end
+    Log_histogram.add t.hist x;
+    let delta = x -. t.mean in
+    t.mean <- t.mean +. (delta /. float_of_int (Log_histogram.count t.hist));
+    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-  let count t = t.n
-  let bucket_counts t = Array.copy t.counts
-  let underflow t = t.underflow
-  let overflow t = t.overflow
+  let count t = Log_histogram.count t.hist
+  let mean t = t.mean
 
-  let bucket_bounds t i =
-    if i < 0 || i >= Array.length t.counts then
-      invalid_arg "Histogram.bucket_bounds";
-    (t.lo +. (float_of_int i *. t.width), t.lo +. (float_of_int (i + 1) *. t.width))
+  let variance t =
+    let n = count t in
+    if n < 2 then 0.0 else t.m2 /. float_of_int n
+
+  let stddev t = sqrt (variance t)
+  let min t = Log_histogram.min t.hist
+  let max t = Log_histogram.max t.hist
+  let total t = Log_histogram.total t.hist
+
+  let percentile t p =
+    if count t = 0 then invalid_arg "Summary.percentile: empty";
+    if p < 0.0 || p > 100.0 then invalid_arg "Summary.percentile: range";
+    Log_histogram.percentile t.hist p
 
   let pp ppf t =
-    Format.fprintf ppf "hist n=%d under=%d over=%d [" t.n t.underflow
-      t.overflow;
-    Array.iteri
-      (fun i c -> if i > 0 then Format.fprintf ppf "; %d" c
-        else Format.fprintf ppf "%d" c)
-      t.counts;
-    Format.fprintf ppf "]"
+    if count t = 0 then Format.fprintf ppf "(empty)"
+    else
+      Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" (count t)
+        t.mean (stddev t) (min t) (max t)
 end

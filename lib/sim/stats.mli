@@ -1,5 +1,7 @@
-(** Streaming statistics accumulators and simple histograms, used by the
-    benchmark harness to summarize latencies and by tests as oracles. *)
+(** Streaming statistics accumulators, used by the runtime, the serving
+    layer and the benchmark harness to summarize latencies.  There is one
+    percentile estimator, {!Log_histogram}; {!Summary} adds exact
+    moments on top of it. *)
 
 (** Named monotonic event counter — the unit of protocol accounting used
     by the RPC reliability layer (retries, timeouts, suppressed
@@ -19,56 +21,12 @@ module Counter : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Welford-style mean/variance accumulator that also retains a bounded
-    sample reservoir for percentile queries.
-
-    Count, mean, variance, min, max and total are always exact.
-    Percentiles are exact while at most [reservoir] samples have been
-    added (the default keeps 2048); past that, the retained set is a
-    uniform reservoir (Vitter's Algorithm R) driven by a private
-    splitmix64 stream seeded from a constant — a deterministic function
-    of the add sequence, drawing nothing from [Random] or the simulation
-    RNG — so memory stays bounded and runs stay seed-reproducible. *)
-module Summary : sig
-  type t
-
-  val create : ?reservoir:int -> unit -> t
-  (** Raises [Invalid_argument] when [reservoir <= 0]. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-
-  (** Population variance; 0 for fewer than 2 samples. *)
-  val variance : t -> float
-
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val total : t -> float
-
-  (** Number of samples currently retained for percentile queries
-      (= [count] until the reservoir fills). *)
-  val retained : t -> int
-
-  (** Reservoir capacity this summary was created with. *)
-  val capacity : t -> int
-
-  (** [percentile t p] with [p] in [\[0, 100\]], by nearest-rank on the
-      sorted retained samples (exact until the reservoir overflows, an
-      estimate after).  Raises [Invalid_argument] on an empty summary or
-      out-of-range [p]. *)
-  val percentile : t -> float -> float
-
-  val pp : Format.formatter -> t -> unit
-end
-
 (** Exact log-bucketed histogram: bucket [i] covers
     [\[lo*growth^i, lo*growth^(i+1))], so percentile queries carry a
     bounded {e relative} error (half a bucket, ~2.5% at the default 5%
-    growth) at fixed memory, with no sampling and no randomness — unlike
-    [Summary]'s reservoir, results are an exact function of the multiset
-    of added values, independent of add order.  Count, total, mean, min
+    growth) at fixed memory, with no sampling and no randomness: results are
+    an exact function of the multiset of added values, independent of
+    add order.  Count, total, mean, min
     and max are exact.  Non-positive and sub-[lo] values land in an
     underflow counter (reported as [min]); values beyond the last bucket
     in overflow (reported as [max]). *)
@@ -117,20 +75,37 @@ module Log_histogram : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Fixed-bucket histogram over [\[lo, hi)] with uniform bucket width;
-    samples outside the range land in underflow/overflow counters. *)
-module Histogram : sig
+(** Streaming latency summary: exact Welford mean and variance over a
+    {!Log_histogram}, which supplies count, min, max, total and the
+    percentiles.
+
+    Count, mean, variance, min, max and total are exact.  Percentiles
+    carry the histogram's bounded relative error (at most half a bucket,
+    ~2.5%); a summary of one repeated value reports it exactly.  Memory
+    is fixed (640 buckets) whatever the sample count, and results depend
+    only on the multiset of added values.  Values below 1 ns, including
+    zero and negatives, share the underflow bucket and report as the
+    exact minimum. *)
+module Summary : sig
   type t
 
-  val create : lo:float -> hi:float -> buckets:int -> t
+  val create : unit -> t
   val add : t -> float -> unit
   val count : t -> int
-  val bucket_counts : t -> int array
-  val underflow : t -> int
-  val overflow : t -> int
+  val mean : t -> float
 
-  (** [(lo, hi)] bounds of bucket [i]. *)
-  val bucket_bounds : t -> int -> float * float
+  (** Population variance; 0 for fewer than 2 samples. *)
+  val variance : t -> float
+
+  val stddev : t -> float
+  val min : t -> float
+  val max : t -> float
+  val total : t -> float
+
+  (** [percentile t p] with [p] in [\[0, 100\]]: {!Log_histogram.percentile}
+      of the added samples.  Raises [Invalid_argument] on an empty summary
+      or out-of-range [p]. *)
+  val percentile : t -> float -> float
 
   val pp : Format.formatter -> t -> unit
 end

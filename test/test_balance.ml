@@ -165,31 +165,6 @@ let test_gossip_spreads_load_boards () =
       Alcotest.(check bool) "gossip rounds counted" true
         ((A.Runtime.counters rt).A.Runtime.gossip_rounds > 0))
 
-(* With balancing off the subsystem must be invisible: same RNG stream,
-   same events, byte-identical report. *)
-let test_off_is_byte_identical () =
-  let report with_driver =
-    let cfg = A.Config.make ~nodes:3 ~cpus:2 () in
-    let text = ref "" in
-    A.Cluster.run_value cfg (fun rt ->
-        let lb =
-          if with_driver then Some (B.Driver.start rt B.Driver.default_cfg)
-          else None
-        in
-        ignore
-          (Workloads.Sor_amber.run rt
-             (Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:16
-                ~cols:32)
-             ~iters:3 ()
-            : Workloads.Sor_amber.result);
-        (match lb with Some lb -> B.Driver.stop lb | None -> ());
-        text :=
-          Format.asprintf "%a" A.Stats_report.pp (A.Stats_report.capture rt));
-    !text
-  in
-  Alcotest.(check string)
-    "inert driver leaves the report untouched" (report false) (report true)
-
 let suite =
   [
     Alcotest.test_case "skewed sor: hybrid + steal recovers >= 70%" `Quick
@@ -202,6 +177,4 @@ let suite =
       test_steal_skips_bound_threads;
     Alcotest.test_case "gossip spreads load boards" `Quick
       test_gossip_spreads_load_boards;
-    Alcotest.test_case "balance off is byte-identical" `Quick
-      test_off_is_byte_identical;
   ]

@@ -17,13 +17,30 @@ let faults =
     stalls = [];
   }
 
-let report_digest cfg body =
-  let text = ref "" in
-  A.Cluster.run_value cfg (fun rt ->
-      body rt;
-      text :=
-        Format.asprintf "%a" A.Stats_report.pp (A.Stats_report.capture rt));
-  Digest.string !text
+(* Every sweep runs through the run harness and digests what it prints:
+   the full report plus every attached layer's sections. *)
+let session_text ?(layers = Session.off) cfg body =
+  let buf = Buffer.create 4096 in
+  let o =
+    Session.run ~ppf:(Format.formatter_of_buffer buf)
+      { layers with Session.report = true }
+      cfg body
+  in
+  (o, Buffer.contents buf)
+
+let report_digest ?layers cfg body =
+  Digest.string (snd (session_text ?layers cfg body))
+
+let hybrid =
+  {
+    Session.off with
+    Session.balance =
+      {
+        Balance.Driver.default_cfg with
+        Balance.Driver.policy = Balance.Rebalancer.Hybrid;
+        steal = true;
+      };
+  }
 
 let racy_fixture_digest seed =
   let cfg = A.Config.make ~nodes:4 ~cpus:2 ~seed:(Int64.of_int seed) () in
@@ -50,7 +67,7 @@ let read_mostly_digest seed =
 
 let balanced_sor_digest seed =
   let cfg = A.Config.make ~nodes:4 ~cpus:2 ~seed:(Int64.of_int seed) () in
-  report_digest cfg (fun rt ->
+  report_digest ~layers:hybrid cfg (fun rt ->
       let p =
         Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:16
           ~cols:64
@@ -61,18 +78,9 @@ let balanced_sor_digest seed =
           Workloads.Sor_amber.placement = Some (fun _ -> 0);
         }
       in
-      let lb =
-        Balance.Driver.start rt
-          {
-            Balance.Driver.default_cfg with
-            Balance.Driver.policy = Balance.Rebalancer.Hybrid;
-            steal = true;
-          }
-      in
       ignore
         (Workloads.Sor_amber.run rt p ~cfg:c ~iters:4 ()
-          : Workloads.Sor_amber.result);
-      Balance.Driver.stop lb)
+          : Workloads.Sor_amber.result))
 
 (* Pipelined SOR exercises the whole async stack — helper threads,
    future-notify datagrams, pipelined barriers — under packet loss with
@@ -144,15 +152,7 @@ let served_digest seed =
       ~crashes:[ { A.Config.cnode = 3; at = 30e-3; restart = Some 80e-3 } ]
       ~crash_rate:0.3 ()
   in
-  report_digest cfg (fun rt ->
-      let lb =
-        Balance.Driver.start rt
-          {
-            Balance.Driver.default_cfg with
-            Balance.Driver.policy = Balance.Rebalancer.Hybrid;
-            steal = true;
-          }
-      in
+  report_digest ~layers:hybrid cfg (fun rt ->
       ignore
         (Serve.run rt
            {
@@ -163,8 +163,7 @@ let served_digest seed =
              replicate = true;
              admission = Some Serve.default_admission;
            }
-          : Serve.result);
-      Balance.Driver.stop lb)
+          : Serve.result))
 
 let test_served_sweep () =
   sweep "serving + admission + balancing + crashes" served_digest
@@ -180,32 +179,30 @@ let watched_serve_digest seed =
       ~crashes:[ { A.Config.cnode = 3; at = 30e-3; restart = Some 80e-3 } ]
       ~crash_rate:0.3 ()
   in
-  let buf = Buffer.create 65536 in
-  A.Cluster.run_value cfg (fun rt ->
-      let w =
-        Watch.attach rt
-          ~cfg:{ Watch.default_cfg with Watch.interval = 2e-3 }
-          ()
-      in
-      ignore
-        (Serve.run rt
-           {
-             Serve.default_cfg with
-             Serve.arrival = Serve.Trafficgen.Poisson 250.0;
-             duration = 0.15;
-             keys = 16;
-             admission = Some Serve.default_admission;
-           }
-          : Serve.result);
-      Watch.stop w;
-      List.iter
-        (fun l ->
-          Buffer.add_string buf l;
-          Buffer.add_char buf '\n')
-        (Scope.Export.series_jsonl (Watch.series w));
-      Buffer.add_string buf
-        (Format.asprintf "%a" A.Stats_report.pp (A.Stats_report.capture rt)));
-  Digest.string (Buffer.contents buf)
+  let o, text =
+    session_text
+      ~layers:
+        {
+          Session.off with
+          Session.watch = Some { Session.interval = 2e-3; slo = [] };
+        }
+      cfg
+      (fun rt ->
+        ignore
+          (Serve.run rt
+             {
+               Serve.default_cfg with
+               Serve.arrival = Serve.Trafficgen.Poisson 250.0;
+               duration = 0.15;
+               keys = 16;
+               admission = Some Serve.default_admission;
+             }
+            : Serve.result))
+  in
+  let series =
+    Scope.Export.series_jsonl (Watch.series (Option.get o.Session.watch))
+  in
+  Digest.string (String.concat "\n" (text :: series))
 
 let test_watched_serve_sweep () =
   sweep "watched serving + crashes" watched_serve_digest
@@ -215,56 +212,25 @@ let test_watched_serve_sweep () =
    reproduce run-to-run. *)
 let span_digest seed =
   let cfg = A.Config.make ~nodes:4 ~cpus:2 ~seed:(Int64.of_int seed) () in
-  let buf = Buffer.create 4096 in
-  A.Cluster.run_value cfg (fun rt ->
-      Sim.Span.set_enabled (A.Runtime.spans rt) true;
-      ignore
-        (Workloads.Fixtures.racy_counter rt ~threads:4 ~increments:10
-          : Workloads.Fixtures.result);
-      List.iter
-        (fun (s : Sim.Span.span) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%d %d %b %s %s %d %d %d %d %.9f %.9f\n" s.id
-               s.parent s.async (Sim.Span.kind_name s.kind) s.label s.node
-               s.tid s.obj s.arg s.t0 s.t1))
-        (Sim.Span.spans (A.Runtime.spans rt)));
-  Digest.string (Buffer.contents buf)
+  let o =
+    Session.run ~ppf:Util.quiet
+      { Session.off with Session.profile = true }
+      cfg
+      (fun rt ->
+        ignore
+          (Workloads.Fixtures.racy_counter rt ~threads:4 ~increments:10
+            : Workloads.Fixtures.result))
+  in
+  Digest.string
+    (String.concat ""
+       (List.map
+          (fun (s : Sim.Span.span) ->
+            Printf.sprintf "%d %d %b %s %s %d %d %d %d %.9f %.9f\n" s.id
+              s.parent s.async (Sim.Span.kind_name s.kind) s.label s.node
+              s.tid s.obj s.arg s.t0 s.t1)
+          (Scope.Profile.spans (Option.get o.Session.profile))))
 
 let test_span_sweep () = sweep "span trace" span_digest
-
-(* Profiling must not perturb the simulation: the base report of a
-   profiled run is byte-identical to an unprofiled one (the profiler only
-   adds its own "profile" section to [extra], stripped here). *)
-let base_report ~profile seed =
-  let cfg =
-    A.Config.make ~nodes:3 ~cpus:2 ~seed:(Int64.of_int seed) ~faults ()
-  in
-  let text = ref "" in
-  A.Cluster.run_value cfg (fun rt ->
-      if profile then ignore (Scope.Profile.attach rt : Scope.Profile.t);
-      ignore
-        (Workloads.Read_mostly.run rt
-           {
-             Workloads.Read_mostly.objects = 3;
-             readers_per_node = 2;
-             reads_per_reader = 12;
-             write_every = 6;
-             replicate = true;
-           }
-          : Workloads.Read_mostly.result);
-      let r = A.Stats_report.capture rt in
-      let r = { r with A.Stats_report.extra = [] } in
-      text := Format.asprintf "%a" A.Stats_report.pp r);
-  !text
-
-let test_profiling_transparent () =
-  List.iter
-    (fun seed ->
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d base report unchanged by profiling" seed)
-        (base_report ~profile:false seed)
-        (base_report ~profile:true seed))
-    [ 7; 42; 31337 ]
 
 let suite =
   [
@@ -289,6 +255,4 @@ let suite =
       test_watched_serve_sweep;
     Alcotest.test_case "span traces reproducible over 10 seeds" `Quick
       test_span_sweep;
-    Alcotest.test_case "profiling leaves the base report byte-identical"
-      `Quick test_profiling_transparent;
   ]

@@ -278,29 +278,6 @@ let test_coalescing_batches_and_orders () =
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     smalls
 
-let test_coalescing_off_is_inert () =
-  let e = Sim.Engine.create () in
-  let machines =
-    Array.init 2 (fun id -> Hw.Machine.create ~engine:e ~id ~cpus:2 ())
-  in
-  let tasks = Array.map (fun m -> Topaz.Task.create ~machine:m ()) machines in
-  let ether = Hw.Ethernet.create ~engine:e () in
-  let rpc = Topaz.Rpc.create ~ether ~tasks ~servers_per_node:2 () in
-  let got = ref 0 in
-  ignore
-    (Topaz.Task.spawn tasks.(0) ~name:"plain" (fun () ->
-         for _ = 1 to 5 do
-           Topaz.Rpc.send_reliable rpc ~src:0 ~dst:1 ~size:24 ~kind:"tiny"
-             (fun () -> incr got)
-         done));
-  ignore (Sim.Engine.run e);
-  Alcotest.(check int) "all delivered" 5 !got;
-  let z = Topaz.Rpc.coalescing rpc in
-  Alcotest.(check int) "no eligibility tracked" 0 z.Topaz.Rpc.coal_eligible;
-  Alcotest.(check int) "no frames" 0 z.Topaz.Rpc.coal_frames;
-  Alcotest.(check int) "one packet per datagram" 5
-    (Hw.Ethernet.packets_sent ether)
-
 (* --- invoke exception-path balance (the latent-bug sweep) ------------------ *)
 
 (* A remote op that raises must leave no trace: frame popped, writer
@@ -468,8 +445,6 @@ let suite =
       test_delivered_table_bounded;
     Alcotest.test_case "coalescing batches and preserves order" `Quick
       test_coalescing_batches_and_orders;
-    Alcotest.test_case "coalescing off is inert" `Quick
-      test_coalescing_off_is_inert;
     Alcotest.test_case "raising op balances" `Quick test_raising_op_balances;
     Alcotest.test_case "nested raise balances" `Quick test_nested_raise_balances;
     Alcotest.test_case "dangling invoke unwinds" `Quick

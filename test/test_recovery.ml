@@ -4,11 +4,10 @@
    protocols surface typed failures ([Node_dead], [Object_lost]) in
    bounded virtual time instead of hanging; objects whose master died
    are re-mastered from the highest-epoch surviving replica; forwarding
-   chains routed through the corpse are repaired; transient outages ride
-   out with unchanged results; and with no crash configured the injector
-   is completely inert.  A pinned-seed QCheck storm replays randomized
-   crash programs against a sequential oracle, plain, sanitized and with
-   packet faults stacked on top. *)
+   chains routed through the corpse are repaired; and transient outages
+   ride out with unchanged results.  A pinned-seed QCheck storm replays
+   randomized crash programs against a sequential oracle, plain,
+   sanitized and with packet faults stacked on top. *)
 
 module A = Amber
 module W = Workloads
@@ -293,7 +292,7 @@ let test_sor_transient_crash_checksum () =
   Alcotest.(check int) "one crash, one restart" 1 ctrs.A.Runtime.node_restarts;
   Alcotest.(check int) "counted as a crash too" 1 ctrs.A.Runtime.node_crashes
 
-(* --- inertness and reporting --------------------------------------------- *)
+(* --- reporting ------------------------------------------------------------ *)
 
 let report_text cfg body =
   let text = ref "" in
@@ -307,24 +306,6 @@ let contains ~affix s =
   let n = String.length affix and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
   n = 0 || at 0
-
-let inert_body rt =
-  ignore
-    (W.Fixtures.racy_counter rt ~threads:4 ~increments:10 : W.Fixtures.result)
-
-let test_inert_without_crash_flags () =
-  (* Passing empty crash options explicitly must be byte-identical to
-     not mentioning crashes at all: the injector arms nothing, splits no
-     RNG, prints no report lines. *)
-  let plain = A.Config.make ~nodes:4 ~cpus:2 ~seed:42L () in
-  let explicit =
-    A.Config.make ~nodes:4 ~cpus:2 ~seed:42L ~crashes:[] ~crash_rate:0.0 ()
-  in
-  Alcotest.(check bool) "crashes not enabled" false
-    (A.Config.crashes_enabled explicit);
-  let a = report_text plain inert_body and b = report_text explicit inert_body in
-  Alcotest.(check string) "byte-identical reports" a b;
-  Alcotest.(check bool) "no crash lines" false (contains ~affix:"crashes:" a)
 
 let test_crashed_report_lines () =
   let text =
@@ -443,8 +424,7 @@ let run_storm ~sanitize ~faults salt =
   let cfg =
     crashy_cfg ~nodes ~seed:((salt * 7919) + 23) ~faults ()
   in
-  A.Cluster.run_value cfg (fun rt ->
-      let san = if sanitize then Some (Analysis.Ambersan.attach rt) else None in
+  Util.run_sanitized ~sanitize cfg (fun rt ->
       let rng = Sim.Rng.make (Int64.of_int (salt + 313)) in
       let k = 3 in
       let objs =
@@ -543,15 +523,8 @@ let run_storm ~sanitize ~faults salt =
             done
           end)
         objs;
-      audit_or_fail rt objs;
-      match san with
-      | None -> true
-      | Some s ->
-        let rep = Analysis.Ambersan.finalize s in
-        if not (Analysis.Ambersan.clean rep) then
-          QCheck.Test.fail_reportf "sanitizer not clean:@.%a"
-            Analysis.Ambersan.pp_report rep;
-        true)
+      audit_or_fail rt objs);
+  true
 
 let lossy =
   { no_faults with Hw.Ethernet.drop_prob = 0.03; dup_prob = 0.01 }
@@ -613,8 +586,6 @@ let suite =
       test_transient_outage_rides_out;
     Alcotest.test_case "transient outage: sor checksum parity" `Quick
       test_sor_transient_crash_checksum;
-    Alcotest.test_case "no crash flags: injector inert" `Quick
-      test_inert_without_crash_flags;
     Alcotest.test_case "crashed run: report lines" `Quick
       test_crashed_report_lines;
     Alcotest.test_case "crash schedule validation" `Quick

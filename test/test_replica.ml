@@ -151,21 +151,13 @@ let run_case ~sanitize ~faults ~concurrent salt =
       ~seed:(Int64.of_int ((salt * 7919) + 17))
       ~faults ()
   in
-  A.Cluster.run_value cfg (fun rt ->
-      let san = if sanitize then Some (Analysis.Ambersan.attach rt) else None in
+  Util.run_sanitized ~sanitize cfg (fun rt ->
       let rng = Sim.Rng.make (Int64.of_int (salt + 101)) in
       let objs, model, anchors = sequential_phase rt rng ~nodes ~n_ops:18 in
       if concurrent then
         concurrent_phase rt rng ~nodes ~anchors objs.(0) model.(0) ~writes:4;
-      audit_or_fail rt objs;
-      match san with
-      | None -> true
-      | Some s ->
-        let rep = Analysis.Ambersan.finalize s in
-        if not (Analysis.Ambersan.clean rep) then
-          QCheck.Test.fail_reportf "sanitizer not clean:@.%a"
-            Analysis.Ambersan.pp_report rep;
-        true)
+      audit_or_fail rt objs);
+  true
 
 let no_faults =
   {

@@ -267,7 +267,7 @@ let test_profile_report_lines () =
         && List.exists (fun l -> count_substring l "node 0:" = 1) rest)
 
 (* The tag dimension: tagged spans get their own [kind[tag]] percentile
-   lines under the per-kind line, all from the same reservoir attach;
+   lines under the per-kind line, all from the same profiler attach;
    tag-free spans add no bracketed lines at all. *)
 let test_profile_tag_breakdown () =
   let cfg = Amber.Config.make ~nodes:2 ~cpus:2 () in

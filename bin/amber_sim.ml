@@ -995,13 +995,18 @@ let trace_cmd =
       & info [ "limit" ] ~docv:"N" ~doc:"Maximum records to print.")
   in
   let category =
+    let cats =
+      List.map
+        (fun c -> (c, c))
+        [
+          "chase"; "create"; "crash"; "fault"; "migrate"; "net"; "san"; "sched";
+        ]
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum cats)) None
       & info [ "category" ] ~docv:"CAT"
-          ~doc:
-            "Only records of this category (create, migrate, move, net, \
-             sched).")
+          ~doc:("Only records of this category: " ^ doc_alts_enum cats ^ "."))
   in
   let lint_flag =
     Arg.(
@@ -1038,12 +1043,13 @@ let trace_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Also collect causal spans during the run and write them to \
-             $(docv) as Chrome trace-event JSON (loadable in Perfetto).")
+            "Also collect causal spans during the run and write them, with \
+             the records as instant events, to $(docv) as Chrome \
+             trace-event JSON (loadable in Perfetto).")
   in
   let run cfg limit category lint json out variant =
     let body rt =
-      Sim.Trace.set_enabled (Amber.Runtime.trace rt) true;
+      Sim.Span.set_marks (Amber.Runtime.spans rt) true;
       if out <> None || lint then
         Sim.Span.set_enabled (Amber.Runtime.spans rt) true;
       if lint then
@@ -1085,41 +1091,35 @@ let trace_cmd =
     match o.Session.result with
     | Error _ -> o.Session.status
     | Ok rt ->
-      let trace = Amber.Runtime.trace rt in
+      let collector = Amber.Runtime.spans rt in
+      let marks = Sim.Span.marks collector in
       let records =
-        match category with
-        | None -> Sim.Trace.records trace
-        | Some c -> Sim.Trace.by_category trace c
+        List.filter
+          (fun (m : Sim.Span.mark) ->
+            Option.fold ~none:true ~some:(String.equal m.category) category)
+          marks
       in
-      let total = List.length records in
+      let shown = List.filteri (fun i _ -> i < limit) records in
       if json then
-        List.iteri
-          (fun i r ->
-            if i < limit then
-              print_endline (Scope.Export.trace_record_json r))
-          records
+        List.iter (fun m -> print_endline (Scope.Export.mark_json m)) shown
       else begin
-        Printf.printf "protocol trace (%d records, showing up to %d):\n" total
-          limit;
-        List.iteri
-          (fun i r ->
-            if i < limit then
-              Format.printf "%a@." Sim.Trace.pp_record r)
-          records
+        Printf.printf "protocol trace (%d records, showing up to %d):\n"
+          (List.length records) limit;
+        List.iter (Format.printf "%a@." Sim.Span.pp_mark) shown
       end;
       (match out with
       | None -> ()
       | Some path ->
-        let spans = Sim.Span.spans (Amber.Runtime.spans rt) in
+        let spans = Sim.Span.spans collector in
         Out_channel.with_open_text path (fun oc ->
-            output_string oc (Scope.Export.chrome_json spans));
+            output_string oc (Scope.Export.chrome_json ~marks spans));
         if not json then
           Printf.printf "wrote %s (%d spans)\n" path (List.length spans));
       if lint then begin
-        let rep = Analysis.Ambersan.lint_trace (Sim.Trace.records trace) in
+        let rep = Analysis.Ambersan.lint_trace marks in
         Format.printf "offline lint: %a" Analysis.Ambersan.pp_report rep;
         let span_findings =
-          Analysis.Spanlint.lint (Sim.Span.spans (Amber.Runtime.spans rt))
+          Analysis.Spanlint.lint (Sim.Span.spans collector)
         in
         (match span_findings with
         | [] -> print_endline "span balance: OK"

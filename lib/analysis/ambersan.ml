@@ -627,8 +627,8 @@ let attach ?(analyze = true) rt =
     }
   in
   let ev e =
-    Sim.Trace.emit (Runtime.trace rt) ~time:(Runtime.now rt) ~category:"san"
-      ~detail:(lazy (Event.to_string e)) ();
+    Sim.Span.mark (Runtime.spans rt) ~category:"san"
+      (lazy (Event.to_string e));
     if t.analyze then begin
       (* A new race is a typed failure like any crash: let subscribers
          (the flight recorder) capture the window around it. *)
@@ -796,11 +796,10 @@ let lint_events events =
   List.iter (Core.feed core) events;
   Core.report core
 
-let lint_trace records =
+let lint_trace marks =
   lint_events
     (List.filter_map
-       (fun (r : Sim.Trace.record) ->
-         if String.equal r.Sim.Trace.category "san" then
-           Event.of_string r.Sim.Trace.detail
+       (fun (m : Sim.Span.mark) ->
+         if String.equal m.category "san" then Event.of_string m.detail
          else None)
-       records)
+       marks)

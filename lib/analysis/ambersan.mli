@@ -20,8 +20,10 @@
     - {b coherence drift}: {!Audit} invariant violations, checked
       continuously at move quiescence and exhaustively at {!finalize}.
 
-    Attaching with [analyze:false] only records the event stream into the
-    runtime's {!Sim.Trace} (category ["san"]) for offline {!lint_trace}.
+    Every hook also records its event as a ["san"] mark in the runtime's
+    span collector ({!Sim.Span.mark}, kept only while marks are on), and
+    attaching with [analyze:false] only records, for offline
+    {!lint_trace}.
     Hooks never charge virtual time, so a sanitized run is bit-identical
     to a bare one. *)
 
@@ -30,7 +32,7 @@ open Amber
 (** {1 Events}
 
     The observed event stream, with a stable one-line text codec used for
-    trace records so a recorded run can be linted offline. *)
+    marks so a recorded run can be linted offline. *)
 
 module Event : sig
   type barrier_phase = Arrive | Release | Resume
@@ -130,6 +132,6 @@ val finalize : t -> report
     and lock-order cycles only. *)
 val lint_events : Event.t list -> report
 
-(** [lint_trace records] lints the ["san"]-category records of a
-    {!Sim.Trace} dump. *)
-val lint_trace : Sim.Trace.record list -> report
+(** [lint_trace marks] lints the ["san"] marks of a recorded run
+    ({!Sim.Span.marks}). *)
+val lint_trace : Sim.Span.mark list -> report

@@ -63,7 +63,6 @@ type t = {
          node (objects and thread objects alike); a chase that dangles on
          one of these raises [Aobject.Object_lost] instead of the generic
          dangling failure.  Empty unless a crash happened. *)
-  trc : Sim.Trace.t;
   spans : Sim.Span.t;
   ctrs : counters;
   remote_invoke_latency : Sim.Stats.Summary.t;
@@ -117,7 +116,6 @@ let create_raw cfg =
   Config.validate cfg;
   Hw.Machine.reset_tids ();
   let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
-  let trc = Sim.Trace.create ~capacity:cfg.Config.trace_capacity () in
   let spans =
     Sim.Span.create
       ~clock:(fun () -> Sim.Engine.now eng)
@@ -129,6 +127,10 @@ let create_raw cfg =
         match Hw.Machine.self () with
         | Some tcb -> Hw.Machine.id (Hw.Machine.home tcb)
         | None -> -1)
+      ~current_cpu:(fun () ->
+        match Option.map Hw.Machine.state (Hw.Machine.self ()) with
+        | Some (Hw.Machine.Running c) -> c
+        | _ -> -1)
       ()
   in
   let machines =
@@ -136,7 +138,7 @@ let create_raw cfg =
         Hw.Machine.create ~engine:eng ~id ~cpus:cfg.Config.cpus_per_node
           ~ctx_switch:cfg.Config.ctx_switch ~quantum:cfg.Config.quantum
           ~preempt_cost:cfg.Config.cost.Cost_model.preempt_victim_cpu
-          ~trace:trc ())
+          ~spans ())
   in
   let tasks =
     Array.map
@@ -151,7 +153,7 @@ let create_raw cfg =
       ~bandwidth_bps:cfg.Config.ether_bandwidth_bps
       ~propagation:cfg.Config.ether_propagation
       ~wire_overhead:cfg.Config.ether_wire_overhead
-      ~mac:cfg.Config.ether_mac ~faults:cfg.Config.faults ~trace:trc ()
+      ~mac:cfg.Config.ether_mac ~faults:cfg.Config.faults ~spans ()
   in
   let rpc_fabric =
     (* A lossy wire needs an end-to-end transport: retransmission kicks in
@@ -191,7 +193,6 @@ let create_raw cfg =
       threads = Hashtbl.create 64;
       objs = Hashtbl.create 64;
       lost_addrs = Hashtbl.create 8;
-      trc;
       spans;
       ctrs = fresh_counters ();
       remote_invoke_latency = Sim.Stats.Summary.create ();
@@ -227,7 +228,6 @@ let cost t = t.cfg.Config.cost
 let engine t = t.eng
 let ether t = t.net
 let rpc t = t.rpc_fabric
-let trace t = t.trc
 let spans t = t.spans
 let nodes t = Array.length t.machines
 
@@ -269,29 +269,7 @@ let notify_failure t ~kind ~node ~detail =
   | [] -> ()
   | hooks -> List.iter (fun f -> f ~kind ~node ~detail) hooks
 
-(* Runtime-level trace records carry the structured context (who emitted,
-   from where, under which span); raw Hw-layer emitters leave the fields
-   at -1.  All field computation is behind the enabled check. *)
-let emit t category detail =
-  if Sim.Trace.enabled t.trc then begin
-    let node, cpu, tid =
-      match Hw.Machine.self () with
-      | Some tcb ->
-        let cpu =
-          match Hw.Machine.state tcb with
-          | Hw.Machine.Running c -> c
-          | _ -> -1
-        in
-        (Hw.Machine.id (Hw.Machine.home tcb), cpu, Hw.Machine.tcb_id tcb)
-      | None -> (-1, -1, -1)
-    in
-    let span, parent =
-      let sp = Sim.Span.current t.spans in
-      if sp = 0 then (-1, -1) else (sp, Sim.Span.parent_of t.spans sp)
-    in
-    Sim.Trace.emit t.trc ~time:(now t) ~node ~cpu ~tid ~span ~parent ~category
-      ~detail ()
-  end
+let emit t category detail = Sim.Span.mark t.spans ~category detail
 
 (* --- sanitizer hooks ----------------------------------------------------- *)
 
@@ -299,7 +277,7 @@ let set_sanitizer t h = t.san <- Some h
 let clear_sanitizer t = t.san <- None
 let sanitizer t = t.san
 
-(* Disabled sanitizer = one branch, like a disabled trace. *)
+(* Disabled sanitizer = one branch, like marks that are off. *)
 let with_san t f = match t.san with None -> () | Some h -> f h
 
 let add_report_section t ~name f =

@@ -43,10 +43,11 @@ val cost : t -> Cost_model.t
 val engine : t -> Sim.Engine.t
 val ether : t -> Hw.Ethernet.t
 val rpc : t -> Topaz.Rpc.t
-val trace : t -> Sim.Trace.t
 
 (** The causal span collector (see {!Sim.Span}); disabled by default.
-    Created before the RPC fabric so wire flights span-attribute too. *)
+    Created before the machines, the wire and the RPC fabric so wire
+    flights span-attribute too and every layer's protocol marks land in
+    this one collector. *)
 val spans : t -> Sim.Span.t
 
 val nodes : t -> int

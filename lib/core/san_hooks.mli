@@ -4,8 +4,8 @@
     {!Runtime}) call these hooks at every event a dynamic analysis needs
     to observe: thread lifecycle, synchronization edges, object accesses
     and protocol-level moves.  When no sanitizer is attached the cost is
-    a single [None] branch per site, exactly like a disabled {!Sim.Trace};
-    hooks never charge virtual time, so an instrumented run is
+    a single [None] branch per site, like a {!Sim.Span.mark} while marks
+    are off; hooks never charge virtual time, so an instrumented run is
     bit-identical to an uninstrumented one.
 
     The implementation lives outside this library (in [lib/analysis]) and

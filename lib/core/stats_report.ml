@@ -45,7 +45,6 @@ type t = {
   remote_invoke_latency : Sim.Stats.Summary.t;
   move_latency : Sim.Stats.Summary.t;
   coalescing : Topaz.Rpc.coalescing_counters;
-  trace_dropped : int;
   series_dropped : int;
   extra : (string * string list) list;
 }
@@ -109,7 +108,6 @@ let capture rt =
     remote_invoke_latency = Runtime.remote_invoke_latency rt;
     move_latency = Runtime.move_latency rt;
     coalescing = Topaz.Rpc.coalescing (Runtime.rpc rt);
-    trace_dropped = Sim.Trace.dropped (Runtime.trace rt);
     series_dropped = Sim.Series.total_dropped (Runtime.metrics rt);
     extra =
       List.map
@@ -225,9 +223,6 @@ let pp ppf t =
       t.move_latency;
   (* Ring-buffer truncation is silent at the point of loss; say so here.
      Gated on an actual drop, so bounded runs stay byte-identical. *)
-  if t.trace_dropped > 0 then
-    Format.fprintf ppf "trace: %d records dropped (ring overflow)@."
-      t.trace_dropped;
   if t.series_dropped > 0 then
     Format.fprintf ppf "watch: %d series points dropped (ring overflow)@."
       t.series_dropped;

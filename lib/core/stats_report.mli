@@ -59,12 +59,9 @@ type t = {
       (** wire-level datagram batching activity (all zero with
           coalescing off; the report line prints only when a frame was
           actually batched) *)
-  trace_dropped : int;
-      (** structured trace records lost to ring overflow (line gated on
-          an actual drop) *)
   series_dropped : int;
       (** watch series points lost to ring overflow, summed over all
-          series (gated likewise) *)
+          series (line gated on an actual drop) *)
   extra : (string * string list) list;
       (** plug-in sections (see {!Runtime.add_report_section}), evaluated
           at capture time *)

@@ -64,7 +64,7 @@ type t = {
      absent when faults are off, so a fault-free run draws exactly the
      same random numbers as a build without this layer. *)
   frng : Sim.Rng.t option;
-  trace : Sim.Trace.t;
+  spans : Sim.Span.t;
   mutable free_at : float;
   (* CSMA/CD state *)
   mutable waiting : pending list;
@@ -96,7 +96,7 @@ let max_backoff_exp = 10
 
 let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
     ?(wire_overhead = 50e-6) ?(header_bytes = 64) ?(mac = Fifo)
-    ?(faults = no_faults) ?(trace = Sim.Trace.create ()) () =
+    ?(faults = no_faults) ?(spans = Sim.Span.disabled ()) () =
   if bandwidth_bps <= 0.0 then invalid_arg "Ethernet.create: bandwidth";
   validate_faults faults;
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
@@ -110,7 +110,7 @@ let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
     rng;
     faults;
     frng = (if faults_enabled faults then Some (Sim.Rng.split rng) else None);
-    trace;
+    spans;
     free_at = 0.0;
     waiting = [];
     next_round = Float.infinity;
@@ -161,11 +161,10 @@ let schedule_delivery t (p : Packet.t) ~time =
   let deliver () =
     if Hashtbl.mem t.downs p.Packet.dst then begin
       t.dropped_dead <- t.dropped_dead + 1;
-      Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~category:"crash"
-        ~detail:
-          (lazy (Format.asprintf "dead-drop %a (node%d down)" Packet.pp p
-                   p.Packet.dst))
-        ()
+      Sim.Span.mark t.spans ~category:"crash"
+        (lazy
+          (Format.asprintf "dead-drop %a (node%d down)" Packet.pp p
+             p.Packet.dst))
     end
     else p.Packet.deliver ()
   in
@@ -225,9 +224,8 @@ let inject t (p : Packet.t) ~delivery =
     | Some rng ->
     let f = t.faults in
     let emit_fault what =
-      Sim.Trace.emit t.trace ~time:(Sim.Engine.now t.eng) ~category:"fault"
-        ~detail:(lazy (Format.asprintf "%s %a" what Packet.pp p))
-        ()
+      Sim.Span.mark t.spans ~category:"fault"
+        (lazy (Format.asprintf "%s %a" what Packet.pp p))
     in
     let delivery =
       List.fold_left
@@ -269,13 +267,12 @@ let transmit t (p : Packet.t) ~submitted ~start =
   t.free_at <- done_at;
   account t p ~waited:(start -. submitted) ~tx;
   let delivery = done_at +. t.propagation in
-  Sim.Trace.emit t.trace ~time:start ~category:"net"
-    ~detail:
+  if Sim.Span.marking t.spans then
+    Sim.Span.mark t.spans ~category:"net" ~at:start
       (lazy
         (Format.asprintf "%a queued=%.0fus tx=%.0fus" Packet.pp p
            ((start -. submitted) *. 1e6)
-           (tx *. 1e6)))
-    ();
+           (tx *. 1e6)));
   inject t p ~delivery;
   delivery
 

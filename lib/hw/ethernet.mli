@@ -75,7 +75,8 @@ val create :
   ?mac:mac ->
   ?faults:faults ->
   (* default no_faults *)
-  ?trace:Sim.Trace.t ->
+  ?spans:Sim.Span.t ->
+  (* collector for the ["net"], ["fault"] and ["crash"] marks *)
   unit ->
   t
 

@@ -58,7 +58,7 @@ and t = {
   ctx_switch : float;
   quantum : float;
   preempt_cost : float;
-  trace : Sim.Trace.t;
+  spans : Sim.Span.t;
   mutable dispatch_pending : bool;
   mutable dispatches_total : int;
   mutable preemptions : int;
@@ -84,7 +84,7 @@ let current : tcb option ref = ref None
 let epsilon = 1e-12
 
 let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
-    ?(preempt_cost = 0.0) ?policy ?(trace = Sim.Trace.create ()) () =
+    ?(preempt_cost = 0.0) ?policy ?(spans = Sim.Span.disabled ()) () =
   if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
   if quantum <= 0.0 then invalid_arg "Machine.create: quantum must be positive";
   let pol = match policy with Some p -> p | None -> Sched_policy.fifo () in
@@ -98,7 +98,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
     ctx_switch;
     quantum;
     preempt_cost;
-    trace;
+    spans;
     dispatch_pending = false;
     dispatches_total = 0;
     preemptions = 0;
@@ -150,8 +150,7 @@ let self_exn () =
 
 let self_machine () = (self_exn ()).machine
 
-let trace m category detail =
-  Sim.Trace.emit m.trace ~time:(Sim.Engine.now m.eng) ~category ~detail ()
+let mark m category detail = Sim.Span.mark m.spans ~category detail
 
 (* --- dispatching ------------------------------------------------------- *)
 
@@ -249,8 +248,9 @@ and run_on m cpu tcb =
   tcb.dispatches <- tcb.dispatches + 1;
   m.dispatches_total <- m.dispatches_total + 1;
   cpu.quantum_left <- m.quantum;
-  trace m "sched"
-    (lazy (Printf.sprintf "node%d cpu%d runs %s" m.mid cpu.index tcb.name));
+  if Sim.Span.marking m.spans then
+    mark m "sched"
+      (lazy (Printf.sprintf "node%d cpu%d runs %s" m.mid cpu.index tcb.name));
   (* The context-switch cost plus any leftover consume is charged before
      the fiber itself resumes. *)
   let owed = m.ctx_switch +. tcb.pending_consume in
@@ -452,13 +452,13 @@ let set_down m =
   if m.up then begin
     m.up <- false;
     ignore (preempt_all m : int);
-    trace m "crash" (lazy (Printf.sprintf "node%d down" m.mid))
+    mark m "crash" (lazy (Printf.sprintf "node%d down" m.mid))
   end
 
 let set_up m =
   if not m.up then begin
     m.up <- true;
-    trace m "crash" (lazy (Printf.sprintf "node%d up" m.mid));
+    mark m "crash" (lazy (Printf.sprintf "node%d up" m.mid));
     schedule_dispatch m
   end
 

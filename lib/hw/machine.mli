@@ -38,7 +38,8 @@ val create :
   ?preempt_cost:float ->
   (* seconds charged to a thread forcibly descheduled by {!preempt_all} *)
   ?policy:tcb Sched_policy.t ->
-  ?trace:Sim.Trace.t ->
+  ?spans:Sim.Span.t ->
+  (* collector for the ["sched"] and ["crash"] marks *)
   unit ->
   t
 

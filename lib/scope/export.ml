@@ -43,7 +43,7 @@ let is_flight (s : Sim.Span.span) =
 
 let us t = t *. 1e6
 
-let chrome_json ?(counters = []) ?clip spans =
+let chrome_json ?(counters = []) ?(marks = []) ?clip spans =
   let clip = match clip with Some c -> c | None -> default_clip spans in
   let b = Buffer.create 4096 in
   let first = ref true in
@@ -140,6 +140,25 @@ let chrome_json ?(counters = []) ?clip spans =
           ]
       end)
     spans;
+  (* Marks render as thread-scoped instant ("i") events on their emitter's
+     track (outside any thread: node0's track 0), linked to the enclosing
+     span through [args.span]. *)
+  List.iter
+    (fun (m : Sim.Span.mark) ->
+      event
+        [
+          ("ph", jstr "i");
+          ("s", jstr "t");
+          ("pid", string_of_int (max 0 m.node));
+          ("tid", string_of_int (max 0 m.tid));
+          ("ts", Printf.sprintf "%.3f" (us m.time));
+          ("name", jstr m.category);
+          ("cat", jstr "mark");
+          ( "args",
+            Printf.sprintf "{\"span\":%d,\"detail\":%s}" m.span
+              (jstr m.detail) );
+        ])
+    marks;
   (* Watch time series render as counter ("C") tracks under the span
      lanes: one track per (node, series name), one sample per point.
      Cluster-wide series (node -1) land on node0's process. *)
@@ -161,7 +180,7 @@ let chrome_json ?(counters = []) ?clip spans =
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents b
 
-let span_jsonl ~clip (s : Sim.Span.span) =
+let span_json ~clip (s : Sim.Span.span) =
   Printf.sprintf
     "{\"id\":%d,\"parent\":%d,\"async\":%b,\"kind\":%s,\"label\":%s,\"node\":%d,\"tid\":%d,\"obj\":%d,\"arg\":%d,\"t0\":%.9f,\"t1\":%.9f,\"open\":%b}"
     s.id s.parent s.async
@@ -171,9 +190,7 @@ let span_jsonl ~clip (s : Sim.Span.span) =
 
 let spans_jsonl ?clip spans =
   let clip = match clip with Some c -> c | None -> default_clip spans in
-  List.map (span_jsonl ~clip) spans
-
-let span_json = span_jsonl
+  List.map (span_json ~clip) spans
 
 let series_json s =
   let b = Buffer.create 256 in
@@ -209,8 +226,8 @@ let series_csv series =
     series;
   Buffer.contents b
 
-let trace_record_json (r : Sim.Trace.record) =
+let mark_json (m : Sim.Span.mark) =
   Printf.sprintf
     "{\"time\":%.9f,\"category\":%s,\"detail\":%s,\"node\":%d,\"cpu\":%d,\"tid\":%d,\"obj\":%d,\"span\":%d,\"parent\":%d}"
-    r.time (jstr r.category) (jstr r.detail) r.node r.cpu r.tid r.obj r.span
-    r.parent
+    m.time (jstr m.category) (jstr m.detail) m.node m.cpu m.tid m.obj m.span
+    m.parent

@@ -1,4 +1,4 @@
-(** Exporters for span traces and structured trace records.
+(** Exporters for span traces and instant marks.
 
     [chrome_json] emits Chrome trace-event format (the JSON object form
     with a ["traceEvents"] array), loadable in Perfetto / chrome://tracing:
@@ -8,15 +8,22 @@
     tracks.  [args] carries the span id, parent id, object address and the
     kind-specific argument, which is what the CI nesting validator checks.
 
-    [spans_jsonl] / [trace_record_json] are the line-oriented dumps for ad
-    hoc tooling: one self-contained JSON object per line. *)
+    [spans_jsonl] / [mark_json] are the line-oriented dumps for ad hoc
+    tooling: one self-contained JSON object per line. *)
 
 val chrome_json :
-  ?counters:Sim.Series.series list -> ?clip:float -> Sim.Span.span list -> string
+  ?counters:Sim.Series.series list ->
+  ?marks:Sim.Span.mark list ->
+  ?clip:float ->
+  Sim.Span.span list ->
+  string
 (** [clip] closes still-open spans at that time (defaults to the latest
     timestamp seen in the list).  [counters] adds watch time series as
     counter ("C") events — one Perfetto counter track per (node, series)
-    — so load curves render under the span lanes. *)
+    — so load curves render under the span lanes.  [marks] adds one
+    thread-scoped instant ("i") event per mark on its node/tid track,
+    named by category, with [args.span] the enclosing span (0 for none)
+    and [args.detail] the mark's text; an empty list adds nothing. *)
 
 val spans_jsonl : ?clip:float -> Sim.Span.span list -> string list
 
@@ -37,4 +44,6 @@ val series_csv : Sim.Series.series list -> string
 (** Long-format CSV ([series,node,kind,time_s,value]), one row per
     point. *)
 
-val trace_record_json : Sim.Trace.record -> string
+val mark_json : Sim.Span.mark -> string
+(** One mark as a single JSON object with keys [time], [category],
+    [detail], [node], [cpu], [tid], [obj], [span] and [parent]. *)

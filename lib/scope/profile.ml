@@ -33,6 +33,7 @@ let total t =
 
 let main_tid t = t.main_tid
 let spans t = Sim.Span.spans (Amber.Runtime.spans t.rt)
+let marks t = Sim.Span.marks (Amber.Runtime.spans t.rt)
 let seal t = t.sealed <- Some (Amber.Runtime.now t.rt)
 
 let critical_path t =

@@ -22,6 +22,11 @@ val seal : t -> unit
 val total : t -> float
 val main_tid : t -> int
 val spans : t -> Sim.Span.span list
+
+val marks : t -> Sim.Span.mark list
+(** The collector's marks: empty unless a layer (the flight recorder)
+    turned marks on. *)
+
 val critical_path : t -> Critical_path.report
 
 val report_lines : t -> string list

@@ -97,7 +97,9 @@ let print_profile s ppf ~counters prof =
   let clip = Scope.Profile.total prof in
   Option.iter
     (fun path ->
-      write_file path (Scope.Export.chrome_json ~counters ~clip spans);
+      write_file path
+        (Scope.Export.chrome_json ~counters ~marks:(Scope.Profile.marks prof)
+           ~clip spans);
       line ppf (Printf.sprintf "wrote %s (%d spans)" path (List.length spans)))
     s.out;
   if s.jsonl then List.iter (line ppf) (Scope.Export.spans_jsonl ~clip spans)

@@ -42,6 +42,18 @@ let kind_name = function
   | Rebalance -> "balance.move"
   | Serve_request -> "serve.request"
 
+type mark = {
+  time : float;
+  category : string;
+  detail : string;
+  node : int;
+  cpu : int;
+  tid : int;
+  obj : int;
+  span : int;
+  parent : int;
+}
+
 type span = {
   id : int;
   parent : int;
@@ -65,10 +77,13 @@ type t = {
   clock : unit -> float;
   current_tid : unit -> int;
   current_node : unit -> int;
+  current_cpu : unit -> int;
   mutable enabled : bool;
   mutable buf : span array;  (* spans in start order; ids are 1-based *)
   mutable n : int;
   stacks : (int, int list ref) Hashtbl.t;  (* tid -> open span ids *)
+  mutable marking : bool;
+  mutable rev_marks : mark list;  (* newest first *)
 }
 
 let dummy =
@@ -87,15 +102,18 @@ let dummy =
     t1 = 0.0;
   }
 
-let create ~clock ~current_tid ~current_node () =
+let create ~clock ~current_tid ~current_node ~current_cpu () =
   {
     clock;
     current_tid;
     current_node;
+    current_cpu;
     enabled = false;
     buf = [||];
     n = 0;
     stacks = Hashtbl.create 64;
+    marking = false;
+    rev_marks = [];
   }
 
 let disabled_instance =
@@ -104,11 +122,14 @@ let disabled_instance =
        ~clock:(fun () -> 0.0)
        ~current_tid:(fun () -> -1)
        ~current_node:(fun () -> -1)
+       ~current_cpu:(fun () -> -1)
        ())
 
 let disabled () = Lazy.force disabled_instance
 let set_enabled t flag = t.enabled <- flag
 let enabled t = t.enabled
+let set_marks t flag = t.marking <- flag
+let marking t = t.marking
 
 let stack t tid =
   match Hashtbl.find_opt t.stacks tid with
@@ -130,33 +151,40 @@ let append t s =
   t.buf.(t.n) <- s;
   t.n <- t.n + 1
 
+(* Append a span on [tid], parented to [parent] or else to [tid]'s
+   innermost open span; [start] then pushes it, a flow span stays off the
+   stack. *)
+let open_span t kind ~label ~tag ~obj ~arg ~async ~tid ~parent =
+  let parent =
+    match parent with
+    | Some p -> p
+    | None -> ( match !(stack t tid) with [] -> 0 | p :: _ -> p)
+  in
+  let id = t.n + 1 in
+  append t
+    {
+      id;
+      parent;
+      async;
+      kind;
+      label;
+      tag;
+      node = t.current_node ();
+      tid;
+      obj;
+      arg;
+      t0 = t.clock ();
+      t1 = -1.0;
+    };
+  id
+
 let start t kind ?(label = "") ?(tag = "") ?(obj = -1) ?(arg = -1)
     ?(async = false) ?parent () =
   if not t.enabled then 0
   else begin
     let tid = t.current_tid () in
+    let id = open_span t kind ~label ~tag ~obj ~arg ~async ~tid ~parent in
     let st = stack t tid in
-    let parent =
-      match parent with
-      | Some p -> p
-      | None -> ( match !st with [] -> 0 | p :: _ -> p)
-    in
-    let id = t.n + 1 in
-    append t
-      {
-        id;
-        parent;
-        async;
-        kind;
-        label;
-        tag;
-        node = t.current_node ();
-        tid;
-        obj;
-        arg;
-        t0 = t.clock ();
-        t1 = -1.0;
-      };
     st := id :: !st;
     id
   end
@@ -164,31 +192,9 @@ let start t kind ?(label = "") ?(tag = "") ?(obj = -1) ?(arg = -1)
 let start_flow t kind ?(label = "") ?(tag = "") ?(obj = -1) ?(arg = -1) ?tid
     ?parent () =
   if not t.enabled then 0
-  else begin
+  else
     let tid = match tid with Some v -> v | None -> t.current_tid () in
-    let parent =
-      match parent with
-      | Some p -> p
-      | None -> ( match !(stack t tid) with [] -> 0 | p :: _ -> p)
-    in
-    let id = t.n + 1 in
-    append t
-      {
-        id;
-        parent;
-        async = true;
-        kind;
-        label;
-        tag;
-        node = t.current_node ();
-        tid;
-        obj;
-        arg;
-        t0 = t.clock ();
-        t1 = -1.0;
-      };
-    id
-  end
+    open_span t kind ~label ~tag ~obj ~arg ~async:true ~tid ~parent
 
 let finish t id =
   if id > 0 then
@@ -250,6 +256,30 @@ let current t =
 
 let parent_of t id = match find t id with Some s -> s.parent | None -> 0
 
+(* Marks take no span id and never touch a stack, so span ids and every
+   span export are the same whether marks are on or off. *)
+let mark t ~category ?(obj = -1) ?at detail =
+  if t.marking then begin
+    let tid = t.current_tid () and span = current t in
+    let time = match at with Some at -> at | None -> t.clock () in
+    let detail = Lazy.force detail and node = t.current_node () in
+    let cpu = t.current_cpu () and parent = parent_of t span in
+    t.rev_marks <-
+      { time; category; detail; node; cpu; tid; obj; span; parent }
+      :: t.rev_marks
+  end
+
+let marks t = List.rev t.rev_marks
+
+let pp_mark ppf (m : mark) =
+  Format.fprintf ppf "[%.6f] %-8s %s" m.time m.category m.detail;
+  let field name v = if v >= 0 then [ name ^ string_of_int v ] else [] in
+  let who = field "n" m.node @ field "c" m.cpu @ field "t" m.tid in
+  let sp = if m.span > 0 then field "s" m.span @ field "p" m.parent else [] in
+  match who @ field "o" m.obj @ sp with
+  | [] -> ()
+  | ctx -> Format.fprintf ppf "  (%s)" (String.concat " " ctx)
+
 let spans t =
   let out = ref [] in
   for i = t.n - 1 downto 0 do
@@ -262,4 +292,5 @@ let count t = t.n
 let clear t =
   t.buf <- [||];
   t.n <- 0;
-  Hashtbl.reset t.stacks
+  Hashtbl.reset t.stacks;
+  t.rev_marks <- []

@@ -8,6 +8,12 @@
     exporters can render as Perfetto tracks and the critical-path analyzer
     can walk.
 
+    The same collector records {e instant marks}: protocol steps (a
+    migration, a chase, a packet, a fault, a crash, a sanitizer event)
+    stamped with the callbacks' thread context and the innermost open
+    span.  Marks have their own switch and buffer and take no span id, so
+    spans and their exports are the same whether marks are on or off.
+
     Collection is off by default and costs one branch per call site when
     disabled.  The collector never consumes virtual time and never draws
     from any random stream; span ids are a monotone counter over the
@@ -45,6 +51,23 @@ val kind_name : kind -> string
 (** Stable dotted name, e.g. ["invoke.remote"] — used by exporters, the
     profiler report and the trace digests. *)
 
+(** An instant mark.  [node]/[cpu]/[tid] (of the emitting thread) and
+    [obj] are [-1] when unknown; [span] (innermost span open on the
+    emitting thread) and its [parent] are 0 for none. *)
+type mark = {
+  time : float;
+  category : string;
+      (** ["chase"], ["create"], ["crash"], ["fault"], ["migrate"], ["net"],
+          ["san"] or ["sched"] *)
+  detail : string;
+  node : int;
+  cpu : int;
+  tid : int;
+  obj : int;
+  span : int;
+  parent : int;
+}
+
 type span = {
   id : int;  (** 1-based, dense, in start order; 0 is "no span" *)
   parent : int;  (** enclosing span id, 0 at the root *)
@@ -73,11 +96,12 @@ val create :
   clock:(unit -> float) ->
   current_tid:(unit -> int) ->
   current_node:(unit -> int) ->
+  current_cpu:(unit -> int) ->
   unit ->
   t
 (** The callbacks supply virtual time and the identity of the simulated
     thread executing the caller ([-1] outside any thread, e.g. in a timer
-    event). *)
+    event); the CPU only feeds marks. *)
 
 val disabled : unit -> t
 (** A shared collector that records nothing; the default wired into
@@ -85,6 +109,27 @@ val disabled : unit -> t
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool
+
+val set_marks : t -> bool -> unit
+(** Switch marks, independently of spans: span users (profiler, model
+    checker) leave them off. *)
+
+val marking : t -> bool
+(** Hot sites (per packet, per dispatch) check it to skip building the
+    [detail] closure. *)
+
+val mark :
+  t -> category:string -> ?obj:int -> ?at:float -> string Lazy.t -> unit
+(** Record a mark (no-op while marks are off; [detail] is forced only
+    then).  [at] (default: the clock) stamps a step at another instant,
+    e.g. a queued packet's transmit start. *)
+
+val marks : t -> mark list
+(** In emission order, which [at] can make differ from time order. *)
+
+val pp_mark : Format.formatter -> mark -> unit
+(** [[time] category detail  (n.. c.. t.. o.. s.. p..)], known fields
+    only. *)
 
 val start :
   t ->
@@ -150,9 +195,6 @@ val finish_all_for : t -> tid:int -> unit
 
 val current : t -> int
 (** Innermost open span of the current thread, 0 if none. *)
-
-val parent_of : t -> int -> int
-(** Parent id of a span, 0 for roots and unknown ids. *)
 
 val find : t -> int -> span option
 val spans : t -> span list

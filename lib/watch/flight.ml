@@ -20,46 +20,35 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
-(* One postmortem: a typed-failure header, every structured trace record
-   in the trailing window, and the victim node's spans that were open or
-   recently closed at failure time — "the last N virtual-milliseconds
-   before any failure are always inspectable".  Cluster-scoped failures
-   (node -1, e.g. a sanitizer race) keep every node's spans. *)
+(* One postmortem: a typed-failure header, then one read of the runtime's
+   collector — every mark in the trailing window, and the victim node's
+   spans that were open or recently closed at failure time — "the last N
+   virtual-milliseconds before any failure are always inspectable".
+   Cluster-scoped failures (node -1, e.g. a sanitizer race) keep every
+   node's spans.  The window is closed on the right too: a packet queued
+   behind a busy medium is marked at its future transmit start. *)
 let dump_string t ~kind ~node ~detail =
   let now = A.Runtime.now t.rt in
   let cutoff = now -. t.window in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"postmortem\":{\"kind\":%s,\"node\":%d,\"time\":%.9f,\"detail\":%s,\"seq\":%d,\"window_s\":%.6f},\n"
-       (Scope.Export.jstr kind) node now (Scope.Export.jstr detail) t.seq
-       t.window);
-  let records =
+  let collector = A.Runtime.spans t.rt in
+  let marks =
     List.filter
-      (fun (r : Sim.Trace.record) -> r.time >= cutoff)
-      (Sim.Trace.records (A.Runtime.trace t.rt))
+      (fun (m : Sim.Span.mark) -> cutoff <= m.time && m.time <= now)
+      (Sim.Span.marks collector)
   in
-  Buffer.add_string b "\"trace\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (Scope.Export.trace_record_json r))
-    records;
-  Buffer.add_string b "],\n\"spans\":[";
   let spans =
     List.filter
       (fun (s : Sim.Span.span) ->
         (node < 0 || s.node = node || s.node < 0)
         && (s.t1 < 0.0 || s.t1 >= cutoff))
-      (Sim.Span.spans (A.Runtime.spans t.rt))
+      (Sim.Span.spans collector)
   in
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (Scope.Export.span_json ~clip:now s))
-    spans;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let lines f l = String.concat ",\n" (List.map f l) in
+  Printf.sprintf
+    "{\"postmortem\":{\"kind\":%s,\"node\":%d,\"time\":%.9f,\"detail\":%s,\"seq\":%d,\"window_s\":%.6f},\n\"trace\":[%s],\n\"spans\":[%s]}\n"
+    (Scope.Export.jstr kind) node now (Scope.Export.jstr detail) t.seq t.window
+    (lines Scope.Export.mark_json marks)
+    (lines (Scope.Export.span_json ~clip:now) spans)
 
 let record t ~kind ~node ~detail =
   if Hashtbl.mem t.seen (kind, node) || List.length t.dumps >= t.max_dumps then
@@ -82,7 +71,7 @@ let record t ~kind ~node ~detail =
 
 let attach rt ?(window = default_window) ?(max_dumps = default_max_dumps) ~dir
     () =
-  Sim.Trace.set_enabled (A.Runtime.trace rt) true;
+  Sim.Span.set_marks (A.Runtime.spans rt) true;
   Sim.Span.set_enabled (A.Runtime.spans rt) true;
   let t =
     {

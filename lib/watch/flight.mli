@@ -1,15 +1,16 @@
 (** Per-node failure flight recorder.
 
-    Attaching enables the runtime's structured trace ring and span
-    collector, then subscribes to {!Amber.Runtime.on_failure}: whenever
-    a typed failure fires (["node_dead"], ["node_down"],
+    Attaching turns on both spans and marks in the runtime's collector
+    ({!Sim.Span}), then subscribes to {!Amber.Runtime.on_failure}:
+    whenever a typed failure fires (["node_dead"], ["node_down"],
     ["object_lost"], serve's ["overloaded"], the sanitizer's ["san"]),
     the recorder dumps a postmortem artifact — a JSON document holding
-    the failure header, every trace record in the trailing [window]
-    virtual seconds, and the victim node's spans that were open or
-    recently closed at failure time (all nodes for cluster-scoped
-    failures).  At most one dump per (kind, node) and [max_dumps]
-    total; anything beyond that is counted suppressed.
+    the failure header, under ["trace"] every mark stamped inside the
+    trailing [window] virtual seconds (never later than the failure),
+    and the victim node's spans that were open or recently closed at
+    failure time (all nodes for cluster-scoped failures).  At most one
+    dump per (kind, node) and [max_dumps] total; anything beyond that is
+    counted suppressed.
 
     Dump files are named
     [postmortem-<seq>-<kind>-<n<node>|all>.json] under [dir] (created

@@ -18,7 +18,10 @@ Checks:
   7. counter ("C") events, when present, are well formed: numeric
      timestamp, a single numeric args value, and per-(pid, name) track
      timestamps strictly increase (the watch tick samples each series
-     at most once per instant).
+     at most once per instant);
+  8. instant ("i") events, when present, are well formed: a numeric
+     ts >= 0, and args.span is 0 (no enclosing span) or the id of an
+     exported span.
 
 A second mode validates flight-recorder postmortems:
 
@@ -48,6 +51,7 @@ def main(path):
     flow_finishes = {}
     counters = {}
     counter_bad = 0
+    instants = []
     for e in events:
         if e.get("ph") == "C":
             track = (e.get("pid"), e.get("name"))
@@ -87,6 +91,8 @@ def main(path):
                 "name": e["name"],
                 "cat": e.get("cat", ""),
             }
+        elif e.get("ph") == "i":
+            instants.append(e)
         elif e.get("ph") == "s":
             flow_starts[e["id"]] = flow_starts.get(e["id"], 0) + 1
         elif e.get("ph") == "f":
@@ -171,10 +177,20 @@ def main(path):
             )
             bad += 1
 
+    for e in instants:
+        ts, sid = e.get("ts"), e.get("args", {}).get("span")
+        if not isinstance(ts, (int, float)) or ts < 0 or (
+            sid != 0 and sid not in spans
+        ):
+            print(f"instant {e.get('name')}: bad ts {ts!r} or args.span "
+                  f"{sid!r} (want 0 or an exported span)", file=sys.stderr)
+            bad += 1
+
     bad += counter_bad
     print(
         f"checked {len(spans)} spans ({len(remotes)} remote invokes, "
-        f"{len(flow_starts)} flow arrows, {len(counters)} counter tracks): "
+        f"{len(flow_starts)} flow arrows, {len(counters)} counter tracks, "
+        f"{len(instants)} instants): "
         + ("OK" if bad == 0 else f"{bad} violations")
     )
     return 1 if bad else 0

@@ -403,18 +403,18 @@ let test_matmul_sanitized_clean () =
 let test_offline_lint_matches_online () =
   let cfg = A.Config.make ~nodes:2 ~cpus:2 () in
   let san = ref None in
-  let records = ref [] in
+  let marks = ref [] in
   let () =
     A.Cluster.run_value cfg (fun rt ->
-        Sim.Trace.set_enabled (A.Runtime.trace rt) true;
+        Sim.Span.set_marks (A.Runtime.spans rt) true;
         san := Some (San.attach rt);
         ignore
           (Workloads.Fixtures.racy_counter rt ~threads:3 ~increments:8
             : Workloads.Fixtures.result);
-        records := Sim.Trace.records (A.Runtime.trace rt))
+        marks := Sim.Span.marks (A.Runtime.spans rt))
   in
   let online = San.finalize (Option.get !san) in
-  let offline = San.lint_trace !records in
+  let offline = San.lint_trace !marks in
   Alcotest.(check bool) "online flags" true (List.length online.San.races > 0);
   Alcotest.(check int) "same races offline"
     (List.length online.San.races)

@@ -6,10 +6,7 @@
 module M = Analysis.Modelcheck
 module S = Analysis.Schedule
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
-  n = 0 || at 0
+let contains ~affix s = Util.contains s affix
 
 let find_fixture name =
   match M.find_fixture name with

@@ -302,10 +302,7 @@ let report_text cfg body =
         Format.asprintf "%a" A.Stats_report.pp (A.Stats_report.capture rt));
   !text
 
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
-  n = 0 || at 0
+let contains ~affix s = Util.contains s affix
 
 let test_crashed_report_lines () =
   let text =

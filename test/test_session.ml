@@ -150,19 +150,7 @@ let test_inert w () =
 
 (* --- the CLI, end to end -------------------------------------------------- *)
 
-let amber_sim =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name "bin/amber_sim.exe")
-
-let cli args =
-  let out = Filename.temp_file "amber-cli" ".txt" in
-  let status =
-    Sys.command (Filename.quote_command amber_sim args ~stdout:out ~stderr:out)
-  in
-  let text = In_channel.with_open_text out In_channel.input_all in
-  Sys.remove out;
-  (status, String.split_on_char '\n' text)
+let cli = Util.cli
 
 (* A typed failure ends the run with exit 5, after the sections of the
    layers already attached; the watch tick is stopped, so the run
@@ -193,6 +181,7 @@ let test_cli_usage_errors () =
       [ "sor"; "--system"; "ivy"; "--sections"; "4" ];
       [ "sor"; "--system"; "seq"; "--balance"; "hybrid" ];
       [ "sor"; "--system"; "ivy"; "--steal" ];
+      [ "trace"; "--category"; "move" ];
     ]
 
 (* Under --report the profile and sanitizer sections print inside the
@@ -205,13 +194,7 @@ let test_cli_sections_once () =
   in
   Alcotest.(check int) "exit 0" 0 status;
   let count p = List.length (List.filter p lines) in
-  let has sub l =
-    let n = String.length sub in
-    let rec at i =
-      i + n <= String.length l && (String.sub l i n = sub || at (i + 1))
-    in
-    at 0
-  in
+  let has sub l = Util.contains l sub in
   Alcotest.(check int) "profile: header" 1 (count (String.equal "profile:"));
   Alcotest.(check int) "sanitizer: header" 1
     (count (String.equal "sanitizer:"));

@@ -1,117 +1,141 @@
-(* Trace ring buffer behaviour. *)
+(* Instant marks in the span collector: the protocol trace behind
+   [amber_sim trace], the flight recorder and the Perfetto instants. *)
 
-let emit t time cat msg =
-  Sim.Trace.emit t ~time ~category:cat ~detail:(lazy msg) ()
+(* A collector on [now] whose thread is [tid] (on node 3, cpu 1). *)
+let now = ref 0.0 and tid = ref (-1)
 
+let collector ?(marks = true) () =
+  now := 0.0;
+  tid := -1;
+  let known v = if !tid < 0 then -1 else v in
+  let t =
+    Sim.Span.create
+      ~clock:(fun () -> !now)
+      ~current_tid:(fun () -> !tid)
+      ~current_node:(fun () -> known 3)
+      ~current_cpu:(fun () -> known 1)
+      ()
+  in
+  Sim.Span.set_marks t marks;
+  t
+
+let mark t cat msg = Sim.Span.mark t ~category:cat (lazy msg)
+
+let fields (m : Sim.Span.mark) =
+  [ m.node; m.cpu; m.tid; m.obj; m.span; m.parent ]
+
+(* Marks are off by default, span collection does not turn them on, and
+   a mark that is not recorded never builds its detail. *)
 let test_disabled_by_default () =
-  let t = Sim.Trace.create () in
-  emit t 1.0 "x" "hello";
-  Alcotest.(check int) "nothing recorded" 0 (Sim.Trace.length t)
+  let t = collector ~marks:false () in
+  Sim.Span.set_enabled t true;
+  mark t "x" "hello";
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Sim.Span.marks t))
 
 let test_lazy_detail_not_forced_when_disabled () =
-  let t = Sim.Trace.create () in
+  let t = collector ~marks:false () in
   let forced = ref false in
-  Sim.Trace.emit t ~time:1.0 ~category:"x"
-    ~detail:
-      (lazy
-        (forced := true;
-         "expensive"))
-    ();
+  Sim.Span.mark t ~category:"x" (lazy (forced := true; "expensive"));
   Alcotest.(check bool) "not forced" false !forced
 
+(* Emission order, even when [at] stamps a mark out of time order. *)
 let test_records_in_order () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.set_enabled t true;
-  emit t 1.0 "a" "one";
-  emit t 2.0 "b" "two";
-  let r = Sim.Trace.records t in
-  Alcotest.(check (list string)) "order" [ "one"; "two" ]
-    (List.map (fun r -> r.Sim.Trace.detail) r)
-
-let test_ring_wraps () =
-  let t = Sim.Trace.create ~capacity:3 () in
-  Sim.Trace.set_enabled t true;
-  List.iter (fun i -> emit t (float_of_int i) "n" (string_of_int i))
-    [ 1; 2; 3; 4; 5 ];
-  let r = Sim.Trace.records t in
-  Alcotest.(check (list string)) "last three" [ "3"; "4"; "5" ]
-    (List.map (fun r -> r.Sim.Trace.detail) r)
-
-let test_by_category () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.set_enabled t true;
-  emit t 1.0 "net" "p1";
-  emit t 2.0 "invoke" "i1";
-  emit t 3.0 "net" "p2";
-  Alcotest.(check int) "two net records" 2
-    (List.length (Sim.Trace.by_category t "net"))
+  let t = collector () in
+  now := 1.0;
+  mark t "a" "one";
+  Sim.Span.mark t ~category:"b" ~at:3.0 (lazy "two");
+  now := 2.0;
+  mark t "c" "three";
+  let marks = Sim.Span.marks t in
+  Alcotest.(check (list string)) "order" [ "one"; "two"; "three" ]
+    (List.map (fun (m : Sim.Span.mark) -> m.detail) marks);
+  Alcotest.(check (list (float 0.0))) "times" [ 1.0; 3.0; 2.0 ]
+    (List.map (fun (m : Sim.Span.mark) -> m.time) marks)
 
 let test_clear () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.set_enabled t true;
-  emit t 1.0 "x" "a";
-  Sim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Sim.Trace.length t)
+  let t = collector () in
+  mark t "x" "a";
+  Sim.Span.clear t;
+  Alcotest.(check int) "cleared" 0 (List.length (Sim.Span.marks t))
 
-(* Wraparound bookkeeping: [dropped] counts evicted records exactly, and
-   resets with [clear]. *)
-let test_dropped_counter () =
-  let t = Sim.Trace.create ~capacity:4 () in
-  Sim.Trace.set_enabled t true;
-  Alcotest.(check int) "nothing dropped yet" 0 (Sim.Trace.dropped t);
-  List.iter (fun i -> emit t (float_of_int i) "n" (string_of_int i))
-    [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "full but not overflowed" 0 (Sim.Trace.dropped t);
-  List.iter (fun i -> emit t (float_of_int i) "n" (string_of_int i))
-    [ 5; 6; 7 ];
-  Alcotest.(check int) "three evicted" 3 (Sim.Trace.dropped t);
-  Sim.Trace.clear t;
-  Alcotest.(check int) "clear resets dropped" 0 (Sim.Trace.dropped t)
-
-(* --category filters the *surviving* window: records of a category that
-   were evicted by wraparound are gone, and the filter only sees what the
-   ring still holds (documented in the mli). *)
-let test_filter_after_overflow () =
-  let t = Sim.Trace.create ~capacity:4 () in
-  Sim.Trace.set_enabled t true;
-  (* Alternate categories: a1 b2 a3 b4 a5 b6 a7 b8 a9 b10.  Capacity 4
-     keeps only a7 b8 a9 b10. *)
-  for i = 1 to 10 do
-    let cat = if i mod 2 = 1 then "a" else "b" in
-    emit t (float_of_int i) cat (string_of_int i)
-  done;
-  Alcotest.(check int) "six dropped" 6 (Sim.Trace.dropped t);
-  let det c =
-    List.map (fun r -> r.Sim.Trace.detail) (Sim.Trace.by_category t c)
-  in
-  Alcotest.(check (list string)) "surviving a" [ "7"; "9" ] (det "a");
-  Alcotest.(check (list string)) "surviving b" [ "8"; "10" ] (det "b");
-  Alcotest.(check (list string))
-    "window is the newest capacity records" [ "7"; "8"; "9"; "10" ]
-    (List.map (fun r -> r.Sim.Trace.detail) (Sim.Trace.records t))
-
-(* Structured fields default to -1 (absent) and round-trip when given. *)
+(* A mark carries the callbacks' context, the innermost span open on the
+   emitting thread and that span's parent (0 for none), and no span id. *)
 let test_structured_fields () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.set_enabled t true;
-  emit t 1.0 "plain" "p";
-  Sim.Trace.emit t ~time:2.0 ~node:3 ~cpu:1 ~tid:7 ~obj:42 ~span:9 ~parent:4
-    ~category:"rich" ~detail:(lazy "r") ();
-  match Sim.Trace.records t with
-  | [ plain; rich ] ->
-      Alcotest.(check (list int))
-        "plain defaults" [ -1; -1; -1; -1; -1; -1 ]
-        [
-          plain.Sim.Trace.node; plain.Sim.Trace.cpu; plain.Sim.Trace.tid;
-          plain.Sim.Trace.obj; plain.Sim.Trace.span; plain.Sim.Trace.parent;
-        ];
-      Alcotest.(check (list int))
-        "rich round-trips" [ 3; 1; 7; 42; 9; 4 ]
-        [
-          rich.Sim.Trace.node; rich.Sim.Trace.cpu; rich.Sim.Trace.tid;
-          rich.Sim.Trace.obj; rich.Sim.Trace.span; rich.Sim.Trace.parent;
-        ]
-  | l -> Alcotest.failf "expected 2 records, got %d" (List.length l)
+  let t = collector () in
+  Sim.Span.set_enabled t true;
+  mark t "plain" "p";
+  tid := 7;
+  let outer = Sim.Span.start t Sim.Span.Invoke_remote () in
+  let inner = Sim.Span.start t Sim.Span.Chase_hop () in
+  Sim.Span.mark t ~category:"rich" ~obj:42 (lazy "r");
+  Sim.Span.finish t inner;
+  mark t "outer" "o";
+  tid := 8;
+  mark t "other thread" "t";
+  Alcotest.(check (list (list int)))
+    "context"
+    [
+      [ -1; -1; -1; -1; 0; 0 ];
+      [ 3; 1; 7; 42; inner; outer ];
+      [ 3; 1; 7; -1; outer; 0 ];
+      [ 3; 1; 8; -1; 0; 0 ];
+    ]
+    (List.map fields (Sim.Span.marks t));
+  Alcotest.(check int) "marks take no span id" 2 (Sim.Span.count t)
+
+(* Under the FIFO MAC a packet queued behind a busy medium is marked at
+   its transmit start, not at its submit instant. *)
+let test_net_mark_at_transmit_start () =
+  let e = Sim.Engine.create () in
+  let spans = collector () in
+  let n = Hw.Ethernet.create ~engine:e ~spans () in
+  let send () =
+    let p = Hw.Packet.make ~src:0 ~dst:1 ~size:936 ~kind:"k" ignore in
+    ignore (Hw.Ethernet.send n p : float)
+  in
+  send ();
+  let first_done = Hw.Ethernet.busy_until n in
+  send ();
+  Alcotest.(check (list (pair string (float 1e-12))))
+    "net marks at transmit start"
+    [ ("net", 0.0); ("net", first_done) ]
+    (List.map
+       (fun (m : Sim.Span.mark) -> (m.category, m.time))
+       (Sim.Span.marks spans))
+
+(* [--category] keeps exactly the marks of that category. *)
+let test_by_category () =
+  let lines args =
+    let status, out =
+      Util.cli ("trace" :: "--json" :: "--limit" :: "10000" :: args)
+    in
+    Alcotest.(check int) "exit 0" 0 status;
+    List.filter (fun l -> l <> "") out
+  in
+  let all = lines [] and net = lines [ "--category"; "net" ] in
+  Alcotest.(check bool) "some net marks" true (net <> []);
+  Alcotest.(check (list string)) "the net subset"
+    (List.filter (fun l -> Util.contains l "\"category\":\"net\"") all)
+    net
+
+(* Marks on or off, a 2-node SOR run's spans export byte-identically. *)
+let test_marks_leave_spans () =
+  let grid =
+    Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:16 ~cols:32
+  in
+  let run marks =
+    Amber.Cluster.run_value (Amber.Config.make ~nodes:2 ~cpus:2 ()) (fun rt ->
+        let spans = Amber.Runtime.spans rt in
+        Sim.Span.set_enabled spans true;
+        Sim.Span.set_marks spans marks;
+        ignore (Workloads.Sor_amber.run rt grid ~iters:3 ());
+        (Sim.Span.spans spans, List.length (Sim.Span.marks spans)))
+  in
+  let (off, none), (on, some) = (run false, run true) in
+  Alcotest.(check (pair int bool)) "marks recorded" (0, true) (none, some > 0);
+  Alcotest.(check (list string)) "same spans"
+    (Scope.Export.spans_jsonl off)
+    (Scope.Export.spans_jsonl on)
 
 let suite =
   [
@@ -119,11 +143,11 @@ let suite =
     Alcotest.test_case "lazy detail not forced when disabled" `Quick
       test_lazy_detail_not_forced_when_disabled;
     Alcotest.test_case "records kept in order" `Quick test_records_in_order;
-    Alcotest.test_case "ring buffer wraps" `Quick test_ring_wraps;
     Alcotest.test_case "filter by category" `Quick test_by_category;
     Alcotest.test_case "clear" `Quick test_clear;
-    Alcotest.test_case "dropped counter" `Quick test_dropped_counter;
-    Alcotest.test_case "category filter after overflow" `Quick
-      test_filter_after_overflow;
     Alcotest.test_case "structured fields" `Quick test_structured_fields;
+    Alcotest.test_case "net mark keeps its transmit start" `Quick
+      test_net_mark_at_transmit_start;
+    Alcotest.test_case "marks leave spans byte-identical" `Quick
+      test_marks_leave_spans;
   ]

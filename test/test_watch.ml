@@ -231,25 +231,19 @@ let test_slo_quiet_at_moderate () =
 
 (* --- flight recorder ------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+let contains = Util.contains
+
+(* Stale artifacts from a previous run would mask a regression. *)
+let fresh_dir name =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  dir
 
 let test_flight_dump_on_crash () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "amber-flight-test" in
-  (* Stale artifacts from a previous run would mask a regression. *)
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
+  let dir = fresh_dir "amber-flight-test" in
   let cfg =
     A.Config.make ~nodes:4 ~cpus:2 ~seed:42L
       ~crashes:[ { A.Config.cnode = 2; at = 0.1; restart = None } ]
@@ -274,6 +268,48 @@ let test_flight_dump_on_crash () =
   let uniq = List.sort_uniq compare names in
   Alcotest.(check int) "no duplicate dumps" (List.length uniq)
     (List.length names)
+
+(* The window is closed on the right.  A 2 Mbit/s wire keeps SOR's
+   boundary exchanges queued, and under the FIFO MAC a queued packet is
+   marked at its later transmit start: at the failure the collector
+   already holds marks stamped after it, which must stay out. *)
+let test_flight_window_closed () =
+  let dir = fresh_dir "amber-flight-window" in
+  let cfg =
+    A.Config.make ~nodes:4 ~cpus:2 ~seed:42L
+      ~crashes:[ { A.Config.cnode = 3; at = 0.2; restart = None } ]
+      ()
+  in
+  let cfg = { cfg with A.Config.ether_bandwidth_bps = 2e6 } in
+  let grid =
+    Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:61 ~cols:421
+  in
+  let queued = ref false in
+  (try
+     A.Cluster.run_value cfg (fun rt ->
+         ignore (Watch.Flight.attach rt ~dir () : Watch.Flight.t);
+         A.Runtime.on_failure rt (fun ~kind:_ ~node:_ ~detail:_ ->
+             queued :=
+               !queued
+               || List.exists
+                    (fun (m : Sim.Span.mark) -> m.time > A.Runtime.now rt)
+                    (Sim.Span.marks (A.Runtime.spans rt)));
+         ignore (Workloads.Sor_amber.run rt grid ~iters:10 ()))
+   with Topaz.Rpc.Node_dead _ -> ());
+  Alcotest.(check bool) "marks after the failure exist" true !queued;
+  let doc = read_file (Filename.concat dir "postmortem-0-node_dead-n3.json") in
+  (* Every mark object opens with its time; nothing else does. *)
+  let times =
+    List.filter_map
+      (fun obj -> Scanf.sscanf_opt obj "\"time\":%f," Fun.id)
+      (String.split_on_char '{' doc)
+  in
+  Alcotest.(check bool) "non-empty window" true (times <> []);
+  List.iter
+    (fun t ->
+      if t < 0.2 -. Watch.Flight.default_window -. 1e-9 || t > 0.2 +. 1e-9
+      then Alcotest.failf "mark at %.9f outside the window" t)
+    times
 
 (* A crash-free, failure-free run dumps nothing (and creates no files). *)
 let test_flight_silent_without_failures () =
@@ -309,4 +345,6 @@ let suite =
       test_flight_dump_on_crash;
     Alcotest.test_case "flight recorder silent without failures" `Quick
       test_flight_silent_without_failures;
+    Alcotest.test_case "flight window closed on the right" `Quick
+      test_flight_window_closed;
   ]

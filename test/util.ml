@@ -34,3 +34,23 @@ let run_report ?(nodes = 4) ?(cpus = 2) body =
 let location obj = obj.Amber.Aobject.location
 
 let check_float = Alcotest.(check (float 1e-9))
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* Run the CLI built next to the test runner: exit status, output lines. *)
+let cli args =
+  let amber_sim =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/amber_sim.exe")
+  in
+  let out = Filename.temp_file "amber-cli" ".txt" in
+  let status =
+    Sys.command (Filename.quote_command amber_sim args ~stdout:out ~stderr:out)
+  in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  (status, String.split_on_char '\n' text)

@@ -39,21 +39,22 @@ and cpu = {
   mutable quantum_left : float;
 }
 
-and cpu_state = Idle | Busy of busy
+(* A busy CPU holds the running chunk and the one event that completes
+   it; the event's thunk closes over [busy], so the id sits beside it. *)
+and cpu_state = Idle | Busy of busy * Sim.Engine.event_id
 
 and busy = {
   btcb : tcb;
-  mutable chunk_event : Sim.Engine.event_id;
-  mutable chunk_started : float;
-  mutable chunk : float;
+  chunk_started : float;
+  chunk : float;
   (* CPU demand remaining after the current chunk completes. *)
-  mutable remaining : float;
+  remaining : float;
 }
 
 and t = {
   mid : int;
   eng : Sim.Engine.t;
-  cpus : cpu array;
+  cpus : cpu list;
   mutable pol : tcb Sched_policy.t;
   ctx_switch : float;
   quantum : float;
@@ -92,7 +93,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
     mid = id;
     eng = engine;
     cpus =
-      Array.init cpus (fun index ->
+      List.init cpus (fun index ->
           { index; cstate = Idle; busy_seconds = 0.0; quantum_left = quantum });
     pol;
     ctx_switch;
@@ -108,7 +109,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
 
 let id m = m.mid
 let engine m = m.eng
-let cpu_count m = Array.length m.cpus
+let cpu_count m = List.length m.cpus
 let policy_name m = m.pol.Sched_policy.name
 
 let set_policy m new_pol =
@@ -171,16 +172,18 @@ let rec schedule_dispatch m =
         : Sim.Engine.event_id)
   end
 
+(* Fill the CPUs that were idle on entry, in index order.  A CPU freed
+   while filling (by [preempt_all]) waits for the dispatch it schedules. *)
 and dispatch m =
   if not m.up then ()
   else begin
-  let idle = Array.to_list m.cpus |> List.filter (fun c -> c.cstate = Idle) in
+  let idle = List.filter (fun c -> c.cstate == Idle) m.cpus in
   let rec fill = function
     | [] -> ()
     | cpu :: rest ->
       (* Nested dispatches (from a pause handled during [run_on]) may have
          claimed this CPU already. *)
-      if cpu.cstate = Idle then begin
+      if cpu.cstate == Idle then begin
         match next_runnable m with
         | None -> ()
         | Some tcb ->
@@ -297,23 +300,21 @@ and start_chunk m cpu tcb ~remaining =
   let busy =
     {
       btcb = tcb;
-      chunk_event = Sim.Engine.schedule m.eng ~delay:chunk (fun () -> ());
       chunk_started = Sim.Engine.now m.eng;
       chunk;
       remaining = remaining -. chunk;
     }
   in
-  (* Replace the placeholder event with one that can see [busy]. *)
-  Sim.Engine.cancel m.eng busy.chunk_event;
   let thunk () = chunk_done m cpu busy in
-  busy.chunk_event <-
-    (if Sim.Engine.chooser_active m.eng then
-       Sim.Engine.schedule m.eng
-         ~key:(Printf.sprintf "node:%d" m.mid)
-         ~label:(Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
-         ~delay:chunk thunk
-     else Sim.Engine.schedule m.eng ~delay:chunk thunk);
-  cpu.cstate <- Busy busy
+  let ev =
+    if Sim.Engine.chooser_active m.eng then
+      Sim.Engine.schedule m.eng
+        ~key:(Printf.sprintf "node:%d" m.mid)
+        ~label:(Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
+        ~delay:chunk thunk
+    else Sim.Engine.schedule m.eng ~delay:chunk thunk
+  in
+  cpu.cstate <- Busy (busy, ev)
 
 and chunk_done m cpu busy =
   let tcb = busy.btcb in
@@ -416,18 +417,18 @@ let wake tcb =
 
 let preempt_all ?except m =
   let count = ref 0 in
-  Array.iter
+  List.iter
     (fun cpu ->
       match cpu.cstate with
       | Idle -> ()
-      | Busy busy ->
+      | Busy (busy, ev) ->
         let skip =
           match except with Some e -> e == busy.btcb | None -> false
         in
         if not skip then begin
           incr count;
           m.preemptions <- m.preemptions + 1;
-          Sim.Engine.cancel m.eng busy.chunk_event;
+          Sim.Engine.cancel m.eng ev;
           let elapsed = Sim.Engine.now m.eng -. busy.chunk_started in
           let elapsed = Float.max 0.0 (Float.min elapsed busy.chunk) in
           credit cpu busy.btcb elapsed;
@@ -480,12 +481,12 @@ let transfer tcb ~dest =
 let ready_length m = m.pol.Sched_policy.length ()
 
 let running_tcbs m =
-  Array.to_list m.cpus
-  |> List.filter_map (fun c ->
-         match c.cstate with Idle -> None | Busy b -> Some b.btcb)
+  List.filter_map
+    (fun c -> match c.cstate with Idle -> None | Busy (b, _) -> Some b.btcb)
+    m.cpus
 
 let busy_cpus m =
-  Array.fold_left
+  List.fold_left
     (fun acc c -> match c.cstate with Idle -> acc | Busy _ -> acc + 1)
     0 m.cpus
 
@@ -521,11 +522,11 @@ let kill tcb e =
     let m = tcb.machine in
     (match st with
     | Running _ ->
-      Array.iter
+      List.iter
         (fun cpu ->
           match cpu.cstate with
-          | Busy busy when busy.btcb == tcb ->
-            Sim.Engine.cancel m.eng busy.chunk_event;
+          | Busy (busy, ev) when busy.btcb == tcb ->
+            Sim.Engine.cancel m.eng ev;
             cpu.cstate <- Idle
           | Busy _ | Idle -> ())
         m.cpus
@@ -543,7 +544,7 @@ let kill tcb e =
 let was_killed tcb = tcb.killed
 
 let total_busy_time m =
-  Array.fold_left (fun acc c -> acc +. c.busy_seconds) 0.0 m.cpus
+  List.fold_left (fun acc c -> acc +. c.busy_seconds) 0.0 m.cpus
 
 let dispatch_count m = m.dispatches_total
 let preemption_count m = m.preemptions

@@ -1,3 +1,7 @@
+(* An event is its own handle: [event_id] is this record, so [cancel] and
+   [is_pending] are one field access.  A cancelled event (under a chooser,
+   a fired one too) stays in the heap with [live = false] until it reaches
+   the top and is reaped. *)
 type event = {
   id : int;
   time : float;
@@ -10,16 +14,13 @@ type event = {
   thunk : unit -> unit;
 }
 
-type event_id = int
+type event_id = event
 
 type t = {
   queue : event Event_queue.t;
   mutable clock : float;
   mutable next_id : int;
   mutable executed : int;
-  (* Pending (not yet fired, not cancelled) events by id.  Entries are
-     removed when an event fires or is cancelled. *)
-  live_ids : (int, event) Hashtbl.t;
   root_rng : Rng.t;
   (* Controlled nondeterminism (see {!Choice}): [None] in normal
      operation — every decision point takes its single normal answer and
@@ -33,7 +34,6 @@ let create ?(seed = 0x5EEDL) () =
     clock = 0.0;
     next_id = 0;
     executed = 0;
-    live_ids = Hashtbl.create 256;
     root_rng = Rng.make seed;
     chooser = None;
   }
@@ -63,39 +63,36 @@ let schedule_at t ?(key = "") ?(label = "") ~time thunk =
   let id = t.next_id in
   t.next_id <- id + 1;
   let ev = { id; time; key; label; live = true; thunk } in
-  Hashtbl.replace t.live_ids id ev;
   Event_queue.add t.queue ~time ev;
-  id
+  ev
 
 let schedule t ?key ?label ~delay thunk =
   if Float.is_nan delay || delay < 0.0 then
     invalid_arg "Engine.schedule: negative or NaN delay";
   schedule_at t ?key ?label ~time:(t.clock +. delay) thunk
 
-let cancel t id =
-  match Hashtbl.find_opt t.live_ids id with
-  | None -> ()
-  | Some ev ->
-    ev.live <- false;
-    Hashtbl.remove t.live_ids id
+let cancel _ ev = ev.live <- false
+let is_pending _ ev = ev.live
 
-let is_pending t id = Hashtbl.mem t.live_ids id
-
-let fire t time ev =
-  if time > t.clock then t.clock <- time;
+let fire t ev =
+  if ev.time > t.clock then t.clock <- ev.time;
   ev.live <- false;
-  Hashtbl.remove t.live_ids ev.id;
   t.executed <- t.executed + 1;
   ev.thunk ()
 
 (* Chooser-driven step: any pending event may fire next, not just the
    earliest — the chooser explores relative orderings of deliveries and
    timers that the timestamps of one particular run would fix.  Fired
-   events are marked dead in place; their heap entries are skipped
-   lazily, exactly like cancelled ones. *)
+   events are marked dead in place, so the heap holds them until they
+   reach the top: reap those first, then list the live rest. *)
 let checked_step (c : Choice.t) t =
+  let q = t.queue in
+  while (not (Event_queue.is_empty q)) && not (Event_queue.min_value q).live do
+    ignore (Event_queue.pop_min q : event)
+  done;
   let evs =
-    Hashtbl.fold (fun _ ev acc -> ev :: acc) t.live_ids []
+    Event_queue.fold q ~init:[] ~f:(fun acc _ ev ->
+        if ev.live then ev :: acc else acc)
     |> List.sort (fun a b ->
            match Float.compare a.time b.time with
            | 0 -> Int.compare a.id b.id
@@ -104,7 +101,7 @@ let checked_step (c : Choice.t) t =
   match evs with
   | [] -> false
   | [ ev ] ->
-    fire t ev.time ev;
+    fire t ev;
     true
   | evs ->
     let arr = Array.of_list evs in
@@ -120,23 +117,24 @@ let checked_step (c : Choice.t) t =
         arr
     in
     let idx = c.Choice.pick Choice.Event cands in
-    let ev = arr.(idx) in
-    fire t ev.time ev;
+    fire t arr.(idx);
     true
 
 let step t =
   match t.chooser with
   | Some c -> checked_step c t
   | None ->
-    let rec loop () =
-      match Event_queue.pop t.queue with
-      | None -> false
-      | Some (_, ev) when not ev.live -> loop ()
-      | Some (time, ev) ->
-        fire t time ev;
-        true
+    let rec loop q =
+      if Event_queue.is_empty q then false
+      else
+        let ev = Event_queue.pop_min q in
+        if ev.live then begin
+          fire t ev;
+          true
+        end
+        else loop q
     in
-    loop ()
+    loop t.queue
 
 let run ?until t =
   let start = t.executed in
@@ -149,15 +147,13 @@ let run ?until t =
     done
   | None ->
     let horizon = match until with None -> Float.infinity | Some u -> u in
-    let rec loop () =
-      match Event_queue.peek t.queue with
-      | None -> ()
-      | Some (time, _) when time > horizon -> ()
-      | Some _ ->
-        ignore (step t : bool);
-        loop ()
-    in
-    loop ();
+    let q = t.queue in
+    (* The horizon is checked on every entry, dead ones included, so a
+       cancelled event inside it cannot pull a live one from beyond. *)
+    while (not (Event_queue.is_empty q)) && Event_queue.min_time q <= horizon do
+      let ev = Event_queue.pop_min q in
+      if ev.live then fire t ev
+    done;
     (match until with
     | Some u when u > t.clock && Float.is_finite u -> t.clock <- u
     | Some _ | None -> ()));

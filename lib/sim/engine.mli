@@ -17,7 +17,9 @@
 
 type t
 
-(** Identifier for a scheduled event, usable for cancellation. *)
+(** A scheduled event, usable for cancellation.  The handle is the event
+    record itself, not a key into a table: holding one keeps the event's
+    thunk reachable until the handle is dropped. *)
 type event_id
 
 val create : ?seed:int64 -> unit -> t
@@ -55,11 +57,12 @@ val schedule :
 val schedule_at :
   t -> ?key:string -> ?label:string -> time:float -> (unit -> unit) -> event_id
 
-(** Cancel a pending event.  Cancelling an already-fired or already-cancelled
-    event is a no-op. *)
+(** Cancel a pending event in constant time, by clearing its live flag;
+    its queue entry is reaped when it reaches the front.  Cancelling an
+    already-fired or already-cancelled event is a no-op. *)
 val cancel : t -> event_id -> unit
 
-(** Has the event fired or been cancelled? *)
+(** [true] until the event fires or is cancelled.  Constant time. *)
 val is_pending : t -> event_id -> bool
 
 (** Run events until the queue is empty, or until [until] (if given) —
@@ -78,6 +81,7 @@ val step : t -> bool
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** Number of events currently queued (including cancelled ones not yet
-    reaped). *)
+(** Number of entries in the queue.  This counts dead entries not yet
+    reaped as well as live events: cancelled ones, and under a chooser
+    fired ones too, which stay queued until they reach the front. *)
 val pending : t -> int

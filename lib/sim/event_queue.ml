@@ -61,26 +61,30 @@ let add q ~time value =
   q.size <- q.size + 1;
   sift_up q.heap (q.size - 1)
 
-let peek q =
-  if q.size = 0 then None
-  else
-    let e = q.heap.(0) in
-    Some (e.time, e.value)
+let top q =
+  if q.size = 0 then invalid_arg "Event_queue: empty queue";
+  q.heap.(0)
+
+let min_time q = (top q).time
+let min_value q = (top q).value
+
+let pop_min q =
+  let e = top q in
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    q.heap.(0) <- q.heap.(q.size);
+    sift_down q.heap q.size 0
+  end;
+  (* Overwrite the vacated slot so it does not pin the entry that was
+     moved to the root; the popped value is returned anyway. *)
+  q.heap.(q.size) <- e;
+  e.value
 
 let pop q =
   if q.size = 0 then None
-  else begin
-    let e = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q.heap q.size 0
-    end;
-    (* Overwrite the vacated slot so it does not pin the entry that was
-       moved to the root; the popped entry itself is returned anyway. *)
-    q.heap.(q.size) <- e;
-    Some (e.time, e.value)
-  end
+  else
+    let time = min_time q in
+    Some (time, pop_min q)
 
 let is_empty q = q.size = 0
 let length q = q.size

@@ -12,10 +12,21 @@ val create : unit -> 'a t
     [Invalid_argument] if [time] is NaN. *)
 val add : 'a t -> time:float -> 'a -> unit
 
-(** Earliest entry, without removing it. *)
-val peek : 'a t -> (float * 'a) option
+(** {2 Non-allocating access}
 
-(** Remove and return the earliest entry. *)
+    The engine's hot path: these neither allocate nor copy.  Each raises
+    [Invalid_argument] on an empty queue, so test {!is_empty} first. *)
+
+(** Timestamp of the earliest entry. *)
+val min_time : 'a t -> float
+
+(** Value of the earliest entry, without removing it. *)
+val min_value : 'a t -> 'a
+
+(** Remove the earliest entry and return its value. *)
+val pop_min : 'a t -> 'a
+
+(** Remove and return the earliest entry, or [None] when empty. *)
 val pop : 'a t -> (float * 'a) option
 
 val is_empty : 'a t -> bool
@@ -24,5 +35,6 @@ val length : 'a t -> int
 (** Remove every entry. *)
 val clear : 'a t -> unit
 
-(** Fold over entries in unspecified order (diagnostics only). *)
+(** Fold over every entry in unspecified order.  The engine's chooser
+    step uses it to list the pending events. *)
 val fold : 'a t -> init:'b -> f:('b -> float -> 'a -> 'b) -> 'b

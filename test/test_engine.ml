@@ -1,5 +1,6 @@
 (* Tests for the discrete-event engine: clock advance, ordering,
-   cancellation, run horizons. *)
+   cancellation, run horizons, and a model check of all four against a
+   sorted-list reference. *)
 
 let test_clock_starts_at_zero () =
   let e = Sim.Engine.create () in
@@ -65,6 +66,21 @@ let test_run_until () =
   Alcotest.(check int) "rest run" 1 n2;
   Alcotest.(check (list int)) "both" [ 5; 1 ] !log
 
+(* A cancelled entry inside the horizon must not pull the next live event
+   in from beyond it. *)
+let test_run_until_cancelled_head () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let early = Sim.Engine.schedule e ~delay:1.0 (fun () -> log := 1 :: !log) in
+  ignore (Sim.Engine.schedule e ~delay:5.0 (fun () -> log := 5 :: !log));
+  Sim.Engine.cancel e early;
+  let n = Sim.Engine.run ~until:2.0 e in
+  Alcotest.(check int) "nothing within the horizon" 0 n;
+  Alcotest.(check (list int)) "later event still queued" [] !log;
+  Alcotest.(check (float 0.0)) "clock parked at horizon" 2.0 (Sim.Engine.now e);
+  Alcotest.(check int) "rest run" 1 (Sim.Engine.run e);
+  Alcotest.(check (list int)) "fired after" [ 5 ] !log
+
 let test_step () =
   let e = Sim.Engine.create () in
   ignore (Sim.Engine.schedule e ~delay:1.0 (fun () -> ()));
@@ -99,6 +115,193 @@ let test_executed_counter () =
   ignore (Sim.Engine.run e);
   Alcotest.(check int) "counter" 7 (Sim.Engine.events_executed e)
 
+(* --- model check ---------------------------------------------------- *)
+
+type op = Schedule of int | Cancel of int | Step | Run_until of int
+
+let pp_op = function
+  | Schedule d -> Printf.sprintf "schedule +%d" d
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Step -> "step"
+  | Run_until h -> Printf.sprintf "run ~until:+%d" h
+
+(* Delays and horizons are small multiples of 0.5 s, so timestamps tie
+   often and every sum is exact. *)
+let half n = 0.5 *. float_of_int n
+
+let arb_program =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun d -> Schedule d) (int_bound 4));
+        (2, map (fun k -> Cancel k) (int_bound 1000));
+        (2, return Step);
+        (1, map (fun h -> Run_until h) (int_bound 4));
+      ]
+  in
+  QCheck.make ~print:QCheck.Print.(list pp_op) ~shrink:QCheck.Shrink.list
+    (list_size (int_bound 60) op)
+
+type state = Pending | Fired | Cancelled
+
+(* Reference model: event [i] is the [i]-th one scheduled. *)
+type model = {
+  times : float array;
+  states : state array;
+  mutable n : int;
+  mutable clock : float;
+  mutable fired : int list;  (** newest first *)
+}
+
+let model size =
+  {
+    times = Array.make size 0.0;
+    states = Array.make size Pending;
+    n = 0;
+    clock = 0.0;
+    fired = [];
+  }
+
+(* Pending events in (time, schedule order). *)
+let model_pending m =
+  List.init m.n Fun.id
+  |> List.filter (fun i -> m.states.(i) = Pending)
+  |> List.stable_sort (fun a b -> Float.compare m.times.(a) m.times.(b))
+
+let model_fire m i =
+  m.states.(i) <- Fired;
+  m.clock <- Float.max m.clock m.times.(i);
+  m.fired <- i :: m.fired
+
+let fail = QCheck.Test.fail_reportf
+
+(* Run [prog] against [e] and [m], checking clock, executed count and
+   every [is_pending] after each step.  [thunk i] is event [i]'s body;
+   [on_step] and [on_run] receive the engine's answers to check them. *)
+let drive e m prog ~on_step ~on_run ~thunk =
+  let ids = Array.make (List.length prog) None in
+  let id i = Option.get ids.(i) in
+  List.iter
+    (fun op ->
+      (match op with
+      | Schedule d ->
+        let i = m.n in
+        m.times.(i) <- m.clock +. half d;
+        m.n <- i + 1;
+        ids.(i) <- Some (Sim.Engine.schedule e ~delay:(half d) (thunk i))
+      | Cancel k when m.n > 0 ->
+        let i = k mod m.n in
+        Sim.Engine.cancel e (id i);
+        if m.states.(i) = Pending then m.states.(i) <- Cancelled
+      | Cancel _ -> ()
+      | Step -> on_step (Sim.Engine.step e)
+      | Run_until h ->
+        let until = m.clock +. half h in
+        on_run until (Sim.Engine.run ~until e));
+      let what = pp_op op in
+      if Sim.Engine.now e <> m.clock then
+        fail "%s: clock %g, model %g" what (Sim.Engine.now e) m.clock;
+      if Sim.Engine.events_executed e <> List.length m.fired then
+        fail "%s: %d executed, model %d" what
+          (Sim.Engine.events_executed e)
+          (List.length m.fired);
+      for i = 0 to m.n - 1 do
+        if Sim.Engine.is_pending e (id i) <> (m.states.(i) = Pending) then
+          fail "%s: is_pending e%d disagrees with the model" what i
+      done)
+    prog
+
+let prop_engine_model =
+  QCheck.Test.make ~name:"engine matches a sorted-list model" ~count:500
+    arb_program (fun prog ->
+      let e = Sim.Engine.create () and m = model (List.length prog) in
+      let log = ref [] in
+      let thunk i () =
+        if m.states.(i) = Cancelled then fail "cancelled e%d fired" i;
+        log := i :: !log
+      in
+      let fire_earliest () =
+        match model_pending m with
+        | [] -> false
+        | i :: _ ->
+          model_fire m i;
+          true
+      in
+      let on_step fired =
+        if fired <> fire_earliest () then fail "step returned %b" fired
+      in
+      let on_run until n =
+        let rec due k =
+          match model_pending m with
+          | i :: _ when m.times.(i) <= until ->
+            model_fire m i;
+            due (k + 1)
+          | _ -> k
+        in
+        let want = due 0 in
+        if n <> want then fail "run ~until:%g ran %d, model %d" until n want;
+        if Sim.Engine.now e > until then
+          fail "clock %g passed the horizon %g" (Sim.Engine.now e) until;
+        m.clock <- Float.max m.clock until
+      in
+      drive e m prog ~on_step ~on_run ~thunk;
+      if !log <> m.fired then fail "fire order differs from (time, schedule)";
+      true)
+
+(* Under a chooser the engine lists its pending events by folding the
+   queue; each Event decision must offer exactly the live ones, in (time,
+   id) order.  The chooser picks at random and the thunks advance the
+   model, so the next decision is checked against the right set. *)
+let prop_chooser_candidates =
+  QCheck.Test.make ~name:"chooser is offered exactly the pending events"
+    ~count:300
+    QCheck.(pair int arb_program)
+    (fun (seed, prog) ->
+      let e = Sim.Engine.create () and m = model (List.length prog) in
+      let rng = Random.State.make [| seed |] in
+      let picked = ref None in
+      let pick dom cands =
+        if dom <> Sim.Choice.Event then fail "unexpected decision domain";
+        let pending = model_pending m in
+        let offered =
+          Array.to_list cands |> List.map (fun c -> c.Sim.Choice.ident)
+        in
+        if offered <> List.map (Printf.sprintf "e%d") pending then
+          fail "offered [%s], pending [%s]"
+            (String.concat " " offered)
+            (String.concat " " (List.map string_of_int pending));
+        let k = Random.State.int rng (Array.length cands) in
+        picked := Some (List.nth pending k);
+        k
+      in
+      Sim.Engine.set_chooser e
+        (Some { Sim.Choice.pick; faults = false; note_access = ignore });
+      let thunk i () =
+        if m.states.(i) <> Pending then fail "e%d fired while not pending" i;
+        (match !picked with
+        | Some j when j <> i -> fail "picked e%d but e%d fired" j i
+        | Some _ | None -> ());
+        picked := None;
+        model_fire m i
+      in
+      let executed = ref 0 in
+      let on_step fired =
+        let now = List.length m.fired in
+        if fired <> (now > !executed) then fail "step returned %b" fired;
+        if (not fired) && model_pending m <> [] then
+          fail "step fired nothing with events pending";
+        executed := now
+      in
+      let on_run _ n =
+        let now = List.length m.fired in
+        if n <> now - !executed then fail "run ran %d" n;
+        executed := now;
+        if model_pending m <> [] then fail "run left pending events"
+      in
+      drive e m prog ~on_step ~on_run ~thunk;
+      true)
+
 let suite =
   [
     Alcotest.test_case "clock starts at zero" `Quick test_clock_starts_at_zero;
@@ -109,6 +312,8 @@ let suite =
     Alcotest.test_case "cancel prevents execution" `Quick test_cancel;
     Alcotest.test_case "double cancel is no-op" `Quick test_cancel_twice_is_noop;
     Alcotest.test_case "run ~until leaves later events" `Quick test_run_until;
+    Alcotest.test_case "run ~until stops at a cancelled head" `Quick
+      test_run_until_cancelled_head;
     Alcotest.test_case "single stepping" `Quick test_step;
     Alcotest.test_case "negative delay rejected" `Quick
       test_negative_delay_rejected;
@@ -117,4 +322,6 @@ let suite =
     Alcotest.test_case "event exception propagates" `Quick
       test_exception_propagates;
     Alcotest.test_case "executed counter" `Quick test_executed_counter;
+    QCheck_alcotest.to_alcotest prop_engine_model;
+    QCheck_alcotest.to_alcotest prop_chooser_candidates;
   ]

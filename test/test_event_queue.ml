@@ -6,8 +6,12 @@ let check_int = Alcotest.(check int)
 let test_empty () =
   let q = Sim.Event_queue.create () in
   check "empty" true (Sim.Event_queue.is_empty q);
-  check "no peek" true (Sim.Event_queue.peek q = None);
-  check "no pop" true (Sim.Event_queue.pop q = None)
+  check "no pop" true (Sim.Event_queue.pop q = None);
+  let empty = Invalid_argument "Event_queue: empty queue" in
+  Alcotest.check_raises "no min_time" empty (fun () ->
+      ignore (Sim.Event_queue.min_time q : float));
+  Alcotest.check_raises "no pop_min" empty (fun () ->
+      ignore (Sim.Event_queue.pop_min q : unit))
 
 let test_ordering () =
   let q = Sim.Event_queue.create () in
@@ -31,11 +35,15 @@ let test_fifo_ties () =
   Alcotest.(check (list int)) "insertion order on equal times"
     (List.init 100 Fun.id) out
 
-let test_peek_does_not_remove () =
+let test_min_does_not_remove () =
   let q = Sim.Event_queue.create () in
+  Sim.Event_queue.add q ~time:2.0 "y";
   Sim.Event_queue.add q ~time:1.0 "x";
-  check "peek" true (Sim.Event_queue.peek q = Some (1.0, "x"));
-  check_int "still there" 1 (Sim.Event_queue.length q)
+  Alcotest.(check (float 0.0)) "min_time" 1.0 (Sim.Event_queue.min_time q);
+  Alcotest.(check string) "min_value" "x" (Sim.Event_queue.min_value q);
+  check_int "still there" 2 (Sim.Event_queue.length q);
+  Alcotest.(check string) "pop_min" "x" (Sim.Event_queue.pop_min q);
+  Alcotest.(check (float 0.0)) "next min_time" 2.0 (Sim.Event_queue.min_time q)
 
 let test_nan_rejected () =
   let q = Sim.Event_queue.create () in
@@ -115,7 +123,8 @@ let suite =
     Alcotest.test_case "empty queue" `Quick test_empty;
     Alcotest.test_case "time ordering" `Quick test_ordering;
     Alcotest.test_case "FIFO on ties" `Quick test_fifo_ties;
-    Alcotest.test_case "peek is non-destructive" `Quick test_peek_does_not_remove;
+    Alcotest.test_case "min_time is non-destructive" `Quick
+      test_min_does_not_remove;
     Alcotest.test_case "NaN time rejected" `Quick test_nan_rejected;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "interleaved add/pop" `Quick test_interleaved_add_pop;

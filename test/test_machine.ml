@@ -48,6 +48,16 @@ let test_timeslicing_interleaves () =
   (* With timeslicing both threads finish near the end, not one at 1.0. *)
   Alcotest.(check bool) "first did not hog the cpu" true (done_at.(0) > 1.5)
 
+(* Each CPU chunk is one engine event: no placeholder is left in the heap
+   beside it. *)
+let test_one_event_per_chunk () =
+  let e, m = make ~cpus:1 ~quantum:0.1 () in
+  ignore (Hw.Machine.spawn m ~name:"t" (fun () -> Sim.Fiber.consume 1.0));
+  ignore (Sim.Engine.run ~until:0.05 e);
+  Alcotest.(check int) "one queued entry" 1 (Sim.Engine.pending e);
+  ignore (Sim.Engine.run e);
+  feq "work done" 1.0 (Sim.Engine.now e)
+
 let test_no_preemption_when_alone () =
   let e, m = make ~cpus:1 ~quantum:0.1 () in
   ignore (Hw.Machine.spawn m ~name:"solo" (fun () -> Sim.Fiber.consume 1.0));
@@ -223,6 +233,8 @@ let suite =
       test_timeslicing_interleaves;
     Alcotest.test_case "no preemption when alone" `Quick
       test_no_preemption_when_alone;
+    Alcotest.test_case "one engine event per cpu chunk" `Quick
+      test_one_event_per_chunk;
     Alcotest.test_case "yield round-robin" `Quick test_yield_round_robin;
     Alcotest.test_case "block and wake" `Quick test_block_and_wake;
     Alcotest.test_case "machine wake API" `Quick test_wake_via_machine_api;

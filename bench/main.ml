@@ -8,11 +8,10 @@
      dune exec bench/main.exe fig3        -- Figure 3
      dune exec bench/main.exe ablate-lock | ablate-pages | ablate-chain
                                           | ablate-movecpus | ablate-overlap
-     dune exec bench/main.exe host        -- wall-clock microbenchmarks of the
-                                             simulator itself (Bechamel)
 
    Numbers are deterministic virtual-time measurements; the paper's
-   numbers are printed alongside where the paper states them. *)
+   numbers are printed alongside where the paper states them.  The
+   simulator's own host cost is measured by benchmark/ instead. *)
 
 module A = Amber
 module W = Workloads
@@ -603,84 +602,6 @@ let ablate_mac () =
     [ ("fifo", Hw.Ethernet.Fifo); ("csma/cd", Hw.Ethernet.Csma_cd) ]
 
 (* ------------------------------------------------------------------ *)
-(* Host-side microbenchmarks (Bechamel)                                *)
-(* ------------------------------------------------------------------ *)
-
-let host () =
-  header
-    "Host microbenchmarks (wall-clock cost of the simulator itself, \
-     Bechamel OLS)";
-  let open Bechamel in
-  let test_event_queue =
-    Test.make ~name:"event-queue add+pop x100"
-      (Staged.stage (fun () ->
-           let q = Sim.Event_queue.create () in
-           for i = 0 to 99 do
-             Sim.Event_queue.add q ~time:(float_of_int (i * 7 mod 13)) i
-           done;
-           while not (Sim.Event_queue.is_empty q) do
-             ignore (Sim.Event_queue.pop q)
-           done))
-  in
-  let test_fiber =
-    Test.make ~name:"fiber start+consume x10"
-      (Staged.stage (fun () ->
-           let rec drive = function
-             | Sim.Fiber.Done _ -> ()
-             | Sim.Fiber.Consumed (_, r) -> drive (r.Sim.Fiber.resume ())
-             | Sim.Fiber.Yielded r -> drive (r.Sim.Fiber.resume ())
-             | Sim.Fiber.Blocked (_, r) -> drive (r.Sim.Fiber.resume ())
-           in
-           drive
-             (Sim.Fiber.start (fun () ->
-                  for _ = 1 to 10 do
-                    Sim.Fiber.consume 1e-3
-                  done))))
-  in
-  let test_cluster_boot =
-    Test.make ~name:"2Nx2P cluster boot + 100 local invokes"
-      (Staged.stage (fun () ->
-           ignore
-             (A.Cluster.run_value (A.Config.make ~nodes:2 ~cpus:2 ())
-                (fun rt ->
-                  let o = A.Api.create rt ~name:"o" () in
-                  for _ = 1 to 100 do
-                    A.Api.invoke rt o (fun () -> ())
-                  done))))
-  in
-  let test_small_sor =
-    Test.make ~name:"SOR 16x32, 2Nx2P, 3 iters"
-      (Staged.stage (fun () ->
-           let p = W.Sor_core.with_size W.Sor_core.default ~rows:16 ~cols:32 in
-           ignore
-             (A.Cluster.run_value (A.Config.make ~nodes:2 ~cpus:2 ())
-                (fun rt -> W.Sor_amber.run rt p ~iters:3 ()))))
-  in
-  let tests =
-    Test.make_grouped ~name:"sim"
-      [ test_event_queue; test_fiber; test_cluster_boot; test_small_sor ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "%-45s %16s\n" "benchmark" "time per run";
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-        let pretty =
-          if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-          else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-          else Printf.sprintf "%.0f ns" ns
-        in
-        Printf.printf "%-45s %16s\n" name pretty
-      | Some _ | None -> Printf.printf "%-45s %16s\n" name "(no estimate)")
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable baseline: --json and check-json (the CI guard)     *)
 (* ------------------------------------------------------------------ *)
 
@@ -764,13 +685,13 @@ let async_sor_measure () =
   A.Cluster.run_value
     (A.Config.make ~nodes:4 ~cpus:4 ~coalesce:Topaz.Rpc.default_coalesce ())
     (fun rt ->
-      let r = W.Sor_pipe.run rt p ~iters:5 () in
+      let r = W.Sor_amber.run_pipelined rt p ~iters:5 () in
       let z = Topaz.Rpc.coalescing (A.Runtime.rpc rt) in
       let frac =
         float_of_int z.Topaz.Rpc.coal_batched
         /. float_of_int (max 1 z.Topaz.Rpc.coal_eligible)
       in
-      (r.W.Sor_pipe.compute_elapsed, frac))
+      (r.W.Sor_amber.compute_elapsed, frac))
 
 (* Fig-3 SOR riding out a transient node-3 outage (down at 0.2 s, back
    at 0.6 s): the elapsed time pins what the freeze plus the catch-up
@@ -965,7 +886,7 @@ let usage () =
   print_endline
     "usage: main.exe [table1|fig2|fig3|ablate-lock|ablate-pages|ablate-chain|\n\
     \                ablate-movecpus|ablate-overlap|ablate-sched|ablate-locality|ablate-manager|\n\
-    \     ablate-partitioning|ablate-mac|host|all|--json|check-json FILE]"
+    \     ablate-partitioning|ablate-mac|all|--json|check-json FILE]"
 
 let () =
   let run_all () =
@@ -981,8 +902,7 @@ let () =
     ablate_locality ();
     ablate_manager ();
     ablate_partitioning ();
-    ablate_mac ();
-    host ()
+    ablate_mac ()
   in
   match Array.to_list Sys.argv with
   | [ _ ] | [ _; "all" ] -> run_all ()
@@ -999,7 +919,6 @@ let () =
   | [ _; "ablate-manager" ] -> ablate_manager ()
   | [ _; "ablate-partitioning" ] -> ablate_partitioning ()
   | [ _; "ablate-mac" ] -> ablate_mac ()
-  | [ _; "host" ] -> host ()
   | [ _; "--json" ] -> print_json ()
   | [ _; "check-json"; file ] -> check_json file
   | _ ->

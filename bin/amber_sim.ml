@@ -388,19 +388,23 @@ let sor_cmd =
           ~doc:"Implementation to run: $(b,amber), $(b,ivy) or $(b,seq).")
   in
   let rows =
-    Arg.(value & opt int 122 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
+    Arg.(value & opt positive 122 & info [ "rows" ] ~docv:"R" ~doc:"Grid rows.")
   in
   let cols =
-    Arg.(value & opt int 842 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
+    Arg.(
+      value & opt positive 842 & info [ "cols" ] ~docv:"C" ~doc:"Grid columns.")
   in
   let iters =
-    Arg.(value & opt int 10 & info [ "iters"; "i" ] ~docv:"I" ~doc:"Iterations.")
+    Arg.(
+      value & opt positive 10
+      & info [ "iters"; "i" ] ~docv:"I" ~doc:"Iterations.")
   in
   let sections =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "sections" ] ~docv:"S" ~doc:"Section count (amber only).")
+      & opt (some positive) None
+      & info [ "sections" ] ~docv:"S"
+          ~doc:"Section count (amber only); at most the column count.")
   in
   let no_overlap =
     Arg.(
@@ -445,9 +449,22 @@ let sor_cmd =
         ("--steal", bal.Balance.Driver.steal);
       ]
     in
+    let nsections =
+      Option.value sections
+        ~default:
+          (Workloads.Sor_amber.default_sections ~nodes:cfg.Amber.Config.nodes)
+    in
     match (system, List.find_opt snd amber_only) with
     | (`Seq | `Ivy), Some (flag, _) ->
       `Error (true, flag ^ " applies to --system amber only")
+    | `Amber, _ when nsections > cols ->
+      `Error
+        ( true,
+          match sections with
+          | Some n -> Printf.sprintf "--sections %d exceeds --cols %d" n cols
+          | None ->
+            Printf.sprintf "the default %d sections exceed --cols %d" nsections
+              cols )
     | _ ->
       let cfg =
         match coalesce with
@@ -507,35 +524,28 @@ let sor_cmd =
                 r.Workloads.Sor_ivy.read_faults r.Workloads.Sor_ivy.write_faults
                 r.Workloads.Sor_ivy.invalidations
                 r.Workloads.Sor_ivy.transfer_bytes
-        | `Amber when async ->
-          fun rt ->
-            let r = Workloads.Sor_pipe.run rt p ~cfg:(sor_cfg rt) ~iters () in
-            fun () ->
-              Printf.printf
-                "amber-async %dNx%dP: compute %.3f virtual s, speedup %.2f, \
-                 checksum %.6g\n"
-                nodes cpus r.Workloads.Sor_pipe.compute_elapsed
-                (speedup r.Workloads.Sor_pipe.compute_elapsed)
-                r.Workloads.Sor_pipe.checksum;
-              Printf.printf
-                "  remote invocations: %d, thread migrations: %d, async \
-                 invocations: %d\n"
-                r.Workloads.Sor_pipe.remote_invocations
-                r.Workloads.Sor_pipe.thread_migrations
-                r.Workloads.Sor_pipe.async_invocations
         | `Amber ->
           fun rt ->
-            let r = Workloads.Sor_amber.run rt p ~cfg:(sor_cfg rt) ~iters () in
+            let program, label =
+              if async then (Workloads.Sor_amber.run_pipelined, "amber-async")
+              else (Workloads.Sor_amber.run, "amber")
+            in
+            let r = program rt p ~cfg:(sor_cfg rt) ~iters () in
             fun () ->
               Printf.printf
-                "amber %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum \
+                "%s %dNx%dP: compute %.3f virtual s, speedup %.2f, checksum \
                  %.6g\n"
-                nodes cpus r.Workloads.Sor_amber.compute_elapsed
+                label nodes cpus r.Workloads.Sor_amber.compute_elapsed
                 (speedup r.Workloads.Sor_amber.compute_elapsed)
                 r.Workloads.Sor_amber.checksum;
-              Printf.printf "  remote invocations: %d, thread migrations: %d\n"
+              Printf.printf
+                "  remote invocations: %d, thread migrations: %d%s\n"
                 r.Workloads.Sor_amber.remote_invocations
                 r.Workloads.Sor_amber.thread_migrations
+                (if async then
+                   Printf.sprintf ", async invocations: %d"
+                     r.Workloads.Sor_amber.async_invocations
+                 else "")
       in
       `Ok (status (Session.run ~print:(fun print -> print ()) s cfg body))
   in
@@ -555,14 +565,17 @@ let sor_cmd =
 
 let workqueue_cmd =
   let items =
-    Arg.(value & opt int 200 & info [ "items" ] ~docv:"N" ~doc:"Work items.")
+    Arg.(
+      value & opt positive 200 & info [ "items" ] ~docv:"N" ~doc:"Work items.")
   in
   let batch =
-    Arg.(value & opt int 4 & info [ "batch" ] ~docv:"B" ~doc:"Items per fetch.")
+    Arg.(
+      value & opt positive 4
+      & info [ "batch" ] ~docv:"B" ~doc:"Items per fetch.")
   in
   let workers =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "workers" ] ~docv:"W" ~doc:"Worker threads per node.")
   in
   let move_at =
@@ -606,10 +619,14 @@ let workqueue_cmd =
 
 let matmul_cmd =
   let n =
-    Arg.(value & opt int 96 & info [ "size" ] ~docv:"N" ~doc:"Matrix dimension.")
+    Arg.(
+      value & opt positive 96
+      & info [ "size" ] ~docv:"N" ~doc:"Matrix dimension.")
   in
   let block =
-    Arg.(value & opt int 24 & info [ "block" ] ~docv:"B" ~doc:"Block edge.")
+    Arg.(
+      value & opt positive 24
+      & info [ "block" ] ~docv:"B" ~doc:"Block edge; must divide the size.")
   in
   let no_replicate =
     Arg.(
@@ -618,34 +635,41 @@ let matmul_cmd =
           ~doc:"Keep A and B on node 0 instead of replicating.")
   in
   let run cfg s n block no_replicate =
-    let mcfg =
-      {
-        Workloads.Matmul.n;
-        block;
-        replicate = not no_replicate;
-        workers_per_node = cfg.Amber.Config.cpus_per_node;
-        flop_cpu = 5e-6;
-      }
-    in
-    let want = Workloads.Matmul.reference_checksum mcfg in
-    let print (r : Workloads.Matmul.result) =
-      let ok =
-        Float.abs (r.Workloads.Matmul.checksum -. want) <= 1e-6 *. want
+    if n mod block <> 0 then
+      `Error
+        (true, Printf.sprintf "--block %d does not divide --size %d" block n)
+    else
+      let mcfg =
+        {
+          Workloads.Matmul.n;
+          block;
+          replicate = not no_replicate;
+          workers_per_node = cfg.Amber.Config.cpus_per_node;
+          flop_cpu = 5e-6;
+        }
       in
-      Printf.printf
-        "matmul %dx%d (%s): %.3f virtual s, %d remote invocations, %d copies \
-         %s\n"
-        n n
-        (if no_replicate then "no replication" else "replicated inputs")
-        r.Workloads.Matmul.elapsed r.Workloads.Matmul.remote_invocations
-        r.Workloads.Matmul.copies
-        (if ok then "(correct)" else "(WRONG)")
-    in
-    status (Session.run ~print s cfg (fun rt -> Workloads.Matmul.run rt mcfg))
+      let want = Workloads.Matmul.reference_checksum mcfg in
+      let print (r : Workloads.Matmul.result) =
+        let ok =
+          Float.abs (r.Workloads.Matmul.checksum -. want) <= 1e-6 *. want
+        in
+        Printf.printf
+          "matmul %dx%d (%s): %.3f virtual s, %d remote invocations, %d copies \
+           %s\n"
+          n n
+          (if no_replicate then "no replication" else "replicated inputs")
+          r.Workloads.Matmul.elapsed r.Workloads.Matmul.remote_invocations
+          r.Workloads.Matmul.copies
+          (if ok then "(correct)" else "(WRONG)")
+      in
+      `Ok
+        (status
+           (Session.run ~print s cfg (fun rt -> Workloads.Matmul.run rt mcfg)))
   in
   let term =
     Term.(
-      const run $ config_term $ session_term () $ n $ block $ no_replicate)
+      ret
+        (const run $ config_term $ session_term () $ n $ block $ no_replicate))
   in
   Cmd.v (Cmd.info "matmul" ~doc:"Run the replicated matrix multiply.") term
 
@@ -653,7 +677,9 @@ let matmul_cmd =
 
 let tsp_cmd =
   let cities =
-    Arg.(value & opt int 10 & info [ "cities" ] ~docv:"C" ~doc:"Problem size (3-13).")
+    Arg.(
+      value & opt int 10
+      & info [ "cities" ] ~docv:"C" ~doc:"Problem size (3-13).")
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Instance seed.")
@@ -677,39 +703,47 @@ let tsp_cmd =
              caches on node 0 (a load-balancer stress input).")
   in
   let run cfg s cities seed central check skew =
-    let tcfg =
-      {
-        Workloads.Tsp.cities;
-        seed;
-        workers_per_node = cfg.Amber.Config.cpus_per_node;
-        expand_cpu = 50e-6;
-        centralize = central;
-        skew;
-      }
-    in
-    let print (r : Workloads.Tsp.result) =
-      Printf.printf "tsp %d cities (%s): best tour cost %d in %.3f virtual s\n"
-        cities
-        (if central then "central pool" else "per-node pools")
-        r.Workloads.Tsp.best_cost r.Workloads.Tsp.elapsed;
-      Printf.printf "  tour: %s\n"
-        (String.concat " -> "
-           (Array.to_list (Array.map string_of_int r.Workloads.Tsp.best_tour)));
-      Printf.printf "  %d expansions, %d pruned, %d steals, %d remote invocations\n"
-        r.Workloads.Tsp.expansions r.Workloads.Tsp.pruned r.Workloads.Tsp.steals
-        r.Workloads.Tsp.remote_invocations;
-      if check then begin
-        let want = Workloads.Tsp.brute_force tcfg in
-        Printf.printf "  brute force says %d: %s\n" want
-          (if want = r.Workloads.Tsp.best_cost then "OPTIMAL" else "WRONG")
-      end
-    in
-    status (Session.run ~print s cfg (fun rt -> Workloads.Tsp.run rt tcfg))
+    if cities < 3 || cities > 13 then
+      `Error (true, Printf.sprintf "--cities %d is outside 3..13" cities)
+    else
+      let tcfg =
+        {
+          Workloads.Tsp.cities;
+          seed;
+          workers_per_node = cfg.Amber.Config.cpus_per_node;
+          expand_cpu = 50e-6;
+          centralize = central;
+          skew;
+        }
+      in
+      let print (r : Workloads.Tsp.result) =
+        Printf.printf
+          "tsp %d cities (%s): best tour cost %d in %.3f virtual s\n" cities
+          (if central then "central pool" else "per-node pools")
+          r.Workloads.Tsp.best_cost r.Workloads.Tsp.elapsed;
+        Printf.printf "  tour: %s\n"
+          (String.concat " -> "
+             (Array.to_list
+                (Array.map string_of_int r.Workloads.Tsp.best_tour)));
+        Printf.printf
+          "  %d expansions, %d pruned, %d steals, %d remote invocations\n"
+          r.Workloads.Tsp.expansions r.Workloads.Tsp.pruned
+          r.Workloads.Tsp.steals r.Workloads.Tsp.remote_invocations;
+        if check then begin
+          let want = Workloads.Tsp.brute_force tcfg in
+          Printf.printf "  brute force says %d: %s\n" want
+            (if want = r.Workloads.Tsp.best_cost then "OPTIMAL" else "WRONG")
+        end
+      in
+      `Ok
+        (status
+           (Session.run ~print s cfg (fun rt -> Workloads.Tsp.run rt tcfg)))
   in
   let term =
     Term.(
-      const run $ config_term $ session_term ~balance:true () $ cities $ seed
-      $ central $ check $ skew)
+      ret
+        (const run $ config_term $ session_term ~balance:true () $ cities
+        $ seed $ central $ check $ skew))
   in
   Cmd.v
     (Cmd.info "tsp" ~doc:"Run parallel branch-and-bound TSP with work stealing.")

@@ -8,13 +8,14 @@ type cfg = {
       (* section -> node; None = blocked placement over the cluster *)
 }
 
+(* The paper partitions into 8 sections, except 6 for the 3- and 6-node
+   experiments. *)
+let default_sections ~nodes = max nodes (if nodes mod 3 = 0 then 6 else 8)
+
 let default_cfg rt =
   let nodes = A.Runtime.nodes rt in
   let cpus = (A.Runtime.config rt).A.Config.cpus_per_node in
-  (* The paper partitions into 8 sections, except 6 for the 3- and 6-node
-     experiments. *)
-  let sections = if nodes mod 3 = 0 then 6 else 8 in
-  let sections = max sections nodes in
+  let sections = default_sections ~nodes in
   {
     sections;
     overlap = true;
@@ -29,6 +30,7 @@ type result = {
   total_elapsed : float;
   remote_invocations : int;
   thread_migrations : int;
+  async_invocations : int;
 }
 
 (* --- section state ------------------------------------------------------ *)
@@ -37,7 +39,6 @@ type result = {
    around the section's interior columns.  Column 0 and column ncols+1
    hold either the global boundary or ghost copies of neighbor edges. *)
 type section = {
-  idx : int;
   rows : int;
   ncols : int;
   col0 : int;  (* global 1-based column index of local column 1 *)
@@ -55,6 +56,43 @@ type section = {
   mutable stop : bool;
   mutable waiters : (unit -> unit) list;
 }
+
+let make_section (p : Sor_core.params) ~ncols ~col0 ~is_first ~is_last =
+  let stride = ncols + 2 in
+  let cells = Array.make ((p.Sor_core.rows + 2) * stride) 0.0 in
+  (* Boundary ring: top/bottom rows, and the global left/right edges for
+     the outermost sections.  Interior ghosts start at the initial value
+     (0), matching the neighbors' initial interiors. *)
+  for c = 0 to ncols + 1 do
+    cells.(c) <- p.Sor_core.top;
+    cells.(((p.Sor_core.rows + 1) * stride) + c) <- p.Sor_core.bottom
+  done;
+  if is_first then
+    for r = 1 to p.Sor_core.rows do
+      cells.(r * stride) <- p.Sor_core.left
+    done;
+  if is_last then
+    for r = 1 to p.Sor_core.rows do
+      cells.((r * stride) + ncols + 1) <- p.Sor_core.right
+    done;
+  {
+    rows = p.Sor_core.rows;
+    ncols;
+    col0;
+    stride;
+    cells;
+    comp_phase = 0;
+    push_phase = 0;
+    interior_release = 0;
+    border_done = 0;
+    workers_done = 0;
+    pushes_done = 0;
+    recv_left = 0;
+    recv_right = 0;
+    delta = 0.0;
+    stop = false;
+    waiters = [];
+  }
 
 (* Intra-section signalling: the participants are bound to (and therefore
    co-resident with) the section object, so this is hardware shared-memory
@@ -76,13 +114,15 @@ let rec wait_for rt s pred =
 
 let phase_color phase = if phase land 1 = 1 then Sor_core.Red else Sor_core.Black
 
-(* Update all points of [color] in local columns [c_from..c_to]; returns
-   (points updated, max delta). *)
-let compute_range s (p : Sor_core.params) color ~c_from ~c_to =
+(* Update every point of [color] in local columns [c_from..c_to], rows
+   [r_from..r_to], column by column; charge their CPU, then fold their
+   largest change into the section's delta.  Points of one color never
+   read each other, so any split of the ranges gives the same values. *)
+let relax (p : Sor_core.params) s color ~c_from ~c_to ~r_from ~r_to =
   let pts = ref 0 and delta = ref 0.0 in
   for lc = c_from to c_to do
     let gc = s.col0 + lc - 1 in
-    for r = 1 to s.rows do
+    for r = r_from to r_to do
       match (Sor_core.color_of ~r ~c:gc, color) with
       | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
         let i = (r * s.stride) + lc in
@@ -100,10 +140,71 @@ let compute_range s (p : Sor_core.params) color ~c_from ~c_to =
       | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
     done
   done;
-  (!pts, !delta)
+  if !pts > 0 then
+    Sim.Fiber.consume (p.Sor_core.point_cpu *. float_of_int !pts);
+  if !delta > s.delta then s.delta <- !delta
 
-let charge_points _rt (p : Sor_core.params) pts =
-  if pts > 0 then Sim.Fiber.consume (p.Sor_core.point_cpu *. float_of_int pts)
+let worker_body rt p cfg sec_obj ~w () =
+  A.Invoke.invoke rt sec_obj (fun s ->
+      let nworkers = cfg.workers_per_section in
+      let rec loop next =
+        wait_for rt s (fun () -> s.stop || s.comp_phase >= next);
+        if not s.stop then begin
+          let color = phase_color next in
+          (* Border columns first, rows split across workers, so the edge
+             values are ready to travel as early as possible. *)
+          let r_from = 1 + (w * s.rows / nworkers) in
+          let r_to = (w + 1) * s.rows / nworkers in
+          relax p s color ~c_from:1 ~c_to:1 ~r_from ~r_to;
+          if s.ncols > 1 then
+            relax p s color ~c_from:s.ncols ~c_to:s.ncols ~r_from ~r_to;
+          s.border_done <- s.border_done + 1;
+          notify rt s;
+          (* The interior may be gated behind the edge exchange when
+             overlap is disabled. *)
+          wait_for rt s (fun () -> s.stop || s.interior_release >= next);
+          if not s.stop then begin
+            let width = max 0 (s.ncols - 2) in
+            relax p s color
+              ~c_from:(2 + (w * width / nworkers))
+              ~c_to:(1 + ((w + 1) * width / nworkers))
+              ~r_from:1 ~r_to:s.rows;
+            s.workers_done <- s.workers_done + 1;
+            notify rt s;
+            loop (next + 1)
+          end
+        end
+      in
+      loop 1)
+
+(* Capture the [side] border column's values of [phase]'s color while
+   co-resident with the section, so the next phase may overwrite the
+   border freely.  Returns the payload size and the operation that
+   installs the values in the neighbor's ghost column: the values for an
+   entire edge travel in a single invocation. *)
+let capture_edge s ~side phase =
+  let lc = match side with `Left -> 1 | `Right -> s.ncols in
+  let gc = s.col0 + lc - 1 in
+  let color = phase_color phase in
+  let vals = ref [] in
+  for r = s.rows downto 1 do
+    match (Sor_core.color_of ~r ~c:gc, color) with
+    | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
+      vals := (r, s.cells.((r * s.stride) + lc)) :: !vals
+    | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
+  done;
+  let vals = !vals in
+  let install ns =
+    let ghost_col = match side with `Left -> ns.ncols + 1 | `Right -> 0 in
+    List.iter (fun (r, v) -> ns.cells.((r * ns.stride) + ghost_col) <- v) vals;
+    (match side with
+    | `Left -> ns.recv_right <- max ns.recv_right phase
+    | `Right -> ns.recv_left <- max ns.recv_left phase);
+    let ws = ns.waiters in
+    ns.waiters <- [];
+    List.iter (fun wake -> wake ()) ws
+  in
+  (8 * List.length vals, install)
 
 (* --- master convergence object (barrier with a combined value) ---------- *)
 
@@ -123,286 +224,72 @@ type master = {
   mutable t_last : float;  (* completion time of the latest round *)
 }
 
-let report rt master_obj clock delta =
-  A.Invoke.invoke rt master_obj (fun m ->
-      if delta > m.agg then m.agg <- delta;
-      if m.arrived + 1 >= m.parties then begin
-        let value = m.agg in
-        m.arrived <- 0;
-        m.agg <- 0.0;
-        m.rounds <- m.rounds + 1;
-        let t = clock () in
-        if m.rounds = 1 then m.t_ready <- t;
-        m.t_last <- t;
-        let cells = m.waiting in
-        m.waiting <- [];
-        List.iter
-          (fun c ->
-            c.out <- value;
-            c.fired <- true;
-            match c.cell_wake with Some wake -> wake () | None -> ())
-          cells;
-        value
-      end
-      else begin
-        m.arrived <- m.arrived + 1;
-        let c = { out = 0.0; cell_wake = None; fired = false } in
-        m.waiting <- c :: m.waiting;
-        Sim.Fiber.block (fun wake ->
-            if c.fired then wake () else c.cell_wake <- Some wake);
-        c.out
-      end)
+(* One round of the barrier: contribute [delta], block until every section
+   has arrived, return the combined (maximum) delta. *)
+let report_op rt delta m =
+  if delta > m.agg then m.agg <- delta;
+  if m.arrived + 1 >= m.parties then begin
+    let value = m.agg in
+    m.arrived <- 0;
+    m.agg <- 0.0;
+    m.rounds <- m.rounds + 1;
+    let t = A.Runtime.now rt in
+    if m.rounds = 1 then m.t_ready <- t;
+    m.t_last <- t;
+    let cells = m.waiting in
+    m.waiting <- [];
+    List.iter
+      (fun c ->
+        c.out <- value;
+        c.fired <- true;
+        match c.cell_wake with Some wake -> wake () | None -> ())
+      cells;
+    value
+  end
+  else begin
+    m.arrived <- m.arrived + 1;
+    let c = { out = 0.0; cell_wake = None; fired = false } in
+    m.waiting <- c :: m.waiting;
+    Sim.Fiber.block (fun wake ->
+        if c.fired then wake () else c.cell_wake <- Some wake);
+    c.out
+  end
 
-(* --- worker / pusher / coordinator bodies -------------------------------- *)
+(* --- setup and result, shared by both programs -------------------------- *)
 
-(* Update all points of [color] in border column [lc], rows r_from..r_to. *)
-let compute_border_rows s (p : Sor_core.params) color ~lc ~r_from ~r_to =
-  let pts = ref 0 and delta = ref 0.0 in
-  let gc = s.col0 + lc - 1 in
-  for r = r_from to r_to do
-    match (Sor_core.color_of ~r ~c:gc, color) with
-    | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
-      let i = (r * s.stride) + lc in
-      let old = s.cells.(i) in
-      let avg =
-        (s.cells.(i - 1) +. s.cells.(i + 1) +. s.cells.(i - s.stride)
-        +. s.cells.(i + s.stride))
-        /. 4.0
-      in
-      let next = old +. (p.Sor_core.omega *. (avg -. old)) in
-      s.cells.(i) <- next;
-      incr pts;
-      let d = Float.abs (next -. old) in
-      if d > !delta then delta := d
-    | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
-  done;
-  (!pts, !delta)
+type grid = {
+  cfg : cfg;
+  prefix : string;  (* names every object and thread of the program *)
+  master_obj : master A.Aobject.t;
+  sec_objs : section A.Aobject.t array;
+  dests : int array;  (* the node each section runs on *)
+}
 
-let worker_body rt p cfg sec_obj ~w () =
-  A.Invoke.invoke rt sec_obj (fun s ->
-      let nworkers = cfg.workers_per_section in
-      let rec loop next =
-        wait_for rt s (fun () -> s.stop || s.comp_phase >= next);
-        if not s.stop then begin
-          let color = phase_color next in
-          (* Border columns first, rows split across workers, so the edge
-             values are ready to travel as early as possible. *)
-          let r_from = 1 + (w * s.rows / nworkers) in
-          let r_to = (w + 1) * s.rows / nworkers in
-          if r_to >= r_from then begin
-            let border_cols = if s.ncols = 1 then [ 1 ] else [ 1; s.ncols ] in
-            List.iter
-              (fun lc ->
-                let pts, d =
-                  compute_border_rows s p color ~lc ~r_from ~r_to
-                in
-                charge_points rt p pts;
-                if d > s.delta then s.delta <- d)
-              border_cols
-          end;
-          s.border_done <- s.border_done + 1;
-          notify rt s;
-          (* The interior may be gated behind the edge exchange when
-             overlap is disabled. *)
-          wait_for rt s (fun () -> s.stop || s.interior_release >= next);
-          if not s.stop then begin
-            let lo = 2 and hi = s.ncols - 1 in
-            let width = hi - lo + 1 in
-            if width > 0 then begin
-              let c_from = lo + (w * width / nworkers) in
-              let c_to = lo + (((w + 1) * width / nworkers) - 1) in
-              if c_to >= c_from then begin
-                let pts, d = compute_range s p color ~c_from ~c_to in
-                charge_points rt p pts;
-                if d > s.delta then s.delta <- d
-              end
-            end;
-            s.workers_done <- s.workers_done + 1;
-            notify rt s;
-            loop (next + 1)
-          end
-        end
-      in
-      loop 1)
-
-(* Push this section's border-column values of the current color into the
-   neighbor's ghost column: one invocation per phase, edge as payload. *)
-let pusher_body rt (p : Sor_core.params) sec_obj neighbor_obj ~side () =
-  ignore p;
-  A.Invoke.invoke rt sec_obj (fun s ->
-      let local_col = match side with `Left -> 1 | `Right -> s.ncols in
-      let rec loop next =
-        wait_for rt s (fun () -> s.stop || s.push_phase >= next);
-        if not s.stop then begin
-          let color = phase_color next in
-          let gc = s.col0 + local_col - 1 in
-          let vals = ref [] in
-          for r = s.rows downto 1 do
-            match (Sor_core.color_of ~r ~c:gc, color) with
-            | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
-              vals := (r, s.cells.((r * s.stride) + local_col)) :: !vals
-            | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red ->
-              ()
-          done;
-          let vals = !vals in
-          let payload = 8 * List.length vals in
-          A.Invoke.invoke rt ~payload neighbor_obj (fun ns ->
-              let ghost_col =
-                match side with `Left -> ns.ncols + 1 | `Right -> 0
-              in
-              List.iter
-                (fun (r, v) -> ns.cells.((r * ns.stride) + ghost_col) <- v)
-                vals;
-              (match side with
-              | `Left -> ns.recv_right <- max ns.recv_right next
-              | `Right -> ns.recv_left <- max ns.recv_left next);
-              let ws = ns.waiters in
-              ns.waiters <- [];
-              List.iter (fun wake -> wake ()) ws);
-          s.pushes_done <- s.pushes_done + 1;
-          notify rt s;
-          loop (next + 1)
-        end
-      in
-      loop 1)
-
-type mode = Fixed of int | Converge of { eps : float; max_iters : int }
-
-let coordinator_body rt p cfg master_obj clock sec_objs ~mode i () =
-  let nsections = Array.length sec_objs in
-  let has_left = i > 0 and has_right = i < nsections - 1 in
-  let n_push = (if has_left then 1 else 0) + (if has_right then 1 else 0) in
-  A.Invoke.invoke rt sec_objs.(i) (fun s ->
-      (* Helper threads are created here, on the section's node, and are
-         bound to the section by their own invocations. *)
-      let workers =
-        List.init cfg.workers_per_section (fun w ->
-            A.Athread.start rt
-              ~name:(Printf.sprintf "sor%d-w%d" i w)
-              (worker_body rt p cfg sec_objs.(i) ~w))
-      in
-      let pushers =
-        (if has_left then
-           [
-             A.Athread.start rt
-               ~name:(Printf.sprintf "sor%d-pl" i)
-               (pusher_body rt p sec_objs.(i) sec_objs.(i - 1) ~side:`Left);
-           ]
-         else [])
-        @
-        if has_right then
-          [
-            A.Athread.start rt
-              ~name:(Printf.sprintf "sor%d-pr" i)
-              (pusher_body rt p sec_objs.(i) sec_objs.(i + 1) ~side:`Right);
-          ]
-        else []
-      in
-      (* Setup barrier: timing starts when every section is ready. *)
-      ignore (report rt master_obj clock 0.0 : float);
-      let do_phase phase =
-        (* Ghost values this color reads must be in place. *)
-        wait_for rt s (fun () ->
-            ((not has_left) || s.recv_left >= phase - 1)
-            && ((not has_right) || s.recv_right >= phase - 1));
-        (* Release the workers onto the border columns. *)
-        s.comp_phase <- phase;
-        notify rt s;
-        wait_for rt s (fun () ->
-            s.border_done >= cfg.workers_per_section * phase);
-        (* Edge values are complete: start the exchange. *)
-        s.push_phase <- phase;
-        notify rt s;
-        if not cfg.overlap then
-          (* No overlap: the exchange completes before the interior
-             computation starts. *)
-          wait_for rt s (fun () -> s.pushes_done >= n_push * phase);
-        s.interior_release <- phase;
-        notify rt s;
-        wait_for rt s (fun () ->
-            s.workers_done >= cfg.workers_per_section * phase
-            && s.pushes_done >= n_push * phase)
-      in
-      let iterations_done = ref 0 in
-      let continue_after it global_delta =
-        match mode with
-        | Fixed n -> it < n
-        | Converge { eps; max_iters } -> global_delta >= eps && it < max_iters
-      in
-      let rec iteration it =
-        do_phase (((it - 1) * 2) + 1);
-        do_phase (((it - 1) * 2) + 2);
-        let global_delta = report rt master_obj clock s.delta in
-        s.delta <- 0.0;
-        iterations_done := it;
-        (* Every coordinator sees the same combined delta, so they all
-           make the same decision. *)
-        if continue_after it global_delta then iteration (it + 1)
-      in
-      iteration 1;
-      s.stop <- true;
-      notify rt s;
-      List.iter (fun t -> A.Athread.join rt t) workers;
-      List.iter (fun t -> A.Athread.join rt t) pushers;
-      !iterations_done)
-
-(* --- top level ----------------------------------------------------------- *)
-
-let make_section (p : Sor_core.params) ~idx ~ncols ~col0 ~is_first ~is_last =
-  let stride = ncols + 2 in
-  let cells = Array.make ((p.Sor_core.rows + 2) * stride) 0.0 in
-  (* Boundary ring: top/bottom rows, and the global left/right edges for
-     the outermost sections.  Interior ghosts start at the initial value
-     (0), matching the neighbors' initial interiors. *)
-  for c = 0 to ncols + 1 do
-    cells.(c) <- p.Sor_core.top;
-    cells.(((p.Sor_core.rows + 1) * stride) + c) <- p.Sor_core.bottom
-  done;
-  if is_first then
-    for r = 1 to p.Sor_core.rows do
-      cells.(r * stride) <- p.Sor_core.left
-    done;
-  if is_last then
-    for r = 1 to p.Sor_core.rows do
-      cells.((r * stride) + ncols + 1) <- p.Sor_core.right
-    done;
-  {
-    idx;
-    rows = p.Sor_core.rows;
-    ncols;
-    col0;
-    stride;
-    cells;
-    comp_phase = 0;
-    push_phase = 0;
-    interior_release = 0;
-    border_done = 0;
-    workers_done = 0;
-    pushes_done = 0;
-    recv_left = 0;
-    recv_right = 0;
-    delta = 0.0;
-    stop = false;
-    waiters = [];
-  }
-
-let run_mode rt (p : Sor_core.params) ?cfg mode =
-  (match mode with
-  | Fixed n when n <= 0 -> invalid_arg "Sor_amber: iterations"
-  | Converge { eps; max_iters } when eps <= 0.0 || max_iters <= 0 ->
-    invalid_arg "Sor_amber: convergence parameters"
-  | Fixed _ | Converge _ -> ());
+(* Validate [cfg], partition the columns, create the master and the
+   sections on this node and work out each section's node, then hand the
+   grid to [program]: it distributes the sections, runs one coordinator
+   per section and returns their iteration counts. *)
+let execute rt (p : Sor_core.params) ?cfg ~prefix program =
   let cfg = match cfg with Some c -> c | None -> default_cfg rt in
-  if cfg.sections <= 0 || cfg.sections > p.Sor_core.cols then
-    invalid_arg "Sor_amber.run: bad section count";
+  let n = cfg.sections and nodes = A.Runtime.nodes rt in
+  if n <= 0 || n > p.Sor_core.cols then
+    invalid_arg "Sor_amber: bad section count";
+  if cfg.workers_per_section <= 0 then
+    invalid_arg "Sor_amber: workers_per_section must be positive";
+  let place =
+    match cfg.placement with Some f -> f | None -> fun i -> i * nodes / n
+  in
+  let dests = Array.init n place in
+  if Array.exists (fun d -> d < 0 || d >= nodes) dests then
+    invalid_arg "Sor_amber: placement outside the cluster";
   let ctrs = A.Runtime.counters rt in
   let remote0 = ctrs.A.Runtime.remote_invocations in
   let migr0 = ctrs.A.Runtime.thread_migrations in
+  let async0 = ctrs.A.Runtime.async_invocations in
   let t0 = A.Runtime.now rt in
-  let clock () = A.Runtime.now rt in
-  let master_state =
+  let master =
     {
-      parties = cfg.sections;
+      parties = n;
       arrived = 0;
       agg = 0.0;
       waiting = [];
@@ -412,60 +299,28 @@ let run_mode rt (p : Sor_core.params) ?cfg mode =
     }
   in
   let master_obj =
-    A.Runtime.create_object rt ~size:128 ~name:"sor-master" master_state
+    A.Runtime.create_object rt ~size:128 ~name:(prefix ^ "-master") master
   in
   (* Column partitioning: spread the remainder over the first sections. *)
-  let base = p.Sor_core.cols / cfg.sections in
-  let rem = p.Sor_core.cols mod cfg.sections in
-  let widths =
-    Array.init cfg.sections (fun i -> base + (if i < rem then 1 else 0))
-  in
+  let base = p.Sor_core.cols / n and rem = p.Sor_core.cols mod n in
+  let col0 = ref 1 in
   let sec_objs =
-    Array.init cfg.sections (fun i ->
-        let col0 =
-          1
-          + Array.fold_left ( + ) 0 (Array.sub widths 0 i)
+    Array.init n (fun i ->
+        let ncols = base + if i < rem then 1 else 0 in
+        let s =
+          make_section p ~ncols ~col0:!col0 ~is_first:(i = 0)
+            ~is_last:(i = n - 1)
         in
-        let state =
-          make_section p ~idx:i ~ncols:widths.(i) ~col0 ~is_first:(i = 0)
-            ~is_last:(i = cfg.sections - 1)
-        in
-        let size = 8 * Array.length state.cells in
-        A.Runtime.create_object rt ~size
-          ~name:(Printf.sprintf "sor-section%d" i)
-          state)
+        col0 := !col0 + ncols;
+        A.Runtime.create_object rt
+          ~size:(8 * Array.length s.cells)
+          ~name:(Printf.sprintf "%s-section%d" prefix i)
+          s)
   in
-  (* Distribute the sections (explicit placement, §2.3). *)
-  let nodes = A.Runtime.nodes rt in
-  let place =
-    match cfg.placement with
-    | Some f -> f
-    | None -> fun i -> i * nodes / cfg.sections
-  in
-  Array.iteri
-    (fun i obj ->
-      let dest = place i in
-      if dest < 0 || dest >= nodes then
-        invalid_arg "Sor_amber.run: placement outside the cluster";
-      if dest <> 0 then A.Mobility.move_to rt obj ~dest)
-    sec_objs;
-  (* One coordinator thread per section; Start makes it run an operation
-     on the section object, migrating it to the section's node. *)
-  let coords =
-    Array.mapi
-      (fun i _ ->
-        A.Athread.start rt
-          ~name:(Printf.sprintf "sor%d-coord" i)
-          (coordinator_body rt p cfg master_obj clock sec_objs ~mode i))
-      sec_objs
-  in
-  let iteration_counts = Array.map (fun t -> A.Athread.join rt t) coords in
-  let iterations = iteration_counts.(0) in
-  Array.iter
-    (fun n ->
-      if n <> iterations then
-        failwith "Sor_amber: coordinators disagree on iteration count")
-    iteration_counts;
+  let counts = program { cfg; prefix; master_obj; sec_objs; dests } in
+  let iterations = List.hd counts in
+  if List.exists (fun c -> c <> iterations) counts then
+    failwith "Sor_amber: coordinators disagree on iteration count";
   (* Assemble the global interior in row-major order so the checksum is
      bit-identical to the sequential implementation's. *)
   let checksum = ref 0.0 in
@@ -481,13 +336,228 @@ let run_mode rt (p : Sor_core.params) ?cfg mode =
   {
     iterations;
     checksum = !checksum;
-    compute_elapsed = master_state.t_last -. master_state.t_ready;
+    compute_elapsed = master.t_last -. master.t_ready;
     total_elapsed = A.Runtime.now rt -. t0;
     remote_invocations = ctrs.A.Runtime.remote_invocations - remote0;
     thread_migrations = ctrs.A.Runtime.thread_migrations - migr0;
+    async_invocations = ctrs.A.Runtime.async_invocations - async0;
   }
+
+(* Helper threads are created by the coordinator, on the section's node,
+   and are bound to the section by their own invocations. *)
+let start_workers rt p g i =
+  List.init g.cfg.workers_per_section (fun w ->
+      A.Athread.start rt
+        ~name:(Printf.sprintf "%s%d-w%d" g.prefix i w)
+        (worker_body rt p g.cfg g.sec_objs.(i) ~w))
+
+(* Once the ghost values [phase]'s color reads are in place, release the
+   workers onto the border columns and wait for the edges to complete. *)
+let compute_borders rt g s i phase =
+  let has_left = i > 0 and has_right = i < Array.length g.sec_objs - 1 in
+  wait_for rt s (fun () ->
+      ((not has_left) || s.recv_left >= phase - 1)
+      && ((not has_right) || s.recv_right >= phase - 1));
+  s.comp_phase <- phase;
+  notify rt s;
+  wait_for rt s (fun () ->
+      s.border_done >= g.cfg.workers_per_section * phase)
+
+(* --- run: edge-push threads and a synchronous barrier -------------------- *)
+
+(* Push this section's border values of the current color into the
+   neighbor's ghost column: one invocation per phase, edge as payload. *)
+let pusher_body rt g i ~side () =
+  let neighbor_obj =
+    g.sec_objs.(match side with `Left -> i - 1 | `Right -> i + 1)
+  in
+  A.Invoke.invoke rt g.sec_objs.(i) (fun s ->
+      let rec loop next =
+        wait_for rt s (fun () -> s.stop || s.push_phase >= next);
+        if not s.stop then begin
+          let payload, install = capture_edge s ~side next in
+          A.Invoke.invoke rt ~payload neighbor_obj install;
+          s.pushes_done <- s.pushes_done + 1;
+          notify rt s;
+          loop (next + 1)
+        end
+      in
+      loop 1)
+
+type mode = Fixed of int | Converge of { eps : float; max_iters : int }
+
+let coordinator_body rt p g ~mode i () =
+  let has_left = i > 0 and has_right = i < Array.length g.sec_objs - 1 in
+  let n_push = Bool.to_int has_left + Bool.to_int has_right in
+  let nworkers = g.cfg.workers_per_section in
+  A.Invoke.invoke rt g.sec_objs.(i) (fun s ->
+      let workers = start_workers rt p g i in
+      let pusher side suffix =
+        A.Athread.start rt
+          ~name:(Printf.sprintf "%s%d-%s" g.prefix i suffix)
+          (pusher_body rt g i ~side)
+      in
+      (* The right pusher starts first: start order fixes thread ids and
+         the schedule every committed baseline was measured with. *)
+      let right = if has_right then [ pusher `Right "pr" ] else [] in
+      let left = if has_left then [ pusher `Left "pl" ] else [] in
+      (* Setup barrier: timing starts when every section is ready. *)
+      ignore (A.Invoke.invoke rt g.master_obj (report_op rt 0.0) : float);
+      let do_phase phase =
+        compute_borders rt g s i phase;
+        (* Edge values are complete: start the exchange. *)
+        s.push_phase <- phase;
+        notify rt s;
+        if not g.cfg.overlap then
+          (* No overlap: the exchange completes before the interior
+             computation starts. *)
+          wait_for rt s (fun () -> s.pushes_done >= n_push * phase);
+        s.interior_release <- phase;
+        notify rt s;
+        wait_for rt s (fun () ->
+            s.workers_done >= nworkers * phase
+            && s.pushes_done >= n_push * phase)
+      in
+      let rec iterate it =
+        do_phase ((2 * it) - 1);
+        do_phase (2 * it);
+        let global_delta =
+          A.Invoke.invoke rt g.master_obj (report_op rt s.delta)
+        in
+        s.delta <- 0.0;
+        (* Every coordinator sees the same combined delta, so they all
+           make the same decision. *)
+        let again =
+          match mode with
+          | Fixed n -> it < n
+          | Converge { eps; max_iters } -> global_delta >= eps && it < max_iters
+        in
+        if again then iterate (it + 1) else it
+      in
+      let iterations = iterate 1 in
+      s.stop <- true;
+      notify rt s;
+      List.iter (fun t -> A.Athread.join rt t) workers;
+      List.iter (fun t -> A.Athread.join rt t) (left @ right);
+      iterations)
+
+let run_mode rt p ?cfg mode =
+  (match mode with
+  | Fixed n when n <= 0 -> invalid_arg "Sor_amber: iterations"
+  | Converge { eps; max_iters } when eps <= 0.0 || max_iters <= 0 ->
+    invalid_arg "Sor_amber: convergence parameters"
+  | Fixed _ | Converge _ -> ());
+  execute rt p ?cfg ~prefix:"sor" (fun g ->
+      (* Distribute the sections (explicit placement, §2.3), one blocking
+         move at a time. *)
+      Array.iteri
+        (fun i obj ->
+          if g.dests.(i) <> 0 then A.Mobility.move_to rt obj ~dest:g.dests.(i))
+        g.sec_objs;
+      (* One coordinator thread per section; Start makes it run an
+         operation on the section object, migrating it to the section's
+         node. *)
+      let coords =
+        Array.mapi
+          (fun i _ ->
+            A.Athread.start rt
+              ~name:(Printf.sprintf "%s%d-coord" g.prefix i)
+              (coordinator_body rt p g ~mode i))
+          g.sec_objs
+      in
+      Array.to_list (Array.map (fun t -> A.Athread.join rt t) coords))
 
 let run rt p ?cfg ~iters () = run_mode rt p ?cfg (Fixed iters)
 
 let run_to_convergence rt p ?cfg ~eps ~max_iters () =
   run_mode rt p ?cfg (Converge { eps; max_iters })
+
+(* --- run_pipelined: async edge pushes and a pipelined barrier ------------ *)
+
+let pipelined_op rt p g ~iters i s =
+  let has_left = i > 0 and has_right = i < Array.length g.sec_objs - 1 in
+  let nworkers = g.cfg.workers_per_section in
+  let workers = start_workers rt p g i in
+  (* Setup barrier stays synchronous: timing starts when every section is
+     ready. *)
+  ignore (A.Invoke.invoke rt g.master_obj (report_op rt 0.0) : float);
+  (* Per-side depth-1 pipeline state. *)
+  let prev_left = ref None and prev_right = ref None in
+  let prev_report = ref None in
+  let drain prev = Option.iter (fun f -> ignore (A.Future.await rt f)) !prev in
+  let push_edge side phase =
+    let prev, nb =
+      match side with
+      | `Left -> (prev_left, i - 1)
+      | `Right -> (prev_right, i + 1)
+    in
+    (* Serialize same-side installs: only after the previous push landed
+       may a newer one overwrite the neighbor's ghost slots, keeping the
+       recv_* max-gating truthful. *)
+    drain prev;
+    let payload, install = capture_edge s ~side phase in
+    prev := Some (A.Future.invoke_async rt ~payload g.sec_objs.(nb) install)
+  in
+  let do_phase phase =
+    compute_borders rt g s i phase;
+    (* Edges complete: ship them without blocking the interior. *)
+    if has_left then push_edge `Left phase;
+    if has_right then push_edge `Right phase;
+    if not g.cfg.overlap then begin
+      (* Degenerate (diagnostic) mode: drain the exchange before the
+         interior, like [run] with overlap off. *)
+      drain prev_left;
+      drain prev_right
+    end;
+    s.interior_release <- phase;
+    notify rt s;
+    wait_for rt s (fun () -> s.workers_done >= nworkers * phase)
+  in
+  for it = 1 to iters do
+    do_phase ((2 * it) - 1);
+    do_phase (2 * it);
+    let delta = s.delta in
+    s.delta <- 0.0;
+    (* Pipelined convergence barrier: overlap round [it] against the next
+       iteration's compute, awaiting it only before joining round
+       [it + 1] — so rounds never interleave at the master. *)
+    drain prev_report;
+    prev_report :=
+      Some (A.Future.invoke_async rt g.master_obj (report_op rt delta))
+  done;
+  (* Drain the pipeline before tearing the section down. *)
+  drain prev_left;
+  drain prev_right;
+  drain prev_report;
+  s.stop <- true;
+  notify rt s;
+  ignore (A.Athread.join_all rt workers : unit list);
+  iters
+
+let run_pipelined rt p ?cfg ~iters () =
+  if iters <= 0 then invalid_arg "Sor_amber: iterations";
+  execute rt p ?cfg ~prefix:"sorp" (fun g ->
+      (* Overlapped distribution: each move runs on its own helper thread,
+         so the transfer latencies overlap and setup costs roughly one
+         move plus the shared-wire serialization instead of their sum. *)
+      let movers =
+        List.filter_map
+          (fun i ->
+            let dest = g.dests.(i) in
+            if dest = 0 then None
+            else
+              Some
+                (A.Athread.start rt
+                   ~name:(Printf.sprintf "%s%d-mover" g.prefix i)
+                   (fun () -> A.Mobility.move_to rt g.sec_objs.(i) ~dest)))
+          (List.init (Array.length g.sec_objs) Fun.id)
+      in
+      ignore (A.Athread.join_all rt movers : unit list);
+      (* Each coordinator is itself an asynchronous invocation on its
+         section.  Joining a thread that migrated away pays a locate chase
+         over its forwarding chain (§3.4), whereas a future resolves home
+         with a single notify datagram. *)
+      A.Future.await_all rt
+        (List.init (Array.length g.sec_objs) (fun i ->
+             A.Future.invoke_async rt g.sec_objs.(i)
+               (pipelined_op rt p g ~iters i))))

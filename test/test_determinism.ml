@@ -96,7 +96,9 @@ let async_sor_digest seed =
         Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:16
           ~cols:64
       in
-      ignore (Workloads.Sor_pipe.run rt p ~iters:4 () : Workloads.Sor_pipe.result))
+      ignore
+        (Workloads.Sor_amber.run_pipelined rt p ~iters:4 ()
+          : Workloads.Sor_amber.result))
 
 let sweep name digest_of =
   List.iter

@@ -393,7 +393,7 @@ let test_join_all_collects_and_types () =
 
 (* --- pipelined SOR: bit-identical numerics ---------------------------------- *)
 
-let test_sor_pipe_matches_sync () =
+let test_sor_pipelined_matches_sync () =
   let p =
     Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:16 ~cols:64
   in
@@ -401,31 +401,32 @@ let test_sor_pipe_matches_sync () =
       Workloads.Sor_amber.run rt p ~iters:4 ())
   in
   let pipe = Util.run ~nodes:4 ~cpus:2 (fun rt ->
-      Workloads.Sor_pipe.run rt p ~iters:4 ())
+      Workloads.Sor_amber.run_pipelined rt p ~iters:4 ())
   in
   Util.check_float "checksum bit-identical"
-    sync.Workloads.Sor_amber.checksum pipe.Workloads.Sor_pipe.checksum;
+    sync.Workloads.Sor_amber.checksum pipe.Workloads.Sor_amber.checksum;
   Alcotest.(check int) "same iteration count" 4
-    pipe.Workloads.Sor_pipe.iterations;
+    pipe.Workloads.Sor_amber.iterations;
   Alcotest.(check bool) "futures actually used" true
-    (pipe.Workloads.Sor_pipe.async_invocations > 0)
+    (pipe.Workloads.Sor_amber.async_invocations > 0)
 
-let test_sor_pipe_faulted_checksum_stable () =
+let test_sor_pipelined_faulted_checksum_stable () =
   let p =
     Workloads.Sor_core.with_size Workloads.Sor_core.default ~rows:16 ~cols:64
   in
   let clean = Util.run ~nodes:4 ~cpus:2 (fun rt ->
-      Workloads.Sor_pipe.run rt p ~iters:4 ())
+      Workloads.Sor_amber.run_pipelined rt p ~iters:4 ())
   in
   let cfg =
     A.Config.make ~nodes:4 ~cpus:2 ~seed:7L ~faults
       ~coalesce:Topaz.Rpc.default_coalesce ()
   in
   let lossy =
-    A.Cluster.run_value cfg (fun rt -> Workloads.Sor_pipe.run rt p ~iters:4 ())
+    A.Cluster.run_value cfg (fun rt ->
+        Workloads.Sor_amber.run_pipelined rt p ~iters:4 ())
   in
   Util.check_float "checksum invariant under loss + coalescing"
-    clean.Workloads.Sor_pipe.checksum lossy.Workloads.Sor_pipe.checksum
+    clean.Workloads.Sor_amber.checksum lossy.Workloads.Sor_amber.checksum
 
 let suite =
   [
@@ -454,7 +455,7 @@ let suite =
     Alcotest.test_case "join_all types its failures" `Quick
       test_join_all_collects_and_types;
     Alcotest.test_case "pipelined SOR matches sync checksum" `Quick
-      test_sor_pipe_matches_sync;
+      test_sor_pipelined_matches_sync;
     Alcotest.test_case "pipelined SOR stable under faults" `Quick
-      test_sor_pipe_faulted_checksum_stable;
+      test_sor_pipelined_faulted_checksum_stable;
   ]

@@ -29,7 +29,8 @@ let workloads =
   let w ?(nodes = 3) ?faults name body = { name; nodes; faults; body } in
   [
     w "sor amber" (fun rt -> ignore (W.Sor_amber.run rt grid ~iters:3 ()));
-    w "sor async" (fun rt -> ignore (W.Sor_pipe.run rt grid ~iters:3 ()));
+    w "sor async" (fun rt ->
+        ignore (W.Sor_amber.run_pipelined rt grid ~iters:3 ()));
     w "sor ivy" (fun rt -> ignore (W.Sor_ivy.run rt grid ~iters:3 ()));
     w "sor seq" (fun rt -> ignore (W.Sor_seq.run rt grid ~iters:3));
     w "workqueue" (fun rt ->
@@ -182,6 +183,22 @@ let test_cli_usage_errors () =
       [ "sor"; "--system"; "seq"; "--balance"; "hybrid" ];
       [ "sor"; "--system"; "ivy"; "--steal" ];
       [ "trace"; "--category"; "move" ];
+      [ "sor"; "--sections"; "0" ];
+      [ "sor"; "--sections"; "5000"; "--rows"; "4"; "--cols"; "8" ];
+      [ "sor"; "-n"; "4"; "--cols"; "4" ];
+      [ "sor"; "--rows"; "0" ];
+      [ "sor"; "--cols"; "0" ];
+      [ "sor"; "--iters"; "0" ];
+      [ "sor"; "--system"; "seq"; "--iters"; "0" ];
+      [ "sor"; "--system"; "ivy"; "--iters"; "0" ];
+      [ "workqueue"; "--items"; "0" ];
+      [ "workqueue"; "--batch"; "0" ];
+      [ "workqueue"; "--workers"; "0" ];
+      [ "matmul"; "--size"; "0" ];
+      [ "matmul"; "--block"; "0" ];
+      [ "matmul"; "--size"; "10"; "--block"; "4" ];
+      [ "tsp"; "--cities"; "2" ];
+      [ "tsp"; "--cities"; "20" ];
     ]
 
 (* Under --report the profile and sanitizer sections print inside the

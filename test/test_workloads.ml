@@ -49,33 +49,90 @@ let test_seq_matches_reference () =
     (W.Sor_seq.predicted_elapsed p ~iters:5)
     r.W.Sor_seq.compute_elapsed
 
-let check_amber_exact ~nodes ~cpus ~sections ~overlap p iters =
+(* The two Amber SOR programs: edge-push threads with a synchronous
+   barrier, and futures with a pipelined one. *)
+type program =
+  string
+  * (Amber.Runtime.t ->
+    W.Sor_core.params ->
+    ?cfg:W.Sor_amber.cfg ->
+    iters:int ->
+    unit ->
+    W.Sor_amber.result)
+
+let sync : program = ("run", W.Sor_amber.run)
+let pipelined : program = ("run_pipelined", W.Sor_amber.run_pipelined)
+let programs = [ sync; pipelined ]
+
+let check_amber_exact ~nodes ~cpus ~sections ~overlap p iters
+    ((name, run) : program) =
   let want = W.Sor_core.Full_grid.checksum (W.Sor_core.reference p ~iters) in
   let r =
     Util.run ~nodes ~cpus (fun rt ->
         let c = W.Sor_amber.default_cfg rt in
-        W.Sor_amber.run rt p
-          ~cfg:{ c with W.Sor_amber.sections; overlap }
-          ~iters ())
+        run rt p ~cfg:{ c with W.Sor_amber.sections; overlap } ~iters ())
   in
-  Alcotest.(check (float 0.0)) "bit-identical" want r.W.Sor_amber.checksum
+  Alcotest.(check (float 0.0))
+    (name ^ " bit-identical")
+    want r.W.Sor_amber.checksum
 
 let test_amber_sor_exact_overlap () =
-  check_amber_exact ~nodes:4 ~cpus:2 ~sections:6 ~overlap:true
-    (sor_params 18 50) 6
+  List.iter
+    (check_amber_exact ~nodes:4 ~cpus:2 ~sections:6 ~overlap:true
+       (sor_params 18 50) 6)
+    programs
 
 let test_amber_sor_exact_no_overlap () =
-  check_amber_exact ~nodes:4 ~cpus:2 ~sections:6 ~overlap:false
-    (sor_params 18 50) 6
+  List.iter
+    (check_amber_exact ~nodes:4 ~cpus:2 ~sections:6 ~overlap:false
+       (sor_params 18 50) 6)
+    programs
 
 let test_amber_sor_narrow_sections () =
   (* One column per section: every column is a border. *)
-  check_amber_exact ~nodes:3 ~cpus:1 ~sections:9 ~overlap:true
-    (sor_params 7 9) 4
+  List.iter
+    (check_amber_exact ~nodes:3 ~cpus:1 ~sections:9 ~overlap:true
+       (sor_params 7 9) 4)
+    programs
 
 let test_amber_sor_single_section () =
-  check_amber_exact ~nodes:1 ~cpus:4 ~sections:1 ~overlap:true
-    (sor_params 10 16) 5
+  List.iter
+    (check_amber_exact ~nodes:1 ~cpus:4 ~sections:1 ~overlap:true
+       (sor_params 10 16) 5)
+    programs
+
+(* A configuration the program cannot run is refused before any object
+   is created or moved and before any thread starts.  Zero workers used
+   to update no point at all and return checksum 0. *)
+let test_amber_sor_rejects_bad_cfg ((name, run) : program) () =
+  let p = sor_params 6 12 in
+  Util.run ~nodes:2 ~cpus:2 (fun rt ->
+      let c = W.Sor_amber.default_cfg rt in
+      let ctrs = Amber.Runtime.counters rt in
+      let footprint () =
+        Amber.Runtime.
+          (ctrs.objects_created, ctrs.object_moves, ctrs.threads_started)
+      in
+      List.iter
+        (fun (what, cfg) ->
+          let before = footprint () in
+          (match run rt p ~cfg ~iters:3 () with
+          | r ->
+            Alcotest.failf "%s accepted %s (checksum %g)" name what
+              r.W.Sor_amber.checksum
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "%s: %s leaves no trace" name what)
+            before (footprint ()))
+        [
+          ("zero workers", { c with W.Sor_amber.workers_per_section = 0 });
+          ( "a section off the cluster",
+            {
+              c with
+              W.Sor_amber.placement =
+                Some (fun i -> if i = c.W.Sor_amber.sections - 1 then 2 else 1);
+            } );
+        ])
 
 let test_amber_sor_speedup_shape () =
   (* A mid-size grid must show: multi-node beats single-CPU, and the
@@ -243,10 +300,13 @@ let test_matmul_replication_pays_off () =
     (fast.W.Matmul.remote_invocations < slow.W.Matmul.remote_invocations)
 
 let prop_sor_amber_matches_reference =
-  QCheck.Test.make ~name:"Amber SOR ≡ reference on random configs" ~count:8
+  QCheck.Test.make ~name:"Amber SOR ≡ reference on random configs" ~count:16
     QCheck.(
-      quad (int_range 4 16) (int_range 6 30) (int_range 1 6) (int_range 1 4))
-    (fun (rows, cols, sections, iters) ->
+      pair
+        (make ~print:fst (Gen.oneofl programs))
+        (quad (int_range 4 16) (int_range 6 30) (int_range 1 6)
+           (int_range 1 4)))
+    (fun (((_, run) : program), (rows, cols, sections, iters)) ->
       let sections = min sections cols in
       let p = sor_params rows cols in
       let want =
@@ -255,9 +315,7 @@ let prop_sor_amber_matches_reference =
       let r =
         Util.run ~nodes:2 ~cpus:2 (fun rt ->
             let c = W.Sor_amber.default_cfg rt in
-            W.Sor_amber.run rt p
-              ~cfg:{ c with W.Sor_amber.sections }
-              ~iters ())
+            run rt p ~cfg:{ c with W.Sor_amber.sections } ~iters ())
       in
       r.W.Sor_amber.checksum = want)
 
@@ -276,6 +334,11 @@ let suite =
       test_amber_sor_narrow_sections;
     Alcotest.test_case "Amber SOR single section" `Quick
       test_amber_sor_single_section;
+    Alcotest.test_case "Amber SOR run rejects a bad cfg up front" `Quick
+      (test_amber_sor_rejects_bad_cfg sync);
+    Alcotest.test_case "Amber SOR run_pipelined rejects a bad cfg up front"
+      `Quick
+      (test_amber_sor_rejects_bad_cfg pipelined);
     Alcotest.test_case "Amber SOR speedup shape" `Slow
       test_amber_sor_speedup_shape;
     Alcotest.test_case "overlap beats no-overlap" `Slow

@@ -1,4 +1,4 @@
-(* Task, Kthread, Name_service, Remote_exec. *)
+(* Task, Kthread. *)
 
 let build () =
   let e = Sim.Engine.create () in
@@ -57,35 +57,6 @@ let test_kthread_sleep () =
   ignore (Sim.Engine.run e);
   Alcotest.(check (float 1e-9)) "slept" 2.5 !woke
 
-let test_name_service () =
-  let ns = Topaz.Name_service.create () in
-  Topaz.Name_service.register ns "as-server" 0;
-  Topaz.Name_service.register ns "master" 3;
-  Alcotest.(check int) "lookup" 3 (Topaz.Name_service.lookup ns "master");
-  Alcotest.(check (option int)) "missing" None
-    (Topaz.Name_service.lookup_opt ns "nope");
-  Alcotest.check_raises "not found" Not_found (fun () ->
-      ignore (Topaz.Name_service.lookup ns "nope"));
-  Alcotest.(check int) "names" 2 (List.length (Topaz.Name_service.names ns))
-
-let test_remote_exec () =
-  let e = Sim.Engine.create () in
-  let machines =
-    Array.init 3 (fun id -> Hw.Machine.create ~engine:e ~id ~cpus:1 ())
-  in
-  let tasks = Array.map (fun m -> Topaz.Task.create ~machine:m ()) machines in
-  let inited = ref [] in
-  let main_ran_at = ref (-1.0) in
-  ignore
-    (Topaz.Remote_exec.start_all tasks ~startup_latency:1e-3
-       ~init:(fun task -> inited := Topaz.Task.node task :: !inited)
-       ~main:(fun () -> main_ran_at := Sim.Engine.now e)
-       ());
-  ignore (Sim.Engine.run e);
-  Alcotest.(check (list int)) "all nodes initialized" [ 0; 1; 2 ]
-    (List.sort compare !inited);
-  Alcotest.(check bool) "main ran after all inits" true (!main_ran_at >= 3e-3)
-
 let suite =
   [
     Alcotest.test_case "task spawn bookkeeping" `Quick test_task_spawn_counts;
@@ -93,6 +64,4 @@ let suite =
     Alcotest.test_case "join of finished thread" `Quick
       test_kthread_join_finished;
     Alcotest.test_case "sleep" `Quick test_kthread_sleep;
-    Alcotest.test_case "name service" `Quick test_name_service;
-    Alcotest.test_case "remote exec starts all nodes" `Quick test_remote_exec;
   ]

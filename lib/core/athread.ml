@@ -31,11 +31,14 @@ let start_on rt ~node ?(name = "thread") ?priority body =
     let r = body () in
     result := Some r
   in
+  (* Allocate the thread segment before the child exists: an allocation
+     that grows the heap blocks on an address-space-server RPC, and a
+     child spawned first would run unregistered meanwhile. *)
+  let taddr = Vaspace.Heap.alloc (Runtime.heap rt node) thread_segment_bytes in
+  Descriptor.set_resident (Runtime.descriptors rt node) taddr;
   let tcb =
     Topaz.Task.spawn (Runtime.task rt node) ~name ?priority body_wrapped
   in
-  let taddr = Vaspace.Heap.alloc (Runtime.heap rt node) thread_segment_bytes in
-  Descriptor.set_resident (Runtime.descriptors rt node) taddr;
   let ts =
     {
       Runtime.tcb;

@@ -177,6 +177,37 @@ let test_scheduler_name () =
       Alcotest.(check string) "replaced" "lifo"
         (A.Scheduler.current rt ~node:0))
 
+(* A thread segment whose allocation grows the heap by an address-space
+   RPC must not leave the child running unregistered: its first
+   [Runtime.current] used to fail.  Start threads on node 1 until its
+   heap has taken one grant beyond the initial regions. *)
+let test_start_on_through_heap_growth () =
+  let started, regions =
+    Util.run (fun rt ->
+        let anchor = A.Api.create rt ~name:"anchor" () in
+        A.Api.move_to rt anchor ~dest:1;
+        let heap = A.Runtime.heap rt 1 in
+        let initial =
+          (A.Runtime.config rt).A.Config.initial_regions_per_node
+        in
+        A.Api.invoke rt anchor (fun () ->
+            let started = ref 0 in
+            while
+              List.length (Vaspace.Heap.regions heap) <= initial
+              && !started < 5000
+            do
+              let t =
+                A.Api.start rt (fun () ->
+                    ignore (A.Runtime.current rt : A.Runtime.tstate))
+              in
+              A.Api.join rt t;
+              incr started
+            done;
+            (!started, List.length (Vaspace.Heap.regions heap) - initial)))
+  in
+  Alcotest.(check int) "one grant beyond the initial regions" 1 regions;
+  Alcotest.(check bool) "took hundreds of threads" true (started > 100)
+
 let suite =
   [
     Alcotest.test_case "start/join result" `Quick test_start_join_result;
@@ -200,4 +231,6 @@ let suite =
     Alcotest.test_case "priority scheduler replacement" `Quick
       test_priority_scheduling;
     Alcotest.test_case "scheduler introspection" `Quick test_scheduler_name;
+    Alcotest.test_case "start_on through heap growth" `Quick
+      test_start_on_through_heap_growth;
   ]

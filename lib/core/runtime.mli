@@ -290,7 +290,10 @@ val node_is_up : t -> int -> bool
     they mean to kill — under the checker's chooser a time-scheduled
     crash may fire at any point, which makes "crash after the move
     completed" unreachable by timestamp alone.  Must not be called from
-    a thread living on [node]. *)
+    a thread living on [node].  Raises [Invalid_argument] on the plain
+    transport ({!Topaz.Rpc.reliable_mode} false), which has no
+    peer-death detection: set {!Config.rpc_reliable}, or configure
+    crashes or faults. *)
 val fail_stop : t -> node:int -> unit
 
 (** Addresses registered as permanently lost by fail-stop recovery

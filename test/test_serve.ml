@@ -275,6 +275,40 @@ let test_crash_resolves_failed () =
   Alcotest.(check int) "accounting closes across a crash" r.Serve.issued
     (r.Serve.completed + r.Serve.rejected + r.Serve.failed)
 
+(* The CLI's fail-stop run, end to end: every request of every class
+   resolves exactly once, and the run ends before the drain deadline
+   (duration + 2 s grace).  A post toward the corpse used to retransmit
+   for its whole budget; the deadline counted it failed, then its late
+   give-up counted it failed again. *)
+let test_cli_fail_stop_classes_close () =
+  let status, lines =
+    Util.cli
+      [ "serve"; "--nodes"; "4"; "--cpus"; "4"; "--rps"; "400"; "--duration";
+        "0.5"; "--sim-seed"; "42"; "--crash"; "2@0.2" ]
+  in
+  Alcotest.(check int) "exit 0" 0 status;
+  let scan fmt f l = try Some (Scanf.sscanf l fmt f) with _ -> None in
+  let classes =
+    List.filter_map
+      (scan "  %s issued %d, ok %d, rej %d, fail %d%!" (fun c i o r f ->
+           (c, i, o + r + f)))
+      lines
+  in
+  Alcotest.(check int) "three class lines" 3 (List.length classes);
+  List.iter
+    (fun (c, issued, resolved) ->
+      Alcotest.(check int) (c ^ ": ok + rej + fail = issued") issued resolved)
+    classes;
+  match
+    List.filter_map
+      (scan "serve (%_[^)]): issued %_d, completed %_d, rejected %_d, failed \
+             %_d in %f virtual s" Fun.id)
+      lines
+  with
+  | [ elapsed ] ->
+    Alcotest.(check bool) "ends before the drain deadline" true (elapsed < 2.5)
+  | _ -> Alcotest.fail "no summary line"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_generator_deterministic;
@@ -300,4 +334,6 @@ let suite =
       test_typed_rejection;
     Alcotest.test_case "crash mid-window resolves as failures, not hangs"
       `Quick test_crash_resolves_failed;
+    Alcotest.test_case "cli fail-stop run: every class closes" `Quick
+      test_cli_fail_stop_classes_close;
   ]

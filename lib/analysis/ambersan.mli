@@ -1,12 +1,12 @@
 (** AmberSan: happens-before race detector and coherence sanitizer for
     the Amber object space.
 
-    The sanitizer observes the runtime through the {!San_hooks}
-    instrumentation points and maintains vector clocks per thread and per
-    object.  Happens-before edges come from thread [Start]/[Join], lock
-    and spinlock release→acquire, barrier generations, condition-variable
-    signal→wakeup, and (trivially, via program order) thread migration.
-    It reports:
+    The sanitizer consumes the runtime's {!San_hooks} event stream and
+    maintains vector clocks per thread and per object.  Happens-before
+    edges come from thread start/join, lock and spinlock
+    release→acquire, barrier generations, condition-variable
+    signal→wakeup, future resolve→await, steals, and (trivially, via
+    program order) thread migration.  It reports:
 
     - {b data races}: two accesses to the same object, from different
       threads, not ordered by the happens-before relation, at least one
@@ -18,63 +18,19 @@
     - {b deadlock potential}: cycles in the lock-order graph (an edge
       [a → b] each time a thread acquires [b] while holding [a]);
     - {b coherence drift}: {!Audit} invariant violations, checked
-      continuously at move quiescence and exhaustively at {!finalize}.
+      continuously at move quiescence and exhaustively at {!finalize},
+      over the runtime's own table of live objects ({!Runtime.objects}).
 
-    Every hook also records its event as a ["san"] mark in the runtime's
-    span collector ({!Sim.Span.mark}, kept only while marks are on), and
+    Every event it analyzes is also recorded as a ["san"] mark in the
+    runtime's span collector ({!Sim.Span.mark} of
+    {!San_hooks.Event.to_string}, kept only while marks are on), and
     attaching with [analyze:false] only records, for offline
-    {!lint_trace}.
-    Hooks never charge virtual time, so a sanitized run is bit-identical
-    to a bare one. *)
+    {!lint_trace}.  Two kinds are never recorded: the move events, which
+    only drive the move-quiescence audit, and accesses to
+    synchronization objects.  The sanitizer never charges virtual time,
+    so a sanitized run is bit-identical to a bare one. *)
 
 open Amber
-
-(** {1 Events}
-
-    The observed event stream, with a stable one-line text codec used for
-    marks so a recorded run can be linted offline. *)
-
-module Event : sig
-  type barrier_phase = Arrive | Release | Resume
-
-  type t =
-    | Thread_start of { parent : int; child : int }
-        (** [parent = -1] when the spawner is not an Amber thread *)
-    | Thread_join of { parent : int; child : int }
-    | Migrate of { tid : int; src : int; dst : int }
-    | Object_created of { addr : int; name : string }
-    | Object_destroyed of { addr : int }
-    | Sync_created of { addr : int; kind : string }
-    | Access of { tid : int; addr : int; mode : San_hooks.mode }
-    | Access_end of { tid : int; addr : int }
-    | Lock_acquired of { tid : int; addr : int }
-    | Lock_released of { tid : int; addr : int }
-    | Barrier of { tid : int; addr : int; gen : int; phase : barrier_phase }
-    | Cond_signal of { tid : int; token : int }
-    | Cond_wake of { tid : int; token : int }
-    | Replica_read of { tid : int; addr : int; node : int; epoch : int }
-        (** a Read invocation served from the replica snapshot on [node];
-            checked online against the object's replica set and epoch *)
-    | Steal of { by : int; tid : int; victim : int; thief : int }
-        (** the balancer's stealer (agent thread [by], [-1] outside a
-            fiber) dequeued runnable thread [tid] from node [victim]'s
-            ready queue and shipped it to node [thief].  Happens-before
-            edge: the dequeue at the victim precedes the stolen thread's
-            next run, so [by]'s clock joins into [tid]'s. *)
-    | Future_resolve of { tid : int; id : int }
-        (** the helper thread [tid] carrying async invocation [id]
-            resolved its future; like a condition signal, the resolver's
-            clock is published under the future id *)
-    | Future_await of { tid : int; id : int }
-        (** thread [tid] observed future [id] resolved in [Future.await]
-            and joins the stored resolve clock — the happens-before edge
-            resolve → await *)
-
-  val to_string : t -> string
-
-  (** Inverse of {!to_string}; [None] on anything unrecognized. *)
-  val of_string : string -> t option
-end
 
 (** {1 Findings} *)
 
@@ -130,7 +86,7 @@ val finalize : t -> report
 (** Replay a recorded event stream through the same engine; coherence
     auditing needs the live runtime, so an offline report carries races
     and lock-order cycles only. *)
-val lint_events : Event.t list -> report
+val lint_events : San_hooks.Event.t list -> report
 
 (** [lint_trace marks] lints the ["san"] marks of a recorded run
     ({!Sim.Span.marks}). *)

@@ -21,10 +21,11 @@
      scheduler events (dispatch/chunk order is that node's ready-queue
      state);
    - {e dynamic} keys observed while the chosen alternative executes,
-     harvested from the AmberSan instrumentation hooks (same-object
-     invokes [obj:<addr>], same-lock acquires [lock:<addr>],
-     same-thread lifecycle [tcb:<tid>], future resolve/await
-     [fut:<id>] — the sanitizer's happens-before vocabulary).  Dynamic
+     mapped from the {!San_hooks} event stream by [recording_hooks]
+     (same-object invokes [obj:<addr>], same-lock acquires
+     [lock:<addr>], condition signal/wake [cond:<token>], same-thread
+     lifecycle [tcb:<tid>], future resolve/await [fut:<id>] — the
+     sanitizer's happens-before vocabulary).  Dynamic
      keys are what make the reduction sound across nodes: a fiber
      decision carries no static key at all and commutes with everything
      it did not observably touch.
@@ -231,7 +232,14 @@ let steal_fixture =
                | Some tcb ->
                  Hw.Machine.park tcb;
                  Runtime.with_san rt (fun h ->
-                     h.San_hooks.on_steal ~tcb ~victim:0 ~thief:1);
+                     h
+                       (San_hooks.Event.Steal
+                          {
+                            by = San_hooks.self_tid ();
+                            tid = Hw.Machine.tcb_id tcb;
+                            victim = 0;
+                            thief = 1;
+                          }));
                  let ctrs = Runtime.counters rt in
                  ctrs.Runtime.threads_stolen <-
                    ctrs.Runtime.threads_stolen + 1;
@@ -488,100 +496,39 @@ let conflict ka kb =
 (* Sanitizer-hook recorder: dynamic conflict keys                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Wrap the attached AmberSan hooks so that every instrumentation event
+(* Wrap the attached AmberSan hook so that every instrumentation event
    also reports its subject as a dynamic conflict key of the
    currently-executing decision, and future resolutions are counted for
-   the all-futures-resolved invariant. *)
+   the all-futures-resolved invariant.  Sync-object accesses keep their
+   [obj:] key although AmberSan drops them. *)
 let recording_hooks eng ~resolved (h : San_hooks.t) : San_hooks.t =
   let note fmt = Printf.ksprintf (Sim.Engine.note_access eng) fmt in
-  let obj o = note "obj:%d" (Aobject.addr_of_any o) in
-  {
-    San_hooks.on_thread_start =
-      (fun ~parent ~child ->
-        note "tcb:%d" (Hw.Machine.tcb_id child);
-        h.San_hooks.on_thread_start ~parent ~child);
-    on_thread_join =
-      (fun ~child ->
-        note "tcb:%d" (Hw.Machine.tcb_id child);
-        h.San_hooks.on_thread_join ~child);
-    on_migrate =
-      (fun ~tcb ~src ~dst ->
-        note "tcb:%d" (Hw.Machine.tcb_id tcb);
-        h.San_hooks.on_migrate ~tcb ~src ~dst);
-    on_object_created =
-      (fun o ->
-        obj o;
-        h.San_hooks.on_object_created o);
-    on_object_destroyed =
-      (fun ~addr ->
-        note "obj:%d" addr;
-        h.San_hooks.on_object_destroyed ~addr);
-    on_sync_created =
-      (fun ~addr ~kind ->
-        note "lock:%d" addr;
-        h.San_hooks.on_sync_created ~addr ~kind);
-    on_access =
-      (fun o m ->
-        obj o;
-        h.San_hooks.on_access o m);
-    on_access_end =
-      (fun o ->
-        obj o;
-        h.San_hooks.on_access_end o);
-    on_lock_acquired =
-      (fun ~addr ~name ->
-        note "lock:%d" addr;
-        h.San_hooks.on_lock_acquired ~addr ~name);
-    on_lock_released =
-      (fun ~addr ->
-        note "lock:%d" addr;
-        h.San_hooks.on_lock_released ~addr);
-    on_barrier_arrive =
-      (fun ~addr ~gen ->
-        note "lock:%d" addr;
-        h.San_hooks.on_barrier_arrive ~addr ~gen);
-    on_barrier_release =
-      (fun ~addr ~gen ->
-        note "lock:%d" addr;
-        h.San_hooks.on_barrier_release ~addr ~gen);
-    on_barrier_resume =
-      (fun ~addr ~gen ->
-        note "lock:%d" addr;
-        h.San_hooks.on_barrier_resume ~addr ~gen);
-    on_cond_signal =
-      (fun ~token ->
-        note "cond:%d" token;
-        h.San_hooks.on_cond_signal ~token);
-    on_cond_wake =
-      (fun ~token ->
-        note "cond:%d" token;
-        h.San_hooks.on_cond_wake ~token);
-    on_move_begin =
-      (fun ~addr ->
-        note "obj:%d" addr;
-        h.San_hooks.on_move_begin ~addr);
-    on_move_end =
-      (fun o ->
-        obj o;
-        h.San_hooks.on_move_end o);
-    on_replica_read =
-      (fun o ~node ~epoch ->
-        obj o;
-        h.San_hooks.on_replica_read o ~node ~epoch);
-    on_steal =
-      (fun ~tcb ~victim ~thief ->
-        note "tcb:%d" (Hw.Machine.tcb_id tcb);
-        h.San_hooks.on_steal ~tcb ~victim ~thief);
-    on_future_resolve =
-      (fun ~id ->
-        incr resolved;
-        note "fut:%d" id;
-        h.San_hooks.on_future_resolve ~id);
-    on_future_await =
-      (fun ~id ->
-        note "fut:%d" id;
-        h.San_hooks.on_future_await ~id);
-  }
+  fun ev ->
+    (match ev with
+    | San_hooks.Event.Thread_start { child = tid; _ }
+    | Thread_join { child = tid; _ }
+    | Migrate { tid; _ }
+    | Steal { tid; _ } ->
+      note "tcb:%d" tid
+    | Object_created { addr; _ }
+    | Object_destroyed { addr }
+    | Access { addr; _ }
+    | Access_end { addr; _ }
+    | Move_begin { addr }
+    | Move_end { addr }
+    | Replica_read { addr; _ } ->
+      note "obj:%d" addr
+    | Sync_created { addr; _ }
+    | Lock_acquired { addr; _ }
+    | Lock_released { addr; _ }
+    | Barrier { addr; _ } ->
+      note "lock:%d" addr
+    | Cond_signal { token; _ } | Cond_wake { token; _ } -> note "cond:%d" token
+    | Future_resolve { id; _ } ->
+      incr resolved;
+      note "fut:%d" id
+    | Future_await { id; _ } -> note "fut:%d" id);
+    h ev
 
 (* ------------------------------------------------------------------ *)
 (* One controlled execution                                            *)

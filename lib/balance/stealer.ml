@@ -38,7 +38,14 @@ let grab t ~victim ~thief =
          migration flight can transfer and wake it at the thief. *)
       Hw.Machine.park tcb;
       A.Runtime.with_san rt (fun h ->
-          h.A.San_hooks.on_steal ~tcb ~victim ~thief);
+          h
+            (A.San_hooks.Event.Steal
+               {
+                 by = A.San_hooks.self_tid ();
+                 tid = Hw.Machine.tcb_id tcb;
+                 victim;
+                 thief;
+               }));
       let ctrs = A.Runtime.counters rt in
       ctrs.A.Runtime.threads_stolen <- ctrs.A.Runtime.threads_stolen + 1;
       Sim.Span.with_span (A.Runtime.spans rt) Sim.Span.Steal

@@ -52,7 +52,9 @@ let start_on rt ~node ?(name = "thread") ?priority body =
   in
   Runtime.register_thread rt ts;
   Runtime.with_san rt (fun h ->
-      h.San_hooks.on_thread_start ~parent:(Hw.Machine.self ()) ~child:tcb);
+      h
+        (San_hooks.Event.Thread_start
+           { parent = San_hooks.self_tid (); child = Hw.Machine.tcb_id tcb }));
   Runtime.install_resume_check rt ts;
   Hw.Machine.on_finish tcb (fun _ -> Runtime.unregister_thread rt ts);
   let ctrs = Runtime.counters rt in
@@ -103,7 +105,12 @@ let join rt t =
         Topaz.Rpc.send_reliable (Runtime.rpc rt) ~src:finished_on ~dst:here
           ~size:64 ~kind:"join-notify" wake);
   Runtime.with_san rt (fun h ->
-      h.San_hooks.on_thread_join ~child:t.ts.Runtime.tcb);
+      h
+        (San_hooks.Event.Thread_join
+           {
+             parent = San_hooks.self_tid ();
+             child = Hw.Machine.tcb_id t.ts.Runtime.tcb;
+           }));
   match outcome with
   | Sim.Fiber.Completed -> (
     match !(t.result) with

@@ -73,7 +73,8 @@ let invoke_async rt ?(payload = 0) ?(return_payload = 0)
     (* The invocation's effects are in place; publish the resolution.
        The happens-before edge recorded here (helper clock at resolve)
        joins into every awaiter that observes it. *)
-    Runtime.with_san rt (fun h -> h.San_hooks.on_future_resolve ~id);
+    Runtime.with_san rt (fun h ->
+        h (San_hooks.Event.Future_resolve { tid = San_hooks.self_tid (); id }));
     let here = Runtime.current_node rt in
     if here = fut.home then publish outcome ()
     else begin
@@ -119,7 +120,10 @@ let await rt fut =
        at it so the critical-path analyzer can descend. *)
     Sim.Span.set_arg spans wsp fut.span;
     Sim.Span.finish spans wsp);
-  Runtime.with_san rt (fun h -> h.San_hooks.on_future_await ~id:fut.id);
+  Runtime.with_san rt (fun h ->
+      h
+        (San_hooks.Event.Future_await
+           { tid = San_hooks.self_tid (); id = fut.id }));
   match fut.state with
   | Some (Ok v) -> v
   | Some (Error e) -> raise e

@@ -44,6 +44,18 @@ let chase_to_object rt ts ~what ~mode ~addr ~payload =
 let settle rt ts (obj : 'a Aobject.t) ~mode ~payload =
   chase_to_object rt ts ~what:"Invoke" ~mode ~addr:obj.Aobject.addr ~payload
 
+let emit_access rt obj mode =
+  Runtime.with_san rt (fun h ->
+      h
+        (San_hooks.Event.Access
+           { tid = San_hooks.self_tid (); addr = obj.Aobject.addr; mode }))
+
+let emit_access_end rt obj =
+  Runtime.with_san rt (fun h ->
+      h
+        (San_hooks.Event.Access_end
+           { tid = San_hooks.self_tid (); addr = obj.Aobject.addr }))
+
 let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
     obj op =
   (* An object whose only copy died with a fail-stop node fails crisply
@@ -139,7 +151,7 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
   (* A Read settled on a replica runs against the local snapshot — served
      as installed, without consulting the master, which is exactly what
      makes a protocol bug (an unacknowledged invalidation) observable as
-     a stale read.  The sanitizer cross-checks via [on_replica_read]. *)
+     a stale read.  The sanitizer cross-checks via [Replica_read]. *)
   let view =
     if via_replica then begin
       let node = Runtime.current_node rt in
@@ -147,7 +159,14 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
       | Some (ep, v) ->
         ctrs.Runtime.replica_reads <- ctrs.Runtime.replica_reads + 1;
         Runtime.with_san rt (fun h ->
-            h.San_hooks.on_replica_read (Aobject.Any obj) ~node ~epoch:ep);
+            h
+              (San_hooks.Event.Replica_read
+                 {
+                   tid = San_hooks.self_tid ();
+                   addr = obj.Aobject.addr;
+                   node;
+                   epoch = ep;
+                 }));
         v
       | None ->
         (* Descriptor said replica but the snapshot is gone (sabotaged
@@ -156,7 +175,7 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
     end
     else obj.Aobject.state
   in
-  Runtime.with_san rt (fun h -> h.San_hooks.on_access (Aobject.Any obj) mode);
+  emit_access rt obj mode;
   (* The write is complete (or abandoned with whatever mutation it made):
      bump the epoch {e now}, so any replica snapshot captured before or
      during [op] is stale by the epoch check — delivery discards in-flight
@@ -170,7 +189,7 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
   (* The span is finished in a [finally]: if the return trip itself
      raises (the enclosing frame's object became dangling while [op]
      ran), the exception must not leave an open span on the profiler's
-     stack.  [complete_write]/[on_access_end] run before the return
+     stack.  [complete_write]/[Access_end] run before the return
      chase in both outcomes, exactly as before, so the write guard is
      balanced even when the thread cannot make it home. *)
   Fun.protect
@@ -179,14 +198,12 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
       match op view with
       | result ->
         complete_write ();
-        Runtime.with_san rt (fun h ->
-            h.San_hooks.on_access_end (Aobject.Any obj));
+        emit_access_end rt obj;
         return_path ();
         result
       | exception e ->
         complete_write ();
-        Runtime.with_san rt (fun h ->
-            h.San_hooks.on_access_end (Aobject.Any obj));
+        emit_access_end rt obj;
         return_path ();
         raise e)
 
@@ -221,9 +238,8 @@ let invoke_member rt ?(mode = San_hooks.Atomic) obj op =
       "Invoke.invoke_member: co-residency is not guaranteed (the object is \
        not attached to the executing frame's closure)";
   Sim.Fiber.consume (Runtime.cost rt).Cost_model.lock_fast_cpu;
-  Runtime.with_san rt (fun h -> h.San_hooks.on_access (Aobject.Any obj) mode);
+  emit_access rt obj mode;
   Fun.protect
     ~finally:(fun () ->
-      Runtime.with_san rt (fun h ->
-          h.San_hooks.on_access_end (Aobject.Any obj)))
+      emit_access_end rt obj)
     (fun () -> op obj.Aobject.state)

@@ -185,12 +185,14 @@ let move_to rt obj ~dest =
   if obj.Aobject.parent <> None then
     invalid_arg "Mobility.move_to: object is attached; move its root";
   let t0 = Runtime.now rt in
-  Runtime.with_san rt (fun h -> h.San_hooks.on_move_begin ~addr:obj.Aobject.addr);
+  Runtime.with_san rt (fun h ->
+      h (San_hooks.Event.Move_begin { addr = obj.Aobject.addr }));
   Sim.Span.with_span (Runtime.spans rt) Sim.Span.Object_move
     ~label:obj.Aobject.name ~obj:obj.Aobject.addr ~arg:dest (fun () ->
       if obj.Aobject.immutable_ then replicate rt obj ~dest
       else move_mutable rt obj.Aobject.addr (Aobject.Any obj) ~dest);
-  Runtime.with_san rt (fun h -> h.San_hooks.on_move_end (Aobject.Any obj));
+  Runtime.with_san rt (fun h ->
+      h (San_hooks.Event.Move_end { addr = obj.Aobject.addr }));
   Sim.Stats.Summary.add (Runtime.move_latency rt) (Runtime.now rt -. t0);
   (* If the caller was bound to the moved object, force it through the
      context-switch-in check so it follows the object (§3.5). *)
@@ -223,11 +225,11 @@ let attach rt ~parent ~child =
   let parent_loc = locate rt parent in
   if child.Aobject.location <> parent_loc then begin
     Runtime.with_san rt (fun h ->
-        h.San_hooks.on_move_begin ~addr:child.Aobject.addr);
+        h (San_hooks.Event.Move_begin { addr = child.Aobject.addr }));
     if child.Aobject.immutable_ then replicate rt child ~dest:parent_loc
     else move_mutable rt child.Aobject.addr (Aobject.Any child) ~dest:parent_loc;
     Runtime.with_san rt (fun h ->
-        h.San_hooks.on_move_end (Aobject.Any child))
+        h (San_hooks.Event.Move_end { addr = child.Aobject.addr }))
   end;
   child.Aobject.parent <- Some (Aobject.Any parent);
   parent.Aobject.attached <- Aobject.Any child :: parent.Aobject.attached

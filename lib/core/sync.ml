@@ -3,7 +3,19 @@
 let self_id () = Hw.Machine.tcb_id (Hw.Machine.self_exn ())
 
 let register_sync rt addr kind =
-  Runtime.with_san rt (fun h -> h.San_hooks.on_sync_created ~addr ~kind)
+  Runtime.with_san rt (fun h -> h (San_hooks.Event.Sync_created { addr; kind }))
+
+let emit_acquired rt t =
+  Runtime.with_san rt (fun h ->
+      h
+        (San_hooks.Event.Lock_acquired
+           { tid = self_id (); addr = t.Aobject.addr }))
+
+let emit_released rt t =
+  Runtime.with_san rt (fun h ->
+      h
+        (San_hooks.Event.Lock_released
+           { tid = self_id (); addr = t.Aobject.addr }))
 
 module Lock = struct
   type state = {
@@ -34,9 +46,7 @@ module Lock = struct
           Sim.Span.with_span (Runtime.spans rt) Sim.Span.Lock_wait
             ~label:t.obj.Aobject.name ~obj:t.obj.Aobject.addr (fun () ->
               Sim.Fiber.block (fun wake -> Queue.add (me, wake) s.waiters)));
-    Runtime.with_san rt (fun h ->
-        h.San_hooks.on_lock_acquired ~addr:t.obj.Aobject.addr
-          ~name:t.obj.Aobject.name)
+    emit_acquired rt t.obj
 
   let release rt t =
     let c = Runtime.cost rt in
@@ -47,8 +57,7 @@ module Lock = struct
         | Some owner ->
           if owner <> self_id () then
             invalid_arg "Lock.release: lock is held by another thread");
-        Runtime.with_san rt (fun h ->
-            h.San_hooks.on_lock_released ~addr:t.obj.Aobject.addr);
+        emit_released rt t.obj;
         match Queue.take_opt s.waiters with
         | None -> s.owner <- None
         | Some (next, wake) ->
@@ -67,9 +76,7 @@ module Lock = struct
             true)
     in
     if got then
-      Runtime.with_san rt (fun h ->
-          h.San_hooks.on_lock_acquired ~addr:t.obj.Aobject.addr
-            ~name:t.obj.Aobject.name);
+      emit_acquired rt t.obj;
     got
 
   let with_lock rt t f =
@@ -127,9 +134,7 @@ module Spinlock = struct
       end
     in
     spin c.Cost_model.spin_probe_cpu;
-    Runtime.with_san rt (fun h ->
-        h.San_hooks.on_lock_acquired ~addr:t.obj.Aobject.addr
-          ~name:t.obj.Aobject.name)
+    emit_acquired rt t.obj
 
   let release rt t =
     let c = Runtime.cost rt in
@@ -140,8 +145,7 @@ module Spinlock = struct
         | Some owner ->
           if owner <> self_id () then
             invalid_arg "Spinlock.release: lock is held by another thread");
-        Runtime.with_san rt (fun h ->
-            h.San_hooks.on_lock_released ~addr:t.obj.Aobject.addr);
+        emit_released rt t.obj;
         s.owner <- None)
 
   let with_lock rt t f =
@@ -185,7 +189,10 @@ module Barrier = struct
     Invoke.invoke rt t.obj (fun s ->
         Sim.Fiber.consume c.Cost_model.lock_fast_cpu;
         let gen = s.generation in
-        Runtime.with_san rt (fun h -> h.San_hooks.on_barrier_arrive ~addr ~gen);
+        Runtime.with_san rt (fun h ->
+            h
+              (San_hooks.Event.Barrier
+                 { tid = self_id (); addr; gen; phase = Arrive }));
         if s.arrived + 1 >= s.parties then begin
           (* Last arrival releases everyone and opens a new generation. *)
           s.arrived <- 0;
@@ -193,7 +200,9 @@ module Barrier = struct
           let sleepers = List.rev s.wakers in
           s.wakers <- [];
           Runtime.with_san rt (fun h ->
-              h.San_hooks.on_barrier_release ~addr ~gen);
+              h
+                (San_hooks.Event.Barrier
+                   { tid = self_id (); addr; gen; phase = Release }));
           List.iter (fun wake -> wake ()) sleepers
         end
         else begin
@@ -202,7 +211,9 @@ module Barrier = struct
             ~label:t.obj.Aobject.name ~obj:addr ~arg:gen (fun () ->
               Sim.Fiber.block (fun wake -> s.wakers <- wake :: s.wakers));
           Runtime.with_san rt (fun h ->
-              h.San_hooks.on_barrier_resume ~addr ~gen)
+              h
+                (San_hooks.Event.Barrier
+                   { tid = self_id (); addr; gen; phase = Resume }))
         end)
 
   let generation t = t.obj.Aobject.state.generation
@@ -227,7 +238,10 @@ module Condition = struct
     { obj }
 
   let fire rt cell =
-    Runtime.with_san rt (fun h -> h.San_hooks.on_cond_signal ~token:cell.token);
+    Runtime.with_san rt (fun h ->
+        h
+          (San_hooks.Event.Cond_signal
+             { tid = self_id (); token = cell.token }));
     cell.signaled <- true;
     match cell.wake with
     | Some wake -> wake ()
@@ -250,7 +264,10 @@ module Condition = struct
       ~label:t.obj.Aobject.name ~obj:t.obj.Aobject.addr (fun () ->
         Sim.Fiber.block (fun wake ->
             if cell.signaled then wake () else cell.wake <- Some wake));
-    Runtime.with_san rt (fun h -> h.San_hooks.on_cond_wake ~token:cell.token);
+    Runtime.with_san rt (fun h ->
+        h
+          (San_hooks.Event.Cond_wake
+             { tid = self_id (); token = cell.token }));
     Lock.acquire rt lock
 
   let signal rt t =

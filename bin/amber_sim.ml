@@ -211,7 +211,6 @@ let balance_term =
       Arg.enum
         [
           ("off", Balance.Rebalancer.Off);
-          ("steal_only", Balance.Rebalancer.Steal_only);
           ("affinity", Balance.Rebalancer.Affinity);
           ("hybrid", Balance.Rebalancer.Hybrid);
         ]
@@ -221,8 +220,8 @@ let balance_term =
       & opt policy_conv Balance.Rebalancer.Off
       & info [ "balance" ] ~docv:"POLICY"
           ~doc:
-            "Adaptive placement policy: $(b,off), $(b,steal_only), \
-             $(b,affinity) or $(b,hybrid) (affinity + load spreading).")
+            "Adaptive placement policy: $(b,off), $(b,affinity) or \
+             $(b,hybrid) (affinity + load spreading).")
   in
   let steal =
     Arg.(
@@ -230,7 +229,7 @@ let balance_term =
       & info [ "steal" ]
           ~doc:
             "Let idle nodes steal runnable unbound threads from loaded \
-             peers (implied by --balance=steal_only).")
+             peers.")
   in
   let gossip =
     Arg.(

@@ -30,13 +30,7 @@ type active = {
 type t = { rt : A.Runtime.t; active : active option }
 
 let start rt cfg =
-  let stealing = cfg.steal || cfg.policy = Rebalancer.Steal_only in
-  let daemon =
-    match cfg.policy with
-    | Rebalancer.Affinity | Rebalancer.Hybrid -> true
-    | Rebalancer.Off | Rebalancer.Steal_only -> false
-  in
-  if not (stealing || daemon) then
+  if cfg.policy = Rebalancer.Off && not cfg.steal then
     (* Fully off: no RNG draws, no events, no report lines — runs are
        byte-identical to a driverless build. *)
     { rt; active = None }
@@ -45,17 +39,13 @@ let start rt cfg =
     let root = Sim.Rng.split (Sim.Engine.rng eng) in
     let li = Loadinfo.create rt ~rng:(Sim.Rng.split root) ~alpha:cfg.alpha in
     let stealer =
-      if stealing then
+      if cfg.steal then
         Some
           (Stealer.create rt ~li ~rng:(Sim.Rng.split root)
              ~min_victim_load:cfg.min_victim_load)
       else None
     in
-    let reb =
-      Rebalancer.create rt
-        ~policy:(if daemon then cfg.policy else Rebalancer.Off)
-        ~cfg:cfg.rebalance
-    in
+    let reb = Rebalancer.create rt ~policy:cfg.policy ~cfg:cfg.rebalance in
     let a = { li; stealer; reb; tick_ev = None; stopped = false } in
     (* Telemetry: publish each node's own EWMA load view as a gauge when
        a watcher enabled the registry — the exact signal the stealer and

@@ -1,19 +1,6 @@
 module A = Amber
 
-type policy = Off | Steal_only | Affinity | Hybrid
-
-let policy_to_string = function
-  | Off -> "off"
-  | Steal_only -> "steal_only"
-  | Affinity -> "affinity"
-  | Hybrid -> "hybrid"
-
-let policy_of_string = function
-  | "off" -> Some Off
-  | "steal_only" | "steal-only" -> Some Steal_only
-  | "affinity" -> Some Affinity
-  | "hybrid" -> Some Hybrid
-  | _ -> None
+type policy = Off | Affinity | Hybrid
 
 type cfg = {
   interval : float;
@@ -242,13 +229,13 @@ let cycle t =
   | Hybrid ->
     affinity_pass t ~budget;
     spread_pass t ~budget
-  | Off | Steal_only -> ());
+  | Off -> ());
   (* Fresh observation window each cycle. *)
   List.iter A.Aobject.reset_window_any (A.Runtime.objects t.rt)
 
 let start t =
   match t.policy with
-  | Off | Steal_only -> ()
+  | Off -> ()
   | Affinity | Hybrid ->
     let h =
       A.Athread.start t.rt ~name:"rebalancer" (fun () ->

@@ -18,10 +18,7 @@
     cycle, and never the same object twice within one [hysteresis]
     window. *)
 
-type policy = Off | Steal_only | Affinity | Hybrid
-
-val policy_to_string : policy -> string
-val policy_of_string : string -> policy option
+type policy = Off | Affinity | Hybrid
 
 type cfg = {
   interval : float;  (** observation-cycle period (virtual seconds) *)
@@ -49,7 +46,7 @@ type t
 
 val create : Amber.Runtime.t -> policy:policy -> cfg:cfg -> t
 
-(** Spawn the daemon thread (no-op under [Off]/[Steal_only]).  Fiber
+(** Spawn the daemon thread (no-op under [Off]).  Fiber
     context; charges the ordinary thread-start cost to the caller. *)
 val start : t -> unit
 

@@ -142,7 +142,7 @@ let test_gossip_spreads_load_boards () =
   A.Cluster.run_value cfg (fun rt ->
       let lb =
         B.Driver.start rt
-          { B.Driver.default_cfg with B.Driver.policy = B.Rebalancer.Steal_only }
+          { B.Driver.default_cfg with B.Driver.steal = true }
       in
       (* Keep node 0 loaded while gossip rounds run. *)
       let ts =

@@ -182,6 +182,7 @@ let test_cli_usage_errors () =
       [ "sor"; "--system"; "ivy"; "--sections"; "4" ];
       [ "sor"; "--system"; "seq"; "--balance"; "hybrid" ];
       [ "sor"; "--system"; "ivy"; "--steal" ];
+      [ "sor"; "--balance=steal_only" ];
       [ "trace"; "--category"; "move" ];
       [ "sor"; "--sections"; "0" ];
       [ "sor"; "--sections"; "5000"; "--rows"; "4"; "--cols"; "8" ];

@@ -35,13 +35,13 @@ type reliability_counters = {
 
 let fresh_reliability_counters () =
   {
-    timeouts = Sim.Stats.Counter.create ~name:"timeouts" ();
-    retransmits = Sim.Stats.Counter.create ~name:"retransmits" ();
-    dup_requests = Sim.Stats.Counter.create ~name:"dup-requests" ();
-    dup_replies = Sim.Stats.Counter.create ~name:"dup-replies" ();
-    dup_datagrams = Sim.Stats.Counter.create ~name:"dup-datagrams" ();
-    reply_resends = Sim.Stats.Counter.create ~name:"reply-resends" ();
-    acks_sent = Sim.Stats.Counter.create ~name:"acks" ();
+    timeouts = Sim.Stats.Counter.create ();
+    retransmits = Sim.Stats.Counter.create ();
+    dup_requests = Sim.Stats.Counter.create ();
+    dup_replies = Sim.Stats.Counter.create ();
+    dup_datagrams = Sim.Stats.Counter.create ();
+    reply_resends = Sim.Stats.Counter.create ();
+    acks_sent = Sim.Stats.Counter.create ();
   }
 
 (* Server-side progress of a sequence-numbered call: [Started] while the

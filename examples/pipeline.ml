@@ -117,4 +117,5 @@ let () =
     (List.fold_left (fun acc i -> acc + (i * i)) 0 (List.init records succ));
   Printf.printf "virtual time: %.3f s; %d remote invocations\n"
     report.Cluster.elapsed
-    report.Cluster.counters.Runtime.remote_invocations
+    (int_of_float
+       (Stats_report.get report.Cluster.stats "amber.invoke.remote"))

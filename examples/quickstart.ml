@@ -40,4 +40,4 @@ let () =
         Printf.printf "final count: %d (expected 200)\n" total;
         Printf.printf "virtual time elapsed: %.3f ms\n" (Api.now rt *. 1e3))
   in
-  Format.printf "run report: %a@." Cluster.pp_report report
+  Format.printf "run report:@.%a" Stats_report.pp report.Cluster.stats

@@ -29,4 +29,4 @@ let () =
      were hammering it)\n"
     r.Workloads.Work_queue.queue_final_node
     (4 * cfg.Workloads.Work_queue.workers_per_node);
-  Format.printf "%a@." Amber.Cluster.pp_report report
+  Format.printf "%a" Amber.Stats_report.pp report.Amber.Cluster.stats

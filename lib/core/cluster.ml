@@ -1,53 +1,28 @@
-type report = {
-  elapsed : float;
-  quiesced_at : float;
-  events : int;
-  counters : Runtime.counters;
-  cpu_busy : float array;
-  packets : int;
-  net_bytes : int;
-  net_queueing : float;
-}
+type report = { elapsed : float; stats : Stats_report.t }
 
 exception Deadlock
 
-let run cfg main =
+(* The runtime after quiescence, [main]'s result and when it returned. *)
+let execute cfg main =
   let rt = Runtime.create cfg in
   let finished_at = ref None in
   let thread = Athread.start_on rt ~node:0 ~name:"main" (fun () -> main rt) in
   Hw.Machine.on_finish (Athread.tcb thread) (fun _ ->
       finished_at := Some (Runtime.now rt));
-  let events = Sim.Engine.run (Runtime.engine rt) in
+  ignore (Sim.Engine.run (Runtime.engine rt) : int);
   Runtime.check_failures rt;
   match (Hw.Machine.state (Athread.tcb thread), !finished_at) with
   | Hw.Machine.Finished (Sim.Fiber.Failed e), _ -> raise e
   | Hw.Machine.Finished Sim.Fiber.Completed, Some elapsed ->
-    let value = Athread.result_exn thread in
-    let machines = Array.init (Runtime.nodes rt) (Runtime.machine rt) in
-    let report =
-      {
-        elapsed;
-        quiesced_at = Runtime.now rt;
-        events;
-        counters = Runtime.counters rt;
-        cpu_busy = Array.map Hw.Machine.total_busy_time machines;
-        packets = Hw.Ethernet.packets_sent (Runtime.ether rt);
-        net_bytes = Hw.Ethernet.bytes_sent (Runtime.ether rt);
-        net_queueing = Hw.Ethernet.total_queueing (Runtime.ether rt);
-      }
-    in
-    (value, report)
+    (rt, Athread.result_exn thread, elapsed)
   | (Hw.Machine.Finished Sim.Fiber.Completed | Hw.Machine.Ready
     | Hw.Machine.Running _ | Hw.Machine.Blocked), _ ->
     raise Deadlock
 
-let run_value cfg main = fst (run cfg main)
+let run cfg main =
+  let rt, value, elapsed = execute cfg main in
+  (value, { elapsed; stats = Stats_report.capture rt })
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "elapsed=%.6fs events=%d local-inv=%d remote-inv=%d migrations=%d \
-     moves=%d packets=%d bytes=%d"
-    r.elapsed r.events r.counters.Runtime.local_invocations
-    r.counters.Runtime.remote_invocations
-    r.counters.Runtime.thread_migrations r.counters.Runtime.object_moves
-    r.packets r.net_bytes
+let run_value cfg main =
+  let _, value, _ = execute cfg main in
+  value

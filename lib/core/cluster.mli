@@ -8,13 +8,7 @@
 
 type report = {
   elapsed : float;  (** virtual seconds from t=0 until [main] returned *)
-  quiesced_at : float;  (** when the last simulated event ran *)
-  events : int;  (** engine events executed *)
-  counters : Runtime.counters;
-  cpu_busy : float array;  (** per-node total CPU-seconds consumed *)
-  packets : int;
-  net_bytes : int;
-  net_queueing : float;  (** total seconds packets waited for the medium *)
+  stats : Stats_report.t;  (** captured once the simulation quiesced *)
 }
 
 (** Raised when the event queue drains before the main thread finishes —
@@ -24,7 +18,5 @@ exception Deadlock
 (** Run to completion.  Re-raises the first thread failure, if any. *)
 val run : Config.t -> (Runtime.t -> 'r) -> 'r * report
 
-(** [run] discarding the report. *)
+(** [run] without the report: nothing is captured. *)
 val run_value : Config.t -> (Runtime.t -> 'r) -> 'r
-
-val pp_report : Format.formatter -> report -> unit

@@ -219,7 +219,10 @@ let run rt (cfg : cfg) =
     else []
   in
   if watched then begin
-    let sum f = List.fold_left (fun n (st : class_stats) -> n + f st) 0 stats in
+    let sum f =
+      float_of_int
+        (List.fold_left (fun n (st : class_stats) -> n + f st) 0 stats)
+    in
     Sim.Series.counter metrics ~name:"serve.issued" (fun () ->
         sum (fun st -> st.issued));
     Sim.Series.counter metrics ~name:"serve.completed" (fun () ->

@@ -76,13 +76,11 @@ let push s p =
     s.s_dropped <- s.s_dropped + 1
   end
 
-let probe t ~name ?(node = -1) f =
-  let s = mk_series t ~name ~node ~kind:Gauge in
-  t.insts <- Probe (s, f) :: t.insts
+let poll kind t ~name ?(node = -1) f =
+  t.insts <- Probe (mk_series t ~name ~node ~kind, f) :: t.insts
 
-let counter t ~name ?(node = -1) f =
-  let s = mk_series t ~name ~node ~kind:Cumulative in
-  t.insts <- Probe (s, fun () -> float_of_int (f ())) :: t.insts
+let probe t = poll Gauge t
+let counter t = poll Cumulative t
 
 let window t ~name ?(node = -1) ?(scale = 1.0) () =
   let mk suffix =

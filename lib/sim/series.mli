@@ -50,7 +50,7 @@ val probe : t -> name:string -> ?node:int -> (unit -> float) -> unit
 (** Register a polled gauge; [f] runs once per {!sample}.  [node] tags
     the series with its home node ([-1], the default, = cluster-wide). *)
 
-val counter : t -> name:string -> ?node:int -> (unit -> int) -> unit
+val counter : t -> name:string -> ?node:int -> (unit -> float) -> unit
 (** Polled monotonic counter ({!Cumulative}). *)
 
 val window : t -> name:string -> ?node:int -> ?scale:float -> unit -> window

@@ -21,56 +21,6 @@ type t = {
 let registry t = A.Runtime.metrics t.rt
 let series t = Sim.Series.all (registry t)
 
-(* The standard instrument set: scheduler and RPC pressure per node,
-   protocol/replication/balance/crash counters cluster-wide.  Serve and
-   the balance driver add their own series when they find the registry
-   enabled. *)
-let register_standard rt =
-  let m = A.Runtime.metrics rt in
-  let nodes = A.Runtime.nodes rt in
-  let rpc = A.Runtime.rpc rt in
-  for n = 0 to nodes - 1 do
-    let mach = A.Runtime.machine rt n in
-    Sim.Series.probe m ~name:"sched.ready" ~node:n (fun () ->
-        float_of_int (Hw.Machine.ready_length mach));
-    Sim.Series.probe m ~name:"sched.running" ~node:n (fun () ->
-        float_of_int (Hw.Machine.busy_cpus mach));
-    Sim.Series.probe m ~name:"rpc.backlog" ~node:n (fun () ->
-        float_of_int (Topaz.Rpc.backlog rpc n))
-  done;
-  Sim.Series.probe m ~name:"rpc.in_flight" (fun () ->
-      float_of_int (Topaz.Rpc.in_flight rpc));
-  let rel = Topaz.Rpc.reliability rpc in
-  Sim.Series.counter m ~name:"rpc.retransmits" (fun () ->
-      Sim.Stats.Counter.value rel.Topaz.Rpc.retransmits);
-  Sim.Series.counter m ~name:"rpc.timeouts" (fun () ->
-      Sim.Stats.Counter.value rel.Topaz.Rpc.timeouts);
-  Sim.Series.counter m ~name:"rpc.posts_rejected" (fun () ->
-      Topaz.Rpc.posts_rejected rpc);
-  let c = A.Runtime.counters rt in
-  Sim.Series.counter m ~name:"invoke.local" (fun () ->
-      c.A.Runtime.local_invocations);
-  Sim.Series.counter m ~name:"invoke.remote" (fun () ->
-      c.A.Runtime.remote_invocations);
-  Sim.Series.counter m ~name:"replica.installs" (fun () ->
-      c.A.Runtime.replica_installs);
-  Sim.Series.counter m ~name:"replica.invalidations" (fun () ->
-      c.A.Runtime.replica_invalidations);
-  Sim.Series.counter m ~name:"balance.moves" (fun () ->
-      c.A.Runtime.balance_moves);
-  Sim.Series.counter m ~name:"balance.steals" (fun () ->
-      c.A.Runtime.threads_stolen);
-  Sim.Series.counter m ~name:"crash.node_crashes" (fun () ->
-      c.A.Runtime.node_crashes);
-  Sim.Series.counter m ~name:"crash.objects_lost" (fun () ->
-      c.A.Runtime.objects_lost);
-  Sim.Series.probe m ~name:"cluster.up_nodes" (fun () ->
-      let up = ref 0 in
-      for n = 0 to nodes - 1 do
-        if A.Runtime.node_is_up rt n then incr up
-      done;
-      float_of_int !up)
-
 let outcomes t = List.map (Slo.evaluate (registry t)) t.slo
 let slo_fired t = Slo.any_fired (outcomes t)
 
@@ -114,7 +64,21 @@ let attach rt ?(cfg = default_cfg) ?(slo = []) ?flight () =
   if cfg.interval <= 0.0 then invalid_arg "Watch.attach: interval";
   let m = A.Runtime.metrics rt in
   Sim.Series.set_capacity m cfg.capacity;
-  register_standard rt;
+  (* Every counter and gauge of the one list, under its own name. *)
+  List.iter
+    (fun (e : A.Stats_report.entry) ->
+      let add node =
+        let read () = e.read rt node in
+        match e.kind with
+        | A.Stats_report.Counter -> Sim.Series.counter m ~name:e.name ~node read
+        | A.Stats_report.Gauge -> Sim.Series.probe m ~name:e.name ~node read
+      in
+      if e.per_node then
+        for n = 0 to A.Runtime.nodes rt - 1 do
+          add n
+        done
+      else add (-1))
+    A.Stats_report.entries;
   Sim.Series.enable m;
   let eng = A.Runtime.engine rt in
   let t = { rt; cfg; slo; flight; tick_ev = None; stopped = false } in

@@ -1,11 +1,11 @@
 (** Amber-Watch: continuous virtual-time telemetry.
 
     {!attach} enables the runtime's {!Sim.Series} registry, registers
-    the standard instrument set — per-node ready-queue depth, running
-    CPUs and RPC backlog; cluster-wide RPC in-flight/retransmit,
-    invocation, replication, balance and crash counters — and arms a
-    recurring seeded virtual-time tick (the {!Balance.Driver} pattern)
-    that samples every instrument into bounded windowed time series.
+    every entry of {!Amber.Stats_report.entries} as a series under the
+    entry's name (per-node entries once per node, as [name\@n]), and
+    arms a recurring seeded virtual-time tick (the {!Balance.Driver}
+    pattern) that samples every instrument into bounded windowed time
+    series.
     Layers that publish their own series (serve's per-class latency
     windows and admitted-depth gauges, the balance driver's EWMA load
     view) find the registry enabled and join in; {!stop} cancels the

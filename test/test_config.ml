@@ -77,10 +77,11 @@ let test_determinism_across_runs () =
   let e1, rep1 = run () in
   let e2, rep2 = run () in
   Alcotest.(check (float 0.0)) "bit-identical elapsed" e1 e2;
-  Alcotest.(check int) "identical event counts" rep1.A.Cluster.events
-    rep2.A.Cluster.events;
-  Alcotest.(check int) "identical packet counts" rep1.A.Cluster.packets
-    rep2.A.Cluster.packets
+  let get r = A.Stats_report.get r.A.Cluster.stats in
+  Alcotest.(check (float 0.0)) "identical event counts"
+    (get rep1 "sim.engine.events") (get rep2 "sim.engine.events");
+  Alcotest.(check (float 0.0)) "identical packet counts"
+    (get rep1 "hw.ethernet.packets") (get rep2 "hw.ethernet.packets")
 
 let suite =
   [

@@ -120,11 +120,15 @@ let test_cluster_report () =
         A.Api.move_to rt o ~dest:1;
         A.Api.invoke rt o (fun () -> Sim.Fiber.consume 10e-3))
   in
+  let stats = report.A.Cluster.stats in
   Alcotest.(check bool) "elapsed positive" true (report.A.Cluster.elapsed > 0.0);
-  Alcotest.(check bool) "events counted" true (report.A.Cluster.events > 0);
+  Alcotest.(check bool) "events counted" true
+    (A.Stats_report.get stats "sim.engine.events" > 0.0);
   Alcotest.(check int) "two nodes of cpu stats" 2
-    (Array.length report.A.Cluster.cpu_busy);
-  Alcotest.(check bool) "network used" true (report.A.Cluster.packets > 0)
+    (Array.length
+       (List.assoc "hw.machine.busy_s" stats.A.Stats_report.values));
+  Alcotest.(check bool) "network used" true
+    (A.Stats_report.get stats "hw.ethernet.packets" > 0.0)
 
 let test_worker_failure_detected_after_run () =
   let cfg = A.Config.make ~nodes:1 ~cpus:2 () in

@@ -145,9 +145,10 @@ let test_inert w () =
     (text explicit);
   Alcotest.(check bool) "crashes not enabled" false
     (A.Config.crashes_enabled cfg);
-  let z = explicit.A.Stats_report.coalescing in
-  Alcotest.(check (pair int int)) "no coalescing tracked" (0, 0)
-    (z.Topaz.Rpc.coal_eligible, z.Topaz.Rpc.coal_frames)
+  let get = A.Stats_report.get explicit in
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "no coalescing tracked" (0.0, 0.0)
+    (get "topaz.coalesce.eligible", get "topaz.coalesce.frames")
 
 (* --- the CLI, end to end -------------------------------------------------- *)
 

@@ -33,7 +33,7 @@ let test_series_sampling () =
   let v = ref 2.0 in
   Sim.Series.probe m ~name:"gauge" ~node:1 (fun () -> !v);
   let c = ref 0 in
-  Sim.Series.counter m ~name:"count" (fun () -> !c);
+  Sim.Series.counter m ~name:"count" (fun () -> float_of_int !c);
   Sim.Series.enable m;
   now := 1.0;
   v := 3.0;
@@ -116,6 +116,91 @@ let test_series_ring_drops () =
   Sim.Series.iter_points s (fun p ->
       if Float.is_nan !first then first := p.Sim.Series.v);
   Alcotest.(check (float 0.0)) "oldest kept" 7.0 !first
+
+(* --- the one counter list ------------------------------------------------- *)
+
+(* A watched 2-node run with a move and a remote invoke; [body] runs
+   after [Watch.stop], inside the main thread. *)
+let watched_two_nodes body =
+  let cfg = A.Config.make ~nodes:2 ~cpus:2 () in
+  A.Cluster.run_value cfg (fun rt ->
+      let w = Watch.attach rt () in
+      let o = A.Api.create rt ~name:"o" (ref 0) in
+      A.Api.move_to rt o ~dest:1;
+      A.Api.invoke rt o incr;
+      Watch.stop w;
+      body rt w)
+
+let dotted_lower_case name =
+  let parts = String.split_on_char '.' name in
+  List.length parts >= 2
+  && List.for_all
+       (fun p ->
+         p <> ""
+         && (match p.[0] with 'a' .. 'z' -> true | _ -> false)
+         && String.for_all
+              (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false)
+              p)
+       parts
+
+(* Watch and the report read the same list: every entry is a series of
+   its kind (once per node for a per-node entry) and a key of the
+   captured report, under a unique dotted lower-case name. *)
+let test_list_coverage () =
+  let report, registry =
+    watched_two_nodes (fun rt w ->
+        (A.Stats_report.capture rt, Watch.registry w))
+  in
+  let names =
+    List.map (fun e -> e.A.Stats_report.name) A.Stats_report.entries
+  in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (e : A.Stats_report.entry) ->
+      if not (dotted_lower_case e.name) then
+        Alcotest.failf "%S is not dotted lower case" e.name;
+      let want =
+        match e.kind with
+        | A.Stats_report.Counter -> Sim.Series.Cumulative
+        | A.Stats_report.Gauge -> Sim.Series.Gauge
+      in
+      let qualified =
+        if e.per_node then [ e.name ^ "@0"; e.name ^ "@1" ] else [ e.name ]
+      in
+      List.iter
+        (fun q ->
+          match Sim.Series.find registry q with
+          | Some s ->
+            if Sim.Series.kind s <> want then
+              Alcotest.failf "series %s has the wrong kind" q
+          | None -> Alcotest.failf "no series %s" q)
+        qualified;
+      match List.assoc_opt e.name report.A.Stats_report.values with
+      | Some v ->
+        Alcotest.(check int)
+          (e.name ^ " values")
+          (if e.per_node then 2 else 1)
+          (Array.length v)
+      | None -> Alcotest.failf "%s missing from the report" e.name)
+    A.Stats_report.entries
+
+(* The engine watches itself: after [Watch.stop] the last events point
+   is the engine's own count. *)
+let test_engine_series () =
+  let last, executed =
+    watched_two_nodes (fun rt w ->
+        match Sim.Series.find (Watch.registry w) "sim.engine.events" with
+        | Some s ->
+          ( Option.map (fun p -> p.Sim.Series.v) (Sim.Series.last s),
+            Sim.Engine.events_executed (A.Runtime.engine rt) )
+        | None -> Alcotest.fail "no sim.engine.events series")
+  in
+  Alcotest.(check bool) "events executed" true (executed > 0);
+  Alcotest.(check (option (float 0.0)))
+    "last point is the engine's count"
+    (Some (float_of_int executed))
+    last
 
 (* --- SLO rule parsing and burn-rate evaluation ---------------------------- *)
 
@@ -335,6 +420,9 @@ let suite =
       test_series_window_derives;
     Alcotest.test_case "ring drops oldest and counts" `Quick
       test_series_ring_drops;
+    Alcotest.test_case "every listed counter is watched and reported" `Quick
+      test_list_coverage;
+    Alcotest.test_case "engine events series" `Quick test_engine_series;
     Alcotest.test_case "slo rule parsing" `Quick test_slo_parse;
     Alcotest.test_case "burn-rate multi-window gate" `Quick test_slo_burn_gate;
     Alcotest.test_case "slo fires under overload" `Quick

@@ -131,14 +131,10 @@ let install rt ~copy (obj : 'a Aobject.t) ~dest =
                    extra packets).  No later write re-creates one: hints
                    always name a node observed Resident, and a moving
                    master recalls its replicas first. *)
-                for n = 0 to Runtime.nodes rt - 1 do
-                  if n <> dest then
-                    match Descriptor.get (Runtime.descriptors rt n) addr with
-                    | Some (Descriptor.Forwarded f) when f = dest ->
-                      Descriptor.set_forwarded (Runtime.descriptors rt n) addr
-                        obj.Aobject.location
-                    | _ -> ()
-                done;
+                ignore
+                  (Runtime.retarget rt ~addr ~from:dest
+                     ~onto:obj.Aobject.location
+                    : int);
                 (* Touching every node's table from one server fiber is a
                    simulator shortcut (a real kernel would piggyback the
                    rewrites); charge one descriptor lookup per scanned

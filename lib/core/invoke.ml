@@ -10,36 +10,19 @@
 let chase_to_object rt ts ~what ~mode ~addr ~payload =
   let c = Runtime.cost rt in
   let moved = ref 0 in
-  let via_replica = ref false in
-  Runtime.chase rt ~what ~addr ~start:(Runtime.current_node rt)
-    ~step:(fun ~node ~hops:_ ->
-      let here = Runtime.current_node rt in
-      if node <> here then begin
-        Sim.Fiber.consume c.Cost_model.trap_cpu;
-        ts.Runtime.chase_path <- here :: ts.Runtime.chase_path;
-        ts.Runtime.carry_bytes <- payload;
-        Runtime.migrate_self rt ~payload ~dest:node ();
-        ts.Runtime.carry_bytes <- 0;
-        incr moved
-      end;
-      match Descriptor.get (Runtime.descriptors rt node) addr with
-      | Some Descriptor.Resident ->
-        if ts.Runtime.chase_path <> [] then
-          Runtime.flush_chase_compression rt ts ~addr ~found:node;
-        Runtime.Found ()
-      | Some (Descriptor.Replica master) ->
-        if mode = San_hooks.Read then begin
-          via_replica := true;
-          (* Visited nodes learn the master hint, never the replica:
-             forwarding chains must not point at read-only copies. *)
-          if ts.Runtime.chase_path <> [] then
-            Runtime.flush_chase_compression rt ts ~addr ~found:master;
-          Runtime.Found ()
-        end
-        else Runtime.Follow master
-      | Some (Descriptor.Forwarded next) -> Runtime.Follow next
-      | None -> Runtime.Miss);
-  (!moved, !via_replica)
+  let _, via_replica =
+    Runtime.chase ~read:(mode = San_hooks.Read) ~path:ts.Runtime.chase_path rt
+      ~what ~addr ~start:(Runtime.current_node rt) ~step:(fun ~node ->
+        if node <> Runtime.current_node rt then begin
+          Sim.Fiber.consume c.Cost_model.trap_cpu;
+          ts.Runtime.carry_bytes <- payload;
+          Runtime.migrate_self rt ~payload ~dest:node ();
+          ts.Runtime.carry_bytes <- 0;
+          incr moved
+        end;
+        Descriptor.get (Runtime.descriptors rt node) addr)
+  in
+  (!moved, via_replica)
 
 let settle rt ts (obj : 'a Aobject.t) ~mode ~payload =
   chase_to_object rt ts ~what:"Invoke" ~mode ~addr:obj.Aobject.addr ~payload

@@ -78,56 +78,25 @@ let do_move_here rt (root : Aobject.any) ~dest =
    one control RPC, and the node that actually holds the object executes
    the move before replying (so a one-hop-accurate hint costs a single
    round trip, the paper's Table-1 scenario).  {!Runtime.chase} supplies
-   the hop budget, home-node fallback and dangling detection. *)
+   the hop budget, home-node fallback and dangling detection, and tells
+   every node whose stale pointer the request chased that the object now
+   lives at [dest]. *)
 let move_mutable rt (obj_addr : int) (root : Aobject.any) ~dest =
   let c = Runtime.cost rt in
-  let visited = ref [] in
-  let probe_and_move node =
+  let visit node =
     Sim.Fiber.consume c.Cost_model.forward_lookup_cpu;
-    match Descriptor.get (Runtime.descriptors rt node) obj_addr with
-    | Some Descriptor.Resident ->
-      do_move_here rt root ~dest;
-      `Moved
-    | Some (Descriptor.Forwarded next) -> `Try next
-    | Some (Descriptor.Replica master) ->
-      (* A replica node cannot execute the move; its hint says where the
-         master was last known to live. *)
-      `Try master
-    | None -> `Missing
+    let d = Descriptor.get (Runtime.descriptors rt node) obj_addr in
+    if d = Some Descriptor.Resident then do_move_here rt root ~dest;
+    d
   in
-  Runtime.chase rt ~what:"Mobility" ~addr:obj_addr
-    ~start:(Runtime.current_node rt)
-    ~step:(fun ~node ~hops:_ ->
-      let verdict =
-        if node = Runtime.current_node rt then probe_and_move node
-        else
-          Topaz.Rpc.call (Runtime.rpc rt) ~dst:node ~kind:"move-req"
-            ~req_size:64 ~work:(fun () -> (32, probe_and_move node))
-      in
-      match verdict with
-      | `Moved -> Runtime.Found ()
-      | `Try next ->
-        visited := node :: !visited;
-        Runtime.Follow next
-      | `Missing -> Runtime.Miss);
-  (* §3.3 on the move path: every node whose stale pointer the request
-     chased learns the object's new location, not just the caller's.
-     Skip replica nodes (their copy stays usable until invalidated) and
-     nodes where the object has meanwhile become resident again (another
-     move can land it on a node this request chased while it was stale;
-     flushing Forwarded over residency would orphan the object). *)
-  let flushable v =
-    (not (Descriptor.is_replica (Runtime.descriptors rt v) obj_addr))
-    && not (Descriptor.is_resident (Runtime.descriptors rt v) obj_addr)
-  in
-  List.iter
-    (fun v ->
-      if v <> dest && flushable v then
-        Descriptor.set_forwarded (Runtime.descriptors rt v) obj_addr dest)
-    !visited;
-  let here = Runtime.current_node rt in
-  if here <> dest && (not (List.mem here !visited)) && flushable here then
-    Descriptor.set_forwarded (Runtime.descriptors rt here) obj_addr dest
+  ignore
+    (Runtime.chase ~moving_to:dest rt ~what:"Mobility" ~addr:obj_addr
+       ~start:(Runtime.current_node rt) ~step:(fun ~node ->
+         if node = Runtime.current_node rt then visit node
+         else
+           Topaz.Rpc.call (Runtime.rpc rt) ~dst:node ~kind:"move-req"
+             ~req_size:64 ~work:(fun () -> (32, visit node)))
+      : int * bool)
 
 (* Immutable replication: ship a copy of the closure to [dest] from some
    node that holds one; existing copies stay valid. *)
@@ -178,6 +147,15 @@ let replicate rt (obj : 'a Aobject.t) ~dest =
       | Some e -> raise e
   end
 
+(* AmberSan's move bracket.  [Move_end] closes it on every exit — a move
+   that raises too — or the sanitizer's in-flight move count would never
+   return to zero and every later move-quiescence audit would wait for
+   [finalize]. *)
+let bracketed rt addr f =
+  Runtime.with_san rt (fun h -> h (San_hooks.Event.Move_begin { addr }));
+  Fun.protect f ~finally:(fun () ->
+      Runtime.with_san rt (fun h -> h (San_hooks.Event.Move_end { addr })))
+
 let move_to rt obj ~dest =
   Aobject.check_lost obj;
   if dest < 0 || dest >= Runtime.nodes rt then
@@ -185,14 +163,11 @@ let move_to rt obj ~dest =
   if obj.Aobject.parent <> None then
     invalid_arg "Mobility.move_to: object is attached; move its root";
   let t0 = Runtime.now rt in
-  Runtime.with_san rt (fun h ->
-      h (San_hooks.Event.Move_begin { addr = obj.Aobject.addr }));
-  Sim.Span.with_span (Runtime.spans rt) Sim.Span.Object_move
-    ~label:obj.Aobject.name ~obj:obj.Aobject.addr ~arg:dest (fun () ->
-      if obj.Aobject.immutable_ then replicate rt obj ~dest
-      else move_mutable rt obj.Aobject.addr (Aobject.Any obj) ~dest);
-  Runtime.with_san rt (fun h ->
-      h (San_hooks.Event.Move_end { addr = obj.Aobject.addr }));
+  bracketed rt obj.Aobject.addr (fun () ->
+      Sim.Span.with_span (Runtime.spans rt) Sim.Span.Object_move
+        ~label:obj.Aobject.name ~obj:obj.Aobject.addr ~arg:dest (fun () ->
+          if obj.Aobject.immutable_ then replicate rt obj ~dest
+          else move_mutable rt obj.Aobject.addr (Aobject.Any obj) ~dest));
   Sim.Stats.Summary.add (Runtime.move_latency rt) (Runtime.now rt -. t0);
   (* If the caller was bound to the moved object, force it through the
      context-switch-in check so it follows the object (§3.5). *)
@@ -223,14 +198,12 @@ let attach rt ~parent ~child =
   Sim.Fiber.consume c.Cost_model.forward_lookup_cpu;
   (* Attachment guarantees co-residency from now on, so co-locate first. *)
   let parent_loc = locate rt parent in
-  if child.Aobject.location <> parent_loc then begin
-    Runtime.with_san rt (fun h ->
-        h (San_hooks.Event.Move_begin { addr = child.Aobject.addr }));
-    if child.Aobject.immutable_ then replicate rt child ~dest:parent_loc
-    else move_mutable rt child.Aobject.addr (Aobject.Any child) ~dest:parent_loc;
-    Runtime.with_san rt (fun h ->
-        h (San_hooks.Event.Move_end { addr = child.Aobject.addr }))
-  end;
+  if child.Aobject.location <> parent_loc then
+    bracketed rt child.Aobject.addr (fun () ->
+        if child.Aobject.immutable_ then replicate rt child ~dest:parent_loc
+        else
+          move_mutable rt child.Aobject.addr (Aobject.Any child)
+            ~dest:parent_loc);
   child.Aobject.parent <- Some (Aobject.Any parent);
   parent.Aobject.attached <- Aobject.Any child :: parent.Aobject.attached
 

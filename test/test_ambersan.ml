@@ -561,6 +561,32 @@ let test_sanitizer_reports_coherence_drift () =
   Alcotest.(check bool) "violations reported" true
     (List.length report.San.violations > 0)
 
+let test_failed_move_keeps_auditing () =
+  (* A MoveTo that raises still closes its move bracket: otherwise the
+     in-flight move count never returns to zero, and every later
+     move-quiescence audit waits for [finalize]. *)
+  let cfg =
+    { (A.Config.make ~nodes:4 ~cpus:2 ()) with A.Config.rpc_reliable = true }
+  in
+  let online, final =
+    A.Cluster.run_value cfg (fun rt ->
+        let san = San.attach rt in
+        let o = A.Api.create rt ~name:"o" () in
+        let x = A.Api.create rt ~name:"x" () in
+        A.Runtime.fail_stop rt ~node:2;
+        (match A.Api.move_to rt o ~dest:2 with
+        | () -> Alcotest.fail "a move to a dead node succeeded"
+        | exception Topaz.Rpc.Node_dead _ -> ());
+        A.Descriptor.set_resident (A.Runtime.descriptors rt 3) x.A.Aobject.addr;
+        A.Api.move_to rt x ~dest:1;
+        let online = San.report san in
+        (online, San.finalize san))
+  in
+  Alcotest.(check bool) "audited at move quiescence" true
+    (San.findings online > 0);
+  Alcotest.(check int) "finalize adds nothing" (San.findings final)
+    (San.findings online)
+
 let test_report_section_in_stats () =
   let captured =
     Util.run (fun rt ->
@@ -616,6 +642,8 @@ let suite =
       test_steal_edge_orders_accesses;
     Alcotest.test_case "coherence drift reported" `Quick
       test_sanitizer_reports_coherence_drift;
+    Alcotest.test_case "failed move keeps auditing" `Quick
+      test_failed_move_keeps_auditing;
     Alcotest.test_case "sanitizer section in stats report" `Quick
       test_report_section_in_stats;
   ]

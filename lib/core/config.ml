@@ -8,13 +8,8 @@ type crash = { cnode : int; at : float; restart : float option }
 type t = {
   nodes : int;
   cpus_per_node : int;
-  quantum : float;
-  ctx_switch : float;
   ether_bandwidth_bps : float;
-  ether_propagation : float;
-  ether_wire_overhead : float;
   ether_mac : Hw.Ethernet.mac;
-  rpc_costs : Topaz.Rpc.costs;
   rpc_servers_per_node : int;
   cost : Cost_model.t;
   initial_regions_per_node : int;
@@ -51,13 +46,8 @@ let default =
   {
     nodes = 2;
     cpus_per_node = 4;
-    quantum = 5e-3;
-    ctx_switch = 30e-6;
     ether_bandwidth_bps = 10e6;
-    ether_propagation = 20e-6;
-    ether_wire_overhead = 50e-6;
     ether_mac = Hw.Ethernet.Fifo;
-    rpc_costs = Topaz.Rpc.default_costs;
     rpc_servers_per_node = 8;
     cost = Cost_model.default;
     initial_regions_per_node = 4;
@@ -96,7 +86,6 @@ let crashes_enabled t = t.crashes <> [] || t.crash_rate > 0.0
 let validate t =
   if t.nodes <= 0 then invalid_arg "Config: nodes must be positive";
   if t.cpus_per_node <= 0 then invalid_arg "Config: cpus_per_node";
-  if t.quantum <= 0.0 then invalid_arg "Config: quantum";
   if t.ether_bandwidth_bps <= 0.0 then invalid_arg "Config: bandwidth";
   if t.rpc_servers_per_node <= 0 then invalid_arg "Config: rpc servers";
   if t.initial_regions_per_node <= 0 then invalid_arg "Config: regions";

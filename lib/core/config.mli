@@ -13,13 +13,8 @@ type crash = { cnode : int; at : float; restart : float option }
 type t = {
   nodes : int;  (** number of machines (Fireflies) *)
   cpus_per_node : int;  (** processors available for user threads *)
-  quantum : float;  (** timeslice length, seconds *)
-  ctx_switch : float;  (** context-switch cost, seconds *)
   ether_bandwidth_bps : float;
-  ether_propagation : float;
-  ether_wire_overhead : float;
   ether_mac : Hw.Ethernet.mac;  (** FIFO (idealized) or CSMA/CD *)
-  rpc_costs : Topaz.Rpc.costs;
   rpc_servers_per_node : int;
   cost : Cost_model.t;
   initial_regions_per_node : int;

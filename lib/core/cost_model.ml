@@ -54,6 +54,9 @@ let default =
     future_notify_bytes = 64;
   }
 
+let quantum = 5e-3
+let ctx_switch = 30e-6
+
 let scale_cpu c factor =
   if factor <= 0.0 then invalid_arg "Cost_model.scale_cpu: factor";
   {

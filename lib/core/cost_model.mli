@@ -49,6 +49,12 @@ type t = {
 
 val default : t
 
+(** Topaz's scheduler timeslice: 5 ms. *)
+val quantum : float
+
+(** CPU time to switch a processor from one thread to another: 30 µs. *)
+val ctx_switch : float
+
 (** Scale every CPU cost by [factor] (e.g. to model faster processors, the
     §5 discussion of CPU speed vs. network latency). *)
 val scale_cpu : t -> float -> t

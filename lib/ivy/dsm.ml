@@ -34,7 +34,7 @@ let create rt ?(costs = Costs.default) ?initial_owner ?(manager = Dynamic)
   let initial_owner =
     match initial_owner with Some f -> f | None -> fun p -> p mod nodes
   in
-  let vms = Array.init nodes (fun i -> Topaz.Task.vm (Runtime.task rt i)) in
+  let vms = Array.init nodes (Runtime.vm rt) in
   let psize = Topaz.Vm.page_size vms.(0) in
   let tables =
     Array.init nodes (fun node ->

@@ -8,7 +8,7 @@ type 'r t = {
 let spawn rt ~node ?(name = "ivy-proc") body =
   let result = ref None in
   let tcb =
-    Topaz.Task.spawn (Runtime.task rt node) ~name (fun () ->
+    Hw.Machine.spawn (Runtime.machine rt node) ~name (fun () ->
         result := Some (body ()))
   in
   { tcb; result }

@@ -11,6 +11,3 @@ val join : Hw.Machine.tcb -> Sim.Fiber.outcome
 (** Block the calling fiber for [dt] virtual seconds without occupying a
     CPU. *)
 val sleep : engine:Sim.Engine.t -> float -> unit
-
-(** Block until [wake] is called; a bare one-shot parking primitive. *)
-val park : register:((unit -> unit) -> unit) -> unit

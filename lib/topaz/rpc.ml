@@ -18,7 +18,7 @@ let default_costs =
   }
 
 type endpoint = {
-  task : Task.t;
+  machine : Hw.Machine.t;
   queue : (unit -> unit) Queue.t;
   mutable idle : (unit -> unit) list;  (* wakers of parked server threads *)
 }
@@ -199,7 +199,7 @@ let enqueue_work ep work =
     ep.idle <- rest;
     wake ()
 
-let create ~ether ~tasks ?(costs = default_costs) ?(servers_per_node = 8)
+let create ~ether ~machines ?(servers_per_node = 8)
     ?(reliable = false) ?(rto = 25e-3) ?(retire_window = 1024)
     ?(max_retransmits = 30) ?(unsafe_count_window_dedup = false) ?coalesce
     ?(spans = Sim.Span.disabled ()) () =
@@ -217,14 +217,14 @@ let create ~ether ~tasks ?(costs = default_costs) ?(servers_per_node = 8)
   | None -> ());
   let endpoints =
     Array.map
-      (fun task -> { task; queue = Queue.create (); idle = [] })
-      tasks
+      (fun machine -> { machine; queue = Queue.create (); idle = [] })
+      machines
   in
   let server_tcbs =
     Array.mapi
       (fun node ep ->
         List.init servers_per_node (fun i ->
-            Task.spawn ep.task
+            Hw.Machine.spawn ep.machine
               ~name:(Printf.sprintf "rpc-server-%d.%d" node i)
               (fun () -> server_loop ep)))
       endpoints
@@ -232,7 +232,7 @@ let create ~ether ~tasks ?(costs = default_costs) ?(servers_per_node = 8)
   {
     ether;
     endpoints;
-    c = costs;
+    c = default_costs;
     reliable;
     rto;
     rel = fresh_reliability_counters ();
@@ -245,7 +245,7 @@ let create ~ether ~tasks ?(costs = default_costs) ?(servers_per_node = 8)
     unsafe_dedup = unsafe_count_window_dedup;
     max_retransmits;
     outstanding = Hashtbl.create 16;
-    dead = Array.make (Array.length tasks) false;
+    dead = Array.make (Array.length machines) false;
     peer_deaths = 0;
     watchers = Hashtbl.create 8;
     next_watch = 0;
@@ -262,7 +262,6 @@ let create ~ether ~tasks ?(costs = default_costs) ?(servers_per_node = 8)
     posts_rejected = 0;
   }
 
-let costs t = t.c
 let reliable_mode t = t.reliable
 let reliability t = t.rel
 

@@ -81,16 +81,6 @@ type t
     {!mark_node_dead}. *)
 exception Node_dead of { node : int }
 
-type costs = {
-  send_cpu_fixed : float;
-  send_cpu_per_byte : float;
-  recv_cpu_fixed : float;
-  recv_cpu_per_byte : float;
-  dispatch_cpu : float;
-}
-
-val default_costs : costs
-
 (** End-to-end reliability counters (all zero when [reliable = false]).
     [timeouts] counts retransmission-timer expiries, [retransmits] the
     packets re-sent as a result; [dup_requests]/[dup_replies]/
@@ -133,8 +123,7 @@ type coalescing_counters = {
 
 val create :
   ether:Hw.Ethernet.t ->
-  tasks:Task.t array ->
-  ?costs:costs ->
+  machines:Hw.Machine.t array ->
   ?servers_per_node:int ->
   ?reliable:bool ->
   (* default false *)
@@ -162,7 +151,6 @@ val create :
   unit ->
   t
 
-val costs : t -> costs
 val reliable_mode : t -> bool
 val reliability : t -> reliability_counters
 

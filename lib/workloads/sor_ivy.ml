@@ -74,7 +74,7 @@ let run rt (p : Sor_core.params) ?cfg ?(dsm_costs = Ivy.Costs.default)
     let rec find n = if c <= band_hi n || n = nodes - 1 then n else find (n + 1) in
     find 0
   in
-  let vm_psize = Topaz.Vm.page_size (Topaz.Task.vm (A.Runtime.task rt 0)) in
+  let vm_psize = Topaz.Vm.page_size (A.Runtime.vm rt 0) in
   let npages = (total_bytes + vm_psize - 1) / vm_psize in
   let dsm =
     Ivy.Dsm.create rt ~costs:dsm_costs

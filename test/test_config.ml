@@ -18,7 +18,6 @@ let check_invalid c =
 let test_validation_rejects () =
   check_invalid { A.Config.default with A.Config.nodes = 0 };
   check_invalid { A.Config.default with A.Config.cpus_per_node = -1 };
-  check_invalid { A.Config.default with A.Config.quantum = 0.0 };
   check_invalid { A.Config.default with A.Config.ether_bandwidth_bps = -5.0 };
   check_invalid { A.Config.default with A.Config.rpc_servers_per_node = 0 };
   check_invalid { A.Config.default with A.Config.initial_regions_per_node = 0 };

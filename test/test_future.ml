@@ -204,16 +204,15 @@ let test_delivered_table_bounded () =
   let machines =
     Array.init nodes (fun id -> Hw.Machine.create ~engine:e ~id ~cpus:2 ())
   in
-  let tasks = Array.map (fun m -> Topaz.Task.create ~machine:m ()) machines in
   let ether = Hw.Ethernet.create ~engine:e ~faults () in
   let rpc =
-    Topaz.Rpc.create ~ether ~tasks ~servers_per_node:2 ~reliable:true ()
+    Topaz.Rpc.create ~ether ~machines ~servers_per_node:2 ~reliable:true ()
   in
   let total = 3000 in
   let delivered = ref 0 in
   let seen = Hashtbl.create 4096 in
   ignore
-    (Topaz.Task.spawn tasks.(0) ~name:"flood" (fun () ->
+    (Hw.Machine.spawn machines.(0) ~name:"flood" (fun () ->
          for i = 0 to total - 1 do
            Topaz.Rpc.send_reliable rpc ~src:0
              ~dst:(1 + (i mod (nodes - 1)))
@@ -242,15 +241,14 @@ let test_coalescing_batches_and_orders () =
   let machines =
     Array.init 2 (fun id -> Hw.Machine.create ~engine:e ~id ~cpus:2 ())
   in
-  let tasks = Array.map (fun m -> Topaz.Task.create ~machine:m ()) machines in
   let ether = Hw.Ethernet.create ~engine:e () in
   let rpc =
-    Topaz.Rpc.create ~ether ~tasks ~servers_per_node:2
+    Topaz.Rpc.create ~ether ~machines ~servers_per_node:2
       ~coalesce:Topaz.Rpc.default_coalesce ()
   in
   let order = ref [] in
   ignore
-    (Topaz.Task.spawn tasks.(0) ~name:"burst" (fun () ->
+    (Hw.Machine.spawn machines.(0) ~name:"burst" (fun () ->
          (* Ten small datagrams back-to-back: all park within one flush
             window.  One oversized message must bypass the parking lot. *)
          for i = 0 to 9 do

@@ -25,13 +25,12 @@ let test_entry_lock_serializes () =
   (* Two fibers contend for the same entry lock; the second waits. *)
   let e = Sim.Engine.create () in
   let m = Hw.Machine.create ~engine:e ~id:0 ~cpus:2 () in
-  let task = Topaz.Task.create ~machine:m () in
   let t = Ivy.Page_table.create ~node:0 ~pages:1 ~initial_owner:(fun _ -> 0) in
   let entry = Ivy.Page_table.entry t 0 in
   let log = ref [] in
   let worker name =
     ignore
-      (Topaz.Task.spawn task ~name (fun () ->
+      (Hw.Machine.spawn m ~name (fun () ->
            Ivy.Page_table.lock_entry entry;
            log := (name ^ "-in") :: !log;
            Sim.Fiber.consume 0.01;

@@ -6,16 +6,15 @@ let build ?(nodes = 3) ?(cpus = 2) ?(servers = 2) () =
   let machines =
     Array.init nodes (fun id -> Hw.Machine.create ~engine:e ~id ~cpus ())
   in
-  let tasks = Array.map (fun m -> Topaz.Task.create ~machine:m ()) machines in
   let ether = Hw.Ethernet.create ~engine:e () in
-  let rpc = Topaz.Rpc.create ~ether ~tasks ~servers_per_node:servers () in
-  (e, machines, tasks, rpc)
+  let rpc = Topaz.Rpc.create ~ether ~machines ~servers_per_node:servers () in
+  (e, machines, rpc)
 
 let test_basic_call () =
-  let e, _, tasks, rpc = build () in
+  let e, machines, rpc = build () in
   let result = ref 0 in
   ignore
-    (Topaz.Task.spawn tasks.(0) ~name:"caller" (fun () ->
+    (Hw.Machine.spawn machines.(0) ~name:"caller" (fun () ->
          result := Topaz.Rpc.call rpc ~dst:1 ~kind:"add" ~req_size:64
              ~work:(fun () -> (8, 21 + 21))));
   ignore (Sim.Engine.run e);
@@ -23,10 +22,10 @@ let test_basic_call () =
   Alcotest.(check int) "one call" 1 (Topaz.Rpc.calls_made rpc)
 
 let test_call_takes_time () =
-  let e, _, tasks, rpc = build () in
+  let e, machines, rpc = build () in
   let elapsed = ref 0.0 in
   ignore
-    (Topaz.Task.spawn tasks.(0) ~name:"c" (fun () ->
+    (Hw.Machine.spawn machines.(0) ~name:"c" (fun () ->
          let t0 = Sim.Engine.now e in
          ignore (Topaz.Rpc.call rpc ~dst:1 ~kind:"nop" ~req_size:0
              ~work:(fun () -> (0, ())));
@@ -37,10 +36,10 @@ let test_call_takes_time () =
   Alcotest.(check bool) "but bounded" true (!elapsed < 10e-3)
 
 let test_work_runs_on_destination () =
-  let e, _, tasks, rpc = build () in
+  let e, machines, rpc = build () in
   let ran_on = ref (-1) in
   ignore
-    (Topaz.Task.spawn tasks.(0) ~name:"c" (fun () ->
+    (Hw.Machine.spawn machines.(0) ~name:"c" (fun () ->
          ignore
            (Topaz.Rpc.call rpc ~dst:2 ~kind:"where" ~req_size:0
               ~work:(fun () ->
@@ -54,12 +53,11 @@ let test_local_shortcut () =
   let machines =
     Array.init 2 (fun id -> Hw.Machine.create ~engine:e ~id ~cpus:2 ())
   in
-  let tasks = Array.map (fun m -> Topaz.Task.create ~machine:m ()) machines in
   let ether = Hw.Ethernet.create ~engine:e () in
-  let rpc = Topaz.Rpc.create ~ether ~tasks ~servers_per_node:2 () in
+  let rpc = Topaz.Rpc.create ~ether ~machines ~servers_per_node:2 () in
   let r = ref 0 in
   ignore
-    (Topaz.Task.spawn tasks.(1) ~name:"c" (fun () ->
+    (Hw.Machine.spawn machines.(1) ~name:"c" (fun () ->
          r := Topaz.Rpc.call rpc ~dst:1 ~kind:"self" ~req_size:0
              ~work:(fun () -> (0, 7))));
   ignore (Sim.Engine.run e);
@@ -68,11 +66,11 @@ let test_local_shortcut () =
     (Hw.Ethernet.packets_sent ether)
 
 let test_concurrent_calls () =
-  let e, _, tasks, rpc = build ~servers:4 () in
+  let e, machines, rpc = build ~servers:4 () in
   let sum = ref 0 in
   for i = 0 to 5 do
     ignore
-      (Topaz.Task.spawn tasks.(0) ~name:(Printf.sprintf "c%d" i) (fun () ->
+      (Hw.Machine.spawn machines.(0) ~name:(Printf.sprintf "c%d" i) (fun () ->
            sum :=
              !sum
              + Topaz.Rpc.call rpc ~dst:1 ~kind:"inc" ~req_size:16
@@ -84,11 +82,11 @@ let test_concurrent_calls () =
 let test_server_pool_queueing () =
   (* One server, two simultaneous calls with slow work: the second waits
      for the first to release the server. *)
-  let e, _, tasks, rpc = build ~servers:1 () in
+  let e, machines, rpc = build ~servers:1 () in
   let finish = Array.make 2 0.0 in
   for i = 0 to 1 do
     ignore
-      (Topaz.Task.spawn tasks.(0) ~name:(string_of_int i) (fun () ->
+      (Hw.Machine.spawn machines.(0) ~name:(string_of_int i) (fun () ->
            ignore
              (Topaz.Rpc.call rpc ~dst:1 ~kind:"slow" ~req_size:0
                 ~work:(fun () ->
@@ -101,21 +99,20 @@ let test_server_pool_queueing () =
     (Float.abs (finish.(1) -. finish.(0)) >= 0.1)
 
 let test_post () =
-  let e, _, tasks, rpc = build () in
+  let e, _, rpc = build () in
   let got = ref false in
   Topaz.Rpc.post rpc ~src:0 ~dst:2 ~kind:"oneway" ~size:128 (fun () ->
       got := true);
   ignore (Sim.Engine.run e);
   Alcotest.(check bool) "handler ran" true !got;
-  Alcotest.(check int) "counted" 1 (Topaz.Rpc.posts_made rpc);
-  ignore tasks
+  Alcotest.(check int) "counted" 1 (Topaz.Rpc.posts_made rpc)
 
 let test_nested_call_from_server () =
   (* Work on node 1 itself RPCs node 2: servers must not deadlock. *)
-  let e, _, tasks, rpc = build ~servers:2 () in
+  let e, machines, rpc = build ~servers:2 () in
   let r = ref 0 in
   ignore
-    (Topaz.Task.spawn tasks.(0) ~name:"c" (fun () ->
+    (Hw.Machine.spawn machines.(0) ~name:"c" (fun () ->
          r := Topaz.Rpc.call rpc ~dst:1 ~kind:"outer" ~req_size:0
              ~work:(fun () ->
                let inner =
@@ -127,14 +124,13 @@ let test_nested_call_from_server () =
   Alcotest.(check int) "nested result" 10 !r
 
 let test_backlog_drains () =
-  let e, _, tasks, rpc = build ~servers:1 () in
+  let e, _, rpc = build ~servers:1 () in
   for _burst = 0 to 4 do
     Topaz.Rpc.post rpc ~src:0 ~dst:1 ~kind:"burst" ~size:8 (fun () ->
         Sim.Fiber.consume 0.01)
   done;
   ignore (Sim.Engine.run e);
-  Alcotest.(check int) "backlog empty" 0 (Topaz.Rpc.backlog rpc 1);
-  ignore tasks
+  Alcotest.(check int) "backlog empty" 0 (Topaz.Rpc.backlog rpc 1)
 
 let suite =
   [

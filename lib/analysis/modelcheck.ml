@@ -700,6 +700,9 @@ type stats = {
   mutable truncated : int;  (* executions cut off at max depth *)
   mutable decisions : int;  (* decision points executed, all runs *)
   mutable max_depth : int;
+  mutable frontier : int option;
+      (* DFS, once stopped: branches still enqueued; 0 means the
+         exploration finished *)
   mutable wall : float;  (* host seconds spent exploring *)
 }
 
@@ -708,6 +711,17 @@ type outcome = {
   stats : stats;
   counterexample : (Schedule.t * string list) option;
 }
+
+let new_stats () =
+  {
+    schedules = 0;
+    pruned = 0;
+    truncated = 0;
+    decisions = 0;
+    max_depth = 0;
+    frontier = None;
+    wall = 0.0;
+  }
 
 let schedule_of_trail trail =
   Array.to_list trail
@@ -722,48 +736,61 @@ let stats_lines st =
     Printf.sprintf "depth-truncated runs   %d" st.truncated;
     Printf.sprintf "decision points        %d" st.decisions;
     Printf.sprintf "max schedule depth     %d" st.max_depth;
-    Printf.sprintf "wall time              %.2fs" st.wall;
   ]
+  @ (match st.frontier with
+    | Some n -> [ Printf.sprintf "unexplored branches    %d" n ]
+    | None -> [])
+  @ [ Printf.sprintf "wall time              %.2fs" st.wall ]
 
-type branch = { prefix : int array; sleep0 : (string * string) list }
+(* The explored tree.  A node is one decision state, named by the choice
+   path from the root; an execution is deterministic in that path, so
+   the node's candidate array is the same in every execution through it
+   and the node need only remember indices.  [tried] holds the indices
+   run or enqueued there, [kids] the nodes they lead to. *)
+type node = {
+  up : node;  (* the parent; the root is its own *)
+  via : int;  (* the index taken at [up] to reach this node *)
+  depth : int;
+  mutable tried : int list;
+  mutable kids : node list;
+}
+
+let child node i =
+  let rec find = function
+    | k :: rest -> if k.via = i then k else find rest
+    | [] ->
+      let k =
+        { up = node; via = i; depth = node.depth + 1; tried = []; kids = [] }
+      in
+      node.kids <- k :: node.kids;
+      k
+  in
+  find node.kids
+
+(* The choice path that replays to [node]. *)
+let path node =
+  let p = Array.make node.depth 0 in
+  let rec fill n =
+    if n.depth > 0 then begin
+      p.(n.depth - 1) <- n.via;
+      fill n.up
+    end
+  in
+  fill node;
+  p
+
+(* A branch replays the path to [start], then runs on with [sleep0]
+   asleep. *)
+type branch = { start : node; sleep0 : (string * string) list }
 
 let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
   let fault_budget = Option.value fault_budget ~default:fx.budget in
   let t0 = Unix.gettimeofday () in
-  let st =
-    {
-      schedules = 0;
-      pruned = 0;
-      truncated = 0;
-      decisions = 0;
-      max_depth = 0;
-      wall = 0.0;
-    }
-  in
+  let st = new_stats () in
   let section () = stats_lines st in
-  (* explored (or enqueued) candidate indices per tree node, keyed by
-     the choice path leading to the node *)
-  let explored : (string, (int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 4096
-  in
-  let explored_at path_key =
-    match Hashtbl.find_opt explored path_key with
-    | Some s -> s
-    | None ->
-      let s = Hashtbl.create 4 in
-      Hashtbl.replace explored path_key s;
-      s
-  in
-  let stack = ref [ { prefix = [||]; sleep0 = [] } ] in
+  let rec root = { up = root; via = -1; depth = 0; tried = []; kids = [] } in
+  let stack = ref [ { start = root; sleep0 = [] } ] in
   let counterexample = ref None in
-  let path_key choices upto =
-    let b = Buffer.create (upto * 3) in
-    for i = 0 to upto - 1 do
-      Buffer.add_string b (string_of_int choices.(i));
-      Buffer.add_char b ','
-    done;
-    Buffer.contents b
-  in
   while
     !stack <> []
     && !counterexample = None
@@ -772,8 +799,8 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
     let b = List.hd !stack in
     stack := List.tl !stack;
     match
-      run_one fx ~prefix:b.prefix ~sleep0:b.sleep0 ~max_depth ~fault_budget
-        ~section
+      run_one fx ~prefix:(path b.start) ~sleep0:b.sleep0 ~max_depth
+        ~fault_budget ~section
     with
     | Blocked d ->
       st.pruned <- st.pruned + 1;
@@ -787,10 +814,16 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
       if violations <> [] then
         counterexample := Some (schedule_of_trail trail, violations)
       else begin
-        let choices = Array.map (fun e -> e.chosen) trail in
-        (* mark this execution's own choices explored *)
+        (* walk this execution's path through the tree once, marking its
+           own choices explored; [nodes.(d)] is the state of decision d *)
+        let nodes = Array.make n root in
         for d = 0 to n - 1 do
-          Hashtbl.replace (explored_at (path_key choices d)) choices.(d) ()
+          let node =
+            if d = 0 then root else child nodes.(d - 1) trail.(d - 1).chosen
+          in
+          nodes.(d) <- node;
+          let c = trail.(d).chosen in
+          if not (List.mem c node.tried) then node.tried <- c :: node.tried
         done;
         let keysets = Array.map keyset trail in
         let faults_before = Array.make (n + 1) 0 in
@@ -805,21 +838,19 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
           faults_before.(j + 1) <- faults_before.(j) + extra
         done;
         let push_alt i alt =
-          let set = explored_at (path_key choices i) in
-          if not (Hashtbl.mem set alt) then begin
+          let node = nodes.(i) in
+          if not (List.mem alt node.tried) then begin
             (* transitions already taken from this node sleep in the new
                branch until something dependent wakes them *)
             let sleep0 =
-              Hashtbl.fold
-                (fun a () acc ->
+              List.map
+                (fun a ->
                   let c = trail.(i).cands.(a) in
-                  (c.Choice.ident, c.Choice.key) :: acc)
-                set []
+                  (c.Choice.ident, c.Choice.key))
+                node.tried
             in
-            Hashtbl.replace set alt ();
-            stack :=
-              { prefix = Array.append (Array.sub choices 0 i) [| alt |]; sleep0 }
-              :: !stack
+            node.tried <- alt :: node.tried;
+            stack := { start = child node alt; sleep0 } :: !stack
           end
         in
         for j = 0 to n - 1 do
@@ -868,6 +899,7 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
         done
       end
   done;
+  st.frontier <- Some (List.length !stack);
   st.wall <- Unix.gettimeofday () -. t0;
   { fixture = fx.fname; stats = st; counterexample = !counterexample }
 
@@ -888,16 +920,7 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
 let fuzz ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget ~seed fx =
   let fault_budget = Option.value fault_budget ~default:fx.budget in
   let t0 = Unix.gettimeofday () in
-  let st =
-    {
-      schedules = 0;
-      pruned = 0;
-      truncated = 0;
-      decisions = 0;
-      max_depth = 0;
-      wall = 0.0;
-    }
-  in
+  let st = new_stats () in
   let section () = stats_lines st in
   let rng = Random.State.make [| seed |] in
   let counterexample = ref None in

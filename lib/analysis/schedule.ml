@@ -38,7 +38,7 @@ let of_choice (c : Sim.Choice.candidate) ~index ~ncands =
     ncands;
     ident = c.Sim.Choice.ident;
     key = c.Sim.Choice.key;
-    label = c.Sim.Choice.label;
+    label = Lazy.force c.Sim.Choice.label;
   }
 
 (* Labels are machine-generated and never contain tabs or newlines, but

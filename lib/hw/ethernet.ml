@@ -197,18 +197,20 @@ let inject t (p : Packet.t) ~delivery =
   | Some c when c.Sim.Choice.faults && p.Packet.seq >= 0 ->
     let key = Printf.sprintf "net:n%d" p.Packet.dst in
     let tag verb =
-      Sim.Choice.candidate ~key
-        ~label:
-          (Printf.sprintf "%s %s %d>%d seq%d" verb p.Packet.kind p.Packet.src
-             p.Packet.dst p.Packet.seq)
-        ~dom:Sim.Choice.Fault
-          (* the ident names this packet's fate, not just the verb:
-             sleep sets track transition identity across states, and
-             "dup" of one packet is unrelated to "dup" of another *)
-        ~ident:
-          (Printf.sprintf "%s:%s:%d>%d:%d" verb p.Packet.kind p.Packet.src
-             p.Packet.dst p.Packet.seq)
-        ()
+      {
+        Sim.Choice.dom = Sim.Choice.Fault;
+        (* the ident names this packet's fate, not just the verb: sleep
+           sets track transition identity across states, and "dup" of
+           one packet is unrelated to "dup" of another *)
+        ident =
+          Printf.sprintf "%s:%s:%d>%d:%d" verb p.Packet.kind p.Packet.src
+            p.Packet.dst p.Packet.seq;
+        key;
+        label =
+          lazy
+            (Printf.sprintf "%s %s %d>%d seq%d" verb p.Packet.kind
+               p.Packet.src p.Packet.dst p.Packet.seq);
+      }
     in
     let cands = [| tag "deliver"; tag "drop"; tag "dup" |] in
     (match c.Sim.Choice.pick Sim.Choice.Fault cands with

@@ -56,6 +56,7 @@ and t = {
   eng : Sim.Engine.t;
   cpus : cpu list;
   mutable pol : tcb Sched_policy.t;
+  key : string;  (* static conflict key of this node's scheduler events *)
   ctx_switch : float;
   quantum : float;
   preempt_cost : float;
@@ -96,6 +97,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
       List.init cpus (fun index ->
           { index; cstate = Idle; busy_seconds = 0.0; quantum_left = quantum });
     pol;
+    key = "node:" ^ string_of_int id;
     ctx_switch;
     quantum;
     preempt_cost;
@@ -164,8 +166,7 @@ let rec schedule_dispatch m =
     in
     ignore
       ((if Sim.Engine.chooser_active m.eng then
-          Sim.Engine.schedule m.eng
-            ~key:(Printf.sprintf "node:%d" m.mid)
+          Sim.Engine.schedule m.eng ~key:m.key
             ~label:(Printf.sprintf "dispatch node%d" m.mid)
             ~delay:0.0 thunk
         else Sim.Engine.schedule m.eng ~delay:0.0 thunk)
@@ -210,12 +211,13 @@ and choose_ready (c : Sim.Choice.t) m =
   let cands =
     Array.map
       (fun tcb ->
-        Sim.Choice.candidate
-          ~key:(Printf.sprintf "node:%d" m.mid)
-          ~label:(Printf.sprintf "run %s t%d node%d" tcb.name tcb.tid m.mid)
-          ~dom:Sim.Choice.Fiber
-          ~ident:(Printf.sprintf "t%d" tcb.tid)
-          ())
+        {
+          Sim.Choice.dom = Sim.Choice.Fiber;
+          ident = "t" ^ string_of_int tcb.tid;
+          key = m.key;
+          label =
+            lazy (Printf.sprintf "run %s t%d node%d" tcb.name tcb.tid m.mid);
+        })
       ready
   in
   let idx = c.Sim.Choice.pick Sim.Choice.Fiber cands in
@@ -308,8 +310,7 @@ and start_chunk m cpu tcb ~remaining =
   let thunk () = chunk_done m cpu busy in
   let ev =
     if Sim.Engine.chooser_active m.eng then
-      Sim.Engine.schedule m.eng
-        ~key:(Printf.sprintf "node:%d" m.mid)
+      Sim.Engine.schedule m.eng ~key:m.key
         ~label:(Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
         ~delay:chunk thunk
     else Sim.Engine.schedule m.eng ~delay:chunk thunk

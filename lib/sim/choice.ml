@@ -32,7 +32,9 @@ type candidate = {
       (* static conflict key — which protocol state the alternative
          touches a priori.  "" means unknown: conservative choosers must
          treat it as conflicting with everything *)
-  label : string;  (* human-readable, for schedule files and logs *)
+  label : string Lazy.t;
+      (* human-readable, for schedule files: forced only when a
+         counterexample is written, so a decision never formats one *)
 }
 
 type t = {
@@ -48,5 +50,3 @@ type t = {
          explorer can compute commutativity from observed behaviour
          rather than from static keys alone *)
 }
-
-let candidate ?(key = "") ?(label = "") ~dom ~ident () = { dom; ident; key; label }

@@ -30,7 +30,9 @@ type candidate = {
           (event id, fiber tid, fault verb) *)
   key : string;
       (** static conflict key; [""] = unknown, conflicts with all *)
-  label : string;  (** human-readable description *)
+  label : string Lazy.t;
+      (** human-readable description, forced only when a schedule is
+          written *)
 }
 
 type t = {
@@ -45,6 +47,3 @@ type t = {
           same-descriptor coherence ops — the AmberSan happens-before
           vocabulary) *)
 }
-
-val candidate :
-  ?key:string -> ?label:string -> dom:domain -> ident:string -> unit -> candidate

@@ -108,12 +108,14 @@ let checked_step (c : Choice.t) t =
     let cands =
       Array.map
         (fun ev ->
-          Choice.candidate ~key:ev.key
-            ~label:
-              (if ev.label = "" then Printf.sprintf "ev%d" ev.id else ev.label)
-            ~dom:Choice.Event
-            ~ident:(Printf.sprintf "e%d" ev.id)
-            ())
+          {
+            Choice.dom = Choice.Event;
+            ident = "e" ^ string_of_int ev.id;
+            key = ev.key;
+            label =
+              (if ev.label = "" then lazy ("ev" ^ string_of_int ev.id)
+               else Lazy.from_val ev.label);
+          })
         arr
     in
     let idx = c.Choice.pick Choice.Event cands in

@@ -28,13 +28,43 @@ let test_explore_steal_clean () =
   Alcotest.(check bool) "decision points counted" true
     (o.M.stats.M.decisions > o.M.stats.M.schedules)
 
+(* The exploration order, pinned on every fixture: schedules, decisions,
+   max depth and pruned branches after 200 schedules, and the branches
+   still enqueued there.  A change that reorders, drops or repeats a
+   branch moves one of them. *)
 let test_explore_deterministic () =
-  let run () =
-    let o = M.explore ~max_schedules:80 (find_fixture "future") in
-    (o.M.stats.M.schedules, o.M.stats.M.decisions, o.M.stats.M.max_depth)
+  List.iter
+    (fun (name, want, frontier) ->
+      let st = (M.explore ~max_schedules:200 (find_fixture name)).M.stats in
+      Alcotest.(check (list int))
+        (name ^ ": schedules, decisions, depth, pruned")
+        want
+        [ st.M.schedules; st.M.decisions; st.M.max_depth; st.M.pruned ];
+      Alcotest.(check (option int)) (name ^ ": frontier") (Some frontier)
+        st.M.frontier)
+    [
+      ("replica", [ 200; 19472; 102; 0 ], 115);
+      ("future", [ 200; 7354; 39; 0 ], 39);
+      ("rpc", [ 200; 7563; 45; 0 ], 100);
+      ("steal", [ 200; 5421; 30; 0 ], 17);
+      ("crash-promo", [ 200; 5143; 30; 0 ], 20);
+      ("crash-move", [ 200; 19614; 99; 0 ], 185);
+    ]
+
+(* A DFS run says how much of its frontier it left; a random walk has
+   none to report. *)
+let test_frontier_line () =
+  let has_frontier o =
+    List.exists
+      (String.starts_with ~prefix:"unexplored branches")
+      (M.stats_lines o.M.stats)
   in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "exploration replays identically" true (a = b)
+  let dfs = M.explore ~max_schedules:5 (find_fixture "steal") in
+  Alcotest.(check bool) "DFS prints its frontier" true (has_frontier dfs);
+  Alcotest.(check bool) "capped DFS leaves branches" true
+    (match dfs.M.stats.M.frontier with Some n -> n > 0 | None -> false);
+  let walk = M.fuzz ~seed:1 ~max_schedules:5 (find_fixture "steal") in
+  Alcotest.(check bool) "random walk prints none" false (has_frontier walk)
 
 let test_fuzz_clean_and_deterministic () =
   let run () =
@@ -166,6 +196,7 @@ let suite =
       test_explore_steal_clean;
     Alcotest.test_case "explore: deterministic" `Quick
       test_explore_deterministic;
+    Alcotest.test_case "explore: frontier line" `Quick test_frontier_line;
     Alcotest.test_case "fuzz: safe rpc clean, seeded walks repeat" `Quick
       test_fuzz_clean_and_deterministic;
     Alcotest.test_case "mutation: dedup bug found" `Quick test_mutation_found;

@@ -59,7 +59,10 @@ let write_file path contents =
 
 (* The main thread: attach the layers in order, run the body, stop the
    recurring ticks (also when the body raises, or the engine would never
-   quiesce), print the report, and seal the profiler before teardown. *)
+   quiesce), print the report, and seal the profiler before teardown.
+   The balancer's daemons can die of the body's own typed failure, and
+   stopping one joins it, so the stop runs outside the [finally]: its
+   failure surfaces typed, and the body's exception wins over it. *)
 let main s l ppf body rt =
   if s.sanitize then l.san <- Some (San.attach rt);
   if s.profile then l.prof <- Some (Scope.Profile.attach rt);
@@ -73,10 +76,16 @@ let main s l ppf body rt =
   let lb = Balance.Driver.start rt s.balance in
   let r =
     Fun.protect
-      ~finally:(fun () ->
-        Balance.Driver.stop lb;
-        Option.iter Watch.stop l.tick)
-      (fun () -> body rt)
+      ~finally:(fun () -> Option.iter Watch.stop l.tick)
+      (fun () ->
+        match body rt with
+        | r ->
+          Balance.Driver.stop lb;
+          r
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          (try Balance.Driver.stop lb with _ -> ());
+          Printexc.raise_with_backtrace e bt)
   in
   if s.report then begin
     l.reported <- Option.map (fun san -> San.findings (San.report san)) l.san;

@@ -13,7 +13,9 @@
     Inside the main thread, [run] attaches the requested layers in a
     fixed order: sanitizer, profiler, flight recorder, watch tick, then
     the balancer.  It runs the body, then stops the balancer and the
-    tick (also when the body raises, so the engine can quiesce).  With
+    tick (also when the body raises, so the engine can quiesce).  A
+    balancer that fails to stop fails the run as the body would; when
+    both fail, the body's exception is the one raised.  With
     [report] it prints the cluster report, and finally it seals the
     profiler, so teardown stays outside the measured region.
 

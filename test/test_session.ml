@@ -171,6 +171,19 @@ let test_cli_fail_stop () =
         (List.exists (String.starts_with ~prefix) lines))
     [ "failed: Rpc.Node_dead"; "AmberSan:"; "flight recorder:" ]
 
+(* The balancer's daemons die with the crashed node; stopping them must
+   not turn the typed failure into an internal error. *)
+let test_cli_balanced_fail_stop () =
+  let status, lines =
+    cli
+      [ "sor"; "-n"; "4"; "-p"; "4"; "--rows"; "16"; "--cols"; "64";
+        "--iters"; "4"; "--skew"; "--balance=hybrid"; "--steal";
+        "--crash"; "3@0.02s" ]
+  in
+  Alcotest.(check int) "exit 5" 5 status;
+  Alcotest.(check bool) "typed failure printed" true
+    (List.exists (String.starts_with ~prefix:"failed: Rpc.Node_dead") lines)
+
 let test_cli_usage_errors () =
   List.iter
     (fun args ->
@@ -230,6 +243,8 @@ let suite =
     workloads
   @ [
       Alcotest.test_case "cli: fail-stop exits 5" `Quick test_cli_fail_stop;
+      Alcotest.test_case "cli: balanced fail-stop exits 5" `Quick
+        test_cli_balanced_fail_stop;
       Alcotest.test_case "cli: usage errors exit 124" `Quick
         test_cli_usage_errors;
       Alcotest.test_case "cli: each section prints once" `Quick

@@ -1,84 +1,142 @@
-type 'a entry = { time : float; seq : int; value : 'a }
+(* An indexed binary heap over parallel arrays.  Heap position [i] holds
+   the entry with timestamp [times.(i)], insertion number [seqs.(i)] and
+   value [values.(slots.(i))].  [add] writes each value once into a free
+   slot of [values]; sifting then moves only unboxed floats and ints, so
+   it allocates nothing and never runs the write barrier.
 
+   [slots] is a permutation of [0, capacity): positions [0, size) name the
+   live entries' slots and positions [size, capacity) the free ones, so
+   the free list needs no storage of its own.  A popped value stays in its
+   slot until an [add] reuses the slot, so the queue keeps at most its
+   capacity of values reachable. *)
 type 'a t = {
-  mutable heap : 'a entry array;
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable values : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
 let initial_capacity = 64
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create () =
+  {
+    times = Float.Array.create 0;
+    seqs = [||];
+    slots = [||];
+    values = [||];
+    size = 0;
+    next_seq = 0;
+  }
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Called on a full queue; [witness] fills the new value slots until
+   [add] writes them. *)
+let grow q witness =
+  let cap = Array.length q.slots in
+  let cap' = max initial_capacity (2 * cap) in
+  let times = Float.Array.create cap' in
+  Float.Array.blit q.times 0 times 0 cap;
+  let seqs = Array.make cap' 0 in
+  Array.blit q.seqs 0 seqs 0 cap;
+  let slots = Array.init cap' Fun.id in
+  Array.blit q.slots 0 slots 0 cap;
+  let values = Array.make cap' witness in
+  Array.blit q.values 0 values 0 cap;
+  q.times <- times;
+  q.seqs <- seqs;
+  q.slots <- slots;
+  q.values <- values
 
-let grow q needed =
-  let cap = max initial_capacity (max needed (2 * Array.length q.heap)) in
-  if cap > Array.length q.heap then begin
-    match q.heap with
-    | [||] ->
-      (* Delay allocation until we have a witness element. *)
-      ()
-    | heap ->
-      let bigger = Array.make cap heap.(0) in
-      Array.blit heap 0 bigger 0 q.size;
-      q.heap <- bigger
-  end
-
-let rec sift_up heap i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier heap.(i) heap.(parent) then begin
-      let tmp = heap.(i) in
-      heap.(i) <- heap.(parent);
-      heap.(parent) <- tmp;
-      sift_up heap parent
-    end
-  end
-
-let rec sift_down heap size i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < size && earlier heap.(l) heap.(i) then l else i in
-  let smallest =
-    if r < size && earlier heap.(r) heap.(smallest) then r else smallest
-  in
-  if smallest <> i then begin
-    let tmp = heap.(i) in
-    heap.(i) <- heap.(smallest);
-    heap.(smallest) <- tmp;
-    sift_down heap size smallest
-  end
+(* The sift loops below index only positions below [size], which never
+   exceeds the arrays' common length. *)
 
 let add q ~time value =
   if Float.is_nan time then invalid_arg "Event_queue.add: NaN time";
-  let entry = { time; seq = q.next_seq; value } in
-  q.next_seq <- q.next_seq + 1;
-  if q.size >= Array.length q.heap then begin
-    if Array.length q.heap = 0 then q.heap <- Array.make initial_capacity entry
-    else grow q (q.size + 1)
-  end;
-  q.heap.(q.size) <- entry;
-  q.size <- q.size + 1;
-  sift_up q.heap (q.size - 1)
+  if q.size = Array.length q.slots then grow q value;
+  let times = q.times and seqs = q.seqs and slots = q.slots in
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  let slot = Array.unsafe_get slots q.size in
+  q.values.(slot) <- value;
+  (* Sift the hole at the new last position up.  [seq] is larger than
+     every queued one, so the new entry precedes a parent only on a
+     strictly earlier time. *)
+  let i = ref q.size in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    if time < Float.Array.unsafe_get times parent then begin
+      Float.Array.unsafe_set times !i (Float.Array.unsafe_get times parent);
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+      Array.unsafe_set slots !i (Array.unsafe_get slots parent);
+      i := parent
+    end
+    else moving := false
+  done;
+  Float.Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot;
+  q.size <- q.size + 1
 
-let top q =
-  if q.size = 0 then invalid_arg "Event_queue: empty queue";
-  q.heap.(0)
+let check_nonempty q =
+  if q.size = 0 then invalid_arg "Event_queue: empty queue"
 
-let min_time q = (top q).time
-let min_value q = (top q).value
+let min_time q =
+  check_nonempty q;
+  Float.Array.unsafe_get q.times 0
+
+let min_value q =
+  check_nonempty q;
+  Array.unsafe_get q.values (Array.unsafe_get q.slots 0)
 
 let pop_min q =
-  let e = top q in
-  q.size <- q.size - 1;
-  if q.size > 0 then begin
-    q.heap.(0) <- q.heap.(q.size);
-    sift_down q.heap q.size 0
+  check_nonempty q;
+  let times = q.times and seqs = q.seqs and slots = q.slots in
+  let top = Array.unsafe_get slots 0 in
+  let size = q.size - 1 in
+  q.size <- size;
+  if size > 0 then begin
+    (* Lift the last entry out, park the popped slot in the freed
+       position, and sift the hole at the root down. *)
+    let time = Float.Array.unsafe_get times size in
+    let seq = Array.unsafe_get seqs size in
+    let slot = Array.unsafe_get slots size in
+    Array.unsafe_set slots size top;
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= size then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < size then begin
+            let tl = Float.Array.unsafe_get times l
+            and tr = Float.Array.unsafe_get times r in
+            if
+              tr < tl
+              || (tr = tl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+            then r
+            else l
+          end
+          else l
+        in
+        let tc = Float.Array.unsafe_get times c in
+        if tc < time || (tc = time && Array.unsafe_get seqs c < seq) then begin
+          Float.Array.unsafe_set times !i tc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    Float.Array.unsafe_set times !i time;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set slots !i slot
   end;
-  (* Overwrite the vacated slot so it does not pin the entry that was
-     moved to the root; the popped value is returned anyway. *)
-  q.heap.(q.size) <- e;
-  e.value
+  Array.unsafe_get q.values top
 
 let pop q =
   if q.size = 0 then None
@@ -90,13 +148,15 @@ let is_empty q = q.size = 0
 let length q = q.size
 
 let clear q =
-  q.heap <- [||];
+  q.times <- Float.Array.create 0;
+  q.seqs <- [||];
+  q.slots <- [||];
+  q.values <- [||];
   q.size <- 0
 
 let fold q ~init ~f =
   let acc = ref init in
   for i = 0 to q.size - 1 do
-    let e = q.heap.(i) in
-    acc := f !acc e.time e.value
+    acc := f !acc (Float.Array.get q.times i) q.values.(q.slots.(i))
   done;
   !acc

@@ -118,6 +118,86 @@ let prop_length =
         ops;
       Sim.Event_queue.length q = !model)
 
+(* Property: any interleaving of [add], [pop_min], [min_time] and
+   [min_value] agrees with a sorted-list model of [(time, seq)].  The
+   middle run of 65 adds takes the queue past its initial 64 slots, and
+   the pops around it free slots for later adds to reuse. *)
+type op = Add of float | Pop | Peek
+
+let prop_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map (fun t -> Add (float_of_int t)) (int_bound 20));
+          (1, return Pop);
+          (1, return Peek);
+        ])
+  in
+  let ops n = QCheck.Gen.(list_size (int_bound n) op) in
+  let adds =
+    QCheck.Gen.(
+      list_repeat 65 (map (fun t -> Add t) (float_bound_inclusive 20.0)))
+  in
+  QCheck.Test.make ~name:"add/pop_min/min_* agree with a sorted model"
+    ~count:300
+    (QCheck.make QCheck.Gen.(triple (ops 100) adds (ops 200)))
+    (fun (a, b, c) ->
+      let q = Sim.Event_queue.create () in
+      (* The model: (time, seq) pairs in queue order; the value is seq. *)
+      let model = ref [] and seq = ref 0 in
+      let insert t =
+        let rec go = function
+          | (t', _) :: _ as l when t < t' -> (t, !seq) :: l
+          | x :: rest -> x :: go rest
+          | [] -> [ (t, !seq) ]
+        in
+        model := go !model;
+        Sim.Event_queue.add q ~time:t !seq;
+        incr seq
+      in
+      let step = function
+        | Add t -> insert t
+        | Pop -> (
+          match !model with
+          | [] -> ()
+          | (_, v) :: rest ->
+            model := rest;
+            if Sim.Event_queue.pop_min q <> v then
+              QCheck.Test.fail_report "pop_min returned the wrong value")
+        | Peek -> (
+          match !model with
+          | [] -> ()
+          | (t, v) :: _ ->
+            if Sim.Event_queue.min_time q <> t then
+              QCheck.Test.fail_report "min_time disagrees";
+            if Sim.Event_queue.min_value q <> v then
+              QCheck.Test.fail_report "min_value disagrees")
+      in
+      List.iter step (a @ b @ c);
+      Sim.Event_queue.length q = List.length !model
+      && List.for_all
+           (fun (t, v) -> Sim.Event_queue.pop q = Some (t, v))
+           !model
+      && Sim.Event_queue.is_empty q)
+
+(* Once the queue has grown, an add/pop_min pair moves only unboxed
+   floats and ints: no entry is allocated per add. *)
+let test_steady_state_allocates_nothing () =
+  let q = Sim.Event_queue.create () in
+  for i = 0 to 99 do
+    Sim.Event_queue.add q ~time:1.0 i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Sim.Event_queue.add q ~time:2.0 i;
+    ignore (Sim.Event_queue.pop_min q : int)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 10000 pairs" words)
+    true (words < 100.0)
+
 let suite =
   [
     Alcotest.test_case "empty queue" `Quick test_empty;
@@ -131,4 +211,7 @@ let suite =
     Alcotest.test_case "fold visits everything" `Quick test_fold;
     QCheck_alcotest.to_alcotest prop_sorted;
     QCheck_alcotest.to_alcotest prop_length;
+    QCheck_alcotest.to_alcotest prop_model;
+    Alcotest.test_case "steady state allocates nothing" `Quick
+      test_steady_state_allocates_nothing;
   ]

@@ -1,7 +1,3 @@
-let log_src = Logs.Src.create "amber.runtime" ~doc:"Amber runtime kernel"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type frame = { fobj : Aobject.any; fmode : San_hooks.mode }
 
 type tstate = {
@@ -742,9 +738,7 @@ let check_failures t =
     (fun m ->
       match Hw.Machine.failures m with
       | [] -> ()
-      | (tcb, e) :: _ ->
-        Log.err (fun f -> f "thread %s failed" (Hw.Machine.tcb_name tcb));
-        raise e)
+      | (_, e) :: _ -> raise e)
     t.machines
 
 (* --- crash injection and recovery (Amber-Phoenix) ------------------------- *)

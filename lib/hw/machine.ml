@@ -1,28 +1,41 @@
-let src = Logs.Src.create "hw.machine" ~doc:"multiprocessor node model"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type thread_state =
   | Ready
   | Running of int
   | Blocked
   | Finished of Sim.Fiber.outcome
 
+(* A thread's and a CPU's float state sit in records whose fields are all
+   floats, which OCaml stores unboxed: the chunk path updates them without
+   allocating. *)
+type thread_acct = {
+  (* CPU seconds still owed from a Consume that was interrupted by
+     preemption or quantum expiry. *)
+  mutable pending_consume : float;
+  mutable cpu_seconds : float;
+}
+
+type cpu_times = {
+  mutable busy_seconds : float;
+  mutable quantum_left : float;
+  (* The current chunk: its start, its length, and the CPU demand
+     remaining after it completes. *)
+  mutable chunk_started : float;
+  mutable chunk : float;
+  mutable remaining : float;
+}
+
 type tcb = {
   tid : int;
   name : string;
   mutable machine : t;
   mutable tstate : thread_state;
-  (* Continuation to run when next placed on a CPU.  [None] while the fiber
-     is actively being stepped or after it finishes. *)
-  mutable step : (unit -> Sim.Fiber.paused) option;
-  (* CPU seconds still owed from a Consume that was interrupted by
-     preemption or quantum expiry. *)
-  mutable pending_consume : float;
+  (* Continuation to run when next placed on a CPU; [no_step] while the
+     fiber is actively being stepped or after it finishes. *)
+  mutable step : unit -> Sim.Fiber.paused;
+  acct : thread_acct;
   mutable prio : int;
   mutable on_resume : (tcb -> bool) option;
   mutable finish_callbacks : (Sim.Fiber.outcome -> unit) list;
-  mutable cpu_seconds : float;
   mutable dispatches : int;
   (* Terminated by crash injection ({!kill}) rather than by its own
      fiber.  A stale waker aimed at a killed thread — a lock release, a
@@ -30,25 +43,23 @@ type tcb = {
      instead of an [Invalid_argument]: the rest of the cluster cannot
      know the thread died before poking it. *)
   mutable killed : bool;
+  (* [Some] of this record, built once: what [current] and a busy CPU's
+     [occupant] hold. *)
+  some : tcb option;
 }
 
+(* A CPU is busy from the start of a chunk until it is released, the
+   thread is preempted or killed.  While busy, [occupant] holds the
+   chunk's thread and [chunk_ev] the one event that completes the chunk;
+   that event's thunk is [complete], built once per CPU, and the chunk
+   itself is in [times]. *)
 and cpu = {
   index : int;
-  mutable cstate : cpu_state;
-  mutable busy_seconds : float;
-  mutable quantum_left : float;
-}
-
-(* A busy CPU holds the running chunk and the one event that completes
-   it; the event's thunk closes over [busy], so the id sits beside it. *)
-and cpu_state = Idle | Busy of busy * Sim.Engine.event_id
-
-and busy = {
-  btcb : tcb;
-  chunk_started : float;
-  chunk : float;
-  (* CPU demand remaining after the current chunk completes. *)
-  remaining : float;
+  running : thread_state;  (* [Running index], shared by its threads *)
+  times : cpu_times;
+  mutable occupant : tcb option;
+  mutable chunk_ev : Sim.Engine.event_id;
+  mutable complete : unit -> unit;
 }
 
 and t = {
@@ -85,29 +96,8 @@ let current : tcb option ref = ref None
 
 let epsilon = 1e-12
 
-let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
-    ?(preempt_cost = 0.0) ?policy ?(spans = Sim.Span.disabled ()) () =
-  if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
-  if quantum <= 0.0 then invalid_arg "Machine.create: quantum must be positive";
-  let pol = match policy with Some p -> p | None -> Sched_policy.fifo () in
-  {
-    mid = id;
-    eng = engine;
-    cpus =
-      List.init cpus (fun index ->
-          { index; cstate = Idle; busy_seconds = 0.0; quantum_left = quantum });
-    pol;
-    key = "node:" ^ string_of_int id;
-    ctx_switch;
-    quantum;
-    preempt_cost;
-    spans;
-    dispatch_pending = false;
-    dispatches_total = 0;
-    preemptions = 0;
-    failed = [];
-    up = true;
-  }
+(* A finished or already-running thread must never reach a CPU. *)
+let no_step () = invalid_arg "Machine: thread has no continuation"
 
 let id m = m.mid
 let engine m = m.eng
@@ -132,12 +122,12 @@ let home t = t.machine
 let set_priority t p = t.prio <- p
 let priority t = t.prio
 let set_on_resume t hook = t.on_resume <- hook
-let cpu_time t = t.cpu_seconds
+let cpu_time t = t.acct.cpu_seconds
 
 let add_pending_work t dt =
   if dt < 0.0 || Float.is_nan dt then
     invalid_arg "Machine.add_pending_work: bad duration";
-  t.pending_consume <- t.pending_consume +. dt
+  t.acct.pending_consume <- t.acct.pending_consume +. dt
 
 let on_finish t cb =
   match t.tstate with
@@ -154,6 +144,10 @@ let self_exn () =
 let self_machine () = (self_exn ()).machine
 
 let mark m category detail = Sim.Span.mark m.spans ~category detail
+
+let[@inline] credit cpu tcb seconds =
+  cpu.times.busy_seconds <- cpu.times.busy_seconds +. seconds;
+  tcb.acct.cpu_seconds <- tcb.acct.cpu_seconds +. seconds
 
 (* --- dispatching ------------------------------------------------------- *)
 
@@ -178,13 +172,13 @@ let rec schedule_dispatch m =
 and dispatch m =
   if not m.up then ()
   else begin
-  let idle = List.filter (fun c -> c.cstate == Idle) m.cpus in
+  let idle = List.filter (fun c -> c.occupant == None) m.cpus in
   let rec fill = function
     | [] -> ()
     | cpu :: rest ->
       (* Nested dispatches (from a pause handled during [run_on]) may have
          claimed this CPU already. *)
-      if cpu.cstate == Idle then begin
+      if cpu.occupant == None then begin
         match next_runnable m with
         | None -> ()
         | Some tcb ->
@@ -235,9 +229,9 @@ and next_runnable m =
   | None -> None
   | Some tcb -> (
     match tcb.on_resume with
-    | None -> Some tcb
+    | None -> tcb.some
     | Some hook ->
-      if hook tcb then Some tcb
+      if hook tcb then tcb.some
       else begin
         (* The hook must have parked the thread elsewhere. *)
         (match tcb.tstate with
@@ -249,116 +243,117 @@ and next_runnable m =
       end)
 
 and run_on m cpu tcb =
-  tcb.tstate <- Running cpu.index;
+  tcb.tstate <- cpu.running;
   tcb.dispatches <- tcb.dispatches + 1;
   m.dispatches_total <- m.dispatches_total + 1;
-  cpu.quantum_left <- m.quantum;
+  cpu.times.quantum_left <- m.quantum;
   if Sim.Span.marking m.spans then
     mark m "sched"
       (lazy (Printf.sprintf "node%d cpu%d runs %s" m.mid cpu.index tcb.name));
   (* The context-switch cost plus any leftover consume is charged before
      the fiber itself resumes. *)
-  let owed = m.ctx_switch +. tcb.pending_consume in
-  tcb.pending_consume <- 0.0;
-  if owed > epsilon then start_chunk m cpu tcb ~remaining:owed
+  let owed = m.ctx_switch +. tcb.acct.pending_consume in
+  tcb.acct.pending_consume <- 0.0;
+  if owed > epsilon then begin
+    cpu.times.remaining <- owed;
+    start_chunk m cpu tcb
+  end
   else resume_fiber m cpu tcb
 
 and resume_fiber m cpu tcb =
-  match tcb.step with
-  | None ->
-    (* A finished or already-running thread must never reach a CPU. *)
-    invalid_arg "Machine: thread has no continuation"
-  | Some step ->
-    tcb.step <- None;
-    let saved = !current in
-    current := Some tcb;
-    let paused = step () in
-    current := saved;
-    handle_pause m cpu tcb paused
+  let step = tcb.step in
+  tcb.step <- no_step;
+  let saved = !current in
+  current := tcb.some;
+  let paused = step () in
+  current := saved;
+  handle_pause m cpu tcb paused
 
 and handle_pause m cpu tcb (paused : Sim.Fiber.paused) =
   match paused with
   | Sim.Fiber.Done outcome -> finish m cpu tcb outcome
   | Sim.Fiber.Consumed (dt, r) ->
-    tcb.step <- Some r.Sim.Fiber.resume;
-    start_chunk m cpu tcb ~remaining:dt
+    tcb.step <- r.Sim.Fiber.resume;
+    cpu.times.remaining <- dt;
+    start_chunk m cpu tcb
   | Sim.Fiber.Blocked (register, r) ->
-    tcb.step <- Some r.Sim.Fiber.resume;
+    tcb.step <- r.Sim.Fiber.resume;
     tcb.tstate <- Blocked;
     release m cpu;
     (* Register after marking Blocked so a synchronous wake works. *)
     register (waker tcb);
     dispatch m
   | Sim.Fiber.Yielded r ->
-    tcb.step <- Some r.Sim.Fiber.resume;
+    tcb.step <- r.Sim.Fiber.resume;
     tcb.tstate <- Ready;
     tcb.machine.pol.Sched_policy.enqueue tcb;
     release m cpu;
     dispatch m
 
-and start_chunk m cpu tcb ~remaining =
-  let chunk = Float.min remaining cpu.quantum_left in
-  let chunk = Float.max chunk epsilon in
-  let busy =
-    {
-      btcb = tcb;
-      chunk_started = Sim.Engine.now m.eng;
-      chunk;
-      remaining = remaining -. chunk;
-    }
-  in
-  let thunk () = chunk_done m cpu busy in
-  let ev =
-    if Sim.Engine.chooser_active m.eng then
-      Sim.Engine.schedule m.eng ~key:m.key
-        ~label:(Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
-        ~delay:chunk thunk
-    else Sim.Engine.schedule m.eng ~delay:chunk thunk
-  in
-  cpu.cstate <- Busy (busy, ev)
+(* Start a chunk of the CPU demand in [cpu.times.remaining]: at most the
+   quantum left, and never shorter than [epsilon].  The comparisons are
+   [Float.min] and [Float.max] written out, so no float is boxed. *)
+and start_chunk m cpu tcb =
+  let a = cpu.times in
+  let remaining = a.remaining and left = a.quantum_left in
+  let chunk = if left > remaining then remaining else left in
+  let chunk = if epsilon > chunk then epsilon else chunk in
+  a.chunk_started <- Sim.Engine.now m.eng;
+  a.chunk <- chunk;
+  a.remaining <- remaining -. chunk;
+  cpu.occupant <- tcb.some;
+  cpu.chunk_ev <-
+    (if Sim.Engine.chooser_active m.eng then
+       Sim.Engine.schedule m.eng ~key:m.key
+         ~label:(Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
+         ~delay:chunk cpu.complete
+     else Sim.Engine.schedule m.eng ~delay:chunk cpu.complete)
 
-and chunk_done m cpu busy =
-  let tcb = busy.btcb in
-  credit cpu tcb busy.chunk;
-  cpu.quantum_left <- cpu.quantum_left -. busy.chunk;
-  if busy.remaining > epsilon then
-    if cpu.quantum_left > epsilon then
-      start_chunk m cpu tcb ~remaining:busy.remaining
-    else if m.pol.Sched_policy.length () > 0 then
-      preempt_to_queue m cpu tcb ~owed:busy.remaining
-    else begin
-      cpu.quantum_left <- m.quantum;
-      start_chunk m cpu tcb ~remaining:busy.remaining
+and chunk_done m cpu =
+  match cpu.occupant with
+  | None ->
+    (* A chunk event fires only while its CPU is busy: [preempt_all] and
+       [kill] cancel it before they idle the CPU. *)
+    assert false
+  | Some tcb ->
+    let a = cpu.times in
+    credit cpu tcb a.chunk;
+    a.quantum_left <- a.quantum_left -. a.chunk;
+    if a.remaining > epsilon then
+      if a.quantum_left > epsilon then start_chunk m cpu tcb
+      else if m.pol.Sched_policy.length () > 0 then begin
+        tcb.acct.pending_consume <- a.remaining;
+        preempt_to_queue m cpu tcb
+      end
+      else begin
+        a.quantum_left <- m.quantum;
+        start_chunk m cpu tcb
+      end
+    else if a.quantum_left <= epsilon && m.pol.Sched_policy.length () > 0
+    then begin
+      (* Quantum boundary between consume requests: timeslice ends here. *)
+      tcb.acct.pending_consume <- 0.0;
+      preempt_to_queue m cpu tcb
     end
-  else if cpu.quantum_left <= epsilon && m.pol.Sched_policy.length () > 0 then
-    (* Quantum boundary between consume requests: timeslice ends here. *)
-    preempt_to_queue m cpu tcb ~owed:0.0
-  else resume_fiber m cpu tcb
+    else resume_fiber m cpu tcb
 
-and preempt_to_queue m cpu tcb ~owed =
+(* The caller has stored what [tcb] still owes in its [pending_consume]. *)
+and preempt_to_queue m cpu tcb =
   m.preemptions <- m.preemptions + 1;
-  tcb.pending_consume <- owed;
   tcb.tstate <- Ready;
   tcb.machine.pol.Sched_policy.enqueue tcb;
   release m cpu;
   dispatch m
 
-and credit cpu tcb seconds =
-  cpu.busy_seconds <- cpu.busy_seconds +. seconds;
-  tcb.cpu_seconds <- tcb.cpu_seconds +. seconds
-
 and release m cpu =
   ignore m;
-  cpu.cstate <- Idle
+  cpu.occupant <- None
 
 and finish m cpu tcb outcome =
   tcb.tstate <- Finished outcome;
-  tcb.step <- None;
+  tcb.step <- no_step;
   (match outcome with
-  | Sim.Fiber.Failed e ->
-    m.failed <- (tcb, e) :: m.failed;
-    Log.err (fun f ->
-        f "thread %s failed: %s" tcb.name (Printexc.to_string e))
+  | Sim.Fiber.Failed e -> m.failed <- (tcb, e) :: m.failed
   | Sim.Fiber.Completed -> ());
   let callbacks = List.rev tcb.finish_callbacks in
   tcb.finish_callbacks <- [];
@@ -379,24 +374,72 @@ and waker tcb =
       | Ready | Running _ | Finished _ -> ()
     end
 
+(* --- construction ----------------------------------------------------- *)
+
+(* After the dispatch code: each CPU's completion thunk calls
+   [chunk_done]. *)
+
+let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
+    ?(preempt_cost = 0.0) ?policy ?(spans = Sim.Span.disabled ()) () =
+  if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
+  if quantum <= 0.0 then invalid_arg "Machine.create: quantum must be positive";
+  let pol = match policy with Some p -> p | None -> Sched_policy.fifo () in
+  let m =
+    {
+      mid = id;
+      eng = engine;
+      cpus =
+        List.init cpus (fun index ->
+            {
+              index;
+              running = Running index;
+              times =
+                {
+                  busy_seconds = 0.0;
+                  quantum_left = quantum;
+                  chunk_started = 0.0;
+                  chunk = 0.0;
+                  remaining = 0.0;
+                };
+              occupant = None;
+              chunk_ev = Sim.Engine.no_event;
+              complete = ignore;
+            });
+      pol;
+      key = "node:" ^ string_of_int id;
+      ctx_switch;
+      quantum;
+      preempt_cost;
+      spans;
+      dispatch_pending = false;
+      dispatches_total = 0;
+      preemptions = 0;
+      failed = [];
+      up = true;
+    }
+  in
+  List.iter (fun cpu -> cpu.complete <- (fun () -> chunk_done m cpu)) m.cpus;
+  m
+
 (* --- public operations -------------------------------------------------- *)
 
 let spawn m ~name ?(priority = 0) body =
   incr tid_counter;
-  let tcb =
+  let tid = !tid_counter in
+  let rec tcb =
     {
-      tid = !tid_counter;
+      tid;
       name;
       machine = m;
       tstate = Ready;
-      step = Some (fun () -> Sim.Fiber.start body);
-      pending_consume = 0.0;
+      step = (fun () -> Sim.Fiber.start body);
+      acct = { pending_consume = 0.0; cpu_seconds = 0.0 };
       prio = priority;
       on_resume = None;
       finish_callbacks = [];
-      cpu_seconds = 0.0;
       dispatches = 0;
       killed = false;
+      some = Some tcb;
     }
   in
   m.pol.Sched_policy.enqueue tcb;
@@ -420,25 +463,24 @@ let preempt_all ?except m =
   let count = ref 0 in
   List.iter
     (fun cpu ->
-      match cpu.cstate with
-      | Idle -> ()
-      | Busy (busy, ev) ->
-        let skip =
-          match except with Some e -> e == busy.btcb | None -> false
-        in
+      match cpu.occupant with
+      | None -> ()
+      | Some tcb ->
+        let skip = match except with Some e -> e == tcb | None -> false in
         if not skip then begin
           incr count;
           m.preemptions <- m.preemptions + 1;
-          Sim.Engine.cancel m.eng ev;
-          let elapsed = Sim.Engine.now m.eng -. busy.chunk_started in
-          let elapsed = Float.max 0.0 (Float.min elapsed busy.chunk) in
-          credit cpu busy.btcb elapsed;
-          let owed = (busy.chunk -. elapsed) +. busy.remaining in
+          Sim.Engine.cancel m.eng cpu.chunk_ev;
+          let a = cpu.times in
+          let elapsed = Sim.Engine.now m.eng -. a.chunk_started in
+          let elapsed = Float.max 0.0 (Float.min elapsed a.chunk) in
+          credit cpu tcb elapsed;
+          let owed = (a.chunk -. elapsed) +. a.remaining in
           (* The victim pays for the interrupt that descheduled it. *)
-          busy.btcb.pending_consume <- owed +. m.preempt_cost;
-          busy.btcb.tstate <- Ready;
-          busy.btcb.machine.pol.Sched_policy.enqueue busy.btcb;
-          cpu.cstate <- Idle
+          tcb.acct.pending_consume <- owed +. m.preempt_cost;
+          tcb.tstate <- Ready;
+          tcb.machine.pol.Sched_policy.enqueue tcb;
+          cpu.occupant <- None
         end)
     m.cpus;
   if !count > 0 then schedule_dispatch m;
@@ -481,14 +523,11 @@ let transfer tcb ~dest =
 
 let ready_length m = m.pol.Sched_policy.length ()
 
-let running_tcbs m =
-  List.filter_map
-    (fun c -> match c.cstate with Idle -> None | Busy (b, _) -> Some b.btcb)
-    m.cpus
+let running_tcbs m = List.filter_map (fun c -> c.occupant) m.cpus
 
 let busy_cpus m =
   List.fold_left
-    (fun acc c -> match c.cstate with Idle -> acc | Busy _ -> acc + 1)
+    (fun acc c -> match c.occupant with None -> acc | Some _ -> acc + 1)
     0 m.cpus
 
 let current_load m = ready_length m + busy_cpus m
@@ -525,19 +564,19 @@ let kill tcb e =
     | Running _ ->
       List.iter
         (fun cpu ->
-          match cpu.cstate with
-          | Busy (busy, ev) when busy.btcb == tcb ->
-            Sim.Engine.cancel m.eng ev;
-            cpu.cstate <- Idle
-          | Busy _ | Idle -> ())
+          match cpu.occupant with
+          | Some t when t == tcb ->
+            Sim.Engine.cancel m.eng cpu.chunk_ev;
+            cpu.occupant <- None
+          | Some _ | None -> ())
         m.cpus
     | Ready -> ignore (take_ready m (fun t -> t == tcb) : tcb option)
     | Blocked -> ()
     | Finished _ -> assert false);
     tcb.killed <- true;
     tcb.tstate <- Finished (Sim.Fiber.Failed e);
-    tcb.step <- None;
-    tcb.pending_consume <- 0.0;
+    tcb.step <- no_step;
+    tcb.acct.pending_consume <- 0.0;
     let callbacks = List.rev tcb.finish_callbacks in
     tcb.finish_callbacks <- [];
     List.iter (fun cb -> cb (Sim.Fiber.Failed e)) callbacks
@@ -545,7 +584,7 @@ let kill tcb e =
 let was_killed tcb = tcb.killed
 
 let total_busy_time m =
-  List.fold_left (fun acc c -> acc +. c.busy_seconds) 0.0 m.cpus
+  List.fold_left (fun acc c -> acc +. c.times.busy_seconds) 0.0 m.cpus
 
 let dispatch_count m = m.dispatches_total
 let preemption_count m = m.preemptions

@@ -71,6 +71,16 @@ let schedule t ?key ?label ~delay thunk =
     invalid_arg "Engine.schedule: negative or NaN delay";
   schedule_at t ?key ?label ~time:(t.clock +. delay) thunk
 
+let no_event =
+  {
+    id = -1;
+    time = Float.infinity;
+    key = "";
+    label = "";
+    live = false;
+    thunk = ignore;
+  }
+
 let cancel _ ev = ev.live <- false
 let is_pending _ ev = ev.live
 

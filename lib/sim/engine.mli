@@ -57,6 +57,11 @@ val schedule :
 val schedule_at :
   t -> ?key:string -> ?label:string -> time:float -> (unit -> unit) -> event_id
 
+(** A handle that was never scheduled: never pending, and cancelling it
+    is a no-op.  It fills a field that holds an event only some of the
+    time. *)
+val no_event : event_id
+
 (** Cancel a pending event in constant time, by clearing its live flag;
     its queue entry is reaped when it reaches the front.  Cancelling an
     already-fired or already-cancelled event is a no-op. *)

@@ -1,10 +1,11 @@
 (* Amber-Serve: the open-loop traffic-serving driver.
 
    One run wires together
-     - a [Trafficgen] arrival schedule drawn from a dedicated
+     - a [Trafficgen] arrival stream drawn from a dedicated
        [Sim.Rng.split] (one draw from the engine stream, exactly like
        [Balance.Driver]; a run without serving draws nothing and stays
-       byte-identical);
+       byte-identical), each arrival drawn only as it is issued, so
+       memory grows with the requests in flight, not the duration;
      - a farm of service objects spread round-robin over the nodes
        (key -> home node = key mod nodes), optionally replicated
        everywhere;
@@ -351,14 +352,14 @@ let run rt (cfg : cfg) =
         ~failed:
           (List.fold_left (fun n (st : class_stats) -> n + st.failed) 0 stats)
         ());
-  (* Generate the whole schedule up front from a dedicated split, then
-     replay it open-loop against the virtual clock. *)
-  let reqs =
-    Trafficgen.generate ~rng:(Sim.Rng.split rng) ~arrival:cfg.arrival
+  (* Draw the schedule from a dedicated split, one arrival at a time as
+     it comes due, and issue it open-loop against the virtual clock. *)
+  let arrivals =
+    Trafficgen.stream ~rng:(Sim.Rng.split rng) ~arrival:cfg.arrival
       ~mix:cfg.mix ~keys:cfg.keys ~skew:cfg.skew ~duration:cfg.duration
   in
   let t0 = A.Runtime.now rt in
-  List.iter
+  Seq.iter
     (fun (r : Trafficgen.request) ->
       let gap = t0 +. r.Trafficgen.at -. A.Runtime.now rt in
       if gap > 0.0 then Topaz.Kthread.sleep ~engine:eng gap;
@@ -446,7 +447,7 @@ let run rt (cfg : cfg) =
       Topaz.Rpc.post ~on_dead ~on_reject rpc ~src:gen_node ~dst
         ~kind:(kind_of_cls r.Trafficgen.cls) ~size:cfg.request_bytes (fun () ->
           enqueue dst job))
-    reqs;
+    arrivals;
   (* Drain: every issued request resolves as completed, rejected or
      failed; a crash can strand some, so the grace deadline converts
      leftovers into failures instead of hanging the run. *)

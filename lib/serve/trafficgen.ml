@@ -1,11 +1,10 @@
 (* Seeded open-loop traffic generation.
 
    Everything here is a pure function of the [Sim.Rng.t] it is handed:
-   no virtual time, no engine events.  The serving driver materializes
-   the whole arrival schedule up front (request counts are bounded by
-   rate x duration, small at simulation scale), then replays it against
-   the cluster clock — which keeps the generator trivially
-   bit-reproducible and lets tests study the distributions without
+   no virtual time, no engine events.  The serving driver draws each
+   arrival from the stream as it issues the request, so only the
+   requests in flight are live, however long the run; the generator
+   stays bit-reproducible, and tests study the distributions without
    running a cluster at all. *)
 
 type cls = Read | Write | Compute
@@ -88,54 +87,54 @@ let validate_arrival = function
       if on_mean <= 0.0 || off_mean <= 0.0 then
         invalid_arg "Trafficgen: burst phase means must be positive"
 
-(* Arrivals over [0, duration), in order.  Per request the draw sequence
-   is fixed — inter-arrival gap, class, key — so the stream is a pure
-   function of the rng.  The bursty process is Markov-modulated Poisson:
-   exponential on/off phases starting in the on phase; exponential
-   memorylessness makes redrawing the gap at each phase boundary exact,
-   not an approximation. *)
-let generate ~rng ~arrival ~mix ~keys ~skew ~duration =
+(* Arrivals over [0, duration), in order, drawn as the stream is
+   forced.  Per request the draw sequence is fixed — inter-arrival gap,
+   class, key — so the stream is a pure function of the rng.  The bursty
+   process is Markov-modulated Poisson: exponential on/off phases starting
+   in the on phase; exponential memorylessness makes redrawing the gap at
+   each phase boundary exact, not an approximation. *)
+let stream ~rng ~arrival ~mix ~keys ~skew ~duration =
   validate_arrival arrival;
   if keys <= 0 then invalid_arg "Trafficgen: keys must be positive";
   if duration <= 0.0 then invalid_arg "Trafficgen: duration must be positive";
   if skew < 0.0 then invalid_arg "Trafficgen: skew must be non-negative";
   let mix = normalize mix in
   let z = zipf ~n:keys ~s:skew in
-  let out = ref [] in
-  let emit at =
+  let request at =
     let cls = pick_class mix rng in
     let key = zipf_sample z rng in
-    out := { at; cls; key } :: !out
+    { at; cls; key }
   in
-  (match arrival with
+  match arrival with
   | Poisson rate ->
       let mean = 1.0 /. rate in
-      let t = ref (Sim.Rng.exponential rng ~mean) in
-      while !t < duration do
-        emit !t;
-        t := !t +. Sim.Rng.exponential rng ~mean
-      done
+      let rec from t () =
+        if t < duration then
+          (* Class and key are drawn before the next gap. *)
+          let r = request t in
+          Seq.Cons (r, from (t +. Sim.Rng.exponential rng ~mean))
+        else Seq.Nil
+      in
+      fun () -> from (Sim.Rng.exponential rng ~mean) ()
   | Bursty { rate; factor; on_mean; off_mean } ->
-      let t = ref 0.0 in
-      let on = ref true in
-      let phase_end = ref (Sim.Rng.exponential rng ~mean:on_mean) in
-      while !t < duration do
-        let r = if !on then rate *. factor else rate in
-        let gap = Sim.Rng.exponential rng ~mean:(1.0 /. r) in
-        if !t +. gap >= !phase_end then begin
-          t := !phase_end;
-          on := not !on;
-          phase_end :=
-            !t
-            +. Sim.Rng.exponential rng
-                 ~mean:(if !on then on_mean else off_mean)
-        end
-        else begin
-          t := !t +. gap;
-          if !t < duration then emit !t
-        end
-      done);
-  List.rev !out
+      let rec from t on phase_end () =
+        if t >= duration then Seq.Nil
+        else
+          let r = if on then rate *. factor else rate in
+          let gap = Sim.Rng.exponential rng ~mean:(1.0 /. r) in
+          if t +. gap >= phase_end then
+            let on = not on in
+            let mean = if on then on_mean else off_mean in
+            from phase_end on (phase_end +. Sim.Rng.exponential rng ~mean) ()
+          else
+            let t = t +. gap in
+            if t < duration then Seq.Cons (request t, from t on phase_end)
+            else Seq.Nil
+      in
+      fun () -> from 0.0 true (Sim.Rng.exponential rng ~mean:on_mean) ()
+
+let generate ~rng ~arrival ~mix ~keys ~skew ~duration =
+  List.of_seq (stream ~rng ~arrival ~mix ~keys ~skew ~duration)
 
 (* Canonical one-line-per-request rendering, for determinism digests. *)
 let to_string reqs =

@@ -12,7 +12,7 @@ type cls = Read | Write | Compute
 val cls_name : cls -> string
 val all_classes : cls list
 
-(** Relative class weights; {!generate} normalizes them. *)
+(** Relative class weights; {!stream} normalizes them. *)
 type mix = { read : float; write : float; compute : float }
 
 val default_mix : mix
@@ -46,6 +46,20 @@ val zipf : n:int -> s:float -> zipf
 val zipf_sample : zipf -> Sim.Rng.t -> int
 val pick_class : mix -> Sim.Rng.t -> cls
 
+val stream :
+  rng:Sim.Rng.t ->
+  arrival:arrival ->
+  mix:mix ->
+  keys:int ->
+  skew:float ->
+  duration:float ->
+  request Seq.t
+(** The arrival schedule over [\[0, duration)], in time order, drawn from
+    [rng] as the sequence is forced.  Per request the rng draw order is
+    fixed (gap, class, key), so the requests are a pure function of the
+    rng state.  Because forcing draws, traverse the sequence once.  The
+    arguments are checked at the call. *)
+
 val generate :
   rng:Sim.Rng.t ->
   arrival:arrival ->
@@ -54,9 +68,7 @@ val generate :
   skew:float ->
   duration:float ->
   request list
-(** The arrival schedule over [\[0, duration)], in time order.  Per
-    request the rng draw order is fixed (gap, class, key), so the result
-    is a pure function of the rng state. *)
+(** The whole of {!stream}, as a list. *)
 
 val to_string : request list -> string
 (** Canonical rendering (one request per line), for determinism

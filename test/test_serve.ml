@@ -110,6 +110,59 @@ let test_class_mix () =
     && abs_float (frac T.Write -. 0.2) < 0.03
     && abs_float (frac T.Compute -. 0.1) < 0.03)
 
+let bursty =
+  T.Bursty { rate = 200.0; factor = 8.0; on_mean = 0.05; off_mean = 0.2 }
+
+let stream ?(arrival = T.Poisson 500.0) ?(duration = 2.0) seed =
+  T.stream ~rng:(rng_of seed) ~arrival ~mix:T.default_mix ~keys:32 ~skew:1.0
+    ~duration
+
+(* The stream draws what the list did, at every seed.  The digests pin
+   these schedules: a change to the draw order would move every serve
+   number, so it must show here first. *)
+let test_stream_matches_generate () =
+  List.iter
+    (fun (name, arrival, digests) ->
+      List.iter2
+        (fun seed want ->
+          let got = T.to_string (List.of_seq (stream ~arrival seed)) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d: stream = generate" name seed)
+            (T.to_string (gen ~arrival seed))
+            got;
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d: schedule digest" name seed)
+            want
+            (Digest.to_hex (Digest.string got)))
+        [ 1; 2; 3 ] digests)
+    [
+      ( "poisson",
+        T.Poisson 500.0,
+        [
+          "249e270c790303337ff1890ae325307d";
+          "3ae445e96e11806406ebc841af14b805";
+          "a188d83d395c53bb07d0b9d2637ee91d";
+        ] );
+      ( "bursty",
+        bursty,
+        [
+          "89182c2383fb0f354c511d9067744ee0";
+          "0d0a5f1147a2b8972fb688f3ab42fdb2";
+          "4470b404312f31630674ef9449ed7c56";
+        ] );
+    ]
+
+(* Arrivals are drawn as they are taken, so the head of a stream whose
+   full schedule would hold half a billion requests comes back at once. *)
+let test_stream_is_lazy () =
+  List.iter
+    (fun arrival ->
+      let head = List.of_seq (Seq.take 10 (stream ~arrival ~duration:1e6 5)) in
+      Alcotest.(check int) "ten arrivals" 10 (List.length head);
+      Alcotest.(check bool) "in time order" true
+        (List.sort compare head = head))
+    [ T.Poisson 500.0; bursty ]
+
 (* --- admission control -------------------------------------------------- *)
 
 let test_bucket_refill () =
@@ -320,6 +373,10 @@ let suite =
       test_bursty_mean_rate;
     Alcotest.test_case "class mix matches the configured weights" `Quick
       test_class_mix;
+    Alcotest.test_case "stream draws the generated schedule" `Quick
+      test_stream_matches_generate;
+    Alcotest.test_case "stream draws arrivals as they are taken" `Quick
+      test_stream_is_lazy;
     Alcotest.test_case "token bucket refills lazily and caps at burst" `Quick
       test_bucket_refill;
     QCheck_alcotest.to_alcotest prop_bucket_bounded;

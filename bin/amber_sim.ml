@@ -100,10 +100,19 @@ let faults_term =
             "Hold packets arriving at NODE between virtual times FROM and \
              UNTIL (seconds); repeatable.")
   in
+  (* [Hw.Ethernet.validate_faults] owns the rule; a value it rejects is
+     a usage error. *)
   let mk drop_prob dup_prob delay_prob delay_spike stalls =
-    { Hw.Ethernet.drop_prob; dup_prob; delay_prob; delay_spike; stalls }
+    let f =
+      { Hw.Ethernet.drop_prob; dup_prob; delay_prob; delay_spike; stalls }
+    in
+    match Hw.Ethernet.validate_faults f with
+    | () -> Ok f
+    | exception Invalid_argument e -> Error (`Msg e)
   in
-  Term.(const mk $ drop $ dup $ delay_prob $ delay_spike $ stalls)
+  Term.(
+    term_result ~usage:true
+      (const mk $ drop $ dup $ delay_prob $ delay_spike $ stalls))
 
 let seed_arg =
   Arg.(

@@ -214,6 +214,9 @@ let test_cli_usage_errors () =
       [ "matmul"; "--size"; "10"; "--block"; "4" ];
       [ "tsp"; "--cities"; "2" ];
       [ "tsp"; "--cities"; "20" ];
+      [ "sor"; "--drop"; "1.5" ];
+      [ "sor"; "--drop=-0.1" ];
+      [ "sor"; "--stall"; "1:0.5:0.2" ];
     ]
 
 (* Under --report the profile and sanitizer sections print inside the

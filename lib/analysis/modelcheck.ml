@@ -222,7 +222,7 @@ let steal_fixture =
            instant is. *)
         ignore
           (Sim.Engine.schedule (Runtime.engine rt) ~key:"node:0"
-             ~label:"steal-attempt" ~delay:100e-6 (fun () ->
+             ~label:(Lazy.from_val "steal-attempt") ~delay:100e-6 (fun () ->
                let vm = Runtime.machine rt 0 in
                match
                  Hw.Machine.take_ready vm (fun t ->
@@ -559,7 +559,7 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
   let rev_trail = ref [] in
   let depth = ref 0 in
   let last = ref None in
-  let sleep : (string, string) Hashtbl.t = Hashtbl.create 16 in
+  let sleep : (Choice.ident, string) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (id, key) -> Hashtbl.replace sleep id key) sleep0;
   (* A slept transition wakes as soon as a dependent one executes: keep
      only sleepers that commute with what just ran.  A sleeper's own key
@@ -781,7 +781,7 @@ let path node =
 
 (* A branch replays the path to [start], then runs on with [sleep0]
    asleep. *)
-type branch = { start : node; sleep0 : (string * string) list }
+type branch = { start : node; sleep0 : (Choice.ident * string) list }
 
 let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
   let fault_budget = Option.value fault_budget ~default:fx.budget in

@@ -36,7 +36,7 @@ let of_choice (c : Sim.Choice.candidate) ~index ~ncands =
     dom = c.Sim.Choice.dom;
     index;
     ncands;
-    ident = c.Sim.Choice.ident;
+    ident = Sim.Choice.ident_name c.Sim.Choice.ident;
     key = c.Sim.Choice.key;
     label = Lazy.force c.Sim.Choice.label;
   }

@@ -984,7 +984,7 @@ let schedule_crashes t =
         let key = Printf.sprintf "node:%d" c.Config.cnode in
         ignore
           (Sim.Engine.schedule_at t.eng ~key
-             ~label:(Printf.sprintf "crash node%d" c.Config.cnode)
+             ~label:(lazy (Printf.sprintf "crash node%d" c.Config.cnode))
              ~time:c.Config.at
              (fun () ->
                match c.Config.restart with
@@ -996,7 +996,7 @@ let schedule_crashes t =
         | Some r ->
           ignore
             (Sim.Engine.schedule_at t.eng ~key
-               ~label:(Printf.sprintf "restart node%d" c.Config.cnode)
+               ~label:(lazy (Printf.sprintf "restart node%d" c.Config.cnode))
                ~time:r
                (fun () -> node_restart t ~node:c.Config.cnode)
               : Sim.Engine.event_id))

@@ -147,14 +147,28 @@ let account t (p : Packet.t) ~waited ~tx =
   t.queueing <- t.queueing +. waited;
   t.busy <- t.busy +. tx
 
-(* Schedule the receiver-side delivery event.  Under a chooser the event
-   carries a conflict key (all deliveries into one node touch that node's
-   protocol state) and a readable label; in normal operation neither
-   string is built. *)
+(* The conflict key of everything that lands in [node]'s protocol state
+   from the wire: deliveries into it, fault decisions on packets bound
+   for it, and its own retransmit timers.  The key names a node, not a
+   medium, so one table serves every run: each node's key is built once,
+   the first time a chooser asks for it. *)
+let node_keys = ref [||]
+
+let node_key node =
+  let n = Array.length !node_keys in
+  if node >= n then
+    node_keys :=
+      Array.append !node_keys
+        (Array.init (node + 1 - n) (fun i -> "net:n" ^ string_of_int (n + i)));
+  !node_keys.(node)
+
 let set_node_down t node = Hashtbl.replace t.downs node ()
 let set_node_up t node = Hashtbl.remove t.downs node
 let node_is_down t node = Hashtbl.mem t.downs node
 
+(* Schedule the receiver-side delivery event.  Under a chooser the event
+   carries its node's conflict key and a label formatted only if a
+   schedule is written; in normal operation neither is touched. *)
 let schedule_delivery t (p : Packet.t) ~time =
   (* The down check runs at the delivery instant, not at send time: a
      packet in flight when its destination dies is lost too. *)
@@ -170,11 +184,11 @@ let schedule_delivery t (p : Packet.t) ~time =
   in
   if Sim.Engine.chooser_active t.eng then
     ignore
-      (Sim.Engine.schedule_at t.eng
-         ~key:(Printf.sprintf "net:n%d" p.Packet.dst)
+      (Sim.Engine.schedule_at t.eng ~key:(node_key p.Packet.dst)
          ~label:
-           (Printf.sprintf "deliver %s %d>%d seq%d" p.Packet.kind p.Packet.src
-              p.Packet.dst p.Packet.seq)
+           (lazy
+             (Printf.sprintf "deliver %s %d>%d seq%d" p.Packet.kind
+                p.Packet.src p.Packet.dst p.Packet.seq))
          ~time deliver
         : Sim.Engine.event_id)
   else
@@ -195,7 +209,7 @@ let schedule_delivery t (p : Packet.t) ~time =
 let inject t (p : Packet.t) ~delivery =
   match Sim.Engine.chooser t.eng with
   | Some c when c.Sim.Choice.faults && p.Packet.seq >= 0 ->
-    let key = Printf.sprintf "net:n%d" p.Packet.dst in
+    let key = node_key p.Packet.dst in
     let tag verb =
       {
         Sim.Choice.dom = Sim.Choice.Fault;
@@ -203,8 +217,9 @@ let inject t (p : Packet.t) ~delivery =
            sets track transition identity across states, and "dup" of
            one packet is unrelated to "dup" of another *)
         ident =
-          Printf.sprintf "%s:%s:%d>%d:%d" verb p.Packet.kind p.Packet.src
-            p.Packet.dst p.Packet.seq;
+          Sim.Choice.Fault_tag
+            (Printf.sprintf "%s:%s:%d>%d:%d" verb p.Packet.kind p.Packet.src
+               p.Packet.dst p.Packet.seq);
         key;
         label =
           lazy

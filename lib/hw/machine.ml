@@ -161,7 +161,7 @@ let rec schedule_dispatch m =
     ignore
       ((if Sim.Engine.chooser_active m.eng then
           Sim.Engine.schedule m.eng ~key:m.key
-            ~label:(Printf.sprintf "dispatch node%d" m.mid)
+            ~label:(lazy (Printf.sprintf "dispatch node%d" m.mid))
             ~delay:0.0 thunk
         else Sim.Engine.schedule m.eng ~delay:0.0 thunk)
         : Sim.Engine.event_id)
@@ -207,7 +207,7 @@ and choose_ready (c : Sim.Choice.t) m =
       (fun tcb ->
         {
           Sim.Choice.dom = Sim.Choice.Fiber;
-          ident = "t" ^ string_of_int tcb.tid;
+          ident = Sim.Choice.Tid tcb.tid;
           key = m.key;
           label =
             lazy (Printf.sprintf "run %s t%d node%d" tcb.name tcb.tid m.mid);
@@ -305,7 +305,8 @@ and start_chunk m cpu tcb =
   cpu.chunk_ev <-
     (if Sim.Engine.chooser_active m.eng then
        Sim.Engine.schedule m.eng ~key:m.key
-         ~label:(Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid)
+         ~label:
+           (lazy (Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid))
          ~delay:chunk cpu.complete
      else Sim.Engine.schedule m.eng ~delay:chunk cpu.complete)
 

@@ -50,7 +50,7 @@ type layers = {
 
 let typed_failure = function
   | Topaz.Rpc.Node_dead _ | A.Aobject.Object_lost _ | A.Overload.Overloaded _
-  | A.Athread.Join_failed _ ->
+  | A.Athread.Join_failed _ | A.Cluster.Deadlock ->
     true
   | _ -> false
 

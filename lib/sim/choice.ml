@@ -21,13 +21,21 @@ let domain_of_name = function
   | "fault" -> Some Fault
   | _ -> None
 
+(* Stable identity of an alternative within its decision state: event
+   ids, fiber tids and fault tags replay identically along a common
+   prefix, so a chooser can recognise an alternative it has deferred
+   (sleep sets) across runs.  Only a fault tag is a string, and only a
+   fault-enabled chooser is offered one. *)
+type ident = Event_id of int | Tid of int | Fault_tag of string
+
+let ident_name = function
+  | Event_id id -> "e" ^ string_of_int id
+  | Tid tid -> "t" ^ string_of_int tid
+  | Fault_tag tag -> tag
+
 type candidate = {
   dom : domain;
-  ident : string;
-      (* stable identity of the alternative within its decision state:
-         event ids, fiber tids and fault verbs replay identically along a
-         common prefix, so a chooser can recognise an alternative it has
-         deferred (sleep sets) across runs *)
+  ident : ident;
   key : string;
       (* static conflict key — which protocol state the alternative
          touches a priori.  "" means unknown: conservative choosers must

@@ -23,11 +23,22 @@ type domain = Event | Fiber | Fault
 val domain_name : domain -> string
 val domain_of_name : string -> domain option
 
+(** Stable identity of an alternative along a replayed prefix.  Built
+    without formatting: only a fault tag (verb and packet) is a string,
+    and it is built only when a fault-enabled chooser is installed.
+    Structural equality tells the three apart, so event 5, thread 5 and
+    a tag never collide. *)
+type ident =
+  | Event_id of int  (** a pending engine event *)
+  | Tid of int  (** a ready fiber *)
+  | Fault_tag of string  (** a medium verb applied to one packet *)
+
+(** [e<id>], [t<tid>] or the tag: the ident column of a schedule file. *)
+val ident_name : ident -> string
+
 type candidate = {
   dom : domain;
-  ident : string;
-      (** stable identity of the alternative along a replayed prefix
-          (event id, fiber tid, fault verb) *)
+  ident : ident;
   key : string;
       (** static conflict key; [""] = unknown, conflicts with all *)
   label : string Lazy.t;

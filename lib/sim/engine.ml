@@ -9,7 +9,8 @@ type event = {
          (after the clock has been advanced past it by another branch of
          the exploration); the clock never moves backwards. *)
   key : string;
-  label : string;
+  label : string Lazy.t option;
+      (* forced only when a schedule is written; [None] reads [ev<id>] *)
   mutable live : bool;
   thunk : unit -> unit;
 }
@@ -47,7 +48,7 @@ let chooser_active t = t.chooser <> None
 let note_access t k =
   match t.chooser with None -> () | Some c -> c.Choice.note_access k
 
-let schedule_at t ?(key = "") ?(label = "") ~time thunk =
+let schedule_at t ?(key = "") ?label ~time thunk =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
   let time =
     if time >= t.clock then time
@@ -76,7 +77,7 @@ let no_event =
     id = -1;
     time = Float.infinity;
     key = "";
-    label = "";
+    label = None;
     live = false;
     thunk = ignore;
   }
@@ -120,11 +121,12 @@ let checked_step (c : Choice.t) t =
         (fun ev ->
           {
             Choice.dom = Choice.Event;
-            ident = "e" ^ string_of_int ev.id;
+            ident = Choice.Event_id ev.id;
             key = ev.key;
             label =
-              (if ev.label = "" then lazy ("ev" ^ string_of_int ev.id)
-               else Lazy.from_val ev.label);
+              (match ev.label with
+              | Some label -> label
+              | None -> lazy ("ev" ^ string_of_int ev.id));
           })
         arr
     in

@@ -44,18 +44,30 @@ val note_access : t -> string -> unit
 
 (** [schedule t ~delay f] runs [f ()] at [now t +. delay].
     Raises [Invalid_argument] if [delay] is negative or NaN.
-    [key] is the static conflict key and [label] the human-readable
-    description used when a chooser is exploring schedules; both default
-    to [""] and are dead weight otherwise. *)
+    [key] is the static conflict key a chooser reads ([""], the default,
+    conflicts with everything).  [label] describes the event in a
+    schedule file; it is forced only when a schedule is written, so a
+    call site formats it inside [lazy].  Without one the file reads
+    [ev<id>].  Both are dead weight when no chooser is installed. *)
 val schedule :
-  t -> ?key:string -> ?label:string -> delay:float -> (unit -> unit) -> event_id
+  t ->
+  ?key:string ->
+  ?label:string Lazy.t ->
+  delay:float ->
+  (unit -> unit) ->
+  event_id
 
 (** [schedule_at t ~time f] runs [f ()] at absolute virtual time [time],
     which must not be in the past.  (Under a chooser, a past [time] is
     clamped to the current clock instead: replayed schedules may run the
     scheduling event later than its nominal timestamp.) *)
 val schedule_at :
-  t -> ?key:string -> ?label:string -> time:float -> (unit -> unit) -> event_id
+  t ->
+  ?key:string ->
+  ?label:string Lazy.t ->
+  time:float ->
+  (unit -> unit) ->
+  event_id
 
 (** A handle that was never scheduled: never pending, and cancelling it
     is a no-op.  It fills a field that holds an event only some of the

@@ -467,9 +467,11 @@ let rec arm t (tx : txn) =
     Some
       (if Sim.Engine.chooser_active eng then
          Sim.Engine.schedule eng
-           ~key:(Printf.sprintf "net:n%d" tx.src)
+           ~key:(Hw.Ethernet.node_key tx.src)
            ~label:
-             (Printf.sprintf "rto %s %d>%d seq%d" tx.kind tx.src tx.dst tx.seq)
+             (lazy
+               (Printf.sprintf "rto %s %d>%d seq%d" tx.kind tx.src tx.dst
+                  tx.seq))
            ~delay thunk
        else Sim.Engine.schedule eng ~delay thunk)
 

@@ -82,16 +82,16 @@ let attach rt ?(cfg = default_cfg) ?(slo = []) ?flight () =
   Sim.Series.enable m;
   let eng = A.Runtime.engine rt in
   let t = { rt; cfg; slo; flight; tick_ev = None; stopped = false } in
+  let label = Lazy.from_val "watch-tick" in
   let rec tick () =
     t.tick_ev <- None;
     if not t.stopped then begin
       Sim.Series.sample m;
       t.tick_ev <-
-        Some (Sim.Engine.schedule eng ~label:"watch-tick" ~delay:cfg.interval tick)
+        Some (Sim.Engine.schedule eng ~label ~delay:cfg.interval tick)
     end
   in
-  t.tick_ev <-
-    Some (Sim.Engine.schedule eng ~label:"watch-tick" ~delay:cfg.interval tick);
+  t.tick_ev <- Some (Sim.Engine.schedule eng ~label ~delay:cfg.interval tick);
   A.Runtime.add_report_section rt ~name:"watch" (fun () -> report_lines t);
   t
 

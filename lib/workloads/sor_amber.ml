@@ -115,29 +115,33 @@ let rec wait_for rt s pred =
 let phase_color phase = if phase land 1 = 1 then Sor_core.Red else Sor_core.Black
 
 (* Update every point of [color] in local columns [c_from..c_to], rows
-   [r_from..r_to], column by column; charge their CPU, then fold their
-   largest change into the section's delta.  Points of one color never
-   read each other, so any split of the ranges gives the same values. *)
+   [r_from..r_to]; charge their CPU, then fold their largest change into
+   the section's delta.  Colors alternate along a row, so a row's points
+   of [color] are every other column from the first one of that color.
+   Points of one color never read each other, so any split or order of
+   the ranges gives the same values. *)
 let relax (p : Sor_core.params) s color ~c_from ~c_to ~r_from ~r_to =
   let pts = ref 0 and delta = ref 0.0 in
-  for lc = c_from to c_to do
-    let gc = s.col0 + lc - 1 in
-    for r = r_from to r_to do
-      match (Sor_core.color_of ~r ~c:gc, color) with
-      | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
-        let i = (r * s.stride) + lc in
-        let old = s.cells.(i) in
-        let avg =
-          (s.cells.(i - 1) +. s.cells.(i + 1) +. s.cells.(i - s.stride)
-          +. s.cells.(i + s.stride))
-          /. 4.0
-        in
-        let next = old +. (p.Sor_core.omega *. (avg -. old)) in
-        s.cells.(i) <- next;
-        incr pts;
-        let d = Float.abs (next -. old) in
-        if d > !delta then delta := d
-      | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
+  for r = r_from to r_to do
+    let first =
+      if Sor_core.color_of ~r ~c:(s.col0 + c_from - 1) = color then c_from
+      else c_from + 1
+    in
+    let lc = ref first in
+    while !lc <= c_to do
+      let i = (r * s.stride) + !lc in
+      let old = s.cells.(i) in
+      let avg =
+        (s.cells.(i - 1) +. s.cells.(i + 1) +. s.cells.(i - s.stride)
+        +. s.cells.(i + s.stride))
+        /. 4.0
+      in
+      let next = old +. (p.Sor_core.omega *. (avg -. old)) in
+      s.cells.(i) <- next;
+      incr pts;
+      let d = Float.abs (next -. old) in
+      if d > !delta then delta := d;
+      lc := !lc + 2
     done
   done;
   if !pts > 0 then

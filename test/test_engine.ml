@@ -265,7 +265,8 @@ let prop_chooser_candidates =
         if dom <> Sim.Choice.Event then fail "unexpected decision domain";
         let pending = model_pending m in
         let offered =
-          Array.to_list cands |> List.map (fun c -> c.Sim.Choice.ident)
+          Array.to_list cands
+          |> List.map (fun c -> Sim.Choice.ident_name c.Sim.Choice.ident)
         in
         if offered <> List.map (Printf.sprintf "e%d") pending then
           fail "offered [%s], pending [%s]"
@@ -302,6 +303,52 @@ let prop_chooser_candidates =
       drive e m prog ~on_step ~on_run ~thunk;
       true)
 
+(* Under a chooser an event's label is formatted only when a schedule is
+   written: deciding among candidates forces none, and
+   [Schedule.of_choice] forces exactly the candidates it records.  An
+   unlabelled event reads [ev<id>]. *)
+let test_labels_stay_lazy () =
+  let e = Sim.Engine.create () in
+  let forced = Array.make 3 0 in
+  let render i =
+    forced.(i) <- forced.(i) + 1;
+    Printf.sprintf "event %d" i
+  in
+  let labelled i ~delay =
+    ignore
+      (Sim.Engine.schedule e ~key:"k" ~label:(lazy (render i)) ~delay ignore)
+  in
+  labelled 0 ~delay:0.0;
+  labelled 1 ~delay:1.0;
+  labelled 2 ~delay:3.0;
+  ignore (Sim.Engine.schedule e ~key:"k" ~delay:2.0 ignore);
+  let decisions = ref [] in
+  let pick _ cands =
+    decisions := cands :: !decisions;
+    0
+  in
+  Sim.Engine.set_chooser e
+    (Some { Sim.Choice.pick; faults = false; note_access = ignore });
+  ignore (Sim.Engine.run e : int);
+  Alcotest.(check int) "three decisions" 3 (List.length !decisions);
+  Alcotest.(check (array int)) "no label forced by deciding" [| 0; 0; 0 |]
+    forced;
+  let written =
+    List.rev_map
+      (fun cands ->
+        Analysis.Schedule.of_choice cands.(0) ~index:0
+          ~ncands:(Array.length cands))
+      !decisions
+  in
+  Alcotest.(check (array int)) "the recorded labels forced once each"
+    [| 1; 1; 0 |] forced;
+  Alcotest.(check (list (pair string string)))
+    "idents and labels written"
+    [ ("e0", "event 0"); ("e1", "event 1"); ("e3", "ev3") ]
+    (List.map
+       (fun d -> (d.Analysis.Schedule.ident, d.Analysis.Schedule.label))
+       written)
+
 let suite =
   [
     Alcotest.test_case "clock starts at zero" `Quick test_clock_starts_at_zero;
@@ -324,4 +371,6 @@ let suite =
     Alcotest.test_case "executed counter" `Quick test_executed_counter;
     QCheck_alcotest.to_alcotest prop_engine_model;
     QCheck_alcotest.to_alcotest prop_chooser_candidates;
+    Alcotest.test_case "labels stay lazy under a chooser" `Quick
+      test_labels_stay_lazy;
   ]

@@ -179,6 +179,24 @@ let test_crash_counterexample_replays () =
     violations
     (M.replay (mutated_crash_move ()) sched)
 
+(* Both counterexamples as written, pinned by length and digest.  Between
+   them they carry every ident, key and label form a schedule file holds:
+   deliveries, retransmit timers, chunks, dispatches, fiber runs, fault
+   tags and unlabelled [ev<id>] events.  A change to how a candidate is
+   named, keyed or labelled moves one. *)
+let test_counterexample_text () =
+  let digest (sched, _) =
+    (List.length sched, Digest.to_hex (Digest.string (S.to_string sched)))
+  in
+  Alcotest.(check (pair int string))
+    "dedup-count-window on rpc"
+    (57, "3db0c2d9c198815a73caeba64a713a1e")
+    (digest (counterexample ()));
+  Alcotest.(check (pair int string))
+    "skip-home-repair on crash-move"
+    (90, "f3508ea56a6869075b0ba32b9ea989be")
+    (digest (crash_counterexample ()))
+
 let test_schedule_rejects_garbage () =
   (match S.of_string "not a schedule" with
   | Ok _ -> Alcotest.fail "missing header accepted"
@@ -212,4 +230,6 @@ let suite =
       test_crash_mutation_found;
     Alcotest.test_case "crash mutation: counterexample replays" `Quick
       test_crash_counterexample_replays;
+    Alcotest.test_case "schedule: counterexample text pinned" `Quick
+      test_counterexample_text;
   ]

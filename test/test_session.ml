@@ -184,6 +184,19 @@ let test_cli_balanced_fail_stop () =
   Alcotest.(check bool) "typed failure printed" true
     (List.exists (String.starts_with ~prefix:"failed: Rpc.Node_dead") lines)
 
+(* A run whose engine drains with the main thread unfinished is a typed
+   failure too: exit 5 and a [failed:] line, not an internal error. *)
+let test_deadlock_exits_5 () =
+  let buf = Buffer.create 64 in
+  let o =
+    Session.run ~ppf:(Format.formatter_of_buffer buf) Session.off
+      (A.Config.make ~nodes:1 ~cpus:1 ())
+      (fun _ -> Sim.Fiber.block (fun _ -> ()))
+  in
+  Alcotest.(check int) "exit 5" 5 o.Session.status;
+  Alcotest.(check string) "typed failure printed"
+    "failed: Amber.Cluster.Deadlock\n" (Buffer.contents buf)
+
 let test_cli_usage_errors () =
   List.iter
     (fun args ->
@@ -248,6 +261,7 @@ let suite =
       Alcotest.test_case "cli: fail-stop exits 5" `Quick test_cli_fail_stop;
       Alcotest.test_case "cli: balanced fail-stop exits 5" `Quick
         test_cli_balanced_fail_stop;
+      Alcotest.test_case "deadlock exits 5" `Quick test_deadlock_exits_5;
       Alcotest.test_case "cli: usage errors exit 124" `Quick
         test_cli_usage_errors;
       Alcotest.test_case "cli: each section prints once" `Quick

@@ -15,8 +15,9 @@
    optional layers (sanitizer, profiler, watch, flight recorder,
    balancer) and prints their sections; this file only maps flags onto
    a [Session.t].  Exit status: 0; 3 on sanitizer findings; 4 when an
-   SLO burns; 5 when a typed failure (node death, object loss, overload,
-   failed join) ends the run; 124 on a usage error.
+   SLO burns; 5 when a typed failure (node death, object loss, an
+   exhausted forwarding chain, overload, failed join, deadlock) ends the
+   run; 124 on a usage error.
 
    Examples:
      amber_sim sor --nodes 8 --cpus 4 --iters 20
@@ -34,6 +35,14 @@ let positive =
     | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let nodes_arg =
   Arg.(
@@ -100,19 +109,10 @@ let faults_term =
             "Hold packets arriving at NODE between virtual times FROM and \
              UNTIL (seconds); repeatable.")
   in
-  (* [Hw.Ethernet.validate_faults] owns the rule; a value it rejects is
-     a usage error. *)
   let mk drop_prob dup_prob delay_prob delay_spike stalls =
-    let f =
-      { Hw.Ethernet.drop_prob; dup_prob; delay_prob; delay_spike; stalls }
-    in
-    match Hw.Ethernet.validate_faults f with
-    | () -> Ok f
-    | exception Invalid_argument e -> Error (`Msg e)
+    { Hw.Ethernet.drop_prob; dup_prob; delay_prob; delay_spike; stalls }
   in
-  Term.(
-    term_result ~usage:true
-      (const mk $ drop $ dup $ delay_prob $ delay_spike $ stalls))
+  Term.(const mk $ drop $ dup $ delay_prob $ delay_spike $ stalls)
 
 let seed_arg =
   Arg.(
@@ -184,6 +184,8 @@ let crashes_term =
   let mk crashes rate = (crashes, rate) in
   Term.(const mk $ crashes $ rate)
 
+(* [Amber.Config.validate] owns the rules, the fault and crash rules
+   among them; a configuration it rejects is a usage error. *)
 let config_term =
   let mk nodes cpus faults seed (crashes, crash_rate) =
     let seed =
@@ -191,9 +193,16 @@ let config_term =
       | Some s -> Int64.of_int s
       | None -> Amber.Config.default.Amber.Config.seed
     in
-    Amber.Config.make ~nodes ~cpus ~seed ~faults ~crashes ~crash_rate ()
+    let cfg =
+      Amber.Config.make ~nodes ~cpus ~seed ~faults ~crashes ~crash_rate ()
+    in
+    match Amber.Config.validate cfg with
+    | () -> Ok cfg
+    | exception Invalid_argument e -> Error (`Msg e)
   in
-  Term.(const mk $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term)
+  Term.(
+    term_result ~usage:true
+      (const mk $ nodes_arg $ cpus_arg $ faults_term $ seed_arg $ crashes_term))
 
 (* --- run-harness layers (mapped onto a Session.t) ------------------------ *)
 
@@ -242,7 +251,7 @@ let balance_term =
   in
   let gossip =
     Arg.(
-      value & opt float 10e-3
+      value & opt positive_float 10e-3
       & info [ "gossip-interval" ] ~docv:"SECONDS"
           ~doc:"Load-board gossip / steal tick period (default 10 ms).")
   in
@@ -305,7 +314,7 @@ let watch_term =
   in
   let interval =
     Arg.(
-      value & opt float 5e-3
+      value & opt positive_float 5e-3
       & info [ "watch-interval" ] ~docv:"SECONDS"
           ~doc:"Sampling tick period, virtual seconds (default 5 ms).")
   in
@@ -762,17 +771,17 @@ let tsp_cmd =
 let readmostly_cmd =
   let objects =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "objects" ] ~docv:"N" ~doc:"Shared objects (mastered on node 0).")
   in
   let readers =
     Arg.(
-      value & opt int 2
+      value & opt positive 2
       & info [ "readers" ] ~docv:"R" ~doc:"Reader threads per node.")
   in
   let reads =
     Arg.(
-      value & opt int 40
+      value & opt positive 40
       & info [ "reads" ] ~docv:"K" ~doc:"Read invocations per reader.")
   in
   let write_every =
@@ -1040,9 +1049,7 @@ let trace_cmd =
     let cats =
       List.map
         (fun c -> (c, c))
-        [
-          "chase"; "create"; "crash"; "fault"; "migrate"; "net"; "san"; "sched";
-        ]
+        [ "create"; "crash"; "fault"; "migrate"; "net"; "san"; "sched" ]
     in
     Arg.(
       value
@@ -1197,12 +1204,12 @@ let fixture_cmd =
   in
   let threads =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "threads" ] ~docv:"T" ~doc:"Incrementing threads.")
   in
   let increments =
     Arg.(
-      value & opt int 25
+      value & opt positive 25
       & info [ "increments" ] ~docv:"K" ~doc:"Increments per thread.")
   in
   let run cfg s variant threads increments =

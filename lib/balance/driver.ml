@@ -30,6 +30,8 @@ type active = {
 type t = { rt : A.Runtime.t; active : active option }
 
 let start rt cfg =
+  if not (cfg.gossip_interval > 0.0) then
+    invalid_arg "Balance.Driver.start: gossip_interval";
   if cfg.policy = Rebalancer.Off && not cfg.steal then
     (* Fully off: no RNG draws, no events, no report lines — runs are
        byte-identical to a driverless build. *)

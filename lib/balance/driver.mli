@@ -29,7 +29,8 @@ val default_cfg : cfg
 type t
 
 (** Start the subsystem: schedules the gossip/steal tick and spawns the
-    rebalancer daemon (policy permitting).  Fiber context. *)
+    rebalancer daemon (policy permitting).  Raises [Invalid_argument] on
+    a non-positive [gossip_interval].  Fiber context. *)
 val start : Amber.Runtime.t -> cfg -> t
 
 (** Cancel the tick and stop/join the daemon so [Cluster.run] can drain.

@@ -25,6 +25,7 @@ type 'a t = {
 and any = Any : 'a t -> any
 
 exception Object_lost of { addr : int; name : string }
+exception Chain_exhausted of { addr : int; trail : int list }
 
 let () =
   Printexc.register_printer (function
@@ -34,6 +35,13 @@ let () =
            "Aobject.Object_lost { addr = 0x%x; name = %S } (the object's \
             only copy was on a crashed node)"
            addr name)
+    | Chain_exhausted { addr; trail } ->
+      Some
+        (Printf.sprintf
+           "Aobject.Chain_exhausted { addr = 0x%x; trail = [%s] } (the \
+            forwarding chain passed the hop budget without reaching the \
+            object)"
+           addr (String.concat "; " (List.map string_of_int trail)))
     | _ -> None)
 
 let check_lost o =

@@ -61,6 +61,12 @@ and any = Any : 'a t -> any
     node (no live replica existed to promote). *)
 exception Object_lost of { addr : int; name : string }
 
+(** Raised by a chase whose walk passes the forwarding-hop budget
+    without reaching the object: stale descriptors formed a cycle or an
+    overlong chain.  [trail] names the nodes the walk left behind, in
+    order. *)
+exception Chain_exhausted of { addr : int; trail : int list }
+
 (** Raise {!Object_lost} if the object has been marked lost. *)
 val check_lost : 'a t -> unit
 

@@ -15,7 +15,7 @@ let pp_violation ppf v =
    detected on its second hop, not after exhausting a hop budget. *)
 let chain_length rt ~addr ~start ~target =
   let rec walk node hops visited =
-    if hops > 64 || List.mem node visited then None
+    if hops > Runtime.max_forward_hops || List.mem node visited then None
     else if node = target then Some hops
     else
       match Runtime.probe rt ~node ~addr with
@@ -97,7 +97,7 @@ let check_one_live rt (Aobject.Any o) =
     | Some _ ->
       (* walk ended at [loc] or at some Resident node: verify legality *)
       let rec final node hops =
-        if hops > 64 then node
+        if hops > Runtime.max_forward_hops then node
         else
           match Runtime.probe rt ~node ~addr:o.Aobject.addr with
           | `Resident -> node

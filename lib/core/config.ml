@@ -27,7 +27,6 @@ type t = {
   rpc_unsafe_dedup : bool;
       (* the pre-fix count-window-only dedup eviction, behind a flag so
          the checker's mutation smoke can demonstrate it finds the bug *)
-  max_forward_hops : int;
   crashes : crash list;
   crash_rate : float;
       (* per-node probability of drawing one scheduled transient crash
@@ -58,7 +57,6 @@ let default =
     rpc_reliable = false;
     rpc_retire_window = 1024;
     rpc_unsafe_dedup = false;
-    max_forward_hops = 64;
     crashes = [];
     crash_rate = 0.0;
     rpc_max_retransmits = 30;
@@ -95,8 +93,6 @@ let validate t =
   if t.rpc_rto <= 0.0 then invalid_arg "Config: rpc_rto must be positive";
   if t.rpc_retire_window < 0 then
     invalid_arg "Config: rpc_retire_window must be non-negative";
-  if t.max_forward_hops <= 0 then
-    invalid_arg "Config: max_forward_hops must be positive";
   List.iter
     (fun c ->
       if c.cnode <= 0 || c.cnode >= t.nodes then

@@ -40,9 +40,6 @@ type t = {
   rpc_unsafe_dedup : bool;
       (** re-introduce the pre-fix count-window-only dedup eviction (the
           PR-6 bug) for the checker's mutation smoke; default [false] *)
-  max_forward_hops : int;
-      (** forwarding-chain hop budget before falling back to the object's
-          home node *)
   crashes : crash list;
       (** scheduled node crashes (at most one per node; node 0 is never
           crashable).  Non-empty implies the reliable RPC transport. *)

@@ -1,6 +1,6 @@
 (* Settle the calling thread at a node where the object at [addr] is
    usable, migrating along the forwarding chain ({!Runtime.chase} supplies
-   hop budgeting, home-node bootstrap/fallback and dangling detection).
+   hop budgeting, the bounce to the home node and dangling detection).
    Every node left behind goes on the thread's chase path, so §3.3
    compression repairs its descriptor once the object is found.  A
    [Read]-mode chase also settles on a node holding a read replica of a

@@ -78,9 +78,9 @@ let do_move_here rt (root : Aobject.any) ~dest =
    one control RPC, and the node that actually holds the object executes
    the move before replying (so a one-hop-accurate hint costs a single
    round trip, the paper's Table-1 scenario).  {!Runtime.chase} supplies
-   the hop budget, home-node fallback and dangling detection, and tells
-   every node whose stale pointer the request chased that the object now
-   lives at [dest]. *)
+   the hop budget, the bounce to the home node and dangling detection,
+   and tells every node whose stale pointer the request chased that the
+   object now lives at [dest]. *)
 let move_mutable rt (obj_addr : int) (root : Aobject.any) ~dest =
   let c = Runtime.cost rt in
   let visit node =

@@ -22,7 +22,6 @@ type counters = {
   mutable locates : int;
   mutable forward_hops : int;
   mutable home_fallbacks : int;
-  mutable broadcast_locates : int;
   mutable objects_created : int;
   mutable threads_started : int;
   mutable replica_installs : int;
@@ -85,7 +84,6 @@ let fresh_counters () =
     locates = 0;
     forward_hops = 0;
     home_fallbacks = 0;
-    broadcast_locates = 0;
     objects_created = 0;
     threads_started = 0;
     replica_installs = 0;
@@ -441,6 +439,8 @@ let migrate_thread t ts ~dest =
     ~explicit:false
     (fun () -> Hw.Machine.wake ts.tcb)
 
+let max_forward_hops = 64
+
 (* §3.5's context-switch-in check, one hop per switch-in: a callback
    cannot block, so it cannot run {!chase}, but it reads descriptors the
    same way and leaves the same trail on [chase_path]. *)
@@ -454,13 +454,13 @@ let install_resume_check t ts =
            let here = Hw.Machine.id (Hw.Machine.home tcb) in
            let addr = Aobject.addr_of_any top.fobj in
            let follow next =
-             if List.length !(ts.chase_path) >= t.cfg.Config.max_forward_hops
-             then
+             if List.length !(ts.chase_path) >= max_forward_hops then
                (* The switch-in chase has followed as many hops as the
                   forwarding budget allows without finding the object —
                   stale descriptors may form a loop here.  Let the thread
-                  run: the in-fiber chase applies the home-node fallback
-                  and dangling detection, which this callback cannot. *)
+                  run: the in-fiber chase raises [Chain_exhausted] or
+                  reports a dangling reference, which this callback
+                  cannot. *)
                true
              else begin
                (* The object moved while we were descheduled: chase it. *)
@@ -515,40 +515,27 @@ let stop t ~addr ~path ?moving_to found ~replica =
    MoveTo, invocation settling and the invocation return path each
    express a visit to one node as a [step] that returns the descriptor it
    read there; [chase] decides what the descriptor means ({!classify})
-   and shares the policy:
+   and applies the paper's policy (§3.3):
 
+   - A forwarding address is followed.
    - A bounce (uninitialized descriptor away from the object's {e home
      node}) means that node never heard of the object, or a move is in
      flight (the source already forwarded, the destination not yet
      installed): go to the home node, whose region owner learns of the
      object at creation and is the one place a live object can always be
-     traced from (§3.3).  Uninitialized {e at} the home node means the
-     object was destroyed there — the only node where a heap block can be
-     freed — so the reference is dangling, as is a self-loop left by
-     sabotaged descriptors.
-   - A chain longer than [max_forward_hops] (stale descriptors can form
-     long, even looping, chains under message loss) is {e repaired} by
-     restarting from the home node with a fresh hop budget instead of
-     failing; each restart is counted in [home_fallbacks].
-   - Two home-restart walks that observe the {e identical} trail of
-     descriptors mean the chain is static and cannot reach the object —
-     concurrent moves can strand the home node inside a mutual stale
-     pair (e.g. [0 -> 1 -> 0] with the object at 2) that no flush ever
-     visits.  Emerald, Amber's ancestor, resolves exactly this with a
-     last-resort exhaustive search; we do the same: probe every node in
-     turn for the resident copy ([broadcast_locates] counts these) and
-     resume the walk there, so that {!learn} rewrites the stale cycle.  A
-     trail that keeps changing instead means moves are in flight
-     repairing it: back off and re-walk.  Only when repeated searches
-     find no resident copy — the descriptors and the object both mutating
-     faster than we chase — does the chase give up.
+     traced from.  Uninitialized {e at} the home node means the object
+     was destroyed there — the only node where a heap block can be freed
+     — so the reference is dangling, as is a self-loop left by sabotaged
+     descriptors.
+   - A walk that passes [max_forward_hops] raises
+     [Aobject.Chain_exhausted] with the nodes it left behind.  Stale
+     descriptors that never reach the object are incoherent, which
+     AmberSan's audit reports; the chase does not guess past them.
    - When the chase ends, every node it left behind learns where the
      object is: the stop node, the master of a replica that served a
      [read], or [moving_to] for a move. *)
 let chase ?(read = false) ?moving_to ?(path = ref []) t ~what ~addr ~start
     ~step =
-  let budget = t.cfg.Config.max_forward_hops in
-  let c = cost t in
   let home = home_node t ~addr in
   let dangling () =
     (* A dangling reference to an address the crash injector registered as
@@ -558,76 +545,9 @@ let chase ?(read = false) ?moving_to ?(path = ref []) t ~what ~addr ~start
     | None -> ());
     failwith (Printf.sprintf "%s: dangling reference to 0x%x" what addr)
   in
-  (* Trail of the previous budget-exhausted walk that started at the home
-     node, as (node, decision) pairs. *)
-  let prev_trail = ref [] in
-  let give_up fallbacks =
-    failwith
-      (Printf.sprintf
-         "%s: reference to 0x%x did not resolve after %d home-node restarts"
-         what addr (fallbacks - 1))
-  in
-  let probe_for_scan node =
-    if node = current_node t then begin
-      Sim.Fiber.consume c.Cost_model.forward_lookup_cpu;
-      Descriptor.get (descriptors t node) addr
-    end
-    else
-      Topaz.Rpc.call t.rpc_fabric ~dst:node ~kind:"bcast-locate"
-        ~req_size:c.Cost_model.locate_req_bytes ~work:(fun () ->
-          Sim.Fiber.consume c.Cost_model.forward_lookup_cpu;
-          (16, Descriptor.get (descriptors t node) addr))
-  in
-  let rec restart ~trail fallbacks =
-    if fallbacks > 10 then give_up fallbacks
-    else if fallbacks >= 3 && trail = !prev_trail then
-      (* The walk that just exhausted its budget started at home; so did
-         the one recorded in [prev_trail].  The identical trail twice
-         means nothing is repairing the chain: search exhaustively. *)
-      broadcast fallbacks
-    else begin
-      if fallbacks >= 3 then
-        (* Still mutating: give the in-flight installation time to land
-           before walking again. *)
-        Sim.Fiber.consume
-          (Float.min 50e-3 (1e-3 *. Float.of_int (1 lsl (fallbacks - 3))));
-      if fallbacks >= 2 then prev_trail := trail;
-      t.ctrs.home_fallbacks <- t.ctrs.home_fallbacks + 1;
-      emit t "chase"
-        (lazy
-          (Printf.sprintf
-             "%s: hop budget (%d) exhausted for 0x%x, restarting at home node%d"
-             what budget addr home));
-      walk home ~hops:0 ~fallbacks ~trail:[]
-    end
-  and broadcast fallbacks =
-    if fallbacks > 10 then give_up fallbacks
-    else begin
-      t.ctrs.broadcast_locates <- t.ctrs.broadcast_locates + 1;
-      emit t "chase"
-        (lazy
-          (Printf.sprintf
-             "%s: forwarding web for 0x%x is wedged, serial-searching all \
-              nodes"
-             what addr));
-      let rec scan node =
-        if node >= t.cfg.Config.nodes then None
-        else
-          match probe_for_scan node with
-          | Some Descriptor.Resident -> Some node
-          | Some (Descriptor.Forwarded _ | Descriptor.Replica _) | None ->
-            scan (node + 1)
-      in
-      match scan 0 with
-      | Some r -> walk r ~hops:0 ~fallbacks ~trail:[]
-      | None ->
-        (* No node holds the object right now: it is in flight.  Let the
-           move land, then search again. *)
-        Sim.Fiber.consume 2e-3;
-        broadcast (fallbacks + 1)
-    end
-  and walk node ~hops ~fallbacks ~trail =
-    if hops > budget then restart ~trail:(List.rev trail) (fallbacks + 1)
+  let rec walk node ~hops =
+    if hops > max_forward_hops then
+      raise (Aobject.Chain_exhausted { addr; trail = List.rev !path })
     else
       (* The first probe at the starting node is the local fast path; every
          later probe is one causally-nested hop of the chase. *)
@@ -652,14 +572,14 @@ let chase ?(read = false) ?moving_to ?(path = ref []) t ~what ~addr ~start
       | `Follow next ->
         path := node :: !path;
         t.ctrs.forward_hops <- t.ctrs.forward_hops + 1;
-        walk next ~hops:(hops + 1) ~fallbacks ~trail:((node, next) :: trail)
+        walk next ~hops:(hops + 1)
       | `Bounce ->
         path := node :: !path;
         t.ctrs.forward_hops <- t.ctrs.forward_hops + 1;
-        walk home ~hops:(hops + 1) ~fallbacks ~trail:((node, -1) :: trail)
+        walk home ~hops:(hops + 1)
       | `Dangling -> dangling ()
   in
-  walk start ~hops:0 ~fallbacks:0 ~trail:[]
+  walk start ~hops:0
 
 let resolve_location t ~addr =
   let c = cost t in
@@ -715,10 +635,10 @@ let destroy_object t obj =
   let home = home_node t ~addr:obj.Aobject.addr in
   Vaspace.Heap.free (heap t home) obj.Aobject.addr;
   Descriptor.clear (descriptors t node) obj.Aobject.addr;
-  (* The home node is every chase's fallback authority: clearing its
-     entry too turns a later touch of the dead address into a crisp
-     dangling failure.  Leaving the stale forwarding entry made the
-     chase loop home → ghost until its restart budget ran out. *)
+  (* The home node is where every bounce lands: clearing its entry too
+     turns a later touch of the dead address into a crisp dangling
+     failure.  A stale forwarding entry left there would send the chase
+     home → ghost until it exhausted its hop budget. *)
   if home <> node then Descriptor.clear (descriptors t home) obj.Aobject.addr;
   with_san t (fun h ->
       h (San_hooks.Event.Object_destroyed { addr = obj.Aobject.addr }));

@@ -130,6 +130,10 @@ val migrate_self : t -> ?payload:int -> dest:int -> unit -> unit
     Safe outside fiber context. *)
 val migrate_thread : t -> tstate -> dest:int -> unit
 
+(** The chase's hop budget, 64.  {!Audit} calls a longer chain
+    non-terminating. *)
+val max_forward_hops : int
+
 (** [chase t ~what ~addr ~start ~step] is the single forwarding-chain
     walker shared by Locate, MoveTo, invocation settling and the
     invocation return path.  [step ~node] visits one node — a local
@@ -139,21 +143,16 @@ val migrate_thread : t -> tstate -> dest:int -> unit
     - [Resident] stops the chase; so does a read replica when [read]
       (default [false]) — otherwise the chase follows the replica's
       master hint;
-    - a forwarding address is followed.  Each hop is counted and bounded
-      by [Config.max_forward_hops]; exhausting the budget {e repairs} the
-      chase by restarting at the object's home node with a fresh budget
-      (counted in the [home_fallbacks] counter) rather than failing;
-    - two consecutive home restarts that walk the {e identical} trail
-      mean the forwarding web is wedged (concurrent moves can strand the
-      home node inside a mutual stale pair no chase ever visits): the
-      chase falls back to an Emerald-style exhaustive search for the
-      resident copy (counted in [broadcast_locates]) and resumes there.
-      Only repeated searches that find no resident copy fail the chase;
+    - a forwarding address is followed;
     - an uninitialized descriptor away from the home node bounces the
       chase to the home node (that node never heard of the object, or a
       move is in flight); one {e at} the home node — the only node where
       the object's heap block can be freed — or a self-loop raises
-      [Failure "<what>: dangling reference to 0x<addr>"].
+      [Failure "<what>: dangling reference to 0x<addr>"], or
+      [Aobject.Object_lost] for an address a fail-stop crash lost;
+    - each hop is counted, and a walk that passes {!max_forward_hops}
+      hops raises [Aobject.Chain_exhausted] with the nodes on [path],
+      oldest first.
 
     Every node the chase left behind goes on [path] (a fresh list by
     default; a thread's chase passes its [chase_path], which the §3.5
@@ -221,11 +220,8 @@ type counters = {
   mutable locates : int;
   mutable forward_hops : int;
   mutable home_fallbacks : int;
-      (** chases restarted at the object's home node after exhausting the
-          forwarding-hop budget *)
-  mutable broadcast_locates : int;
-      (** Emerald-style exhaustive node searches after the forwarding web
-          wedged (a static stale cycle through the home node) *)
+      (** never written, always 0.  Kept only because the benchmark
+          ledger reads it; it goes together with that ledger metric. *)
   mutable objects_created : int;
   mutable threads_started : int;
   mutable replica_installs : int;

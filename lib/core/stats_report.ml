@@ -136,12 +136,6 @@ let move_bytes = amber "amber.mobility.move_bytes" (fun c -> c.move_bytes)
 let locates = amber "amber.mobility.locates" (fun c -> c.locates)
 let hops = amber "amber.mobility.forward_hops" (fun c -> c.forward_hops)
 
-let home_fallbacks =
-  amber "amber.mobility.home_fallbacks" (fun c -> c.home_fallbacks)
-
-let broadcast_locates =
-  amber "amber.mobility.broadcast_locates" (fun c -> c.broadcast_locates)
-
 let installs = amber "amber.coherence.installs" (fun c -> c.replica_installs)
 
 let replica_reads =
@@ -283,12 +277,6 @@ let pp ppf t =
       (i timeouts) (i retransmits) (i dup_requests) (i dup_replies)
       (i dup_datagrams) (i reply_resends) (i acks)
   end;
-  if i home_fallbacks > 0 then
-    Format.fprintf ppf "chain repair: %d home-node fallbacks@."
-      (i home_fallbacks);
-  if i broadcast_locates > 0 then
-    Format.fprintf ppf "chain repair: %d broadcast locates@."
-      (i broadcast_locates);
   (* Crash injection: gated on a crash having actually happened, so
      crash-free runs keep byte-identical reports. *)
   if i crashes > 0 then begin

@@ -54,8 +54,9 @@ type 'a outcome = {
   result : ('a, exn) result;
       (** [Error e] when a typed failure escaped the body:
           [Topaz.Rpc.Node_dead], [Amber.Aobject.Object_lost],
-          [Amber.Overload.Overloaded] or [Amber.Athread.Join_failed].
-          Any other exception propagates out of {!run}. *)
+          [Amber.Aobject.Chain_exhausted], [Amber.Overload.Overloaded],
+          [Amber.Athread.Join_failed] or [Amber.Cluster.Deadlock].  Any
+          other exception propagates out of {!run}. *)
   status : int;
       (** 0; 3 on sanitizer findings; else 4 on a fired SLO; 5 on a typed
           failure *)

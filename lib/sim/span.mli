@@ -57,8 +57,8 @@ val kind_name : kind -> string
 type mark = {
   time : float;
   category : string;
-      (** ["chase"], ["create"], ["crash"], ["fault"], ["migrate"], ["net"],
-          ["san"] or ["sched"] *)
+      (** ["create"], ["crash"], ["fault"], ["migrate"], ["net"], ["san"]
+          or ["sched"] *)
   detail : string;
   node : int;
   cpu : int;

@@ -132,26 +132,48 @@ let test_chain_length_visited_before_budget () =
         (A.Audit.max_chain_length rt o))
 
 (* A running chase (not an offline audit) that walks into a forwarding
-   cycle: the hop budget trips, the chase restarts at the home node and
-   completes.  The recovery must be observable (a home fallback is
-   counted) and the invocation's result must be unaffected. *)
+   cycle: the chaser passes the hop budget and fails typed, naming the
+   object, and nothing repairs the cycle.  Under AmberSan the final
+   audit reports the cycle as incoherence. *)
 let run_cycle_mid_chase ~sanitize =
-  Util.run_sanitized ~sanitize (A.Config.make ~nodes:4 ~cpus:2 ()) (fun rt ->
-      let o = A.Api.create rt ~name:"prey" (ref 7) in
-      A.Api.move_to rt o ~dest:2;
-      (* Two bystanders forward to each other; a chase starting inside
-         the loop ping-pongs until its hop budget trips. *)
-      A.Descriptor.set_forwarded (A.Runtime.descriptors rt 1) o.A.Aobject.addr 3;
-      A.Descriptor.set_forwarded (A.Runtime.descriptors rt 3) o.A.Aobject.addr 1;
-      let got = ref 0 in
-      let t =
-        A.Athread.start_on rt ~node:1 ~name:"chaser" (fun () ->
-            got := A.Api.invoke rt o (fun r -> !r))
+  let o =
+    Session.run ~ppf:Util.quiet
+      { Session.off with Session.sanitize }
+      (A.Config.make ~nodes:4 ~cpus:2 ())
+      (fun rt ->
+        let o = A.Api.create rt ~name:"prey" (ref 7) in
+        A.Api.move_to rt o ~dest:2;
+        (* Two bystanders forward to each other; a chase starting inside
+           the loop ping-pongs until its hop budget trips. *)
+        A.Descriptor.set_forwarded (A.Runtime.descriptors rt 1) o.A.Aobject.addr
+          3;
+        A.Descriptor.set_forwarded (A.Runtime.descriptors rt 3) o.A.Aobject.addr
+          1;
+        let t =
+          A.Athread.start_on rt ~node:1 ~name:"chaser" (fun () ->
+              A.Api.invoke rt o (fun r -> !r))
+        in
+        match A.Athread.join rt t with
+        | _ -> Alcotest.fail "the chaser resolved the cycle"
+        | exception A.Aobject.Chain_exhausted { addr; trail } ->
+          Alcotest.(check int) "names the object" o.A.Aobject.addr addr;
+          Alcotest.(check bool) "trail stays on the cycle" true
+            (trail <> [] && List.for_all (fun n -> n = 1 || n = 3) trail))
+  in
+  Alcotest.(check bool) "the body caught the failure" true
+    (Result.is_ok o.Session.result);
+  Option.iter
+    (fun rep ->
+      let reported n =
+        List.exists
+          (fun v ->
+            v.A.Audit.node = n
+            && v.A.Audit.problem = "forwarding chain does not terminate")
+          rep.Analysis.Ambersan.violations
       in
-      A.Athread.join rt t;
-      Alcotest.(check int) "invocation unaffected by the cycle" 7 !got;
-      Alcotest.(check bool) "recovered via a home-node restart" true
-        ((A.Runtime.counters rt).A.Runtime.home_fallbacks >= 1))
+      Alcotest.(check bool) "AmberSan reports the cycle" true
+        (reported 1 && reported 3))
+    o.Session.sanitizer
 
 let test_cycle_mid_chase_plain () = run_cycle_mid_chase ~sanitize:false
 let test_cycle_mid_chase_sanitized () = run_cycle_mid_chase ~sanitize:true

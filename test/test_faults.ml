@@ -1,7 +1,7 @@
 (* Fault injection: workloads survive a lossy network with unchanged
    results (exactly-once semantics), the fault pattern and the recovery
-   counters are a pure function of the seed, and the forwarding-chain
-   repair (home-node fallback) path works. *)
+   counters are a pure function of the seed, and a stale forwarding chain
+   fails typed instead of looping. *)
 
 module A = Amber
 module W = Workloads
@@ -135,71 +135,50 @@ let test_no_faults_no_overhead () =
   Alcotest.(check bool) "no transport acks on the wire" true
     (not (List.mem "thread-ack" kinds))
 
-(* --- forwarding-chain repair --------------------------------------------- *)
+(* --- stale forwarding chains ---------------------------------------------- *)
 
-let test_home_fallback_repairs_stale_chain () =
-  (* A cycle of stale descriptors (1 -> 2 -> 4 -> 1) that never reaches
-     the object.  With a hop budget of 2 the chase must give up on the
-     chain and restart at the home node, whose hint is authoritative. *)
-  let cfg =
-    { (A.Config.make ~nodes:6 ~cpus:2 ()) with A.Config.max_forward_hops = 2 }
-  in
-  A.Cluster.run_value cfg (fun rt ->
+(* The nodes a chase walks from [from] around a cycle of stale
+   descriptors ([links], node -> next) that never reaches the object,
+   which lives on node 3 of 4.  The walk passes the hop budget and fails
+   typed, naming the object; nothing repairs the chain. *)
+let walk_stale_cycle ~links ~from =
+  A.Cluster.run_value (A.Config.make ~nodes:4 ~cpus:2 ()) (fun rt ->
       let o = A.Api.create rt ~name:"wanderer" (ref 0) in
-      A.Api.move_to rt o ~dest:5;
-      let anchor = A.Api.create rt ~name:"anchor" () in
-      A.Api.move_to rt anchor ~dest:3;
-      let fwd n next =
-        A.Descriptor.set_forwarded (A.Runtime.descriptors rt n)
-          o.A.Aobject.addr next
-      in
-      fwd 3 1;
-      fwd 1 2;
-      fwd 2 4;
-      fwd 4 1;
-      let where =
-        A.Api.invoke rt anchor (fun () -> A.Api.locate rt o)
-      in
-      Alcotest.(check int) "resolved at the true location" 5 where;
-      Alcotest.(check bool) "went through the home fallback" true
-        ((A.Runtime.counters rt).A.Runtime.home_fallbacks > 0);
-      (* The repair rewrote the stale chain: a second locate is direct. *)
-      let hops_before = (A.Runtime.counters rt).A.Runtime.forward_hops in
-      let where2 = A.Api.invoke rt anchor (fun () -> A.Api.locate rt o) in
-      Alcotest.(check int) "still resolves" 5 where2;
-      Alcotest.(check bool) "chain was compacted" true
-        ((A.Runtime.counters rt).A.Runtime.forward_hops - hops_before <= 1))
-
-let test_wedged_chain_repaired_by_broadcast () =
-  (* Sabotage the home node itself so even the home fallback loops — the
-     shape concurrent moves can produce naturally.  The chase must detect
-     the static cycle, fall back to the Emerald-style exhaustive search,
-     find the resident copy and repair the stale descriptors. *)
-  let cfg =
-    { (A.Config.make ~nodes:4 ~cpus:2 ()) with A.Config.max_forward_hops = 2 }
-  in
-  A.Cluster.run_value cfg (fun rt ->
-      let o = A.Api.create rt ~name:"lost" (ref 0) in
       A.Api.move_to rt o ~dest:3;
-      let fwd n next =
-        A.Descriptor.set_forwarded (A.Runtime.descriptors rt n)
-          o.A.Aobject.addr next
+      List.iter
+        (fun (n, next) ->
+          A.Descriptor.set_forwarded (A.Runtime.descriptors rt n)
+            o.A.Aobject.addr next)
+        links;
+      let t =
+        A.Athread.start_on rt ~node:from ~name:"locator" (fun () ->
+            A.Api.locate rt o)
       in
-      (* Home (node 0) now points into a cycle that avoids node 3. *)
-      fwd 0 1;
-      fwd 1 2;
-      fwd 2 0;
-      Alcotest.(check int) "search finds the resident copy" 3
-        (A.Api.locate rt o);
-      Alcotest.(check bool) "went through the broadcast" true
-        ((A.Runtime.counters rt).A.Runtime.broadcast_locates > 0);
-      (* The success-path compression rewrote the cycle: the world is
-         coherent again and a second locate needs no repair. *)
-      A.Audit.check_exn rt [ A.Aobject.Any o ];
-      let b = (A.Runtime.counters rt).A.Runtime.broadcast_locates in
-      Alcotest.(check int) "still resolves" 3 (A.Api.locate rt o);
-      Alcotest.(check int) "no further broadcasts" b
-        (A.Runtime.counters rt).A.Runtime.broadcast_locates)
+      match A.Athread.join rt t with
+      | where -> Alcotest.failf "the stale cycle resolved to node %d" where
+      | exception A.Aobject.Chain_exhausted { addr; trail } ->
+        Alcotest.(check int) "names the object" o.A.Aobject.addr addr;
+        trail)
+
+let test_stale_cycle_exhausts_chain () =
+  let check what ~links ~from =
+    let trail = walk_stale_cycle ~links ~from in
+    let rec around = function
+      | a :: (b :: _ as rest) -> List.assoc a links = b && around rest
+      | _ -> true
+    in
+    Alcotest.(check int) (what ^ ": starts where the chase did") from
+      (List.hd trail);
+    Alcotest.(check bool) (what ^ ": passes the budget") true
+      (List.length trail > 64);
+    Alcotest.(check bool) (what ^ ": runs around the cycle") true
+      (around trail)
+  in
+  (* Node 0 is the home node: its hint names node 3, but the cycle never
+     bounces there. *)
+  check "cycle avoiding home" ~links:[ (1, 2); (2, 1) ] ~from:1;
+  (* The home node itself sits on the cycle, so no bounce can help. *)
+  check "cycle through home" ~links:[ (0, 1); (1, 2); (2, 0) ] ~from:0
 
 let test_truly_dangling_reference_fails_cleanly () =
   (* A self-loop descriptor is unrepairable garbage: the chase must
@@ -242,10 +221,8 @@ let suite =
       test_fault_pattern_deterministic;
     Alcotest.test_case "no faults, no reliability overhead" `Quick
       test_no_faults_no_overhead;
-    Alcotest.test_case "home fallback repairs a stale chain" `Quick
-      test_home_fallback_repairs_stale_chain;
-    Alcotest.test_case "wedged chain repaired by broadcast" `Quick
-      test_wedged_chain_repaired_by_broadcast;
+    Alcotest.test_case "stale cycle exhausts the chain" `Quick
+      test_stale_cycle_exhausts_chain;
     Alcotest.test_case "truly dangling reference fails cleanly" `Quick
       test_truly_dangling_reference_fails_cleanly;
     Alcotest.test_case "bad fault configs rejected" `Quick

@@ -197,6 +197,29 @@ let test_deadlock_exits_5 () =
   Alcotest.(check string) "typed failure printed"
     "failed: Amber.Cluster.Deadlock\n" (Buffer.contents buf)
 
+(* A chase around a stale cycle through the home node fails typed: exit
+   5 and a [failed:] line naming the object's address. *)
+let test_chain_exhausted_exits_5 () =
+  let buf = Buffer.create 256 in
+  let o =
+    Session.run ~ppf:(Format.formatter_of_buffer buf) Session.off
+      (A.Config.make ~nodes:3 ~cpus:1 ())
+      (fun rt ->
+        let o = A.Api.create rt ~name:"ghost" () in
+        A.Api.move_to rt o ~dest:2;
+        let fwd n next =
+          A.Descriptor.set_forwarded (A.Runtime.descriptors rt n)
+            o.A.Aobject.addr next
+        in
+        fwd 0 1;
+        fwd 1 0;
+        A.Api.locate rt o)
+  in
+  Alcotest.(check int) "exit 5" 5 o.Session.status;
+  Alcotest.(check bool) "typed failure printed" true
+    (String.starts_with ~prefix:"failed: Aobject.Chain_exhausted { addr = 0x"
+       (Buffer.contents buf))
+
 let test_cli_usage_errors () =
   List.iter
     (fun args ->
@@ -230,6 +253,20 @@ let test_cli_usage_errors () =
       [ "sor"; "--drop"; "1.5" ];
       [ "sor"; "--drop=-0.1" ];
       [ "sor"; "--stall"; "1:0.5:0.2" ];
+      [ "sor"; "--crash"; "0@0.1" ];
+      [ "sor"; "--crash"; "9@0.1" ];
+      [ "sor"; "--crash"; "1@0.1"; "--crash"; "1@0.2" ];
+      [ "sor"; "--crash"; "1@0.5:0.2" ];
+      [ "sor"; "--crash=1@-0.5" ];
+      [ "sor"; "--crash-rate"; "1.5" ];
+      [ "sor"; "--crash-rate=-0.5" ];
+      [ "sor"; "--steal"; "--gossip-interval"; "0" ];
+      [ "sor"; "--steal"; "--gossip-interval=-1" ];
+      [ "sor"; "--watch"; "--watch-interval"; "0" ];
+      [ "readmostly"; "--objects"; "0" ];
+      [ "readmostly"; "--reads"; "0" ];
+      [ "readmostly"; "--readers=-1" ];
+      [ "fixture"; "--threads=-2" ];
     ]
 
 (* Under --report the profile and sanitizer sections print inside the
@@ -262,6 +299,8 @@ let suite =
       Alcotest.test_case "cli: balanced fail-stop exits 5" `Quick
         test_cli_balanced_fail_stop;
       Alcotest.test_case "deadlock exits 5" `Quick test_deadlock_exits_5;
+      Alcotest.test_case "chain exhausted exits 5" `Quick
+        test_chain_exhausted_exits_5;
       Alcotest.test_case "cli: usage errors exit 124" `Quick
         test_cli_usage_errors;
       Alcotest.test_case "cli: each section prints once" `Quick

@@ -160,25 +160,24 @@ let walk_stale_cycle ~links ~from =
         Alcotest.(check int) "names the object" o.A.Aobject.addr addr;
         trail)
 
-let test_stale_cycle_exhausts_chain () =
-  let check what ~links ~from =
-    let trail = walk_stale_cycle ~links ~from in
-    let rec around = function
-      | a :: (b :: _ as rest) -> List.assoc a links = b && around rest
-      | _ -> true
-    in
-    Alcotest.(check int) (what ^ ": starts where the chase did") from
-      (List.hd trail);
-    Alcotest.(check bool) (what ^ ": passes the budget") true
-      (List.length trail > 64);
-    Alcotest.(check bool) (what ^ ": runs around the cycle") true
-      (around trail)
+let check_stale_cycle_exhausts ~links ~from =
+  let trail = walk_stale_cycle ~links ~from in
+  let rec around = function
+    | a :: (b :: _ as rest) -> List.assoc a links = b && around rest
+    | _ -> true
   in
+  Alcotest.(check int) "starts where the chase did" from (List.hd trail);
+  Alcotest.(check bool) "passes the budget" true (List.length trail > 64);
+  Alcotest.(check bool) "runs around the cycle" true (around trail)
+
+let test_cycle_avoiding_home_exhausts () =
   (* Node 0 is the home node: its hint names node 3, but the cycle never
      bounces there. *)
-  check "cycle avoiding home" ~links:[ (1, 2); (2, 1) ] ~from:1;
+  check_stale_cycle_exhausts ~links:[ (1, 2); (2, 1) ] ~from:1
+
+let test_cycle_through_home_exhausts () =
   (* The home node itself sits on the cycle, so no bounce can help. *)
-  check "cycle through home" ~links:[ (0, 1); (1, 2); (2, 0) ] ~from:0
+  check_stale_cycle_exhausts ~links:[ (0, 1); (1, 2); (2, 0) ] ~from:0
 
 let test_truly_dangling_reference_fails_cleanly () =
   (* A self-loop descriptor is unrepairable garbage: the chase must
@@ -221,8 +220,10 @@ let suite =
       test_fault_pattern_deterministic;
     Alcotest.test_case "no faults, no reliability overhead" `Quick
       test_no_faults_no_overhead;
-    Alcotest.test_case "stale cycle exhausts the chain" `Quick
-      test_stale_cycle_exhausts_chain;
+    Alcotest.test_case "cycle avoiding home exhausts" `Quick
+      test_cycle_avoiding_home_exhausts;
+    Alcotest.test_case "cycle through home exhausts" `Quick
+      test_cycle_through_home_exhausts;
     Alcotest.test_case "truly dangling reference fails cleanly" `Quick
       test_truly_dangling_reference_fails_cleanly;
     Alcotest.test_case "bad fault configs rejected" `Quick

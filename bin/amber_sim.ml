@@ -256,7 +256,7 @@ let balance_term =
           ~doc:"Load-board gossip / steal tick period (default 10 ms).")
   in
   let mk policy steal gossip_interval =
-    { Balance.Driver.default_cfg with policy; steal; gossip_interval }
+    { Balance.Driver.policy; steal; gossip_interval }
   in
   Term.(const mk $ policy $ steal $ gossip)
 
@@ -488,9 +488,7 @@ let sor_cmd =
         | Some w when w > 0.0 ->
           {
             cfg with
-            Amber.Config.rpc_coalesce =
-              Some
-                { Topaz.Rpc.default_coalesce with Topaz.Rpc.flush_window = w };
+            Amber.Config.rpc_coalesce = Some { Topaz.Rpc.flush_window = w };
           }
         | Some _ | None -> cfg
       in
@@ -968,35 +966,47 @@ let serve_cmd =
       & info [ "replicate" ]
           ~doc:"Replicate every service object on every node.")
   in
-  let run cfg s rps burst zipf objects duration classes workers admission
-      admit_rate admit_burst cutoff replicate =
-    let arrival =
-      match burst with
-      | None -> Serve.Trafficgen.Poisson rps
-      | Some (factor, on_mean, off_mean) ->
-        Serve.Trafficgen.Bursty { rate = rps; factor; on_mean; off_mean }
+  (* [Serve.validate] owns the rules; a configuration it rejects is a
+     usage error. *)
+  let serve_term =
+    let mk rps burst zipf objects duration classes workers admission
+        admit_rate admit_burst cutoff replicate =
+      let arrival =
+        match burst with
+        | None -> Serve.Trafficgen.Poisson rps
+        | Some (factor, on_mean, off_mean) ->
+          Serve.Trafficgen.Bursty { rate = rps; factor; on_mean; off_mean }
+      in
+      let scfg =
+        {
+          Serve.arrival;
+          duration;
+          keys = objects;
+          skew = zipf;
+          mix = classes;
+          workers_per_node = workers;
+          replicate;
+          admission =
+            (if admission then
+               Some { Serve.admit_rate; admit_burst; cutoff }
+             else None);
+        }
+      in
+      match Serve.validate scfg with
+      | () -> Ok scfg
+      | exception Invalid_argument e -> Error (`Msg e)
     in
-    let scfg =
-      {
-        Serve.default_cfg with
-        arrival;
-        duration;
-        keys = objects;
-        skew = zipf;
-        mix = classes;
-        workers_per_node = workers;
-        replicate;
-        admission =
-          (if admission then
-             Some { Serve.admit_rate; admit_burst; cutoff }
-           else None);
-      }
-    in
+    Term.(
+      term_result ~usage:true
+        (const mk $ rps $ burst $ zipf $ objects $ duration $ classes
+       $ workers $ admission $ admit_rate $ admit_burst $ cutoff $ replicate))
+  in
+  let run cfg s scfg =
     let print (r : Serve.result) =
       Printf.printf
         "serve (%s, %d nodes): issued %d, completed %d, rejected %d, failed \
          %d in %.3f virtual s\n"
-        (match arrival with
+        (match scfg.Serve.arrival with
         | Serve.Trafficgen.Poisson r -> Printf.sprintf "poisson %.0f rps" r
         | Serve.Trafficgen.Bursty b ->
           Printf.sprintf "bursty %.0fx%.0f rps" b.rate b.factor)
@@ -1025,8 +1035,7 @@ let serve_cmd =
     Term.(
       const run $ config_term
       $ session_term ~report:true ~balance:true ~profile:true ~watch:true ()
-      $ rps $ burst $ zipf $ objects $ duration $ classes $ workers $ admission
-      $ admit_rate $ admit_burst $ cutoff $ replicate)
+      $ serve_term)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1241,11 +1250,12 @@ let fixture_cmd =
 let check_cmd =
   let fixture_arg =
     let names =
-      "all" :: List.map Analysis.Modelcheck.fixture_name Analysis.Modelcheck.fixtures
+      "all"
+      :: List.map Analysis.Modelcheck.fixture_name Analysis.Modelcheck.fixtures
     in
     Arg.(
       value
-      & pos 0 string "all"
+      & pos 0 (enum (List.map (fun n -> (n, n)) names)) "all"
       & info [] ~docv:"FIXTURE"
           ~doc:
             (Printf.sprintf
@@ -1285,7 +1295,7 @@ let check_cmd =
   let schedule_in =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some non_dir_file) None
       & info [ "schedule-in" ] ~docv:"FILE"
           ~doc:
             "Skip exploration: replay the schedule in $(docv) against the \
@@ -1296,7 +1306,7 @@ let check_cmd =
        assert the checker still finds them *)
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum Analysis.Modelcheck.mutations)) None
       & info [ "mutate" ] ~docv:"BUG" ~docs:"HIDDEN OPTIONS")
   in
   let random =
@@ -1312,47 +1322,23 @@ let check_cmd =
              counterexamples stay replayable.")
   in
   let run fixture max_schedules max_depth fault_budget schedule_out
-      schedule_in mutate random =
-    let mutation =
-      match mutate with
-      | None -> None
-      | Some m -> (
-        match Analysis.Modelcheck.mutation_of_string m with
-        | Some m -> Some m
-        | None ->
-          failwith
-            (Printf.sprintf "unknown mutation %S (known: %s)" m
-               (String.concat ", " Analysis.Modelcheck.mutation_names)))
-    in
-    let resolve name =
-      match Analysis.Modelcheck.find_fixture name with
-      | Some f -> f
-      | None ->
-        failwith
-          (Printf.sprintf "unknown fixture %S (known: %s)" name
-             (String.concat ", "
-                (List.map Analysis.Modelcheck.fixture_name
-                   Analysis.Modelcheck.fixtures)))
-    in
+      schedule_in mutation random =
     let fixtures =
-      match fixture with
-      | "all" -> Analysis.Modelcheck.fixtures
-      | name -> [ resolve name ]
+      List.filter
+        (fun fx ->
+          fixture = "all" || Analysis.Modelcheck.fixture_name fx = fixture)
+        Analysis.Modelcheck.fixtures
     in
     let fixtures =
       match mutation with
       | None -> fixtures
       | Some m -> List.map (Analysis.Modelcheck.apply_mutation m) fixtures
     in
-    match schedule_in with
-    | Some path -> (
-      let fx =
-        match fixtures with
-        | [ f ] -> f
-        | _ -> failwith "--schedule-in needs a single named fixture"
-      in
+    match (schedule_in, fixtures) with
+    | Some path, [ fx ] -> (
       match Analysis.Schedule.load path with
-      | Error e -> failwith e
+      | exception Sys_error e -> `Error (true, e)
+      | Error e -> `Error (true, Printf.sprintf "%s: %s" path e)
       | Ok sched -> (
         Printf.printf "replaying %d recorded decisions against %s:\n"
           (List.length sched)
@@ -1360,11 +1346,12 @@ let check_cmd =
         match Analysis.Modelcheck.replay ~max_depth fx sched with
         | [] ->
           print_endline "replay: no violation";
-          0
+          `Ok 0
         | violations ->
           List.iter (fun v -> Printf.printf "  VIOLATION: %s\n" v) violations;
-          3))
-    | None ->
+          `Ok 3))
+    | Some _, _ -> `Error (true, "--schedule-in needs a single named fixture")
+    | None, _ ->
       let status = ref 0 in
       List.iter
         (fun fx ->
@@ -1409,12 +1396,13 @@ let check_cmd =
                  --schedule-in %s)\n"
                 path name path))
         fixtures;
-      !status
+      `Ok !status
   in
   let term =
     Term.(
-      const run $ fixture_arg $ max_schedules $ max_depth $ fault_budget
-      $ schedule_out $ schedule_in $ mutate $ random)
+      ret
+        (const run $ fixture_arg $ max_schedules $ max_depth $ fault_budget
+       $ schedule_out $ schedule_in $ mutate $ random))
   in
   Cmd.v
     (Cmd.info "check"

@@ -446,12 +446,11 @@ let find_fixture name =
 
 type mutation = Dedup_count_window | Skip_home_repair
 
-let mutation_names = [ "dedup-count-window"; "skip-home-repair" ]
-
-let mutation_of_string = function
-  | "dedup-count-window" -> Some Dedup_count_window
-  | "skip-home-repair" -> Some Skip_home_repair
-  | _ -> None
+let mutations =
+  [
+    ("dedup-count-window", Dedup_count_window);
+    ("skip-home-repair", Skip_home_repair);
+  ]
 
 let apply_mutation m f =
   match m with

@@ -1,23 +1,9 @@
 module A = Amber
 
-type cfg = {
-  policy : Rebalancer.policy;
-  steal : bool;
-  gossip_interval : float;
-  alpha : float;
-  min_victim_load : float;
-  rebalance : Rebalancer.cfg;
-}
+type cfg = { policy : Rebalancer.policy; steal : bool; gossip_interval : float }
 
 let default_cfg =
-  {
-    policy = Rebalancer.Off;
-    steal = false;
-    gossip_interval = 10e-3;
-    alpha = 0.5;
-    min_victim_load = 1.5;
-    rebalance = Rebalancer.default_cfg;
-  }
+  { policy = Rebalancer.Off; steal = false; gossip_interval = 10e-3 }
 
 type active = {
   li : Loadinfo.t;
@@ -39,15 +25,12 @@ let start rt cfg =
   else begin
     let eng = A.Runtime.engine rt in
     let root = Sim.Rng.split (Sim.Engine.rng eng) in
-    let li = Loadinfo.create rt ~rng:(Sim.Rng.split root) ~alpha:cfg.alpha in
+    let li = Loadinfo.create rt ~rng:(Sim.Rng.split root) in
     let stealer =
-      if cfg.steal then
-        Some
-          (Stealer.create rt ~li ~rng:(Sim.Rng.split root)
-             ~min_victim_load:cfg.min_victim_load)
+      if cfg.steal then Some (Stealer.create rt ~li ~rng:(Sim.Rng.split root))
       else None
     in
-    let reb = Rebalancer.create rt ~policy:cfg.policy ~cfg:cfg.rebalance in
+    let reb = Rebalancer.create rt ~policy:cfg.policy in
     let a = { li; stealer; reb; tick_ev = None; stopped = false } in
     (* Telemetry: publish each node's own EWMA load view as a gauge when
        a watcher enabled the registry — the exact signal the stealer and
@@ -82,11 +65,6 @@ let stop t =
       Sim.Engine.cancel (A.Runtime.engine t.rt) ev
     | None -> ());
     Rebalancer.stop a.reb
-
-let allow_replication t obj ~copy =
-  match t.active with
-  | None -> ()
-  | Some a -> Rebalancer.allow_replication a.reb obj ~copy
 
 let move_log t =
   match t.active with None -> [] | Some a -> Rebalancer.move_log a.reb

@@ -13,15 +13,17 @@
     events scheduled, zero RNG draws, zero report lines — the run is
     byte-identical to one that never created the handle.  Otherwise all
     randomness comes from a stream split off the engine's root RNG, so
-    the balanced run is itself deterministic per seed. *)
+    the balanced run is itself deterministic per seed.
+
+    The policy, the stealer and the tick period are the only settings.
+    Every other tuning value is a constant of the module that reads it:
+    {!Loadinfo}'s EWMA weight, {!Stealer}'s victim threshold and
+    {!Rebalancer}'s cycle period, hysteresis, budget and thresholds. *)
 
 type cfg = {
   policy : Rebalancer.policy;
   steal : bool;  (** enable the stealer alongside any policy *)
   gossip_interval : float;  (** telemetry/steal tick period (seconds) *)
-  alpha : float;  (** EWMA weight of a fresh load sample *)
-  min_victim_load : float;  (** board load below which nobody is robbed *)
-  rebalance : Rebalancer.cfg;
 }
 
 val default_cfg : cfg
@@ -37,10 +39,6 @@ val start : Amber.Runtime.t -> cfg -> t
     Must be called before the main thread returns.  Fiber context.
     Idempotent on an inert handle. *)
 val stop : t -> unit
-
-(** Permit the rebalancer to replicate [obj] (see
-    {!Rebalancer.allow_replication}).  No-op on an inert handle. *)
-val allow_replication : t -> 'a Amber.Aobject.t -> copy:('a -> 'a) -> unit
 
 (** Moves performed by the rebalancer, oldest first. *)
 val move_log : t -> Rebalancer.move list

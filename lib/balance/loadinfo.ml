@@ -8,32 +8,30 @@ type entry = {
 
 type t = {
   rt : A.Runtime.t;
-  alpha : float;
   rng : Sim.Rng.t;
   (* boards.(viewer).(node): what [viewer] currently believes about
      [node].  A node's own entry is refreshed locally every tick; entries
      about peers arrive by gossip and may lag. *)
   boards : entry array array;
   msg_bytes : int;
-  mutable remote_frac : float;
 }
 
-let create rt ~rng ~alpha =
+(* EWMA weight of a fresh load sample. *)
+let alpha = 0.5
+
+let create rt ~rng =
   let nodes = A.Runtime.nodes rt in
   {
     rt;
-    alpha;
     rng;
     boards =
       Array.init nodes (fun _ ->
           Array.init nodes (fun _ -> { ready = 0.0; running = 0.0; stamp = 0.0 }));
     msg_bytes = 16 * nodes;
-    remote_frac = 0.0;
   }
 
 let board t ~viewer = t.boards.(viewer)
 let load e = e.ready +. e.running
-let remote_fraction t = t.remote_frac
 
 (* Merge an incoming board snapshot: newer stamp wins per entry.  Runs in
    the gossip datagram's delivery context at the receiver. *)
@@ -53,17 +51,12 @@ let tick t =
   let now = A.Runtime.now rt in
   let ctrs = A.Runtime.counters rt in
   ctrs.A.Runtime.gossip_rounds <- ctrs.A.Runtime.gossip_rounds + 1;
-  let c = A.Runtime.counters rt in
-  let total = c.A.Runtime.local_invocations + c.A.Runtime.remote_invocations in
-  if total > 0 then
-    t.remote_frac <-
-      float_of_int c.A.Runtime.remote_invocations /. float_of_int total;
   for n = 0 to nodes - 1 do
     (* Sampling the local machine is free; only the gossip costs wire
        time and receiver CPU. *)
     let m = A.Runtime.machine rt n in
     let e = t.boards.(n).(n) in
-    let mix old v = (t.alpha *. v) +. ((1.0 -. t.alpha) *. old) in
+    let mix old v = (alpha *. v) +. ((1.0 -. alpha) *. old) in
     e.ready <- mix e.ready (float_of_int (Hw.Machine.ready_length m));
     e.running <- mix e.running (float_of_int (Hw.Machine.busy_cpus m));
     e.stamp <- now

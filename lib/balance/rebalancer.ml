@@ -2,52 +2,41 @@ module A = Amber
 
 type policy = Off | Affinity | Hybrid
 
-type cfg = {
-  interval : float;
-  hysteresis : float;
-  move_budget : int;
-  min_invocations : int;
-  dominance : float;
-  spread_threshold : int;
-  read_ratio : float;
-}
+(* Observation-cycle period, virtual seconds. *)
+let interval = 25e-3
+let hysteresis = 100e-3
 
-let default_cfg =
-  {
-    interval = 25e-3;
-    hysteresis = 100e-3;
-    move_budget = 8;
-    min_invocations = 8;
-    dominance = 2.0;
-    spread_threshold = 2;
-    read_ratio = 0.75;
-  }
+(* At most this many moves per cycle. *)
+let move_budget = 8
+
+(* The affinity pass ignores an object whose dominant caller made fewer
+   calls than this in the window (too little signal), or did not beat
+   everyone else combined by the dominance factor. *)
+let min_invocations = 8
+let dominance = 2.0
+
+(* Rooted-load gap, in threads, that the spread pass tolerates. *)
+let spread_threshold = 2
 
 type move = { at : float; addr : int; src : int; dst : int }
 
 type t = {
   rt : A.Runtime.t;
-  cfg : cfg;
   policy : policy;
-  (* addr -> virtual time of the last balancer action on the object;
+  (* addr -> virtual time of the last balancer move of the object;
      enforces the hysteresis window. *)
   last_acted : (int, float) Hashtbl.t;
-  (* addr -> replica installer registered by the program (the runtime
-     cannot deep-copy arbitrary representations itself). *)
-  copiers : (int, int -> unit) Hashtbl.t;
   mutable moves : move list; (* newest first *)
   mutable stopped : bool;
   mutable sleeper : (Sim.Engine.event_id * (unit -> unit)) option;
   mutable handle : unit A.Athread.t option;
 }
 
-let create rt ~policy ~cfg =
+let create rt ~policy =
   {
     rt;
-    cfg;
     policy;
     last_acted = Hashtbl.create 16;
-    copiers = Hashtbl.create 16;
     moves = [];
     stopped = false;
     sleeper = None;
@@ -56,13 +45,9 @@ let create rt ~policy ~cfg =
 
 let move_log t = List.rev t.moves
 
-let allow_replication t obj ~copy =
-  Hashtbl.replace t.copiers obj.A.Aobject.addr (fun dest ->
-      A.Coherence.install t.rt ~copy obj ~dest)
-
 let cool t addr ~now =
   match Hashtbl.find_opt t.last_acted addr with
-  | Some tm -> now -. tm >= t.cfg.hysteresis -. 1e-12
+  | Some tm -> now -. tm >= hysteresis -. 1e-12
   | None -> true
 
 let do_move t o ~dest =
@@ -82,9 +67,7 @@ let do_move t o ~dest =
 
 (* An object whose window shows one remote node invoking it far more than
    everyone else (callers at the master included) is better off living
-   there; when the traffic is read-dominated and comes from several nodes,
-   a read replica at the dominant caller serves it without disturbing the
-   master.  The dominance ratio keeps bound-local objects (lots of
+   there.  The dominance ratio keeps bound-local objects (lots of
    [win_local]) from ping-ponging after a neighbour glances at them. *)
 let affinity_pass t ~budget =
   let rt = t.rt in
@@ -109,29 +92,12 @@ let affinity_pass t ~budget =
           in
           let rest = o.A.Aobject.win_local + (remote_total - cnt) in
           if
-            cnt >= t.cfg.min_invocations
-            && float_of_int cnt >= t.cfg.dominance *. float_of_int (max 1 rest)
+            cnt >= min_invocations
+            && float_of_int cnt >= dominance *. float_of_int (max 1 rest)
             && dest <> o.A.Aobject.location
           then begin
-            let total = o.A.Aobject.win_local + remote_total in
-            let read_dominated =
-              float_of_int o.A.Aobject.win_reads
-              >= t.cfg.read_ratio *. float_of_int (max 1 total)
-            in
-            match Hashtbl.find_opt t.copiers o.A.Aobject.addr with
-            | Some install
-              when read_dominated
-                   && List.length o.A.Aobject.win_remote >= 2
-                   && not (List.mem dest o.A.Aobject.replicas) ->
-              Hashtbl.replace t.last_acted o.A.Aobject.addr now;
-              let ctrs = A.Runtime.counters rt in
-              ctrs.A.Runtime.balance_replicas <-
-                ctrs.A.Runtime.balance_replicas + 1;
-              install dest;
-              decr budget
-            | _ ->
-              do_move t o ~dest;
-              decr budget
+            do_move t o ~dest;
+            decr budget
           end
         end
       end)
@@ -177,7 +143,7 @@ let spread_pass t ~budget =
       if load.(n) < load.(!imin) then imin := n
     done;
     let gap = load.(!imax) - load.(!imin) in
-    if gap < t.cfg.spread_threshold then continue_ := false
+    if gap < spread_threshold then continue_ := false
     else begin
       (* Best eligible object on the hot node: most rooted threads, but
          strictly fewer than the gap (otherwise the move just swaps the
@@ -223,7 +189,7 @@ let sleep t dt =
       t.sleeper <- Some (ev, wake))
 
 let cycle t =
-  let budget = ref t.cfg.move_budget in
+  let budget = ref move_budget in
   (match t.policy with
   | Affinity -> affinity_pass t ~budget
   | Hybrid ->
@@ -240,7 +206,7 @@ let start t =
     let h =
       A.Athread.start t.rt ~name:"rebalancer" (fun () ->
           while not t.stopped do
-            sleep t t.cfg.interval;
+            sleep t interval;
             if not t.stopped then cycle t
           done)
     in

@@ -1,13 +1,11 @@
 module A = Amber
 
-type t = {
-  rt : A.Runtime.t;
-  li : Loadinfo.t;
-  rng : Sim.Rng.t;
-  min_victim_load : float;
-}
+type t = { rt : A.Runtime.t; li : Loadinfo.t; rng : Sim.Rng.t }
 
-let create rt ~li ~rng ~min_victim_load = { rt; li; rng; min_victim_load }
+(* Board load below which nobody is robbed. *)
+let min_victim_load = 1.5
+
+let create rt ~li ~rng = { rt; li; rng }
 
 (* Only unbound threads are stealable: a thread holding invocation frames
    is bound to its object (§3.5) and the residency check would bounce it
@@ -65,7 +63,7 @@ let tick t =
       (* Victim = most-loaded peer on this node's board, provided it is
          over the steal threshold; ties broken by the seeded stream. *)
       let board = Loadinfo.board t.li ~viewer:thief in
-      let candidates = ref [] and best = ref t.min_victim_load in
+      let candidates = ref [] and best = ref min_victim_load in
       for v = 0 to nodes - 1 do
         if v <> thief then begin
           let l = Loadinfo.load board.(v) in

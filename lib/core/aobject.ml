@@ -15,7 +15,6 @@ type 'a t = {
   mutable parent : any option;
   mutable win_local : int;
   mutable win_remote : (int * int) list;
-  mutable win_reads : int;
   mutable lost : bool;
       (* the only copy lived on a node that crashed without restarting:
          every further access fails crisply with {!Object_lost} *)
@@ -65,7 +64,6 @@ let make ~addr ~name ~size ~node state =
     parent = None;
     win_local = 0;
     win_remote = [];
-    win_reads = 0;
     lost = false;
     state;
   }
@@ -78,14 +76,9 @@ let record_call o ~origin ~local =
       | Some n -> (origin, n + 1) :: List.remove_assoc origin o.win_remote
       | None -> (origin, 1) :: o.win_remote)
 
-let record_read o = o.win_reads <- o.win_reads + 1
-
-let reset_window o =
+let reset_window_any (Any o) =
   o.win_local <- 0;
-  o.win_remote <- [];
-  o.win_reads <- 0
-
-let reset_window_any (Any o) = reset_window o
+  o.win_remote <- []
 
 let addr_of_any (Any o) = o.addr
 let name_of_any (Any o) = o.name

@@ -44,11 +44,8 @@ type 'a t = {
   mutable win_remote : (int * int) list;
       (** [(origin_node, count)] of invocations that had to travel, within
           the current window.  The rebalancer reads these to find an
-          object's dominant caller; {!reset_window} clears them each
+          object's dominant caller; {!reset_window_any} clears them each
           observation cycle.  Zero-cost bookkeeping: no packets, no CPU. *)
-  mutable win_reads : int;
-      (** [Read]-mode invocations within the current window (feeds the
-          rebalancer's replicate-vs-move decision) *)
   mutable lost : bool;
       (** the only copy lived on a node that crashed without restarting;
           every further access fails crisply with {!Object_lost} *)
@@ -84,12 +81,7 @@ val make :
     thread called from). *)
 val record_call : 'a t -> origin:int -> local:bool -> unit
 
-(** Count one [Read]-mode invocation. *)
-val record_read : 'a t -> unit
-
 (** Clear the window counters (each rebalancer observation cycle). *)
-val reset_window : 'a t -> unit
-
 val reset_window_any : any -> unit
 
 val addr_of_any : any -> int

@@ -108,7 +108,6 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
       (Runtime.now rt -. entered_at)
   end;
   Aobject.record_call obj ~origin ~local:(hops = 0);
-  if mode = San_hooks.Read then Aobject.record_read obj;
   let return_path () =
     Sim.Fiber.consume c.Cost_model.invoke_return_cpu;
     (match ts.Runtime.frames with

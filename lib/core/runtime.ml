@@ -31,7 +31,6 @@ type counters = {
   mutable steal_requests : int;
   mutable threads_stolen : int;
   mutable balance_moves : int;
-  mutable balance_replicas : int;
   mutable async_invocations : int;
   mutable future_notifies : int;
   mutable node_crashes : int;
@@ -93,7 +92,6 @@ let fresh_counters () =
     steal_requests = 0;
     threads_stolen = 0;
     balance_moves = 0;
-    balance_replicas = 0;
     async_invocations = 0;
     future_notifies = 0;
     node_crashes = 0;
@@ -236,7 +234,6 @@ let heap t i =
     invalid_arg "Runtime.heap: bad node";
   t.heaps.(i)
 
-let space_server t = t.server
 let now t = Sim.Engine.now t.eng
 let counters t = t.ctrs
 let remote_invoke_latency t = t.remote_invoke_latency
@@ -443,7 +440,8 @@ let max_forward_hops = 64
 
 (* §3.5's context-switch-in check, one hop per switch-in: a callback
    cannot block, so it cannot run {!chase}, but it reads descriptors the
-   same way and leaves the same trail on [chase_path]. *)
+   same way and leaves the same trail on [chase_path].  The invocation's
+   chase continues that path, so the two walkers spend one hop budget. *)
 let install_resume_check t ts =
   Hw.Machine.set_on_resume ts.tcb
     (Some
@@ -455,12 +453,12 @@ let install_resume_check t ts =
            let addr = Aobject.addr_of_any top.fobj in
            let follow next =
              if List.length !(ts.chase_path) >= max_forward_hops then
-               (* The switch-in chase has followed as many hops as the
-                  forwarding budget allows without finding the object —
-                  stale descriptors may form a loop here.  Let the thread
-                  run: the in-fiber chase raises [Chain_exhausted] or
-                  reports a dangling reference, which this callback
-                  cannot. *)
+               (* The thread has followed as many hops as the forwarding
+                  budget allows without finding the object — stale
+                  descriptors may form a loop here.  Let the thread run:
+                  its in-fiber chase, on the same path, raises
+                  [Chain_exhausted] at its next hop or reports a dangling
+                  reference, which this callback cannot. *)
                true
              else begin
                (* The object moved while we were descheduled: chase it. *)
@@ -527,10 +525,13 @@ let stop t ~addr ~path ?moving_to found ~replica =
      was destroyed there — the only node where a heap block can be freed
      — so the reference is dangling, as is a self-loop left by sabotaged
      descriptors.
-   - A walk that passes [max_forward_hops] raises
-     [Aobject.Chain_exhausted] with the nodes it left behind.  Stale
-     descriptors that never reach the object are incoherent, which
-     AmberSan's audit reports; the chase does not guess past them.
+   - A walk whose [path] passes [max_forward_hops] nodes raises
+     [Aobject.Chain_exhausted] with the nodes it left behind.  The budget
+     is the path's, not the walk's: an invocation's chase continues the
+     path the switch-in check left on its thread, so a thread's hops
+     across both walkers count once.  Stale descriptors that never reach
+     the object are incoherent, which AmberSan's audit reports; the
+     chase does not guess past them.
    - When the chase ends, every node it left behind learns where the
      object is: the stop node, the master of a replica that served a
      [read], or [moving_to] for a move. *)
@@ -546,7 +547,7 @@ let chase ?(read = false) ?moving_to ?(path = ref []) t ~what ~addr ~start
     failwith (Printf.sprintf "%s: dangling reference to 0x%x" what addr)
   in
   let rec walk node ~hops =
-    if hops > max_forward_hops then
+    if List.length !path > max_forward_hops then
       raise (Aobject.Chain_exhausted { addr; trail = List.rev !path })
     else
       (* The first probe at the starting node is the local fast path; every

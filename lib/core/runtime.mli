@@ -60,7 +60,6 @@ val vm : t -> int -> Topaz.Vm.t
 
 val descriptors : t -> int -> Descriptor.table
 val heap : t -> int -> Vaspace.Heap.t
-val space_server : t -> Vaspace.Space_server.t
 
 (** Virtual time now. *)
 val now : t -> float
@@ -130,7 +129,8 @@ val migrate_self : t -> ?payload:int -> dest:int -> unit -> unit
     Safe outside fiber context. *)
 val migrate_thread : t -> tstate -> dest:int -> unit
 
-(** The chase's hop budget, 64.  {!Audit} calls a longer chain
+(** The chase's hop budget, 64: a thread's switch-in checks and its
+    invocation's chase spend it together.  {!Audit} calls a longer chain
     non-terminating. *)
 val max_forward_hops : int
 
@@ -150,9 +150,9 @@ val max_forward_hops : int
       the object's heap block can be freed — or a self-loop raises
       [Failure "<what>: dangling reference to 0x<addr>"], or
       [Aobject.Object_lost] for an address a fail-stop crash lost;
-    - each hop is counted, and a walk that passes {!max_forward_hops}
-      hops raises [Aobject.Chain_exhausted] with the nodes on [path],
-      oldest first.
+    - each hop is counted, and once [path] holds more than
+      {!max_forward_hops} nodes the chase raises
+      [Aobject.Chain_exhausted] with them, oldest first.
 
     Every node the chase left behind goes on [path] (a fresh list by
     default; a thread's chase passes its [chase_path], which the §3.5
@@ -238,8 +238,6 @@ type counters = {
       (** runnable threads actually migrated by the stealer *)
   mutable balance_moves : int;
       (** object migrations initiated by the rebalancer daemon *)
-  mutable balance_replicas : int;
-      (** read replicas installed by the rebalancer daemon *)
   mutable async_invocations : int;
       (** futures created by [Future.invoke_async] *)
   mutable future_notifies : int;

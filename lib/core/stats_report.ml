@@ -162,9 +162,6 @@ let steal_requests = amber "balance.steal.requests" (fun c -> c.steal_requests)
 let stolen = amber "balance.steal.threads" (fun c -> c.threads_stolen)
 let balance_moves = amber "balance.rebalance.moves" (fun c -> c.balance_moves)
 
-let balance_replicas =
-  amber "balance.rebalance.replicas" (fun c -> c.balance_replicas)
-
 let entries = List.rev !defined
 
 type t = {
@@ -238,16 +235,11 @@ let pp ppf t =
       (i installs) (i replica_reads) (i invalidations);
   (* Same gating for the balancer: with --balance off these counters stay
      zero and the line never prints. *)
-  if
-    i gossip + i steal_requests + i stolen + i balance_moves
-    + i balance_replicas
-    > 0
-  then
+  if i gossip + i steal_requests + i stolen + i balance_moves > 0 then
     Format.fprintf ppf
       "balance: %d gossip rounds, %d steal requests, %d threads stolen, %d \
-       object moves, %d replicas@."
-      (i gossip) (i steal_requests) (i stolen) (i balance_moves)
-      (i balance_replicas);
+       object moves@."
+      (i gossip) (i steal_requests) (i stolen) (i balance_moves);
   (* Gated like replicas/balance: an async-free run prints nothing new. *)
   if i async > 0 then
     Format.fprintf ppf "async: %d invocations issued, %d result notifies@."

@@ -164,7 +164,6 @@ let node_key node =
 
 let set_node_down t node = Hashtbl.replace t.downs node ()
 let set_node_up t node = Hashtbl.remove t.downs node
-let node_is_down t node = Hashtbl.mem t.downs node
 
 (* Schedule the receiver-side delivery event.  Under a chooser the event
    carries its node's conflict key and a label formatted only if a

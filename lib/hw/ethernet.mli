@@ -116,7 +116,6 @@ val busy_until : t -> float
 
 val set_node_down : t -> int -> unit
 val set_node_up : t -> int -> unit
-val node_is_down : t -> int -> bool
 
 (** {1 Statistics} *)
 

@@ -15,7 +15,6 @@ type stats = {
 
 type t = {
   rt : Runtime.t;
-  c : Costs.t;
   tables : Page_table.t array;
   vms : Topaz.Vm.t array;
   psize : int;
@@ -27,8 +26,9 @@ type t = {
   st : stats;
 }
 
-let create rt ?(costs = Costs.default) ?initial_owner ?(manager = Dynamic)
-    ~pages () =
+let c = Costs.default
+
+let create rt ?initial_owner ?(manager = Dynamic) ~pages () =
   if pages <= 0 then invalid_arg "Dsm.create: pages";
   let nodes = Runtime.nodes rt in
   let initial_owner =
@@ -42,7 +42,6 @@ let create rt ?(costs = Costs.default) ?initial_owner ?(manager = Dynamic)
   in
   {
     rt;
-    c = costs;
     tables;
     vms;
     psize;
@@ -75,11 +74,11 @@ let check_page t page =
 (* Copy the owner's bytes for [page] (charging copy-out CPU in the
    caller's fiber). *)
 let snapshot_page t ~node page =
-  Sim.Fiber.consume (t.c.Costs.page_copy_cpu_per_byte *. float_of_int t.psize);
+  Sim.Fiber.consume (c.Costs.page_copy_cpu_per_byte *. float_of_int t.psize);
   Bytes.copy (Topaz.Vm.page_bytes t.vms.(node) page)
 
 let install_page t ~node page data =
-  Sim.Fiber.consume t.c.Costs.install_cpu;
+  Sim.Fiber.consume c.Costs.install_cpu;
   Topaz.Vm.install_page t.vms.(node) page data
 
 (* Invalidate every node in [targets] (sequential control RPCs from the
@@ -91,14 +90,14 @@ let invalidate_copies t ~new_owner page targets =
       if victim <> new_owner then begin
         t.st.invalidations <- t.st.invalidations + 1;
         Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:victim ~kind:"dsm-inval"
-          ~req_size:t.c.Costs.invalidate_bytes ~work:(fun () ->
-            Sim.Fiber.consume t.c.Costs.invalidate_cpu;
+          ~req_size:c.Costs.invalidate_bytes ~work:(fun () ->
+            Sim.Fiber.consume c.Costs.invalidate_cpu;
             let e = Page_table.entry t.tables.(victim) page in
             if not e.Page_table.is_owner then begin
               e.Page_table.access <- Page_table.No_access;
               e.Page_table.prob_owner <- new_owner
             end;
-            (t.c.Costs.ack_bytes, ()))
+            (c.Costs.ack_bytes, ()))
       end)
     targets
 
@@ -106,7 +105,7 @@ let invalidate_copies t ~new_owner page targets =
    best guess at the owner. *)
 let ask_node t ~page ~kind ~at_owner node =
   Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:node ~kind
-    ~req_size:t.c.Costs.request_bytes ~work:(fun () ->
+    ~req_size:c.Costs.request_bytes ~work:(fun () ->
       let e = Page_table.entry t.tables.(node) page in
       if e.Page_table.is_owner then begin
         Page_table.lock_entry e;
@@ -114,14 +113,14 @@ let ask_node t ~page ~kind ~at_owner node =
         if e.Page_table.is_owner then begin
           let result = at_owner node e in
           Page_table.unlock_entry e;
-          (t.c.Costs.reply_ctrl_bytes + t.psize, `Done result)
+          (c.Costs.reply_ctrl_bytes + t.psize, `Done result)
         end
         else begin
           Page_table.unlock_entry e;
-          (t.c.Costs.reply_ctrl_bytes, `Forward e.Page_table.prob_owner)
+          (c.Costs.reply_ctrl_bytes, `Forward e.Page_table.prob_owner)
         end
       end
-      else (t.c.Costs.reply_ctrl_bytes, `Forward e.Page_table.prob_owner))
+      else (c.Costs.reply_ctrl_bytes, `Forward e.Page_table.prob_owner))
 
 (* Dynamic distributed manager: chase probable-owner hints. *)
 let rec transact_dynamic t ~page ~kind ~at_owner node hops =
@@ -144,9 +143,9 @@ let rec transact_fixed t ~page ~kind ~at_owner tries =
   t.st.manager_lookups <- t.st.manager_lookups + 1;
   let owner =
     Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:mgr ~kind:"dsm-mgr"
-      ~req_size:t.c.Costs.request_bytes ~work:(fun () ->
-        Sim.Fiber.consume t.c.Costs.invalidate_cpu;
-        (t.c.Costs.reply_ctrl_bytes, t.fixed_owner.(page)))
+      ~req_size:c.Costs.request_bytes ~work:(fun () ->
+        Sim.Fiber.consume c.Costs.invalidate_cpu;
+        (c.Costs.reply_ctrl_bytes, t.fixed_owner.(page)))
   in
   match ask_node t ~page ~kind ~at_owner owner with
   | `Done result -> result
@@ -167,14 +166,14 @@ let record_fixed_owner t ~page ~new_owner =
   | Fixed ->
     let mgr = manager_of t page in
     Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:mgr ~kind:"dsm-mgr-update"
-      ~req_size:t.c.Costs.request_bytes ~work:(fun () ->
-        Sim.Fiber.consume t.c.Costs.invalidate_cpu;
+      ~req_size:c.Costs.request_bytes ~work:(fun () ->
+        Sim.Fiber.consume c.Costs.invalidate_cpu;
         t.fixed_owner.(page) <- new_owner;
-        (t.c.Costs.ack_bytes, ()))
+        (c.Costs.ack_bytes, ()))
 
 let read_fault t node page =
   t.st.read_faults <- t.st.read_faults + 1;
-  Sim.Fiber.consume t.c.Costs.fault_trap_cpu;
+  Sim.Fiber.consume c.Costs.fault_trap_cpu;
   let e = Page_table.entry t.tables.(node) page in
   Page_table.lock_entry e;
   (* Another local thread may have faulted the page in meanwhile. *)
@@ -201,7 +200,7 @@ let read_fault t node page =
 
 let write_fault t node page =
   t.st.write_faults <- t.st.write_faults + 1;
-  Sim.Fiber.consume t.c.Costs.fault_trap_cpu;
+  Sim.Fiber.consume c.Costs.fault_trap_cpu;
   let e = Page_table.entry t.tables.(node) page in
   Page_table.lock_entry e;
   if e.Page_table.access <> Page_table.Write then begin
@@ -255,7 +254,6 @@ let ensure t ~write addr =
   | Page_table.No_access, false -> read_fault t node page
 
 let ensure_write t addr = ensure t ~write:true addr
-let ensure_read t addr = ensure t ~write:false addr
 
 let read_f64 t addr =
   ensure t ~write:false addr;
@@ -272,10 +270,6 @@ let read_u8 t addr =
 let write_u8 t addr v =
   ensure t ~write:true addr;
   Topaz.Vm.write_u8 t.vms.(here t) addr v
-
-let access_of t ~node ~page =
-  check_page t page;
-  (Page_table.entry t.tables.(node) page).Page_table.access
 
 let owner_of t page =
   check_page t page;

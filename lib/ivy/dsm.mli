@@ -42,7 +42,6 @@ type stats = {
     defaults to distributing pages round-robin over nodes. *)
 val create :
   Amber.Runtime.t ->
-  ?costs:Costs.t ->
   ?initial_owner:(int -> int) ->
   ?manager:manager_mode ->
   pages:int ->
@@ -67,11 +66,7 @@ val write_u8 : t -> int -> int -> unit
     (used to model program-directed prefetching). *)
 val ensure_write : t -> int -> unit
 
-val ensure_read : t -> int -> unit
-
 (** {1 Introspection (tests / benches)} *)
-
-val access_of : t -> node:int -> page:int -> Page_table.access
 
 (** Ground-truth owner: the unique node with [is_owner] set.  Raises
     [Failure] if the invariant is broken (no owner / several). *)

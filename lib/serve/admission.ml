@@ -13,10 +13,7 @@ type bucket = {
   mutable last : float;  (* virtual time of the last refill *)
 }
 
-let bucket ~rate ~burst =
-  if rate <= 0.0 || burst <= 0.0 then
-    invalid_arg "Admission.bucket: rate and burst must be positive";
-  { rate; burst; tokens = burst; last = 0.0 }
+let bucket ~rate ~burst = { rate; burst; tokens = burst; last = 0.0 }
 
 let refill b ~now =
   if now > b.last then begin
@@ -41,7 +38,6 @@ let try_take b ~now =
 type t = { buckets : (string * bucket) list; cutoff : int }
 
 let create ~classes ~cutoff =
-  if cutoff <= 0 then invalid_arg "Admission.create: cutoff must be positive";
   {
     buckets =
       List.map (fun (c, rate, burst) -> (c, bucket ~rate ~burst)) classes;

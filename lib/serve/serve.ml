@@ -55,16 +55,8 @@ type cfg = {
   skew : float;  (* Zipf exponent over the keyspace *)
   mix : Trafficgen.mix;
   workers_per_node : int;
-  read_cost : float;  (* service CPU per class, seconds *)
-  write_cost : float;
-  compute_cost : float;
-  request_bytes : int;
-  reply_bytes : int;
   replicate : bool;  (* replicate every service object everywhere *)
   admission : admission_cfg option;
-  drain_grace : float;
-      (* extra virtual time after [duration] to wait for stragglers;
-         whatever is still unaccounted then is counted failed *)
 }
 
 let default_cfg =
@@ -75,21 +67,63 @@ let default_cfg =
     skew = 1.0;
     mix = Trafficgen.default_mix;
     workers_per_node = 2;
-    read_cost = 4e-3;
-    write_cost = 12e-3;
-    compute_cost = 40e-3;
-    request_bytes = 128;
-    reply_bytes = 64;
     replicate = false;
     admission = None;
-    drain_grace = 2.0;
   }
+
+(* Service CPU per request class, seconds. *)
+let read_cost = 4e-3
+let write_cost = 12e-3
+let compute_cost = 40e-3
+
+(* Request and completion-notice payloads, bytes. *)
+let request_bytes = 128
+let reply_bytes = 64
+
+(* Extra virtual time after [duration] to wait for stragglers; whatever
+   is still unaccounted then is counted failed. *)
+let drain_grace = 2.0
+
+(* Every rule a serving configuration must meet.  [run] checks them
+   first; the CLI reports a violation as a usage error.  An infinite
+   rate or duration would issue requests without end. *)
+let validate cfg =
+  let require ok rule = if not ok then invalid_arg ("Serve: " ^ rule) in
+  let finite_positive x = Float.is_finite x && x > 0.0 in
+  (match cfg.arrival with
+  | Trafficgen.Poisson rate ->
+    require (finite_positive rate) "rate must be positive and finite"
+  | Trafficgen.Bursty { rate; factor; on_mean; off_mean } ->
+    require (finite_positive rate) "rate must be positive and finite";
+    require
+      (Float.is_finite factor && factor >= 1.0)
+      "burst factor must be finite and >= 1";
+    require
+      (on_mean > 0.0 && off_mean > 0.0)
+      "burst phase means must be positive");
+  require (finite_positive cfg.duration) "duration must be positive and finite";
+  require (cfg.keys > 0) "keys must be positive";
+  require (cfg.skew >= 0.0) "skew must be non-negative";
+  (let { Trafficgen.read; write; compute } = cfg.mix in
+   let weight w = Float.is_finite w && w >= 0.0 in
+   require
+     (weight read && weight write && weight compute
+     && read +. write +. compute > 0.0)
+     "class weights must be finite and non-negative, and not all zero");
+  require (cfg.workers_per_node > 0) "workers_per_node must be positive";
+  match cfg.admission with
+  | None -> ()
+  | Some a ->
+    require (a.admit_rate >= 0.0)
+      "admit_rate must be non-negative (0 derives it)";
+    require (a.admit_burst > 0.0) "admit_burst must be positive";
+    require (a.cutoff > 0) "cutoff must be positive"
 
 let mean_service_cost cfg =
   let m = Trafficgen.normalize cfg.mix in
-  (m.Trafficgen.read *. cfg.read_cost)
-  +. (m.Trafficgen.write *. cfg.write_cost)
-  +. (m.Trafficgen.compute *. cfg.compute_cost)
+  (m.Trafficgen.read *. read_cost)
+  +. (m.Trafficgen.write *. write_cost)
+  +. (m.Trafficgen.compute *. compute_cost)
 
 (* Nominal service capacity, requests per second: what the worker pools
    sustain if service CPU were the only cost.  The CLI and benches use
@@ -131,10 +165,10 @@ let cls_of_kind kind =
     Some (String.sub kind n (String.length kind - n))
   else None
 
-let service_cost cfg = function
-  | Trafficgen.Read -> cfg.read_cost
-  | Trafficgen.Write -> cfg.write_cost
-  | Trafficgen.Compute -> cfg.compute_cost
+let service_cost = function
+  | Trafficgen.Read -> read_cost
+  | Trafficgen.Write -> write_cost
+  | Trafficgen.Compute -> compute_cost
 
 let report_lines stats ~goodput ~reject_frac ~failed () =
   let ms v = v *. 1e3 in
@@ -162,13 +196,7 @@ let report_lines stats ~goodput ~reject_frac ~failed () =
    entry is the only interaction a serving run has with the global
    random stream. *)
 let run rt (cfg : cfg) =
-  if cfg.duration <= 0.0 then
-    invalid_arg "Serve.run: duration must be positive";
-  if cfg.keys <= 0 then invalid_arg "Serve.run: keys must be positive";
-  if cfg.workers_per_node <= 0 then
-    invalid_arg "Serve.run: workers_per_node must be positive";
-  if cfg.read_cost <= 0.0 || cfg.write_cost <= 0.0 || cfg.compute_cost <= 0.0
-  then invalid_arg "Serve.run: service costs must be positive";
+  validate cfg;
   let eng = A.Runtime.engine rt in
   let rpc = A.Runtime.rpc rt in
   let spans = A.Runtime.spans rt in
@@ -379,7 +407,7 @@ let run rt (cfg : cfg) =
          not have; replicas still earn their keep under serving as crash
          insurance (master promotion). *)
       let mode = A.San_hooks.Atomic in
-      let cost = service_cost cfg r.Trafficgen.cls in
+      let cost = service_cost r.Trafficgen.cls in
       let parent = Sim.Span.current spans in
       (* Worker-side body: serve the request, then notify home.  An
          invoke that chases an object onto a corpse (the move was skipped
@@ -392,7 +420,7 @@ let run rt (cfg : cfg) =
             ~tag:cls_s ~arg:key (fun () ->
               try
                 ignore
-                  (A.Api.invoke rt ~payload:cfg.request_bytes ~mode objs.(key)
+                  (A.Api.invoke rt ~payload:request_bytes ~mode objs.(key)
                      (fun cell ->
                        Sim.Fiber.consume cost;
                        match r.Trafficgen.cls with
@@ -406,7 +434,7 @@ let run rt (cfg : cfg) =
         in
         inflight.(dst) <- inflight.(dst) - 1;
         Topaz.Rpc.post rpc ~src:dst ~dst:gen_node ~kind:"serve-done"
-          ~size:cfg.reply_bytes (fun () ->
+          ~size:reply_bytes (fun () ->
             if ok then begin
               let dt = A.Runtime.now rt -. issued_at in
               Sim.Stats.Summary.add st.latency dt;
@@ -445,13 +473,13 @@ let run rt (cfg : cfg) =
         decr outstanding
       in
       Topaz.Rpc.post ~on_dead ~on_reject rpc ~src:gen_node ~dst
-        ~kind:(kind_of_cls r.Trafficgen.cls) ~size:cfg.request_bytes (fun () ->
+        ~kind:(kind_of_cls r.Trafficgen.cls) ~size:request_bytes (fun () ->
           enqueue dst job))
     arrivals;
   (* Drain: every issued request resolves as completed, rejected or
      failed; a crash can strand some, so the grace deadline converts
      leftovers into failures instead of hanging the run. *)
-  let deadline = t0 +. cfg.duration +. cfg.drain_grace in
+  let deadline = t0 +. cfg.duration +. drain_grace in
   let rec drain () =
     if !outstanding > 0 then begin
       let left = deadline -. A.Runtime.now rt in

@@ -41,24 +41,25 @@ type cfg = {
   skew : float;  (** Zipf exponent over the keyspace *)
   mix : Trafficgen.mix;
   workers_per_node : int;
-  read_cost : float;  (** service CPU per class, seconds *)
-  write_cost : float;
-  compute_cost : float;
-  request_bytes : int;
-  reply_bytes : int;
   replicate : bool;  (** replicate every service object on every node *)
   admission : admission_cfg option;  (** [None]: admit everything *)
-  drain_grace : float;
-      (** extra virtual time after [duration] to wait for stragglers;
-          anything still unresolved then is counted failed *)
 }
+(** Service costs and message sizes are constants: a read, write and
+    compute request cost 4, 12 and 40 ms of service CPU, a request
+    carries 128 bytes and its completion notice 64.  A run waits 2
+    virtual seconds after [duration] for stragglers and counts whatever
+    is still unresolved then as failed. *)
 
 val default_cfg : cfg
 
-val mean_service_cost : cfg -> float
-(** Mix-weighted mean service CPU per request, seconds. *)
-
-val node_capacity_rps : cfg -> float
+val validate : cfg -> unit
+(** Raise [Invalid_argument] naming the first rule [cfg] breaks: a
+    positive, finite arrival rate and duration; a positive key count and
+    worker count; a finite burst factor of at least 1 and positive phase
+    means; a non-negative skew; finite, non-negative class weights, not
+    all zero; and, with admission, a non-negative token rate (0 derives
+    it), a positive bucket and a positive cutoff.  {!run} checks these
+    first. *)
 
 val capacity_rps : cfg -> nodes:int -> float
 (** Nominal service capacity of the cluster, requests/second — the knob

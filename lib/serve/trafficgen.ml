@@ -23,7 +23,6 @@ let weight mix = function
 
 let normalize mix =
   let s = mix.read +. mix.write +. mix.compute in
-  if s <= 0.0 then invalid_arg "Trafficgen: class mix must have positive mass";
   { read = mix.read /. s; write = mix.write /. s; compute = mix.compute /. s }
 
 type arrival =
@@ -49,7 +48,6 @@ type request = { at : float; cls : cls; key : int }
 type zipf = { cdf : float array }
 
 let zipf ~n ~s =
-  if n <= 0 then invalid_arg "Trafficgen.zipf: n must be positive";
   let cdf = Array.make n 0.0 in
   let acc = ref 0.0 in
   for k = 0 to n - 1 do
@@ -78,15 +76,6 @@ let pick_class mix rng =
   else if u < mix.read +. mix.write then Write
   else Compute
 
-let validate_arrival = function
-  | Poisson r ->
-      if r <= 0.0 then invalid_arg "Trafficgen: rate must be positive"
-  | Bursty { rate; factor; on_mean; off_mean } ->
-      if rate <= 0.0 then invalid_arg "Trafficgen: rate must be positive";
-      if factor < 1.0 then invalid_arg "Trafficgen: burst factor must be >= 1";
-      if on_mean <= 0.0 || off_mean <= 0.0 then
-        invalid_arg "Trafficgen: burst phase means must be positive"
-
 (* Arrivals over [0, duration), in order, drawn as the stream is
    forced.  Per request the draw sequence is fixed — inter-arrival gap,
    class, key — so the stream is a pure function of the rng.  The bursty
@@ -94,10 +83,6 @@ let validate_arrival = function
    in the on phase; exponential memorylessness makes redrawing the gap at
    each phase boundary exact, not an approximation. *)
 let stream ~rng ~arrival ~mix ~keys ~skew ~duration =
-  validate_arrival arrival;
-  if keys <= 0 then invalid_arg "Trafficgen: keys must be positive";
-  if duration <= 0.0 then invalid_arg "Trafficgen: duration must be positive";
-  if skew < 0.0 then invalid_arg "Trafficgen: skew must be non-negative";
   let mix = normalize mix in
   let z = zipf ~n:keys ~s:skew in
   let request at =

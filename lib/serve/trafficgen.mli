@@ -38,14 +38,6 @@ val mean_rate : arrival -> float
 
 type request = { at : float; cls : cls; key : int }
 
-(** Zipf(s) distribution over [\[0, n)]: [P(k)] proportional to
-    [1/(k+1)^s]; [s = 0] is uniform. *)
-type zipf
-
-val zipf : n:int -> s:float -> zipf
-val zipf_sample : zipf -> Sim.Rng.t -> int
-val pick_class : mix -> Sim.Rng.t -> cls
-
 val stream :
   rng:Sim.Rng.t ->
   arrival:arrival ->
@@ -55,10 +47,12 @@ val stream :
   duration:float ->
   request Seq.t
 (** The arrival schedule over [\[0, duration)], in time order, drawn from
-    [rng] as the sequence is forced.  Per request the rng draw order is
-    fixed (gap, class, key), so the requests are a pure function of the
-    rng state.  Because forcing draws, traverse the sequence once.  The
-    arguments are checked at the call. *)
+    [rng] as the sequence is forced.  Keys follow Zipf([skew]) over
+    [\[0, keys)]: [P(k)] proportional to [1/(k+1)^skew], uniform at
+    [skew = 0].  Per request the rng draw order is fixed (gap, class,
+    key), so the requests are a pure function of the rng state.  Because
+    forcing draws, traverse the sequence once.  The arguments are not
+    checked here; [Serve.validate] holds the rules. *)
 
 val generate :
   rng:Sim.Rng.t ->

@@ -67,12 +67,11 @@ let write_file path contents =
 let main s l ppf body rt =
   if s.sanitize then l.san <- Some (San.attach rt);
   if s.profile then l.prof <- Some (Scope.Profile.attach rt);
-  l.flight <- Option.map (fun dir -> Watch.Flight.attach rt ~dir ()) s.flight;
+  l.flight <- Option.map (fun dir -> Watch.Flight.attach rt ~dir) s.flight;
   l.tick <-
     Option.map
       (fun w ->
-        let cfg = { Watch.default_cfg with Watch.interval = w.interval } in
-        Watch.attach rt ~cfg ~slo:w.slo ?flight:l.flight ())
+        Watch.attach rt ~interval:w.interval ~slo:w.slo ?flight:l.flight ())
       s.watch;
   let lb = Balance.Driver.start rt s.balance in
   let r =

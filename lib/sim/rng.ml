@@ -40,11 +40,6 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-300 else u in
   -.mean *. log u
 
-let gaussian t =
-  let u1 = Stdlib.max 1e-300 (float t) in
-  let u2 = float t in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -28,8 +28,5 @@ val uniform : t -> lo:float -> hi:float -> float
 (** Exponentially distributed with the given mean. *)
 val exponential : t -> mean:float -> float
 
-(** Standard normal via Box–Muller. *)
-val gaussian : t -> float
-
 (** Fisher–Yates in-place shuffle. *)
 val shuffle_in_place : t -> 'a array -> unit

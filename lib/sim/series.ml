@@ -27,7 +27,7 @@ and inst = Probe of series * (unit -> float) | Window of window
 
 and t = {
   clock : unit -> float;
-  mutable capacity : int;
+  capacity : int;
   mutable enabled : bool;
   mutable insts : inst list; (* reverse registration order *)
   mutable last_sample : float;
@@ -39,10 +39,6 @@ let create ?(capacity = 4096) ~clock () =
   { clock; capacity; enabled = false; insts = []; last_sample = 0.0; samples = 0 }
 
 let enabled t = t.enabled
-
-let set_capacity t capacity =
-  if capacity <= 0 then invalid_arg "Series.set_capacity";
-  t.capacity <- capacity
 
 let enable t =
   if not t.enabled then begin

@@ -42,10 +42,6 @@ val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
 val enabled : t -> bool
 val enable : t -> unit
 
-val set_capacity : t -> int -> unit
-(** Ring capacity for series registered {e after} this call; existing
-    rings keep theirs.  Raises [Invalid_argument] on [<= 0]. *)
-
 val probe : t -> name:string -> ?node:int -> (unit -> float) -> unit
 (** Register a polled gauge; [f] runs once per {!sample}.  [node] tags
     the series with its home node ([-1], the default, = cluster-wide). *)

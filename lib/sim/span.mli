@@ -41,7 +41,7 @@ type kind =
           thread, causally parented to the issuer's span but overlapping
           the issuer's continued compute ([arg] = the future id) *)
   | Steal  (** a successful cross-node thread steal *)
-  | Rebalance  (** one object move/replicate decided by the rebalancer *)
+  | Rebalance  (** one object move decided by the rebalancer *)
   | Serve_request
       (** one admitted serving request, admission to completion; [tag]
           carries the request class so the profiler can break the SLO

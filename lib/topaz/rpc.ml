@@ -81,14 +81,15 @@ type txn = {
 
 (* --- wire-level datagram coalescing --------------------------------- *)
 
-type coalesce = {
-  flush_window : float;
-  max_msg_bytes : int;
-  max_frame_bytes : int;
-}
+type coalesce = { flush_window : float }
 
-let default_coalesce =
-  { flush_window = 200e-6; max_msg_bytes = 128; max_frame_bytes = 1472 }
+let default_coalesce = { flush_window = 200e-6 }
+
+(* Only messages at most [max_msg_bytes] are parked; a message that would
+   grow the frame past [max_frame_bytes] flushes the batch ahead of
+   itself. *)
+let max_msg_bytes = 128
+let max_frame_bytes = 1472
 
 type coalescing_counters = {
   coal_eligible : int;
@@ -211,9 +212,7 @@ let create ~ether ~machines ?(servers_per_node = 8)
   (match coalesce with
   | Some c ->
     if c.flush_window <= 0.0 then
-      invalid_arg "Rpc.create: coalesce.flush_window must be positive";
-    if c.max_msg_bytes <= 0 || c.max_frame_bytes <= c.max_msg_bytes then
-      invalid_arg "Rpc.create: coalesce byte limits";
+      invalid_arg "Rpc.create: coalesce.flush_window must be positive"
   | None -> ());
   let endpoints =
     Array.map
@@ -359,14 +358,14 @@ let wire_send t ?seq ?on_wire ~src ~dst ~size ~kind deliver =
   | None -> raw_now ?seq ()
   | Some c ->
     let key = (src, dst) in
-    if src = dst || size > c.max_msg_bytes then begin
+    if src = dst || size > max_msg_bytes then begin
       flush_pair t key;
       raw_now ?seq ()
     end
     else begin
       t.coal_eligible <- t.coal_eligible + 1;
       (match Hashtbl.find_opt t.pending key with
-      | Some b when b.pbytes + msg_header_bytes + size > c.max_frame_bytes ->
+      | Some b when b.pbytes + msg_header_bytes + size > max_frame_bytes ->
         flush_pair t key
       | _ -> ());
       let b =

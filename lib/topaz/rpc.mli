@@ -58,19 +58,20 @@
 
     {2 Coalescing}
 
-    When created with [~coalesce], small one-way datagrams (at most
-    [max_msg_bytes]) headed for the same (src, dst) pair are parked for
-    up to [flush_window] seconds of virtual time and shipped as one
-    framed packet ([frame_header_bytes] plus a small per-message
-    header), amortizing per-packet wire overhead and medium-acquisition
-    under bursts of small messages (acks, notifies).  Flushing is driven
-    by the deterministic event clock, so coalesced runs reproduce per
-    seed; with [coalesce] absent (the default) the transport is
-    byte-identical to the uncoalesced one.  Request/reply {!call}
-    traffic is never coalesced — only one-way datagrams.  Per-pair FIFO
-    order is preserved (an oversized message flushes the batch queued
-    ahead of it), but a parked datagram may be overtaken by {!call}
-    traffic to the same destination issued inside its flush window. *)
+    When created with [~coalesce], small one-way datagrams (at most 128
+    bytes) headed for the same (src, dst) pair are parked for up to
+    [flush_window] seconds of virtual time and shipped as one framed
+    packet of at most 1472 bytes ([frame_header_bytes] plus a small
+    per-message header), amortizing per-packet wire overhead and
+    medium-acquisition under bursts of small messages (acks, notifies).
+    Flushing is driven by the deterministic event clock, so coalesced
+    runs reproduce per seed; with [coalesce] absent (the default) the
+    transport is byte-identical to the uncoalesced one.  Request/reply
+    {!call} traffic is never coalesced — only one-way datagrams.
+    Per-pair FIFO order is preserved (an oversized message flushes the
+    batch queued ahead of it), but a parked datagram may be overtaken by
+    {!call} traffic to the same destination issued inside its flush
+    window. *)
 
 type t
 
@@ -98,17 +99,13 @@ type reliability_counters = {
 }
 
 (** Wire-level batching of small same-destination datagrams (see
-    {e Coalescing} above).  All times in virtual seconds, sizes in
-    bytes. *)
+    {e Coalescing} above). *)
 type coalesce = {
-  flush_window : float;  (** how long a parked datagram may wait *)
-  max_msg_bytes : int;  (** only messages at most this size are parked *)
-  max_frame_bytes : int;
-      (** a message that would grow the frame past this flushes the
-          batch ahead of itself *)
+  flush_window : float;
+      (** how long a parked datagram may wait, virtual seconds *)
 }
 
-(** 200 µs window, 128-byte messages, 1472-byte frames. *)
+(** 200 µs window. *)
 val default_coalesce : coalesce
 
 (** [coal_eligible] one-way datagrams were small enough to park;

@@ -95,9 +95,6 @@ let is_live t base = Hashtbl.mem t.live base
 let regions t = t.region_list
 let live_blocks t = Hashtbl.length t.live
 
-let free_blocks t =
-  Hashtbl.fold (fun _ lst acc -> acc + List.length !lst) t.free_pool 0
-
 let bytes_live t =
   Hashtbl.fold
     (fun base () acc -> acc + (Hashtbl.find t.blocks base).size)

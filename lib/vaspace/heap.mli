@@ -47,7 +47,6 @@ val regions : t -> Region.t list
 (** {1 Statistics} *)
 
 val live_blocks : t -> int
-val free_blocks : t -> int
 val bytes_live : t -> int
 
 (** Allocations satisfied by reusing a freed block. *)

@@ -2,17 +2,15 @@ module A = Amber
 
 type t = {
   rt : A.Runtime.t;
-  window : float;
   dir : string;
-  max_dumps : int;
   mutable dumps : string list; (* paths, oldest first *)
   mutable suppressed : int;
   seen : (string * int, unit) Hashtbl.t; (* (kind, node) already dumped *)
   mutable seq : int;
 }
 
-let default_window = 0.05
-let default_max_dumps = 4
+let window = 0.05
+let max_dumps = 4
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -29,7 +27,7 @@ let rec mkdir_p dir =
    behind a busy medium is marked at its future transmit start. *)
 let dump_string t ~kind ~node ~detail =
   let now = A.Runtime.now t.rt in
-  let cutoff = now -. t.window in
+  let cutoff = now -. window in
   let collector = A.Runtime.spans t.rt in
   let marks =
     List.filter
@@ -46,12 +44,12 @@ let dump_string t ~kind ~node ~detail =
   let lines f l = String.concat ",\n" (List.map f l) in
   Printf.sprintf
     "{\"postmortem\":{\"kind\":%s,\"node\":%d,\"time\":%.9f,\"detail\":%s,\"seq\":%d,\"window_s\":%.6f},\n\"trace\":[%s],\n\"spans\":[%s]}\n"
-    (Scope.Export.jstr kind) node now (Scope.Export.jstr detail) t.seq t.window
+    (Scope.Export.jstr kind) node now (Scope.Export.jstr detail) t.seq window
     (lines Scope.Export.mark_json marks)
     (lines (Scope.Export.span_json ~clip:now) spans)
 
 let record t ~kind ~node ~detail =
-  if Hashtbl.mem t.seen (kind, node) || List.length t.dumps >= t.max_dumps then
+  if Hashtbl.mem t.seen (kind, node) || List.length t.dumps >= max_dumps then
     t.suppressed <- t.suppressed + 1
   else begin
     Hashtbl.replace t.seen (kind, node) ();
@@ -69,16 +67,13 @@ let record t ~kind ~node ~detail =
     t.dumps <- t.dumps @ [ path ]
   end
 
-let attach rt ?(window = default_window) ?(max_dumps = default_max_dumps) ~dir
-    () =
+let attach rt ~dir =
   Sim.Span.set_marks (A.Runtime.spans rt) true;
   Sim.Span.set_enabled (A.Runtime.spans rt) true;
   let t =
     {
       rt;
-      window;
       dir;
-      max_dumps;
       dumps = [];
       suppressed = 0;
       seen = Hashtbl.create 8;

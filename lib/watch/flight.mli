@@ -6,11 +6,11 @@
     ["object_lost"], serve's ["overloaded"], the sanitizer's ["san"]),
     the recorder dumps a postmortem artifact — a JSON document holding
     the failure header, under ["trace"] every mark stamped inside the
-    trailing [window] virtual seconds (never later than the failure),
-    and the victim node's spans that were open or recently closed at
-    failure time (all nodes for cluster-scoped failures).  At most one
-    dump per (kind, node) and [max_dumps] total; anything beyond that is
-    counted suppressed.
+    trailing {!window} (never later than the failure), and the victim
+    node's spans that were open or recently closed at failure time (all
+    nodes for cluster-scoped failures).  At most one dump per
+    (kind, node) and 4 in all; anything beyond that is counted
+    suppressed.
 
     Dump files are named
     [postmortem-<seq>-<kind>-<n<node>|all>.json] under [dir] (created
@@ -18,13 +18,10 @@
 
 type t
 
-val default_window : float
-(** 50 virtual milliseconds. *)
+val window : float
+(** How far back a postmortem reaches: 50 virtual milliseconds. *)
 
-val default_max_dumps : int
-
-val attach :
-  Amber.Runtime.t -> ?window:float -> ?max_dumps:int -> dir:string -> unit -> t
+val attach : Amber.Runtime.t -> dir:string -> t
 
 val dumps : t -> string list
 (** Paths written so far, oldest first. *)

@@ -6,13 +6,13 @@ type rule = {
   op : op;
   threshold : float;
   budget : float;
-  short_win : int;
-  long_win : int;
 }
 
 let default_budget = 0.1
-let default_short_win = 12
-let default_long_win = 48
+
+(* Burn-rate windows, in ticks. *)
+let short_win = 12
+let long_win = 48
 
 let op_name = function Le -> "<=" | Ge -> ">="
 
@@ -54,29 +54,11 @@ let parse s =
         | Some threshold -> (
             match budget_s with
             | None ->
-                Ok
-                  {
-                    text = s;
-                    series;
-                    op;
-                    threshold;
-                    budget = default_budget;
-                    short_win = default_short_win;
-                    long_win = default_long_win;
-                  }
+                Ok { text = s; series; op; threshold; budget = default_budget }
             | Some b -> (
                 match float_of_string_opt (String.trim b) with
                 | Some budget when budget > 0.0 && budget <= 1.0 ->
-                    Ok
-                      {
-                        text = s;
-                        series;
-                        op;
-                        threshold;
-                        budget;
-                        short_win = default_short_win;
-                        long_win = default_long_win;
-                      }
+                    Ok { text = s; series; op; threshold; budget }
                 | _ -> fail "budget must be a fraction in (0, 1]")))
 
 type outcome = {
@@ -130,9 +112,9 @@ let evaluate reg rule =
       let fire_at = ref None in
       let peak_fast = ref 0.0 and peak_slow = ref 0.0 in
       for i = 0 to n - 1 do
-        if i + 1 >= rule.short_win then begin
-          let f = burn ~window:rule.short_win i in
-          let sl = burn ~window:rule.long_win i in
+        if i + 1 >= short_win then begin
+          let f = burn ~window:short_win i in
+          let sl = burn ~window:long_win i in
           if f > !peak_fast then peak_fast := f;
           if sl > !peak_slow then peak_slow := sl;
           if (not !fired) && f >= 1.0 && sl >= 1.0 then begin

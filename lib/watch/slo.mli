@@ -19,13 +19,9 @@ type rule = {
   op : op;
   threshold : float;
   budget : float;  (** allowed bad-sample fraction, in (0, 1] *)
-  short_win : int;  (** fast window, ticks *)
-  long_win : int;  (** slow window, ticks *)
 }
 
 val default_budget : float
-val default_short_win : int
-val default_long_win : int
 
 val parse : string -> (rule, string) result
 (** Syntax: [SERIES<=THRESHOLD] or [SERIES>=THRESHOLD], optionally

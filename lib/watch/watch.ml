@@ -2,16 +2,9 @@ module A = Amber
 module Slo = Slo
 module Flight = Flight
 
-type cfg = {
-  interval : float; (* virtual seconds between samples *)
-  capacity : int; (* ring capacity per series *)
-}
-
-let default_cfg = { interval = 5e-3; capacity = 4096 }
-
 type t = {
   rt : A.Runtime.t;
-  cfg : cfg;
+  interval : float; (* virtual seconds between samples *)
   slo : Slo.rule list;
   flight : Flight.t option;
   mutable tick_ev : Sim.Engine.event_id option;
@@ -32,7 +25,7 @@ let report_lines t =
     Printf.sprintf "%d series, %d samples @ %.3gms, %d points (%d dropped)"
       (List.length all)
       (Sim.Series.samples_taken m)
-      (t.cfg.interval *. 1e3)
+      (t.interval *. 1e3)
       npoints (Sim.Series.total_dropped m)
   in
   let slo_lines = Slo.report_lines (outcomes t) in
@@ -60,10 +53,9 @@ let report_lines t =
   in
   (header :: slo_lines) @ flight_lines @ List.map series_line all
 
-let attach rt ?(cfg = default_cfg) ?(slo = []) ?flight () =
-  if cfg.interval <= 0.0 then invalid_arg "Watch.attach: interval";
+let attach rt ?(interval = 5e-3) ?(slo = []) ?flight () =
+  if interval <= 0.0 then invalid_arg "Watch.attach: interval";
   let m = A.Runtime.metrics rt in
-  Sim.Series.set_capacity m cfg.capacity;
   (* Every counter and gauge of the one list, under its own name. *)
   List.iter
     (fun (e : A.Stats_report.entry) ->
@@ -81,17 +73,17 @@ let attach rt ?(cfg = default_cfg) ?(slo = []) ?flight () =
     A.Stats_report.entries;
   Sim.Series.enable m;
   let eng = A.Runtime.engine rt in
-  let t = { rt; cfg; slo; flight; tick_ev = None; stopped = false } in
+  let t = { rt; interval; slo; flight; tick_ev = None; stopped = false } in
   let label = Lazy.from_val "watch-tick" in
   let rec tick () =
     t.tick_ev <- None;
     if not t.stopped then begin
       Sim.Series.sample m;
       t.tick_ev <-
-        Some (Sim.Engine.schedule eng ~label ~delay:cfg.interval tick)
+        Some (Sim.Engine.schedule eng ~label ~delay:interval tick)
     end
   in
-  t.tick_ev <- Some (Sim.Engine.schedule eng ~label ~delay:cfg.interval tick);
+  t.tick_ev <- Some (Sim.Engine.schedule eng ~label ~delay:interval tick);
   A.Runtime.add_report_section rt ~name:"watch" (fun () -> report_lines t);
   t
 

@@ -5,7 +5,7 @@
     entry's name (per-node entries once per node, as [name\@n]), and
     arms a recurring seeded virtual-time tick (the {!Balance.Driver}
     pattern) that samples every instrument into bounded windowed time
-    series.
+    series, each a ring of the newest 4096 points.
     Layers that publish their own series (serve's per-class latency
     windows and admitted-depth gauges, the balance driver's EWMA load
     view) find the registry enabled and join in; {!stop} cancels the
@@ -25,27 +25,21 @@
 module Slo = Slo
 module Flight = Flight
 
-type cfg = {
-  interval : float;  (** virtual seconds between samples *)
-  capacity : int;  (** ring capacity per series *)
-}
-
-val default_cfg : cfg
-(** 5ms tick, 4096 points per series. *)
-
 type t
 
 val attach :
   Amber.Runtime.t ->
-  ?cfg:cfg ->
+  ?interval:float ->
   ?slo:Slo.rule list ->
   ?flight:Flight.t ->
   unit ->
   t
 (** Must run before the workload so layer-owned instruments register.
-    [slo] rules are evaluated on demand ({!outcomes}, the report
-    section); [flight] merely adds the recorder's summary to the watch
-    report — attach it separately. *)
+    [interval] is the sampling tick period in virtual seconds (default
+    5 ms); a non-positive one raises [Invalid_argument].  [slo] rules
+    are evaluated on demand ({!outcomes}, the report section); [flight]
+    merely adds the recorder's summary to the watch report — attach it
+    separately. *)
 
 val stop : t -> unit
 

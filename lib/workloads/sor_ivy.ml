@@ -1,11 +1,5 @@
 module A = Amber
 
-type cfg = { procs_per_node : int }
-
-let default_cfg rt =
-  ignore rt;
-  { procs_per_node = (A.Runtime.config rt).A.Config.cpus_per_node }
-
 type result = {
   iterations : int;
   checksum : float;
@@ -58,10 +52,10 @@ let sweep_columns dsm (p : Sor_core.params) color ~c_from ~c_to =
     end
   done
 
-let run rt (p : Sor_core.params) ?cfg ?(dsm_costs = Ivy.Costs.default)
-    ?(manager = Ivy.Dsm.Dynamic) ~iters () =
+let run rt (p : Sor_core.params) ?(manager = Ivy.Dsm.Dynamic) ~iters () =
   if iters <= 0 then invalid_arg "Sor_ivy.run: iters";
-  let cfg = match cfg with Some c -> c | None -> default_cfg rt in
+  (* One worker process per CPU. *)
+  let procs_per_node = (A.Runtime.config rt).A.Config.cpus_per_node in
   let nodes = A.Runtime.nodes rt in
   let total_bytes = Sor_core.interior_points p * 8 in
   (* Band partitioning: node n owns columns [band_lo n, band_hi n]. *)
@@ -77,19 +71,18 @@ let run rt (p : Sor_core.params) ?cfg ?(dsm_costs = Ivy.Costs.default)
   let vm_psize = Topaz.Vm.page_size (A.Runtime.vm rt 0) in
   let npages = (total_bytes + vm_psize - 1) / vm_psize in
   let dsm =
-    Ivy.Dsm.create rt ~costs:dsm_costs
-      ~initial_owner:(page_owner vm_psize)
-      ~manager ~pages:npages ()
+    Ivy.Dsm.create rt ~initial_owner:(page_owner vm_psize) ~manager
+      ~pages:npages ()
   in
-  let parties = nodes * cfg.procs_per_node in
+  let parties = nodes * procs_per_node in
   let barrier = Ivy.Sync_rpc.Barrier.create rt ~home:0 ~parties in
   let t_ready = ref 0.0 and t_done = ref 0.0 in
   let worker node k () =
     let lo = band_lo node and hi = band_hi node in
     (* Split the node's band among its processes. *)
     let width = hi - lo + 1 in
-    let c_from = lo + (k * width / cfg.procs_per_node) in
-    let c_to = lo + (((k + 1) * width / cfg.procs_per_node) - 1) in
+    let c_from = lo + (k * width / procs_per_node) in
+    let c_to = lo + (((k + 1) * width / procs_per_node) - 1) in
     Ivy.Sync_rpc.Barrier.pass barrier;
     if node = 0 && k = 0 then t_ready := A.Runtime.now rt;
     for _ = 1 to iters do
@@ -105,7 +98,7 @@ let run rt (p : Sor_core.params) ?cfg ?(dsm_costs = Ivy.Costs.default)
   let procs =
     List.concat_map
       (fun node ->
-        List.init cfg.procs_per_node (fun k ->
+        List.init procs_per_node (fun k ->
             Ivy.Process.spawn rt ~node
               ~name:(Printf.sprintf "ivy-sor%d.%d" node k)
               (worker node k)))

@@ -11,13 +11,8 @@
     Border columns are read by neighbors each phase and re-written by
     their owner each phase, so every iteration pays read faults +
     invalidations per boundary — and when the page size exceeds the column
-    size, false sharing adds traffic Amber does not have (§4.2). *)
-
-type cfg = {
-  procs_per_node : int;  (** worker processes per node *)
-}
-
-val default_cfg : Amber.Runtime.t -> cfg
+    size, false sharing adds traffic Amber does not have (§4.2).  Each
+    node runs one worker process per CPU. *)
 
 type result = {
   iterations : int;
@@ -36,8 +31,6 @@ type result = {
 val run :
   Amber.Runtime.t ->
   Sor_core.params ->
-  ?cfg:cfg ->
-  ?dsm_costs:Ivy.Costs.t ->
   ?manager:Ivy.Dsm.manager_mode ->
   iters:int ->
   unit ->

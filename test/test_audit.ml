@@ -149,6 +149,8 @@ let run_cycle_mid_chase ~sanitize =
           3;
         A.Descriptor.set_forwarded (A.Runtime.descriptors rt 3) o.A.Aobject.addr
           1;
+        let flights () = (A.Runtime.counters rt).A.Runtime.thread_migrations in
+        let before = flights () in
         let t =
           A.Athread.start_on rt ~node:1 ~name:"chaser" (fun () ->
               A.Api.invoke rt o (fun r -> !r))
@@ -158,7 +160,13 @@ let run_cycle_mid_chase ~sanitize =
         | exception A.Aobject.Chain_exhausted { addr; trail } ->
           Alcotest.(check int) "names the object" o.A.Aobject.addr addr;
           Alcotest.(check bool) "trail stays on the cycle" true
-            (trail <> [] && List.for_all (fun n -> n = 1 || n = 3) trail))
+            (trail <> [] && List.for_all (fun n -> n = 1 || n = 3) trail);
+          (* The switch-in check and the invocation's chase spend one
+             budget between them. *)
+          Alcotest.(check bool) "trail within one hop budget" true
+            (List.length trail <= A.Runtime.max_forward_hops + 1);
+          Alcotest.(check bool) "flights within one hop budget" true
+            (flights () - before <= A.Runtime.max_forward_hops))
   in
   Alcotest.(check bool) "the body caught the failure" true
     (Result.is_ok o.Session.result);

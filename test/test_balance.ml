@@ -68,7 +68,7 @@ let test_skewed_sor_recovery () =
    hysteresis window. *)
 let test_hysteresis_respected () =
   let _, moves, _ = sor_elapsed ~placement:`Skewed ~balance:(Some hybrid_cfg) () in
-  let hyst = hybrid_cfg.B.Driver.rebalance.B.Rebalancer.hysteresis in
+  let hyst = B.Rebalancer.hysteresis in
   let last = Hashtbl.create 16 in
   List.iter
     (fun (m : B.Rebalancer.move) ->
@@ -83,6 +83,41 @@ let test_hysteresis_respected () =
       Hashtbl.replace last m.B.Rebalancer.addr m.B.Rebalancer.at)
     moves
 
+(* The affinity pass alone: eight threads rooted in an anchor on node 2
+   call "hot" on node 0, so node 2 is its dominant caller and it moves
+   there at the first observation cycle. *)
+let test_affinity_follows_dominant_caller () =
+  let cfg = A.Config.make ~nodes:4 ~cpus:2 () in
+  A.Cluster.run_value cfg (fun rt ->
+      let lb =
+        B.Driver.start rt
+          { B.Driver.default_cfg with B.Driver.policy = B.Rebalancer.Affinity }
+      in
+      let hot = A.Api.create rt ~name:"hot" (ref 0) in
+      let caller =
+        A.Athread.start_on rt ~node:2 ~name:"caller" (fun () ->
+            let anchor = A.Api.create rt ~name:"anchor" () in
+            let workers =
+              List.init 8 (fun i ->
+                  A.Api.start_invoke rt ~name:(Printf.sprintf "w%d" i) anchor
+                    (fun () ->
+                      for _ = 1 to 20 do
+                        A.Api.invoke rt hot incr
+                      done))
+            in
+            List.iter (A.Api.join rt) workers)
+      in
+      A.Athread.join rt caller;
+      B.Driver.stop lb;
+      match B.Driver.move_log lb with
+      | [ m ] ->
+        Alcotest.(check int) "moved hot" hot.A.Aobject.addr m.B.Rebalancer.addr;
+        Alcotest.(check (pair int int)) "from node 0 to node 2" (0, 2)
+          (m.B.Rebalancer.src, m.B.Rebalancer.dst);
+        Alcotest.(check bool) "at the first cycle" true
+          (m.B.Rebalancer.at > 0.025 && m.B.Rebalancer.at < 0.05)
+      | moves -> Alcotest.failf "%d moves, expected one" (List.length moves))
+
 let test_steal_moves_a_queued_thread () =
   Util.run ~nodes:2 ~cpus:1 (fun rt ->
       (* Main occupies node 0's only CPU; the started threads queue there
@@ -96,8 +131,8 @@ let test_steal_moves_a_queued_thread () =
                 A.Runtime.current_node rt))
       in
       let rng = Sim.Rng.split (Sim.Engine.rng (A.Runtime.engine rt)) in
-      let li = B.Loadinfo.create rt ~rng:(Sim.Rng.split rng) ~alpha:0.5 in
-      let st = B.Stealer.create rt ~li ~rng ~min_victim_load:1.5 in
+      let li = B.Loadinfo.create rt ~rng:(Sim.Rng.split rng) in
+      let st = B.Stealer.create rt ~li ~rng in
       Alcotest.(check bool) "grab takes a thread" true
         (B.Stealer.grab st ~victim:0 ~thief:1);
       let nodes = List.map (fun t -> A.Athread.join rt t) ts in
@@ -131,8 +166,8 @@ let test_steal_skips_bound_threads () =
            (A.Runtime.machine rt 0)
           : int);
       let rng = Sim.Rng.split (Sim.Engine.rng (A.Runtime.engine rt)) in
-      let li = B.Loadinfo.create rt ~rng:(Sim.Rng.split rng) ~alpha:0.5 in
-      let st = B.Stealer.create rt ~li ~rng ~min_victim_load:1.5 in
+      let li = B.Loadinfo.create rt ~rng:(Sim.Rng.split rng) in
+      let st = B.Stealer.create rt ~li ~rng in
       Alcotest.(check bool) "bound thread not stealable" false
         (B.Stealer.grab st ~victim:0 ~thief:1);
       Alcotest.(check int) "ran at home" 0 (A.Api.join rt t))
@@ -171,6 +206,8 @@ let suite =
       test_skewed_sor_recovery;
     Alcotest.test_case "hysteresis: one action per object per window" `Quick
       test_hysteresis_respected;
+    Alcotest.test_case "affinity: an object follows its dominant caller"
+      `Quick test_affinity_follows_dominant_caller;
     Alcotest.test_case "steal moves a queued unbound thread" `Quick
       test_steal_moves_a_queued_thread;
     Alcotest.test_case "steal skips bound threads" `Quick

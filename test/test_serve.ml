@@ -218,6 +218,28 @@ let test_cutoff_before_bucket () =
   Alcotest.(check bool) "unbucketed class rides the cutoff" true
     (Serve.Admission.admit t ~now:0.0 ~cls:"compute" ~depth:3)
 
+(* --- configuration rules ------------------------------------------------ *)
+
+(* An infinite rate or duration would issue requests without end, so
+   [validate] rejects it before anything runs.  Checked here rather than
+   through the CLI, where a broken rule would exhaust memory. *)
+let test_validate_rejects_unbounded () =
+  let base = Serve.default_cfg in
+  let burst factor =
+    T.Bursty { rate = 100.0; factor; on_mean = 0.05; off_mean = 0.1 }
+  in
+  List.iter
+    (fun (what, cfg) ->
+      match Serve.validate cfg with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("infinite rate", { base with Serve.arrival = T.Poisson infinity });
+      ("nan rate", { base with Serve.arrival = T.Poisson nan });
+      ("infinite burst factor", { base with Serve.arrival = burst infinity });
+      ("infinite duration", { base with Serve.duration = infinity });
+    ]
+
 (* --- serving integration ------------------------------------------------ *)
 
 let run_serve ?(nodes = 4) ?(seed = 11) ?faults ?crashes ?(crash_rate = 0.0)
@@ -382,6 +404,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bucket_bounded;
     Alcotest.test_case "queue cutoff rejects before burning tokens" `Quick
       test_cutoff_before_bucket;
+    Alcotest.test_case "validate rejects unbounded traffic" `Quick
+      test_validate_rejects_unbounded;
     Alcotest.test_case "moderate load: accounting closes, nothing shed" `Quick
       test_accounting_closes;
     Alcotest.test_case

@@ -221,6 +221,9 @@ let test_chain_exhausted_exits_5 () =
        (Buffer.contents buf))
 
 let test_cli_usage_errors () =
+  let headless = Filename.temp_file "amber-headless" ".sched" in
+  Out_channel.with_open_text headless (fun oc ->
+      output_string oc "0 event 0/1 e0\n");
   List.iter
     (fun args ->
       Alcotest.(check int) (String.concat " " args) 124 (fst (cli args)))
@@ -267,7 +270,25 @@ let test_cli_usage_errors () =
       [ "readmostly"; "--reads"; "0" ];
       [ "readmostly"; "--readers=-1" ];
       [ "fixture"; "--threads=-2" ];
-    ]
+      [ "serve"; "--rps"; "0" ];
+      [ "serve"; "--duration"; "0" ];
+      [ "serve"; "--objects"; "0" ];
+      [ "serve"; "--workers"; "0" ];
+      [ "serve"; "--zipf=-1" ];
+      [ "serve"; "--burst"; "0:0.1:0.1" ];
+      [ "serve"; "--classes"; "read=0,write=0,compute=0" ];
+      [ "serve"; "--classes"; "read=inf,write=1" ];
+      [ "serve"; "--admission"; "--cutoff"; "0" ];
+      [ "serve"; "--admission"; "--admit-burst"; "0" ];
+      [ "serve"; "--admission"; "--admit-rate=-5" ];
+      [ "check"; "nosuch" ];
+      [ "check"; "rpc"; "--mutate"; "nosuch" ];
+      [ "check"; "rpc"; "--schedule-in"; "/nonexistent" ];
+      [ "check"; "rpc"; "--schedule-in"; Filename.get_temp_dir_name () ];
+      [ "check"; "rpc"; "--schedule-in"; headless ];
+      [ "check"; "all"; "--schedule-in"; headless ];
+    ];
+  Sys.remove headless
 
 (* Under --report the profile and sanitizer sections print inside the
    report only: one header each, and no standalone copy. *)

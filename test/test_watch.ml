@@ -336,7 +336,7 @@ let test_flight_dump_on_crash () =
   in
   let fl = ref None in
   A.Cluster.run_value cfg (fun rt ->
-      let f = Watch.Flight.attach rt ~dir () in
+      let f = Watch.Flight.attach rt ~dir in
       fl := Some f;
       ignore (Serve.run rt (serve_cfg ~rps:300.0) : Serve.result));
   let f = Option.get !fl in
@@ -372,7 +372,7 @@ let test_flight_window_closed () =
   let queued = ref false in
   (try
      A.Cluster.run_value cfg (fun rt ->
-         ignore (Watch.Flight.attach rt ~dir () : Watch.Flight.t);
+         ignore (Watch.Flight.attach rt ~dir : Watch.Flight.t);
          A.Runtime.on_failure rt (fun ~kind:_ ~node:_ ~detail:_ ->
              queued :=
                !queued
@@ -392,7 +392,7 @@ let test_flight_window_closed () =
   Alcotest.(check bool) "non-empty window" true (times <> []);
   List.iter
     (fun t ->
-      if t < 0.2 -. Watch.Flight.default_window -. 1e-9 || t > 0.2 +. 1e-9
+      if t < 0.2 -. Watch.Flight.window -. 1e-9 || t > 0.2 +. 1e-9
       then Alcotest.failf "mark at %.9f outside the window" t)
     times
 
@@ -404,7 +404,7 @@ let test_flight_silent_without_failures () =
   let cfg = A.Config.make ~nodes:2 ~cpus:2 ~seed:7L () in
   let fl = ref None in
   A.Cluster.run_value cfg (fun rt ->
-      let f = Watch.Flight.attach rt ~dir () in
+      let f = Watch.Flight.attach rt ~dir in
       fl := Some f;
       ignore
         (Workloads.Fixtures.clean_counter rt ~threads:2 ~increments:5

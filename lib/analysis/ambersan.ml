@@ -486,19 +486,19 @@ let report t =
     objects_tracked = List.length (Runtime.objects t.rt);
   }
 
+let finding_lines r =
+  let line fmt = Format.asprintf fmt in
+  List.map (line "%a" pp_race) r.races
+  @ List.map (line "%a" pp_cycle) r.cycles
+  @ List.map (line "coherence: %a" Audit.pp_violation) r.violations
+
 let summary_lines t () =
   let r = report t in
-  let line fmt = Format.asprintf fmt in
   let header =
-    line "%d events analyzed, %d threads, %d objects tracked" r.events
-      r.threads r.objects_tracked
+    Printf.sprintf "%d events analyzed, %d threads, %d objects tracked"
+      r.events r.threads r.objects_tracked
   in
-  if clean r then [ header; "no findings" ]
-  else
-    header
-    :: (List.map (line "%a" pp_race) r.races
-       @ List.map (line "%a" pp_cycle) r.cycles
-       @ List.map (line "coherence: %a" Audit.pp_violation) r.violations)
+  if clean r then [ header; "no findings" ] else header :: finding_lines r
 
 let attach ?(analyze = true) rt =
   let t =

@@ -60,8 +60,13 @@ val findings : report -> int
 val clean : report -> bool
 
 val failed : report -> bool
-val pp_race : Format.formatter -> race -> unit
-val pp_cycle : Format.formatter -> cycle -> unit
+
+(** One line per finding, in report order: each race, each lock-order
+    cycle, then each coherence violation (prefixed [coherence:]).  The
+    report section prints them under its header, and AmberCheck makes
+    each one a violation. *)
+val finding_lines : report -> string list
+
 val pp_report : Format.formatter -> report -> unit
 
 (** {1 Online sanitizer} *)

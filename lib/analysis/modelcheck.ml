@@ -667,9 +667,9 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
         | oracle -> List.iter (fun s -> viol "oracle: %s" s) oracle)
       | Hw.Machine.Ready | Hw.Machine.Running _ | Hw.Machine.Blocked ->
         viol "deadlock: engine quiesced with the main thread unfinished");
-      let sr = Ambersan.finalize san in
-      if Ambersan.failed sr then
-        viol "sanitizer: %s" (Format.asprintf "%a" Ambersan.pp_report sr);
+      List.iter
+        (fun finding -> viol "sanitizer: %s" finding)
+        (Ambersan.finding_lines (Ambersan.finalize san));
       Runtime.iter_threads rt (fun ts ->
           if ts.Runtime.frames <> [] then
             viol "leaked invocation frame on tid %d"

@@ -85,18 +85,21 @@ let name_of_any (Any o) = o.name
 let size_of_any (Any o) = o.size
 let location_of_any (Any o) = o.location
 
-let attachment_closure root =
-  (* Attachment edges cannot form cycles (attach enforces tree shape), but
-     guard against repeats anyway. *)
-  let seen = Hashtbl.create 8 in
-  let rec walk acc (Any o as node) =
-    if Hashtbl.mem seen o.addr then acc
-    else begin
-      Hashtbl.replace seen o.addr ();
-      List.fold_left walk (node :: acc) o.attached
-    end
-  in
-  List.rev (walk [] root)
+let attachment_closure (Any r as root) =
+  if r.attached = [] then [ root ]
+  else begin
+    (* Attachment edges cannot form cycles (attach enforces tree shape),
+       but guard against repeats anyway. *)
+    let seen = Hashtbl.create 8 in
+    let rec walk acc (Any o as node) =
+      if Hashtbl.mem seen o.addr then acc
+      else begin
+        Hashtbl.replace seen o.addr ();
+        List.fold_left walk (node :: acc) o.attached
+      end
+    in
+    List.rev (walk [] root)
+  end
 
 let closure_size root =
   List.fold_left (fun acc a -> acc + size_of_any a) 0 (attachment_closure root)

@@ -83,7 +83,8 @@ let crashes_enabled t = t.crashes <> [] || t.crash_rate > 0.0
 
 let validate t =
   if t.nodes <= 0 then invalid_arg "Config: nodes must be positive";
-  if t.cpus_per_node <= 0 then invalid_arg "Config: cpus_per_node";
+  if t.cpus_per_node <= 0 || t.cpus_per_node > Hw.Machine.max_cpus then
+    invalid_arg "Config: cpus_per_node";
   if t.ether_bandwidth_bps <= 0.0 then invalid_arg "Config: bandwidth";
   if t.rpc_servers_per_node <= 0 then invalid_arg "Config: rpc servers";
   if t.initial_regions_per_node <= 0 then invalid_arg "Config: regions";

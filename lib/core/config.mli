@@ -12,7 +12,9 @@ type crash = { cnode : int; at : float; restart : float option }
 
 type t = {
   nodes : int;  (** number of machines (Fireflies) *)
-  cpus_per_node : int;  (** processors available for user threads *)
+  cpus_per_node : int;
+      (** processors available for user threads, at most
+          {!Hw.Machine.max_cpus} *)
   ether_bandwidth_bps : float;
   ether_mac : Hw.Ethernet.mac;  (** FIFO (idealized) or CSMA/CD *)
   rpc_servers_per_node : int;

@@ -1,37 +1,43 @@
 type state = Resident | Forwarded of int | Replica of int
 
+module Tbl = Vaspace.Addr_table
+
 type table = {
   node_id : int;
-  entries : (int, state) Hashtbl.t;
+  entries : state Tbl.t;
   mutable uninit_reads : int;
 }
 
 let create_table ~node =
-  { node_id = node; entries = Hashtbl.create 256; uninit_reads = 0 }
+  { node_id = node; entries = Tbl.create 256; uninit_reads = 0 }
 
 let node t = t.node_id
 
+(* [Some Resident] is a constant, so the common read allocates nothing. *)
 let get t addr =
-  match Hashtbl.find_opt t.entries addr with
-  | Some s -> Some s
-  | None ->
+  match Tbl.find t.entries addr with
+  | Resident -> Some Resident
+  | (Forwarded _ | Replica _) as s -> Some s
+  | exception Not_found ->
     t.uninit_reads <- t.uninit_reads + 1;
     None
 
-let set_resident t addr = Hashtbl.replace t.entries addr Resident
-let set_forwarded t addr n = Hashtbl.replace t.entries addr (Forwarded n)
-let set_replica t addr master = Hashtbl.replace t.entries addr (Replica master)
-let clear t addr = Hashtbl.remove t.entries addr
+let set_resident t addr = Tbl.replace t.entries addr Resident
+let set_forwarded t addr n = Tbl.replace t.entries addr (Forwarded n)
+let set_replica t addr master = Tbl.replace t.entries addr (Replica master)
+let clear t addr = Tbl.remove t.entries addr
 
 let is_resident t addr =
-  match Hashtbl.find_opt t.entries addr with
-  | Some Resident -> true
-  | Some (Forwarded _ | Replica _) | None -> false
+  match Tbl.find t.entries addr with
+  | Resident -> true
+  | Forwarded _ | Replica _ -> false
+  | exception Not_found -> false
 
 let is_replica t addr =
-  match Hashtbl.find_opt t.entries addr with
-  | Some (Replica _) -> true
-  | Some (Resident | Forwarded _) | None -> false
+  match Tbl.find t.entries addr with
+  | Replica _ -> true
+  | Resident | Forwarded _ -> false
+  | exception Not_found -> false
 
-let entries t = Hashtbl.length t.entries
+let entries t = Tbl.length t.entries
 let uninitialized_reads t = t.uninit_reads

@@ -24,20 +24,57 @@ let chase_to_object rt ts ~what ~mode ~addr ~payload =
   in
   (!moved, via_replica)
 
-let settle rt ts (obj : 'a Aobject.t) ~mode ~payload =
-  chase_to_object rt ts ~what:"Invoke" ~mode ~addr:obj.Aobject.addr ~payload
-
+(* The sanitizer sees an access only when one is attached; without one
+   no event and no closure is built. *)
 let emit_access rt obj mode =
-  Runtime.with_san rt (fun h ->
-      h
-        (San_hooks.Event.Access
-           { tid = San_hooks.self_tid (); addr = obj.Aobject.addr; mode }))
+  match Runtime.sanitizer rt with
+  | None -> ()
+  | Some h ->
+    h
+      (San_hooks.Event.Access
+         { tid = San_hooks.self_tid (); addr = obj.Aobject.addr; mode })
 
 let emit_access_end rt obj =
-  Runtime.with_san rt (fun h ->
-      h
-        (San_hooks.Event.Access_end
-           { tid = San_hooks.self_tid (); addr = obj.Aobject.addr }))
+  match Runtime.sanitizer rt with
+  | None -> ()
+  | Some h ->
+    h
+      (San_hooks.Event.Access_end
+         { tid = San_hooks.self_tid (); addr = obj.Aobject.addr })
+
+(* Pop the call's frame, then make the return-time check (§3.5): the
+   object we are returning into may have moved while we executed here.
+   It is the same chase as settling, so the return trip also records its
+   path and compresses the chain it walked.  The enclosing frame's own
+   access mode applies: a Read frame may return to a replica. *)
+let return_path rt ts ~return_payload =
+  Sim.Fiber.consume (Runtime.cost rt).Cost_model.invoke_return_cpu;
+  (match ts.Runtime.frames with
+  | _ :: rest -> ts.Runtime.frames <- rest
+  | [] -> assert false);
+  match ts.Runtime.frames with
+  | [] -> ()
+  | enclosing :: _ ->
+    ignore
+      (chase_to_object rt ts ~what:"Invoke.return" ~mode:enclosing.Runtime.fmode
+         ~addr:(Aobject.addr_of_any enclosing.Runtime.fobj)
+         ~payload:return_payload
+        : int * bool)
+
+(* The call is over, returned or raised.  The write is complete (or
+   abandoned with whatever mutation it made): bump the epoch {e now}, so
+   any replica snapshot captured before or during the operation is stale
+   by the epoch check — delivery discards in-flight ones, and
+   Audit/AmberSan flag any that already landed.  The write guard and
+   [Access_end] come before the return chase, so the guard is balanced
+   even when the thread cannot make it home. *)
+let end_call rt ts obj ~writes ~return_payload =
+  if writes then begin
+    obj.Aobject.writers <- obj.Aobject.writers - 1;
+    obj.Aobject.epoch <- obj.Aobject.epoch + 1
+  end;
+  emit_access_end rt obj;
+  return_path rt ts ~return_payload
 
 let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
     obj op =
@@ -45,7 +82,6 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
      before any frame is pushed or packet sent. *)
   Aobject.check_lost obj;
   let ts = Runtime.current rt in
-  let c = Runtime.cost rt in
   let ctrs = Runtime.counters rt in
   (* §3.5: the frame is pushed before the check so that a concurrent move
      sees this thread as bound to the object. *)
@@ -55,39 +91,48 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
      call actually ran it is reclassified (remote / replica-served). *)
   let spans = Runtime.spans rt in
   let sp =
-    Sim.Span.start spans Sim.Span.Invoke_local ~label:obj.Aobject.name
-      ~obj:obj.Aobject.addr ()
+    if Sim.Span.enabled spans then
+      Sim.Span.start spans Sim.Span.Invoke_local ~label:obj.Aobject.name
+        ~obj:obj.Aobject.addr ()
+    else 0
   in
   let entered_at = Runtime.now rt in
   (* Where the call was issued from — captured before settling migrates
      the thread, so the balancer's window counters attribute the
      invocation to the caller's node, not the object's. *)
   let origin = Runtime.current_node rt in
-  Sim.Fiber.consume c.Cost_model.invoke_entry_cpu;
+  Sim.Fiber.consume (Runtime.cost rt).Cost_model.invoke_entry_cpu;
   (* Write/Atomic on a replicated mutable object: reach the master, then
      run the invalidation round; the round blocks (one acked RPC per
      replica), so the master may move meanwhile — re-settle and re-check
      until the thread sits at the master with an empty replica set. *)
   let writes = mode <> San_hooks.Read && not obj.Aobject.immutable_ in
-  let rec settle_quiesced acc =
-    let hops, via_replica = settle rt ts obj ~mode ~payload in
-    if (not via_replica) && writes && obj.Aobject.replicas <> [] then begin
-      Coherence.invalidate rt obj;
-      settle_quiesced (acc + hops)
-    end
-    else (acc + hops, via_replica)
-  in
-  let hops, via_replica =
-    try settle_quiesced 0
-    with e ->
-      (* The invocation never started (e.g. dangling reference): unwind
-         the frame we pushed before re-raising. *)
-      (match ts.Runtime.frames with
-      | _ :: rest -> ts.Runtime.frames <- rest
-      | [] -> ());
-      Sim.Span.finish spans sp;
-      raise e
-  in
+  let hops = ref 0 and via_replica = ref false and settled = ref false in
+  (match
+     while not !settled do
+       let h, v =
+         chase_to_object rt ts ~what:"Invoke" ~mode ~addr:obj.Aobject.addr
+           ~payload
+       in
+       hops := !hops + h;
+       if (not v) && writes && obj.Aobject.replicas <> [] then
+         Coherence.invalidate rt obj
+       else begin
+         via_replica := v;
+         settled := true
+       end
+     done
+   with
+  | () -> ()
+  | exception e ->
+    (* The invocation never started (e.g. dangling reference): unwind
+       the frame we pushed before re-raising. *)
+    (match ts.Runtime.frames with
+    | _ :: rest -> ts.Runtime.frames <- rest
+    | [] -> ());
+    Sim.Span.finish spans sp;
+    raise e);
+  let hops = !hops and via_replica = !via_replica in
   if via_replica then Sim.Span.set_kind spans sp Sim.Span.Replica_read
   else if hops > 0 then Sim.Span.set_kind spans sp Sim.Span.Invoke_remote;
   Sim.Span.set_arg spans sp hops;
@@ -95,9 +140,9 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
      the write as in progress: [Coherence.install] refuses to capture a
      snapshot while [writers] is non-zero, because a capture taken while
      [op] runs (it may suspend mid-mutation) would ship a torn state.
-     The epoch is bumped only once [op] completes, below, so a capture
-     that slips in around the operation still carries the pre-write epoch
-     and is rejected at delivery. *)
+     The epoch is bumped only once [op] completes ({!end_call}), so a
+     capture that slips in around the operation still carries the
+     pre-write epoch and is rejected at delivery. *)
   if writes then obj.Aobject.writers <- obj.Aobject.writers + 1;
   if hops = 0 then
     ctrs.Runtime.local_invocations <- ctrs.Runtime.local_invocations + 1
@@ -108,28 +153,6 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
       (Runtime.now rt -. entered_at)
   end;
   Aobject.record_call obj ~origin ~local:(hops = 0);
-  let return_path () =
-    Sim.Fiber.consume c.Cost_model.invoke_return_cpu;
-    (match ts.Runtime.frames with
-    | _ :: rest -> ts.Runtime.frames <- rest
-    | [] -> assert false);
-    (* Return-time check (§3.5): the object we are returning into may have
-       moved while we executed here. *)
-    match ts.Runtime.frames with
-    | [] -> ()
-    | enclosing :: _ ->
-      let encl_addr =
-        match enclosing.Runtime.fobj with Aobject.Any o -> o.Aobject.addr
-      in
-      (* Same chase as settling, so the return trip also records its path
-         and compresses the chain it walked.  The enclosing frame's own
-         access mode applies: a Read frame may return to a replica. *)
-      ignore
-        (chase_to_object rt ts ~what:"Invoke.return"
-           ~mode:enclosing.Runtime.fmode ~addr:encl_addr
-           ~payload:return_payload
-          : int * bool)
-  in
   (* A Read settled on a replica runs against the local snapshot — served
      as installed, without consulting the master, which is exactly what
      makes a protocol bug (an unacknowledged invalidation) observable as
@@ -140,15 +163,17 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
       match Aobject.snapshot obj ~node with
       | Some (ep, v) ->
         ctrs.Runtime.replica_reads <- ctrs.Runtime.replica_reads + 1;
-        Runtime.with_san rt (fun h ->
-            h
-              (San_hooks.Event.Replica_read
-                 {
-                   tid = San_hooks.self_tid ();
-                   addr = obj.Aobject.addr;
-                   node;
-                   epoch = ep;
-                 }));
+        (match Runtime.sanitizer rt with
+        | None -> ()
+        | Some h ->
+          h
+            (San_hooks.Event.Replica_read
+               {
+                 tid = San_hooks.self_tid ();
+                 addr = obj.Aobject.addr;
+                 node;
+                 epoch = ep;
+               }));
         v
       | None ->
         (* Descriptor said replica but the snapshot is gone (sabotaged
@@ -158,36 +183,24 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
     else obj.Aobject.state
   in
   emit_access rt obj mode;
-  (* The write is complete (or abandoned with whatever mutation it made):
-     bump the epoch {e now}, so any replica snapshot captured before or
-     during [op] is stale by the epoch check — delivery discards in-flight
-     ones, and Audit/AmberSan flag any that already landed. *)
-  let complete_write () =
-    if writes then begin
-      obj.Aobject.writers <- obj.Aobject.writers - 1;
-      obj.Aobject.epoch <- obj.Aobject.epoch + 1
-    end
-  in
-  (* The span is finished in a [finally]: if the return trip itself
-     raises (the enclosing frame's object became dangling while [op]
-     ran), the exception must not leave an open span on the profiler's
-     stack.  [complete_write]/[Access_end] run before the return
-     chase in both outcomes, exactly as before, so the write guard is
-     balanced even when the thread cannot make it home. *)
-  Fun.protect
-    ~finally:(fun () -> Sim.Span.finish spans sp)
-    (fun () ->
-      match op view with
-      | result ->
-        complete_write ();
-        emit_access_end rt obj;
-        return_path ();
-        result
-      | exception e ->
-        complete_write ();
-        emit_access_end rt obj;
-        return_path ();
-        raise e)
+  (* The span is finished on every exit: if the return trip itself raises
+     (the enclosing frame's object became dangling while [op] ran), the
+     exception must not leave an open span on the profiler's stack. *)
+  match
+    match op view with
+    | result ->
+      end_call rt ts obj ~writes ~return_payload;
+      result
+    | exception e ->
+      end_call rt ts obj ~writes ~return_payload;
+      raise e
+  with
+  | result ->
+    Sim.Span.finish spans sp;
+    result
+  | exception e ->
+    Sim.Span.finish spans sp;
+    raise e
 
 let executing_within rt obj =
   match Runtime.current_opt rt with
@@ -221,7 +234,10 @@ let invoke_member rt ?(mode = San_hooks.Atomic) obj op =
        not attached to the executing frame's closure)";
   Sim.Fiber.consume (Runtime.cost rt).Cost_model.lock_fast_cpu;
   emit_access rt obj mode;
-  Fun.protect
-    ~finally:(fun () ->
-      emit_access_end rt obj)
-    (fun () -> op obj.Aobject.state)
+  match op obj.Aobject.state with
+  | result ->
+    emit_access_end rt obj;
+    result
+  | exception e ->
+    emit_access_end rt obj;
+    raise e

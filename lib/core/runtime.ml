@@ -50,7 +50,8 @@ type t = {
   tables : Descriptor.table array;
   heaps : Vaspace.Heap.t array;
   server : Vaspace.Space_server.t;
-  threads : (int, tstate) Hashtbl.t;  (* keyed by tcb id *)
+  mutable threads : tstate option array;
+      (* registered threads by tcb id; grown by doubling *)
   objs : (int, Aobject.any) Hashtbl.t;  (* live objects, keyed by addr *)
   lost_addrs : (int, string) Hashtbl.t;
       (* addr -> name of addresses whose only copy died with a fail-stop
@@ -174,7 +175,7 @@ let create_raw cfg =
       tables;
       heaps = [||];
       server;
-      threads = Hashtbl.create 64;
+      threads = Array.make 64 None;
       objs = Hashtbl.create 64;
       lost_addrs = Hashtbl.create 8;
       spans;
@@ -269,15 +270,25 @@ let report_sections t = t.report_sections
 (* --- thread bookkeeping ------------------------------------------------- *)
 
 let register_thread t ts =
-  Hashtbl.replace t.threads (Hw.Machine.tcb_id ts.tcb) ts
+  let tid = Hw.Machine.tcb_id ts.tcb in
+  let n = Array.length t.threads in
+  if tid >= n then begin
+    let bigger = Array.make (max (2 * n) (tid + 1)) None in
+    Array.blit t.threads 0 bigger 0 n;
+    t.threads <- bigger
+  end;
+  t.threads.(tid) <- Some ts
 
 let unregister_thread t ts =
-  Hashtbl.remove t.threads (Hw.Machine.tcb_id ts.tcb)
+  let tid = Hw.Machine.tcb_id ts.tcb in
+  if tid < Array.length t.threads then t.threads.(tid) <- None
+
+let tstate_of_tcb t tcb =
+  let tid = Hw.Machine.tcb_id tcb in
+  if tid < Array.length t.threads then t.threads.(tid) else None
 
 let current_opt t =
-  match Hw.Machine.self () with
-  | None -> None
-  | Some tcb -> Hashtbl.find_opt t.threads (Hw.Machine.tcb_id tcb)
+  match Hw.Machine.self () with None -> None | Some tcb -> tstate_of_tcb t tcb
 
 let current t =
   match current_opt t with
@@ -286,9 +297,8 @@ let current t =
 
 let current_node _t = Hw.Machine.id (Hw.Machine.self_machine ())
 
-let tstate_of_tcb t tcb = Hashtbl.find_opt t.threads (Hw.Machine.tcb_id tcb)
-
-let iter_threads t f = Hashtbl.iter (fun _ ts -> f ts) t.threads
+let iter_threads t f =
+  Array.iter (function Some ts -> f ts | None -> ()) t.threads
 
 (* --- address space ------------------------------------------------------ *)
 
@@ -297,8 +307,6 @@ let home_node t ~addr =
   | Some node -> node
   | None ->
     invalid_arg (Printf.sprintf "Runtime.home_node: 0x%x is not a heap address" addr)
-
-let alloc_addr t ~node ~size = Vaspace.Heap.alloc (heap t node) size
 
 (* --- location protocol -------------------------------------------------- *)
 
@@ -312,16 +320,18 @@ let probe t ~node ~addr =
 (* What the descriptor [d], read at [node], means to a chase for [addr].
    A read replica ends the chase only when [read]; otherwise its master
    hint is followed like a forwarding address.  An uninitialized
-   descriptor bounces the chase to the home node — or, at the home node
-   itself, means the object was destroyed there.  A self-loop is
-   dangling too. *)
+   descriptor bounces the chase to the home node, which it follows like
+   a forwarding address too — or, at the home node itself, means the
+   object was destroyed there.  A self-loop is dangling too. *)
 let classify t ~read ~addr ~node d =
   match d with
   | Some Descriptor.Resident -> `Found
   | Some (Descriptor.Replica master) when read -> `Replica master
   | Some (Descriptor.Forwarded next | Descriptor.Replica next) ->
     if next = node then `Dangling else `Follow next
-  | None -> if node = home_node t ~addr then `Dangling else `Bounce
+  | None ->
+    let home = home_node t ~addr in
+    if node = home then `Dangling else `Follow home
 
 (* §3.3: when a chase ends, every node it left behind learns where the
    object is (piggybacked on the protocol, no extra packets), so later
@@ -479,7 +489,6 @@ let install_resume_check t ts =
              learn t ~addr ~found:master ts.chase_path;
              true
            | `Follow next -> follow next
-           | `Bounce -> follow (home_node t ~addr)
            | `Dangling ->
              (* Let the thread run so the protocol path inside the fiber
                 raises properly. *)
@@ -504,10 +513,50 @@ let migrate_self t ?(payload = 0) ~dest () =
 
 (* The chase is over: the nodes it left behind learn where the object is
    — [found], or [moving_to] when the chase moved the object there. *)
-let stop t ~addr ~path ?moving_to found ~replica =
-  let found = Option.value moving_to ~default:found in
+let stop t ~addr ~path ~moving_to found ~replica =
+  let found = match moving_to with Some dest -> dest | None -> found in
   learn t ~addr ~found path;
   (found, replica)
+
+(* A dangling reference to an address the crash injector registered as
+   lost is not a protocol bug: the only copy died with its node. *)
+let dangling t ~what ~addr =
+  (match Hashtbl.find_opt t.lost_addrs addr with
+  | Some name -> raise (Aobject.Object_lost { addr; name })
+  | None -> ());
+  failwith (Printf.sprintf "%s: dangling reference to 0x%x" what addr)
+
+(* One visit of {!chase}, at [node] after [hops] hops.  The first probe at
+   the starting node is the local fast path; every later probe is one
+   causally-nested hop of the chase, with a span of its own. *)
+let rec walk t ~read ~moving_to ~path ~what ~addr ~start ~step node ~hops =
+  if List.length !path > max_forward_hops then
+    raise (Aobject.Chain_exhausted { addr; trail = List.rev !path })
+  else
+    let sp =
+      if (hops > 0 || node <> start) && Sim.Span.enabled t.spans then
+        Sim.Span.start t.spans Sim.Span.Chase_hop ~label:what ~obj:addr
+          ~arg:node ()
+      else 0
+    in
+    let d =
+      match step ~node with
+      | d ->
+        Sim.Span.finish t.spans sp;
+        d
+      | exception e ->
+        Sim.Span.finish t.spans sp;
+        raise e
+    in
+    match classify t ~read ~addr ~node d with
+    | `Found -> stop t ~addr ~path ~moving_to node ~replica:false
+    | `Replica master -> stop t ~addr ~path ~moving_to master ~replica:true
+    | `Follow next ->
+      path := node :: !path;
+      t.ctrs.forward_hops <- t.ctrs.forward_hops + 1;
+      walk t ~read ~moving_to ~path ~what ~addr ~start ~step next
+        ~hops:(hops + 1)
+    | `Dangling -> dangling t ~what ~addr
 
 (* [chase] is the one forwarding-chain walker in the system.  Locate,
    MoveTo, invocation settling and the invocation return path each
@@ -537,50 +586,7 @@ let stop t ~addr ~path ?moving_to found ~replica =
      [read], or [moving_to] for a move. *)
 let chase ?(read = false) ?moving_to ?(path = ref []) t ~what ~addr ~start
     ~step =
-  let home = home_node t ~addr in
-  let dangling () =
-    (* A dangling reference to an address the crash injector registered as
-       lost is not a protocol bug: the only copy died with its node. *)
-    (match Hashtbl.find_opt t.lost_addrs addr with
-    | Some name -> raise (Aobject.Object_lost { addr; name })
-    | None -> ());
-    failwith (Printf.sprintf "%s: dangling reference to 0x%x" what addr)
-  in
-  let rec walk node ~hops =
-    if List.length !path > max_forward_hops then
-      raise (Aobject.Chain_exhausted { addr; trail = List.rev !path })
-    else
-      (* The first probe at the starting node is the local fast path; every
-         later probe is one causally-nested hop of the chase. *)
-      let sp =
-        if hops > 0 || node <> start then
-          Sim.Span.start t.spans Sim.Span.Chase_hop ~label:what ~obj:addr
-            ~arg:node ()
-        else 0
-      in
-      let d =
-        match step ~node with
-        | d ->
-          Sim.Span.finish t.spans sp;
-          d
-        | exception e ->
-          Sim.Span.finish t.spans sp;
-          raise e
-      in
-      match classify t ~read ~addr ~node d with
-      | `Found -> stop t ~addr ~path ?moving_to node ~replica:false
-      | `Replica master -> stop t ~addr ~path ?moving_to master ~replica:true
-      | `Follow next ->
-        path := node :: !path;
-        t.ctrs.forward_hops <- t.ctrs.forward_hops + 1;
-        walk next ~hops:(hops + 1)
-      | `Bounce ->
-        path := node :: !path;
-        t.ctrs.forward_hops <- t.ctrs.forward_hops + 1;
-        walk home ~hops:(hops + 1)
-      | `Dangling -> dangling ()
-  in
-  walk start ~hops:0
+  walk t ~read ~moving_to ~path ~what ~addr ~start ~step start ~hops:0
 
 let resolve_location t ~addr =
   let c = cost t in
@@ -607,7 +613,7 @@ let create_object t ?(size = 64) ~name state =
   Sim.Fiber.consume
     (c.Cost_model.create_fixed_cpu
     +. (c.Cost_model.create_per_byte_cpu *. float_of_int size));
-  let addr = alloc_addr t ~node ~size in
+  let addr = Vaspace.Heap.alloc (heap t node) size in
   Descriptor.set_resident (descriptors t node) addr;
   t.ctrs.objects_created <- t.ctrs.objects_created + 1;
   emit t "create"
@@ -808,12 +814,9 @@ let repair_chains t ~dead =
     (fun (Aobject.Any o) ->
       if not o.Aobject.lost then repair o.Aobject.addr o.Aobject.location)
     (objects t);
-  Hashtbl.fold (fun _ ts acc -> ts :: acc) t.threads []
-  |> List.sort (fun a b ->
-         compare (Hw.Machine.tcb_id a.tcb) (Hw.Machine.tcb_id b.tcb))
-  |> List.iter (fun ts ->
-         if not (Hw.Machine.was_killed ts.tcb) then
-           repair ts.taddr (Hw.Machine.id (Hw.Machine.home ts.tcb)))
+  iter_threads t (fun ts ->
+      if not (Hw.Machine.was_killed ts.tcb) then
+        repair ts.taddr (Hw.Machine.id (Hw.Machine.home ts.tcb)))
 
 let fail_stop t ~node:dead =
   (* Peer-death detection lives in the retransmit protocol: on the plain
@@ -836,15 +839,11 @@ let fail_stop t ~node:dead =
      first: the transport's [on_dead] callbacks (e.g. a thread flight)
      may kill — and thereby unregister — some of them. *)
   Hw.Ethernet.set_node_down t.net dead;
-  let victims =
-    Hashtbl.fold
-      (fun _ ts acc ->
-        if Hw.Machine.id (Hw.Machine.home ts.tcb) = dead then ts :: acc
-        else acc)
-      t.threads []
-    |> List.sort (fun a b ->
-           compare (Hw.Machine.tcb_id a.tcb) (Hw.Machine.tcb_id b.tcb))
-  in
+  let victims = ref [] in
+  iter_threads t (fun ts ->
+      if Hw.Machine.id (Hw.Machine.home ts.tcb) = dead then
+        victims := ts :: !victims);
+  let victims = List.rev !victims in
   Topaz.Rpc.mark_node_dead t.rpc_fabric ~node:dead;
   (* The machine freezes and every Amber thread that lived there dies. *)
   Hw.Machine.set_down t.machines.(dead);

@@ -79,9 +79,9 @@ val current_opt : t -> tstate option
     thread is not (or no longer) a registered Amber thread. *)
 val tstate_of_tcb : t -> Hw.Machine.tcb -> tstate option
 
-(** Apply [f] to every live registered thread, in unspecified order (use
-    only for order-insensitive aggregation, e.g. counting bound
-    threads). *)
+(** Apply [f] to every live registered thread, in tid order.  Threads
+    are kept in an array indexed by tid, so {!current} and
+    {!tstate_of_tcb} are an array read. *)
 val iter_threads : t -> (tstate -> unit) -> unit
 
 (** Node the calling thread is on.  Fiber context. *)
@@ -94,11 +94,6 @@ val current_node : t -> int
 val install_resume_check : t -> tstate -> unit
 
 (** {1 Address space} *)
-
-(** Allocate a heap block on [node]; grows the heap from the address-space
-    server (an RPC from [node] to the server's node) when the local pool
-    is exhausted.  Fiber context. *)
-val alloc_addr : t -> node:int -> size:int -> int
 
 (** Home node of a heap address — the owner of its region (§3.3). *)
 val home_node : t -> addr:int -> int

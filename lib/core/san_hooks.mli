@@ -28,8 +28,6 @@
     explicit synchronization — this is what the race detector checks. *)
 type mode = Read | Write | Atomic
 
-val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
 val pp_mode : Format.formatter -> mode -> unit
 
 (** {1 Events}

@@ -51,6 +51,9 @@ type pending = {
   mutable backoff_until : float;
 }
 
+(* Packets and bytes of one packet kind, bumped in place. *)
+type traffic = { mutable kind_packets : int; mutable kind_bytes : int }
+
 type t = {
   eng : Sim.Engine.t;
   bandwidth_bps : float;
@@ -87,7 +90,7 @@ type t = {
      both packets sent to a dead node and packets already in flight when
      the node died.  Empty in every run without crash injection. *)
   downs : (int, unit) Hashtbl.t;
-  by_kind : (string, int * int) Hashtbl.t;
+  by_kind : (string, traffic) Hashtbl.t;
 }
 
 let slot_time = 51.2e-6
@@ -140,10 +143,13 @@ let busy_until t = t.free_at
 let account t (p : Packet.t) ~waited ~tx =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + p.Packet.size;
-  (let n, b =
-     Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_kind p.Packet.kind)
-   in
-   Hashtbl.replace t.by_kind p.Packet.kind (n + 1, b + p.Packet.size));
+  (match Hashtbl.find t.by_kind p.Packet.kind with
+  | k ->
+    k.kind_packets <- k.kind_packets + 1;
+    k.kind_bytes <- k.kind_bytes + p.Packet.size
+  | exception Not_found ->
+    Hashtbl.add t.by_kind p.Packet.kind
+      { kind_packets = 1; kind_bytes = p.Packet.size });
   t.queueing <- t.queueing +. waited;
   t.busy <- t.busy +. tx
 
@@ -380,7 +386,9 @@ let packets_stalled t = t.stalled
 let packets_dropped_dead t = t.dropped_dead
 
 let traffic_by_kind t =
-  Hashtbl.fold (fun kind (n, b) acc -> (kind, n, b) :: acc) t.by_kind []
+  Hashtbl.fold
+    (fun kind k acc -> (kind, k.kind_packets, k.kind_bytes) :: acc)
+    t.by_kind []
   |> List.sort compare
 
 let reset_stats t =

@@ -73,6 +73,8 @@ and t = {
   preempt_cost : float;
   spans : Sim.Span.t;
   mutable dispatch_pending : bool;
+  (* The thunk of this machine's dispatch event, built once. *)
+  mutable dispatch_thunk : unit -> unit;
   mutable dispatches_total : int;
   mutable preemptions : int;
   mutable failed : (tcb * exn) list;
@@ -95,6 +97,15 @@ let reset_tids () = tid_counter := 0
 let current : tcb option ref = ref None
 
 let epsilon = 1e-12
+
+(* Dispatch keeps the set of idle CPUs in the bits of one int. *)
+let max_cpus = Sys.int_size
+
+let rec idle_set cpus acc =
+  match cpus with
+  | [] -> acc
+  | c :: rest ->
+    idle_set rest (if c.occupant == None then acc lor (1 lsl c.index) else acc)
 
 (* A finished or already-running thread must never reach a CPU. *)
 let no_step () = invalid_arg "Machine: thread has no continuation"
@@ -154,41 +165,37 @@ let[@inline] credit cpu tcb seconds =
 let rec schedule_dispatch m =
   if m.up && not m.dispatch_pending then begin
     m.dispatch_pending <- true;
-    let thunk () =
-      m.dispatch_pending <- false;
-      dispatch m
-    in
     ignore
       ((if Sim.Engine.chooser_active m.eng then
           Sim.Engine.schedule m.eng ~key:m.key
             ~label:(lazy (Printf.sprintf "dispatch node%d" m.mid))
-            ~delay:0.0 thunk
-        else Sim.Engine.schedule m.eng ~delay:0.0 thunk)
+            ~delay:0.0 m.dispatch_thunk
+        else Sim.Engine.schedule m.eng ~delay:0.0 m.dispatch_thunk)
         : Sim.Engine.event_id)
   end
 
+and dispatch_event m =
+  m.dispatch_pending <- false;
+  dispatch m
+
 (* Fill the CPUs that were idle on entry, in index order.  A CPU freed
-   while filling (by [preempt_all]) waits for the dispatch it schedules. *)
-and dispatch m =
-  if not m.up then ()
-  else begin
-  let idle = List.filter (fun c -> c.occupant == None) m.cpus in
-  let rec fill = function
-    | [] -> ()
-    | cpu :: rest ->
-      (* Nested dispatches (from a pause handled during [run_on]) may have
-         claimed this CPU already. *)
-      if cpu.occupant == None then begin
-        match next_runnable m with
-        | None -> ()
-        | Some tcb ->
-          run_on m cpu tcb;
-          fill rest
-      end
-      else fill rest
-  in
-  fill idle
-  end
+   while filling (by [preempt_all]) waits for the dispatch it schedules;
+   bit [i] of [idle] is set when CPU [i] was idle on entry. *)
+and dispatch m = if m.up then fill m (idle_set m.cpus 0) m.cpus
+
+and fill m idle = function
+  | [] -> ()
+  | cpu :: rest ->
+    (* Nested dispatches (from a pause handled during [run_on]) may have
+       claimed this CPU already. *)
+    if idle land (1 lsl cpu.index) <> 0 && cpu.occupant == None then begin
+      match next_runnable m with
+      | None -> ()
+      | Some tcb ->
+        run_on m cpu tcb;
+        fill m idle rest
+    end
+    else fill m idle rest
 
 (* Under a chooser, which ready thread runs next is a decision point:
    drain the policy, put the question to the chooser, and re-enqueue with
@@ -378,11 +385,12 @@ and waker tcb =
 (* --- construction ----------------------------------------------------- *)
 
 (* After the dispatch code: each CPU's completion thunk calls
-   [chunk_done]. *)
+   [chunk_done], and the dispatch event's thunk [dispatch_event]. *)
 
 let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
     ?(preempt_cost = 0.0) ?policy ?(spans = Sim.Span.disabled ()) () =
-  if cpus <= 0 then invalid_arg "Machine.create: cpus must be positive";
+  if cpus <= 0 || cpus > max_cpus then
+    invalid_arg "Machine.create: cpus must be in 1..max_cpus";
   if quantum <= 0.0 then invalid_arg "Machine.create: quantum must be positive";
   let pol = match policy with Some p -> p | None -> Sched_policy.fifo () in
   let m =
@@ -413,6 +421,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
       preempt_cost;
       spans;
       dispatch_pending = false;
+      dispatch_thunk = ignore;
       dispatches_total = 0;
       preemptions = 0;
       failed = [];
@@ -420,6 +429,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
     }
   in
   List.iter (fun cpu -> cpu.complete <- (fun () -> chunk_done m cpu)) m.cpus;
+  m.dispatch_thunk <- (fun () -> dispatch_event m);
   m
 
 (* --- public operations -------------------------------------------------- *)

@@ -28,6 +28,11 @@ type thread_state =
 
 (** {1 Construction} *)
 
+(** The most CPUs one machine may have: [Sys.int_size], because dispatch
+    keeps the set of idle CPUs in the bits of one int. *)
+val max_cpus : int
+
+(** Raises [Invalid_argument] unless [1 <= cpus <= max_cpus]. *)
 val create :
   engine:Sim.Engine.t ->
   id:int ->

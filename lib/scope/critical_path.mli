@@ -13,8 +13,6 @@
 
 type component = Compute | Network | Queueing | Coherence
 
-val component_of_kind : Sim.Span.kind -> component
-
 type report = {
   total : float;
   compute : float;

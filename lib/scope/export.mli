@@ -34,11 +34,9 @@ val jstr : string -> string
 (** JSON string literal with escaping, for callers assembling documents
     around the primitives above. *)
 
-val series_json : Sim.Series.series -> string
-(** One self-contained JSON object: name, node, kind, drop count and the
-    full [[t, v]] point list. *)
-
 val series_jsonl : Sim.Series.series list -> string list
+(** One self-contained JSON object per series: name, node, kind, drop
+    count and the full [[t, v]] point list. *)
 
 val series_csv : Sim.Series.series list -> string
 (** Long-format CSV ([series,node,kind,time_s,value]), one row per

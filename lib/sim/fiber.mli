@@ -18,7 +18,13 @@
 
 type outcome = Completed | Failed of exn
 
-(** How a fiber can be continued after a pause. *)
+(** How a fiber can be continued after a pause.
+
+    A fiber hands out one resumption, built by {!start}: every pause of
+    that fiber carries the same record, and it continues the fiber's
+    latest pause.  Each pause is continued at most once: calling [resume]
+    or [abort] when the fiber has not paused since it was last continued
+    (or has finished) raises [Invalid_argument]. *)
 type resumption = {
   resume : unit -> paused;  (** continue normally *)
   abort : exn -> paused;    (** continue by raising [exn] inside the fiber *)

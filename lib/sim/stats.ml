@@ -11,6 +11,9 @@ module Log_histogram = struct
     lo : float;
     growth : float;
     inv_log_growth : float;
+    edges : float array;
+        (* [edges.(i)] is [lo *. growth ** i], for [i] in [0, buckets]:
+           tabulated once per geometry, so [add] raises no power *)
     counts : int array;
     mutable underflow : int;
     mutable overflow : int;
@@ -24,15 +27,30 @@ module Log_histogram = struct
   let default_growth = 1.05
   let default_buckets = 640
 
+  let tabulate ~lo ~growth ~buckets =
+    Array.init (buckets + 1) (fun i -> lo *. (growth ** float_of_int i))
+
+  (* Every histogram of the default geometry shares one table. *)
+  let default_edges =
+    lazy
+      (tabulate ~lo:default_lo ~growth:default_growth
+         ~buckets:default_buckets)
+
   let create ?(lo = default_lo) ?(growth = default_growth)
       ?(buckets = default_buckets) () =
     if not (lo > 0.0) then invalid_arg "Log_histogram.create: lo";
     if not (growth > 1.0) then invalid_arg "Log_histogram.create: growth";
     if buckets <= 0 then invalid_arg "Log_histogram.create: buckets";
+    let default =
+      lo = default_lo && growth = default_growth && buckets = default_buckets
+    in
     {
       lo;
       growth;
       inv_log_growth = 1.0 /. log growth;
+      edges =
+        (if default then Lazy.force default_edges
+         else tabulate ~lo ~growth ~buckets);
       counts = Array.make buckets 0;
       underflow = 0;
       overflow = 0;
@@ -55,20 +73,15 @@ module Log_histogram = struct
          boundary; nudge so [bucket_bounds] stays authoritative. *)
       let nb = Array.length t.counts in
       let i = Stdlib.max 0 (Stdlib.min nb i) in
-      let lo_i = t.lo *. (t.growth ** float_of_int i) in
-      let i = if x < lo_i then i - 1 else i in
-      let i =
-        if i < nb && x >= t.lo *. (t.growth ** float_of_int (i + 1)) then i + 1
-        else i
-      in
+      let i = if x < t.edges.(i) then i - 1 else i in
+      let i = if i < nb && x >= t.edges.(i + 1) then i + 1 else i in
       Stdlib.min nb i
     end
 
   let bucket_bounds t i =
     if i < 0 || i >= Array.length t.counts then
       invalid_arg "Log_histogram.bucket_bounds";
-    ( t.lo *. (t.growth ** float_of_int i),
-      t.lo *. (t.growth ** float_of_int (i + 1)) )
+    (t.edges.(i), t.edges.(i + 1))
 
   let add t x =
     t.n <- t.n + 1;

@@ -1,4 +1,6 @@
-type block = { base : int; size : int }
+(* One entry per block ever carved, live or free: its rounded size and
+   whether it is allocated. *)
+type block = { size : int; mutable live : bool }
 
 type t = {
   owner_node : int;
@@ -8,9 +10,8 @@ type t = {
   mutable bump_limit : int;
   (* size -> free blocks of exactly that (rounded) size *)
   free_pool : (int, int list ref) Hashtbl.t;
-  (* base -> block, for every block ever carved (live or free) *)
-  blocks : (int, block) Hashtbl.t;
-  live : (int, unit) Hashtbl.t;
+  blocks : block Addr_table.t;  (* keyed by base *)
+  mutable live_count : int;
   mutable reuses : int;
   mutable grows : int;
 }
@@ -23,8 +24,8 @@ let create ~node ~grow () =
     bump = 0;
     bump_limit = 0;
     free_pool = Hashtbl.create 32;
-    blocks = Hashtbl.create 256;
-    live = Hashtbl.create 256;
+    blocks = Addr_table.create 256;
+    live_count = 0;
     reuses = 0;
     grows = 0;
   }
@@ -58,47 +59,55 @@ let alloc t size =
   if size <= 0 then invalid_arg "Heap.alloc: non-positive size";
   let size = round_up size in
   if size > Layout.region_size then invalid_arg "Heap.alloc: size > region";
-  match take_free t size with
-  | Some base ->
-    t.reuses <- t.reuses + 1;
-    Hashtbl.replace t.live base ();
-    base
-  | None ->
-    if t.bump + size > t.bump_limit then add_region t;
-    let base = t.bump in
-    t.bump <- base + size;
-    Hashtbl.replace t.blocks base { base; size };
-    Hashtbl.replace t.live base ();
-    base
+  let base =
+    match take_free t size with
+    | Some base ->
+      t.reuses <- t.reuses + 1;
+      (Addr_table.find t.blocks base).live <- true;
+      base
+    | None ->
+      if t.bump + size > t.bump_limit then add_region t;
+      let base = t.bump in
+      t.bump <- base + size;
+      Addr_table.add t.blocks base { size; live = true };
+      base
+  in
+  t.live_count <- t.live_count + 1;
+  base
 
 let free t base =
-  if not (Hashtbl.mem t.live base) then
-    invalid_arg "Heap.free: not a live block";
-  let block = Hashtbl.find t.blocks base in
-  Hashtbl.remove t.live base;
-  let lst =
-    match Hashtbl.find_opt t.free_pool block.size with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace t.free_pool block.size l;
-      l
-  in
-  lst := base :: !lst
+  match Addr_table.find_opt t.blocks base with
+  | Some ({ live = true; _ } as block) ->
+    block.live <- false;
+    t.live_count <- t.live_count - 1;
+    let lst =
+      match Hashtbl.find_opt t.free_pool block.size with
+      | Some l -> l
+      | None ->
+        let l = ref [] in
+        Hashtbl.replace t.free_pool block.size l;
+        l
+    in
+    lst := base :: !lst
+  | Some { live = false; _ } | None -> invalid_arg "Heap.free: not a live block"
 
 let block_size t base =
-  match Hashtbl.find_opt t.blocks base with
+  match Addr_table.find_opt t.blocks base with
   | Some b -> Some b.size
   | None -> None
 
-let is_live t base = Hashtbl.mem t.live base
+let is_live t base =
+  match Addr_table.find_opt t.blocks base with
+  | Some b -> b.live
+  | None -> false
+
 let regions t = t.region_list
-let live_blocks t = Hashtbl.length t.live
+let live_blocks t = t.live_count
 
 let bytes_live t =
-  Hashtbl.fold
-    (fun base () acc -> acc + (Hashtbl.find t.blocks base).size)
-    t.live 0
+  Addr_table.fold
+    (fun _ (b : block) acc -> if b.live then acc + b.size else acc)
+    t.blocks 0
 
 let reuse_count t = t.reuses
 let grow_count t = t.grows

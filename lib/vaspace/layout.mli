@@ -6,26 +6,20 @@
     above it is heap space carved into fixed-size regions handed out by the
     address-space server. *)
 
-(** Bottom of the address space: program image (code + static data),
-    identical on every node. *)
-val static_base : int
-
-val static_size : int
-
-(** First address available for heap regions. *)
+(** First address available for heap regions: the static segment (code
+    and static data, identical on every node) fills the 16 MB below it,
+    from address 0. *)
 val heap_base : int
 
 (** Size of one heap region ("currently 1M bytes", §3.1). *)
 val region_size : int
 
-(** Top of the 32-bit VAX address space. *)
-val address_space_top : int
-
 (** Allocation granularity within a region; all heap blocks are multiples
     of this and aligned to it. *)
 val block_align : int
 
-(** Number of whole regions that fit in the heap segment. *)
+(** Number of whole regions that fit between {!heap_base} and the top of
+    the 32-bit VAX address space. *)
 val max_regions : int
 
 val is_heap_addr : int -> bool

@@ -1,8 +1,9 @@
 type t = {
   nodes : int;
   initial_per_node : int;
-  (* region index -> owning node *)
-  owners : (int, int) Hashtbl.t;
+  (* Region index -> owning node for the [next_region] regions assigned
+     so far; grown by doubling as regions are granted. *)
+  mutable owners : int array;
   mutable next_region : int;
 }
 
@@ -10,13 +11,13 @@ let create ~nodes ?(initial_per_node = 4) () =
   if nodes <= 0 then invalid_arg "Space_server.create: nodes";
   if initial_per_node <= 0 then
     invalid_arg "Space_server.create: initial_per_node";
-  let owners = Hashtbl.create 64 in
-  for node = 0 to nodes - 1 do
-    for k = 0 to initial_per_node - 1 do
-      Hashtbl.replace owners ((node * initial_per_node) + k) node
-    done
-  done;
-  { nodes; initial_per_node; owners; next_region = nodes * initial_per_node }
+  let n = nodes * initial_per_node in
+  {
+    nodes;
+    initial_per_node;
+    owners = Array.init n (fun index -> index / initial_per_node);
+    next_region = n;
+  }
 
 let server_node _t = 0
 
@@ -31,34 +32,19 @@ let grant t ~node =
   if t.next_region >= Layout.max_regions then
     failwith "Space_server.grant: address space exhausted";
   let index = t.next_region in
+  if index = Array.length t.owners then begin
+    let bigger = Array.make (min Layout.max_regions (2 * index)) 0 in
+    Array.blit t.owners 0 bigger 0 index;
+    t.owners <- bigger
+  end;
+  t.owners.(index) <- node;
   t.next_region <- index + 1;
-  Hashtbl.replace t.owners index node;
   Region.make ~index ~owner:node
 
 let owner_of_addr t addr =
   if not (Layout.is_heap_addr addr) then None
-  else Hashtbl.find_opt t.owners (Layout.region_index_of_addr addr)
+  else
+    let index = Layout.region_index_of_addr addr in
+    if index < t.next_region then Some t.owners.(index) else None
 
-let regions_assigned t = Hashtbl.length t.owners
-
-module Client = struct
-  type server = t
-  type nonrec t = { cache : (int, int) Hashtbl.t }
-
-  let create (server : server) =
-    let cache = Hashtbl.create 64 in
-    (* The startup partitioning is known to every task. *)
-    for node = 0 to server.nodes - 1 do
-      for k = 0 to server.initial_per_node - 1 do
-        Hashtbl.replace cache ((node * server.initial_per_node) + k) node
-      done
-    done;
-    { cache }
-
-  let lookup t addr =
-    if not (Layout.is_heap_addr addr) then None
-    else Hashtbl.find_opt t.cache (Layout.region_index_of_addr addr)
-
-  let learn t (r : Region.t) = Hashtbl.replace t.cache r.Region.index r.Region.owner
-  let entries t = Hashtbl.length t.cache
-end
+let regions_assigned t = t.next_region

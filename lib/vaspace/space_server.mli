@@ -3,9 +3,8 @@
     At startup each node receives a private pool of regions for its local
     heap; the rest of the heap segment is held back and handed out on
     demand as nodes exhaust their pools.  The server is the ground truth
-    for region → home-node ownership; each node keeps a lazily-filled
-    local mirror ({!Client}) so that home-node resolution (needed when an
-    object's descriptor is uninitialized, §3.3) is usually a local lookup.
+    for region → home-node ownership, which home-node resolution reads
+    when an object's descriptor is uninitialized (§3.3).
 
     This module is pure bookkeeping; the cost of talking to the server is
     charged by the Amber kernel, which performs the conversation over
@@ -34,23 +33,3 @@ val owner_of_addr : t -> int -> int option
 
 (** Regions assigned so far. *)
 val regions_assigned : t -> int
-
-(** A node's local mirror of the region-ownership map. *)
-module Client : sig
-  type server = t
-  type t
-
-  (** A client pre-populated with every node's initial assignment (all
-      tasks know the startup partitioning). *)
-  val create : server -> t
-
-  (** Local lookup only; [None] means the mapping must be fetched from the
-      server. *)
-  val lookup : t -> int -> int option
-
-  (** Record a mapping learned from the server. *)
-  val learn : t -> Region.t -> unit
-
-  (** Number of cached region entries. *)
-  val entries : t -> int
-end

@@ -110,6 +110,47 @@ let test_sequencing () =
   Alcotest.(check (list string)) "order" [ "c1"; "y"; "b"; "c2" ]
     (List.rev !order)
 
+(* A fiber hands out one resumption; it continues the latest pause, and
+   only once. *)
+let test_one_resumption () =
+  let first =
+    start (fun () ->
+        consume 1.0;
+        yield ())
+  in
+  match first with
+  | Consumed (_, r) -> (
+    match r.resume () with
+    | Yielded r' ->
+      Alcotest.(check bool) "every pause carries the same resumption" true
+        (r == r');
+      (match r.resume () with
+      | Done Completed -> ()
+      | _ -> Alcotest.fail "resuming the latest pause should complete");
+      Alcotest.check_raises "a finished fiber cannot be resumed"
+        (Invalid_argument "Fiber: no pause to resume") (fun () ->
+          ignore (r.resume () : paused))
+    | _ -> Alcotest.fail "expected Yielded")
+  | _ -> Alcotest.fail "expected Consumed"
+
+let test_resume_twice_rejected () =
+  let inner = ref None in
+  let paused =
+    start (fun () ->
+        consume 1.0;
+        (* Running again: the pause we were resumed from is spent. *)
+        match !inner with
+        | Some r -> ignore (r.resume () : paused)
+        | None -> ())
+  in
+  match paused with
+  | Consumed (_, r) -> (
+    inner := Some r;
+    match r.resume () with
+    | Done (Failed (Invalid_argument _)) -> ()
+    | _ -> Alcotest.fail "a second resume without a pause should raise")
+  | _ -> Alcotest.fail "expected Consumed"
+
 let test_effects_outside_fiber_raise () =
   match consume 1.0 with
   | () -> Alcotest.fail "expected Unhandled"
@@ -133,4 +174,8 @@ let suite =
       test_sequencing;
     Alcotest.test_case "effects outside a fiber raise" `Quick
       test_effects_outside_fiber_raise;
+    Alcotest.test_case "one resumption continues the latest pause" `Quick
+      test_one_resumption;
+    Alcotest.test_case "resume twice without a pause rejected" `Quick
+      test_resume_twice_rejected;
   ]

@@ -165,6 +165,15 @@ let test_crash_mutation_found () =
        (fun v ->
          contains ~affix:"no surviving route" v
          || contains ~affix:"lost" v || contains ~affix:"read" v)
+       violations);
+  (* Each sanitizer finding is a violation of its own, on one line. *)
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) ("one line: " ^ v) false (String.contains v '\n'))
+    violations;
+  Alcotest.(check bool) "a sanitizer coherence finding" true
+    (List.exists
+       (fun v -> String.starts_with ~prefix:"sanitizer: coherence:" v)
        violations)
 
 let test_crash_counterexample_replays () =

@@ -230,6 +230,7 @@ let test_cli_usage_errors () =
     [
       [ "sor"; "--nodes"; "0" ];
       [ "serve"; "--cpus=-1" ];
+      [ "sor"; "--cpus"; "64" ];
       [ "sor"; "--system"; "ivy"; "--async" ];
       [ "sor"; "--system"; "seq"; "--skew" ];
       [ "sor"; "--system"; "ivy"; "--sections"; "4" ];

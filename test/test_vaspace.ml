@@ -68,18 +68,22 @@ let test_server_grants_disjoint () =
   Alcotest.(check bool) "disjoint" true
     (r1.Vaspace.Region.index <> r2.Vaspace.Region.index)
 
-let test_client_cache () =
-  let s = Vaspace.Space_server.create ~nodes:2 ~initial_per_node:1 () in
-  let c = Vaspace.Space_server.Client.create s in
-  (* Pre-populated with the startup partitioning. *)
-  Alcotest.(check (option int)) "initial known" (Some 1)
-    (Vaspace.Space_server.Client.lookup c (Vaspace.Layout.region_base 1));
-  let fresh = Vaspace.Space_server.grant s ~node:0 in
-  Alcotest.(check (option int)) "fresh unknown" None
-    (Vaspace.Space_server.Client.lookup c fresh.Vaspace.Region.base);
-  Vaspace.Space_server.Client.learn c fresh;
-  Alcotest.(check (option int)) "learned" (Some 0)
-    (Vaspace.Space_server.Client.lookup c fresh.Vaspace.Region.base)
+(* A table picks its bucket from the hash's low bits.  Block-aligned
+   addresses and 8 KB thread segments repeat their low bits, so a hash
+   that keeps them would crowd each stride into a few buckets. *)
+let test_addr_hash_spreads_strides () =
+  List.iter
+    (fun stride ->
+      let buckets = Hashtbl.create 256 in
+      for i = 0 to 255 do
+        let a = Vaspace.Layout.heap_base + (i * stride) in
+        Hashtbl.replace buckets (Vaspace.Addr_table.hash a land 255) ()
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "stride %d fills at least half of 256 buckets" stride)
+        true
+        (Hashtbl.length buckets >= 128))
+    [ Vaspace.Layout.block_align; 64; 8192; Vaspace.Layout.region_size ]
 
 let suite =
   [
@@ -92,5 +96,6 @@ let suite =
       test_server_initial_assignment;
     Alcotest.test_case "server grant" `Quick test_server_grant;
     Alcotest.test_case "grants are disjoint" `Quick test_server_grants_disjoint;
-    Alcotest.test_case "client cache" `Quick test_client_cache;
+    Alcotest.test_case "address hash spreads aligned strides" `Quick
+      test_addr_hash_spreads_strides;
   ]

@@ -39,7 +39,7 @@ let start_on rt ~node ?(name = "thread") ?priority body =
   let tcb =
     Hw.Machine.spawn (Runtime.machine rt node) ~name ?priority body_wrapped
   in
-  let ts =
+  let rec ts =
     {
       Runtime.tcb;
       taddr;
@@ -47,6 +47,8 @@ let start_on rt ~node ?(name = "thread") ?priority body =
       carry_bytes = 0;
       migrations = 0;
       chase_path = ref [];
+      chase_step = (fun ~node -> Invoke.chase_step rt ts ~node);
+      chase_moves = 0;
       result_box = None;
     }
   in

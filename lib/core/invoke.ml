@@ -1,28 +1,46 @@
-(* Settle the calling thread at a node where the object at [addr] is
-   usable, migrating along the forwarding chain ({!Runtime.chase} supplies
-   hop budgeting, the bounce to the home node and dangling detection).
-   Every node left behind goes on the thread's chase path, so §3.3
-   compression repairs its descriptor once the object is found.  A
-   [Read]-mode chase also settles on a node holding a read replica of a
-   mutable object; any other mode chases a replica's master hint.
-   Returns the number of migrations taken and whether the thread settled
-   on a replica rather than the master. *)
+(* One visit of a thread's settle or return chase: trap and fly to
+   [node], then read [node]'s descriptor of the top frame's object, which
+   is the object both chases look for.  Each thread builds this closure
+   once ({!Athread}), and it finds the payload in the thread's
+   [carry_bytes].  The trap comes before the payload is packed: a flight
+   that interrupts it (a switch-in check, a steal) carries none.  A visit
+   away from the thread counts one move in [chase_moves]. *)
+let chase_step rt ts ~node =
+  if node <> Runtime.current_node rt then begin
+    let payload = ts.Runtime.carry_bytes in
+    ts.Runtime.carry_bytes <- 0;
+    Sim.Fiber.consume (Runtime.cost rt).Cost_model.trap_cpu;
+    ts.Runtime.carry_bytes <- payload;
+    Runtime.migrate_self rt ~payload ~dest:node ();
+    ts.Runtime.chase_moves <- ts.Runtime.chase_moves + 1
+  end;
+  match ts.Runtime.frames with
+  | top :: _ ->
+    Descriptor.get (Runtime.descriptors rt node)
+      (Aobject.addr_of_any top.Runtime.fobj)
+  | [] -> assert false
+
+(* Settle the calling thread at a node where the object at [addr], its
+   top frame's, is usable, migrating along the forwarding chain
+   ({!Runtime.chase} supplies hop budgeting, the bounce to the home node
+   and dangling detection).  Every node left behind goes on the thread's
+   chase path, so §3.3 compression repairs its descriptor once the object
+   is found.  A [Read]-mode chase also settles on a node holding a read
+   replica of a mutable object; any other mode chases a replica's master
+   hint.  Returns whether the thread settled on a replica rather than the
+   master; the thread's [chase_moves] count its moves. *)
 let chase_to_object rt ts ~what ~mode ~addr ~payload =
-  let c = Runtime.cost rt in
-  let moved = ref 0 in
-  let _, via_replica =
-    Runtime.chase ~read:(mode = San_hooks.Read) ~path:ts.Runtime.chase_path rt
-      ~what ~addr ~start:(Runtime.current_node rt) ~step:(fun ~node ->
-        if node <> Runtime.current_node rt then begin
-          Sim.Fiber.consume c.Cost_model.trap_cpu;
-          ts.Runtime.carry_bytes <- payload;
-          Runtime.migrate_self rt ~payload ~dest:node ();
-          ts.Runtime.carry_bytes <- 0;
-          incr moved
-        end;
-        Descriptor.get (Runtime.descriptors rt node) addr)
-  in
-  (!moved, via_replica)
+  ts.Runtime.carry_bytes <- payload;
+  match
+    Runtime.chase rt ~read:(mode = San_hooks.Read) ~path:ts.Runtime.chase_path
+      ~what ~addr ~start:(Runtime.current_node rt) ~step:ts.Runtime.chase_step
+  with
+  | found ->
+    ts.Runtime.carry_bytes <- 0;
+    found < 0
+  | exception e ->
+    ts.Runtime.carry_bytes <- 0;
+    raise e
 
 (* The sanitizer sees an access only when one is attached; without one
    no event and no closure is built. *)
@@ -59,7 +77,7 @@ let return_path rt ts ~return_payload =
       (chase_to_object rt ts ~what:"Invoke.return" ~mode:enclosing.Runtime.fmode
          ~addr:(Aobject.addr_of_any enclosing.Runtime.fobj)
          ~payload:return_payload
-        : int * bool)
+        : bool)
 
 (* The call is over, returned or raised.  The write is complete (or
    abandoned with whatever mutation it made): bump the epoch {e now}, so
@@ -110,11 +128,12 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
   let hops = ref 0 and via_replica = ref false and settled = ref false in
   (match
      while not !settled do
-       let h, v =
+       let moves = ts.Runtime.chase_moves in
+       let v =
          chase_to_object rt ts ~what:"Invoke" ~mode ~addr:obj.Aobject.addr
            ~payload
        in
-       hops := !hops + h;
+       hops := !hops + (ts.Runtime.chase_moves - moves);
        if (not v) && writes && obj.Aobject.replicas <> [] then
          Coherence.invalidate rt obj
        else begin

@@ -59,3 +59,11 @@ val executing_within : Runtime.t -> 'a Aobject.t -> bool
     surfacing of what in C++ would be "incorrect program behavior". *)
 val invoke_member :
   Runtime.t -> ?mode:San_hooks.mode -> 'a Aobject.t -> ('a -> 'b) -> 'b
+
+(** [chase_step rt ts ~node] is one visit of [ts]'s invocation chases,
+    settling or returning: trap and fly the thread to [node], carrying
+    its [carry_bytes], and read [node]'s descriptor of the object of its
+    top frame.  {!Athread} builds each thread's [chase_step] from it
+    once.  Fiber context. *)
+val chase_step :
+  Runtime.t -> Runtime.tstate -> node:int -> Descriptor.state option

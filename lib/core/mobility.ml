@@ -90,13 +90,14 @@ let move_mutable rt (obj_addr : int) (root : Aobject.any) ~dest =
     d
   in
   ignore
-    (Runtime.chase ~moving_to:dest rt ~what:"Mobility" ~addr:obj_addr
-       ~start:(Runtime.current_node rt) ~step:(fun ~node ->
+    (Runtime.chase ~moving_to:dest rt ~read:false ~path:(ref [])
+       ~what:"Mobility" ~addr:obj_addr ~start:(Runtime.current_node rt)
+       ~step:(fun ~node ->
          if node = Runtime.current_node rt then visit node
          else
            Topaz.Rpc.call (Runtime.rpc rt) ~dst:node ~kind:"move-req"
              ~req_size:64 ~work:(fun () -> (32, visit node)))
-      : int * bool)
+      : int)
 
 (* Immutable replication: ship a copy of the closure to [dest] from some
    node that holds one; existing copies stay valid. *)

@@ -8,6 +8,8 @@ type tstate = {
   mutable migrations : int;
   chase_path : int list ref;
       (* nodes left behind while chasing the current frame's object *)
+  chase_step : node:int -> Descriptor.state option;
+  mutable chase_moves : int;
   mutable result_box : exn option;
 }
 
@@ -404,19 +406,26 @@ let thread_flight t ts ~src ~dest ~size ~explicit =
   t.ctrs.migration_bytes <- t.ctrs.migration_bytes + size;
   ts.migrations <- ts.migrations + 1;
   Descriptor.set_forwarded (descriptors t src) ts.taddr dest;
-  emit t "migrate"
-    (lazy
-      (Printf.sprintf "%s: node%d -> node%d (%dB%s)"
-         (Hw.Machine.tcb_name ts.tcb) src dest size
-         (if explicit then ", explicit" else "")));
-  with_san t (fun h ->
-      h
-        (San_hooks.Event.Migrate
-           { tid = Hw.Machine.tcb_id ts.tcb; src; dst = dest }));
+  (* With marks, the sanitizer and spans off, a flight builds nothing
+     for them. *)
+  if Sim.Span.marking t.spans then
+    emit t "migrate"
+      (lazy
+        (Printf.sprintf "%s: node%d -> node%d (%dB%s)"
+           (Hw.Machine.tcb_name ts.tcb) src dest size
+           (if explicit then ", explicit" else "")));
+  (match t.san with
+  | None -> ()
+  | Some h ->
+    h
+      (San_hooks.Event.Migrate
+         { tid = Hw.Machine.tcb_id ts.tcb; src; dst = dest }));
   let sp =
-    Sim.Span.start_flow t.spans Sim.Span.Thread_flight
-      ~label:(Hw.Machine.tcb_name ts.tcb)
-      ~tid:(Hw.Machine.tcb_id ts.tcb) ~arg:dest ()
+    if Sim.Span.enabled t.spans then
+      Sim.Span.start_flow t.spans Sim.Span.Thread_flight
+        ~label:(Hw.Machine.tcb_name ts.tcb)
+        ~tid:(Hw.Machine.tcb_id ts.tcb) ~arg:dest ()
+    else 0
   in
   fun arrive ->
     Topaz.Rpc.send_reliable t.rpc_fabric
@@ -512,11 +521,12 @@ let migrate_self t ?(payload = 0) ~dest () =
 (* --- the shared chain chase ---------------------------------------------- *)
 
 (* The chase is over: the nodes it left behind learn where the object is
-   — [found], or [moving_to] when the chase moved the object there. *)
+   — [found], or [moving_to] when the chase moved the object there.  The
+   result is that node, complemented when a replica stopped the chase. *)
 let stop t ~addr ~path ~moving_to found ~replica =
   let found = match moving_to with Some dest -> dest | None -> found in
   learn t ~addr ~found path;
-  (found, replica)
+  if replica then lnot found else found
 
 (* A dangling reference to an address the crash injector registered as
    lost is not a protocol bug: the only copy died with its node. *)
@@ -583,9 +593,10 @@ let rec walk t ~read ~moving_to ~path ~what ~addr ~start ~step node ~hops =
      chase does not guess past them.
    - When the chase ends, every node it left behind learns where the
      object is: the stop node, the master of a replica that served a
-     [read], or [moving_to] for a move. *)
-let chase ?(read = false) ?moving_to ?(path = ref []) t ~what ~addr ~start
-    ~step =
+     [read], or [moving_to] for a move.  That node is the result, as
+     [lnot] of it when a replica stopped the chase, so nothing is
+     allocated to return it. *)
+let chase ?moving_to t ~read ~path ~what ~addr ~start ~step =
   walk t ~read ~moving_to ~path ~what ~addr ~start ~step start ~hops:0
 
 let resolve_location t ~addr =
@@ -595,14 +606,13 @@ let resolve_location t ~addr =
     Sim.Fiber.consume c.Cost_model.forward_lookup_cpu;
     Descriptor.get (descriptors t node) addr
   in
-  fst
-    (chase t ~what:"Runtime.resolve_location" ~addr ~start:here
-       ~step:(fun ~node ->
-         if node = here then lookup node
-         else
-           Topaz.Rpc.call t.rpc_fabric ~dst:node ~kind:"locate"
-             ~req_size:c.Cost_model.locate_req_bytes ~work:(fun () ->
-               (16, lookup node))))
+  chase t ~read:false ~path:(ref []) ~what:"Runtime.resolve_location" ~addr
+    ~start:here ~step:(fun ~node ->
+      if node = here then lookup node
+      else
+        Topaz.Rpc.call t.rpc_fabric ~dst:node ~kind:"locate"
+          ~req_size:c.Cost_model.locate_req_bytes ~work:(fun () ->
+            (16, lookup node)))
 
 (* --- object lifecycle ---------------------------------------------------- *)
 

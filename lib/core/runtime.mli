@@ -31,6 +31,13 @@ type tstate = {
       (** nodes left behind while chasing the current frame's object, in
           fiber or at switch-in; they learn where the object is when the
           chase ends (§3.3 caching) *)
+  chase_step : node:int -> Descriptor.state option;
+      (** the [step] of this thread's invocation chases ({!Invoke}),
+          built once with the thread *)
+  mutable chase_moves : int;
+      (** how many of [chase_step]'s visits moved the thread; flights
+          made meanwhile by the switch-in check count only in
+          [migrations] *)
   mutable result_box : exn option;
       (** internal: thread body outcome for Join *)
 }
@@ -136,8 +143,7 @@ val max_forward_hops : int
     it read there; [chase] decides what it means:
 
     - [Resident] stops the chase; so does a read replica when [read]
-      (default [false]) — otherwise the chase follows the replica's
-      master hint;
+      — otherwise the chase follows the replica's master hint;
     - a forwarding address is followed;
     - an uninitialized descriptor away from the home node bounces the
       chase to the home node (that node never heard of the object, or a
@@ -149,26 +155,26 @@ val max_forward_hops : int
       {!max_forward_hops} nodes the chase raises
       [Aobject.Chain_exhausted] with them, oldest first.
 
-    Every node the chase left behind goes on [path] (a fresh list by
-    default; a thread's chase passes its [chase_path], which the §3.5
-    switch-in check extends too).  When the chase stops, those nodes
-    learn where the object is (§3.3 chain caching) — the stop node, the
-    master of a replica that stopped a [read], or [moving_to] when the
-    step moved the object there — except nodes that hold a replica or the
-    object itself — and [path] is emptied.  Returns that location and
-    whether a replica stopped the chase.
+    Every node the chase left behind goes on [path] (a thread's chase
+    passes its [chase_path], which the §3.5 switch-in check extends too;
+    other chases a fresh list).  When the chase stops, those nodes learn
+    where the object is (§3.3 chain caching) — the stop node, the master
+    of a replica that stopped a [read], or [moving_to] when the step
+    moved the object there — except nodes that hold a replica or the
+    object itself — and [path] is emptied.  Returns that location, or
+    [lnot] of it (a negative number) when a replica stopped the chase.
 
     [what] prefixes error messages.  Fiber context if [step] is. *)
 val chase :
-  ?read:bool ->
   ?moving_to:int ->
-  ?path:int list ref ->
   t ->
+  read:bool ->
+  path:int list ref ->
   what:string ->
   addr:int ->
   start:int ->
   step:(node:int -> Descriptor.state option) ->
-  int * bool
+  int
 
 (** [retarget t ~addr ~from ~onto] rewrites every other node's hint for
     [addr] that names [from] to name [onto], and returns how many it

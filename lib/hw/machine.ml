@@ -52,7 +52,8 @@ type tcb = {
    thread is preempted or killed.  While busy, [occupant] holds the
    chunk's thread and [chunk_ev] the one event that completes the chunk;
    that event's thunk is [complete], built once per CPU, and the chunk
-   itself is in [times]. *)
+   itself is in [times].  [in_place] is the CPU's {!Sim.Fiber} hook,
+   also built once: see [consume_in_place]. *)
 and cpu = {
   index : int;
   running : thread_state;  (* [Running index], shared by its threads *)
@@ -60,6 +61,7 @@ and cpu = {
   mutable occupant : tcb option;
   mutable chunk_ev : Sim.Engine.event_id;
   mutable complete : unit -> unit;
+  mutable in_place : float -> bool;
 }
 
 and t = {
@@ -159,6 +161,45 @@ let mark m category detail = Sim.Span.mark m.spans ~category detail
 let[@inline] credit cpu tcb seconds =
   cpu.times.busy_seconds <- cpu.times.busy_seconds +. seconds;
   tcb.acct.cpu_seconds <- tcb.acct.cpu_seconds +. seconds
+
+(* Run [tcb]'s fiber to its next pause. *)
+let step_fiber tcb =
+  let step = tcb.step in
+  tcb.step <- no_step;
+  let saved = !current in
+  current := tcb.some;
+  let paused = step () in
+  current := saved;
+  paused
+
+(* The hook a chunk event installs while the fiber it resumed runs (see
+   [chunk_done]).  The fiber's next consume of [dt] would start a chunk
+   of [max dt epsilon] when [dt] fits the quantum left; if that chunk
+   ends with no preemption decision to make and is the engine's next
+   event, nothing can run before it, so it completes here with the
+   accounting of [start_chunk] and of [chunk_done] resuming the thread.
+   Any other consume, or one by a fiber that is not this CPU's occupant,
+   is declined and pauses. *)
+let consume_in_place m cpu dt =
+  match cpu.occupant with
+  | Some tcb when cpu.occupant == !current ->
+    let a = cpu.times in
+    let left = a.quantum_left in
+    let chunk = if epsilon > dt then epsilon else dt in
+    dt <= left
+    && (left -. chunk > epsilon || m.pol.Sched_policy.length () = 0)
+    &&
+    let now = Sim.Engine.now m.eng in
+    Sim.Engine.advance_in_place m.eng ~time:(now +. chunk)
+    && begin
+         a.chunk_started <- now;
+         a.chunk <- chunk;
+         a.remaining <- dt -. chunk;
+         credit cpu tcb chunk;
+         a.quantum_left <- left -. chunk;
+         true
+       end
+  | Some _ | None -> false
 
 (* --- dispatching ------------------------------------------------------- *)
 
@@ -267,14 +308,7 @@ and run_on m cpu tcb =
   end
   else resume_fiber m cpu tcb
 
-and resume_fiber m cpu tcb =
-  let step = tcb.step in
-  tcb.step <- no_step;
-  let saved = !current in
-  current := tcb.some;
-  let paused = step () in
-  current := saved;
-  handle_pause m cpu tcb paused
+and resume_fiber m cpu tcb = handle_pause m cpu tcb (step_fiber tcb)
 
 and handle_pause m cpu tcb (paused : Sim.Fiber.paused) =
   match paused with
@@ -343,7 +377,23 @@ and chunk_done m cpu =
       tcb.acct.pending_consume <- 0.0;
       preempt_to_queue m cpu tcb
     end
-    else resume_fiber m cpu tcb
+    else if Sim.Engine.chooser_active m.eng then resume_fiber m cpu tcb
+    else begin
+      (* This event ends when the fiber pauses, so a chunk the fiber asks
+         for may complete in place; the hook is the CPU's only while the
+         fiber runs. *)
+      Sim.Fiber.set_in_place cpu.in_place;
+      let paused =
+        match step_fiber tcb with
+        | paused ->
+          Sim.Fiber.clear_in_place ();
+          paused
+        | exception e ->
+          Sim.Fiber.clear_in_place ();
+          raise e
+      in
+      handle_pause m cpu tcb paused
+    end
 
 (* The caller has stored what [tcb] still owes in its [pending_consume]. *)
 and preempt_to_queue m cpu tcb =
@@ -385,7 +435,8 @@ and waker tcb =
 (* --- construction ----------------------------------------------------- *)
 
 (* After the dispatch code: each CPU's completion thunk calls
-   [chunk_done], and the dispatch event's thunk [dispatch_event]. *)
+   [chunk_done], its in-place hook [consume_in_place], and the dispatch
+   event's thunk [dispatch_event]. *)
 
 let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
     ?(preempt_cost = 0.0) ?policy ?(spans = Sim.Span.disabled ()) () =
@@ -413,6 +464,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
               occupant = None;
               chunk_ev = Sim.Engine.no_event;
               complete = ignore;
+              in_place = (fun _ -> false);
             });
       pol;
       key = "node:" ^ string_of_int id;
@@ -428,7 +480,11 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
       up = true;
     }
   in
-  List.iter (fun cpu -> cpu.complete <- (fun () -> chunk_done m cpu)) m.cpus;
+  List.iter
+    (fun cpu ->
+      cpu.complete <- (fun () -> chunk_done m cpu);
+      cpu.in_place <- (fun dt -> consume_in_place m cpu dt))
+    m.cpus;
   m.dispatch_thunk <- (fun () -> dispatch_event m);
   m
 

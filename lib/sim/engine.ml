@@ -17,6 +17,10 @@ type event = {
 
 type event_id = event
 
+(* A record whose only field is a float, which OCaml stores unboxed, so
+   [run] sets it without allocating. *)
+type horizon = { mutable until : float }
+
 type t = {
   queue : event Event_queue.t;
   mutable clock : float;
@@ -27,6 +31,11 @@ type t = {
      operation — every decision point takes its single normal answer and
      this field costs one dead branch per step. *)
   mutable chooser : Choice.t option;
+  (* [run]'s [until] (infinity without one) while it drains the queue
+     with no chooser, and [neg_infinity] otherwise: no event completes in
+     place past it. *)
+  horizon : horizon;
+  mutable in_place : int;
 }
 
 let create ?(seed = 0x5EEDL) () =
@@ -37,6 +46,8 @@ let create ?(seed = 0x5EEDL) () =
     executed = 0;
     root_rng = Rng.make seed;
     chooser = None;
+    horizon = { until = Float.neg_infinity };
+    in_place = 0;
   }
 
 let now t = t.clock
@@ -81,6 +92,25 @@ let no_event =
     live = false;
     thunk = ignore;
   }
+
+(* The event that would end at [time] is the next one [run] pops, so
+   its thunk may run now, inside the current event, with the clock, its
+   id and the executed count advanced as if it had been scheduled and
+   popped.  The queue's own insertion numbers only break ties among
+   queued entries, so skipping one changes no order.  A queued entry at
+   [time] was inserted earlier and goes first; a dead one is counted
+   too, as [run]'s horizon test counts it.  Under a chooser [run] steps
+   instead and leaves the horizon at [neg_infinity]. *)
+let[@inline] advance_in_place t ~time =
+  time <= t.horizon.until
+  && (Event_queue.is_empty t.queue || time < Event_queue.min_time t.queue)
+  && begin
+       t.clock <- time;
+       t.next_id <- t.next_id + 1;
+       t.executed <- t.executed + 1;
+       t.in_place <- t.in_place + 1;
+       true
+     end
 
 let cancel _ ev = ev.live <- false
 let is_pending _ ev = ev.live
@@ -161,17 +191,27 @@ let run ?until t =
     done
   | None ->
     let horizon = match until with None -> Float.infinity | Some u -> u in
+    t.horizon.until <- horizon;
     let q = t.queue in
     (* The horizon is checked on every entry, dead ones included, so a
        cancelled event inside it cannot pull a live one from beyond. *)
-    while (not (Event_queue.is_empty q)) && Event_queue.min_time q <= horizon do
-      let ev = Event_queue.pop_min q in
-      if ev.live then fire t ev
-    done;
+    (match
+       while
+         (not (Event_queue.is_empty q)) && Event_queue.min_time q <= horizon
+       do
+         let ev = Event_queue.pop_min q in
+         if ev.live then fire t ev
+       done
+     with
+    | () -> t.horizon.until <- Float.neg_infinity
+    | exception e ->
+      t.horizon.until <- Float.neg_infinity;
+      raise e);
     (match until with
     | Some u when u > t.clock && Float.is_finite u -> t.clock <- u
     | Some _ | None -> ()));
   t.executed - start
 
 let events_executed t = t.executed
+let in_place_completions t = t.in_place
 let pending t = Event_queue.length t.queue

@@ -95,8 +95,23 @@ val run : ?until:float -> t -> int
     queue is empty. *)
 val step : t -> bool
 
-(** Number of events executed so far. *)
+(** [advance_in_place t ~time] is called from inside an event, by the
+    executor of an event that it would otherwise schedule at [time] (not
+    before [now t]).  When that event would be the next one {!run} fires
+    — [run] is draining the queue with no chooser installed, [time] is
+    at or before its [until], and strictly before every queued entry,
+    dead ones included — it advances the clock to [time], counts the
+    event as executed, spends its id and returns [true]: the caller then
+    runs the event's work itself, in place.  Otherwise it changes nothing
+    and returns [false], and the caller schedules the event.  Always
+    [false] outside [run], so in a {!step} too, and under a chooser. *)
+val advance_in_place : t -> time:float -> bool
+
+(** Number of events executed so far, those completed in place included. *)
 val events_executed : t -> int
+
+(** How many of them {!advance_in_place} completed in place. *)
+val in_place_completions : t -> int
 
 (** Number of entries in the queue.  This counts dead entries not yet
     reaped as well as live events: cancelled ones, and under a chooser

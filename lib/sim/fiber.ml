@@ -22,10 +22,17 @@ type duration = { mutable dt : float }
 
 let duration = { dt = 0.0 }
 
+(* The executor's offer to account for a consume without a pause; see
+   {!set_in_place}. *)
+let never (_ : float) = false
+let in_place = ref never
+let set_in_place f = in_place := f
+let clear_in_place () = in_place := never
+
 let consume dt =
   if Float.is_nan dt || dt < 0.0 then
     invalid_arg "Fiber.consume: negative or NaN duration";
-  if dt > 0.0 then begin
+  if dt > 0.0 && not (!in_place dt) then begin
     duration.dt <- dt;
     Effect.perform Consume
   end

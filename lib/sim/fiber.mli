@@ -45,7 +45,10 @@ val start : (unit -> unit) -> paused
 
     Calling these outside a fiber raises [Effect.Unhandled]. *)
 
-(** Charge [dt] virtual seconds of CPU time.  [dt] must be >= 0. *)
+(** Charge [dt] virtual seconds of CPU time.  [dt] must be >= 0.  A
+    positive [dt] is first offered to the executor's in-place hook (see
+    {!set_in_place}); only when the hook declines does the fiber pause
+    with [Consumed]. *)
 val consume : float -> unit
 
 (** Suspend; [register] receives the waker that makes this fiber runnable
@@ -53,3 +56,17 @@ val consume : float -> unit
 val block : ((unit -> unit) -> unit) -> unit
 
 val yield : unit -> unit
+
+(** {2 Completing a consume in place}
+
+    An executor that resumes a fiber may install a hook for as long as
+    that fiber runs.  {!consume}[ dt] calls it with [dt] before pausing;
+    a hook that returns [true] has charged [dt] itself, and the fiber
+    carries on without a pause.  The hook must decline a consume that
+    is not the resumed fiber's own.  With none installed, every consume
+    pauses. *)
+
+val set_in_place : (float -> bool) -> unit
+
+(** Remove the hook: every consume pauses again. *)
+val clear_in_place : unit -> unit

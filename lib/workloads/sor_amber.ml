@@ -185,22 +185,28 @@ let worker_body rt p cfg sec_obj ~w () =
    co-resident with the section, so the next phase may overwrite the
    border freely.  Returns the payload size and the operation that
    installs the values in the neighbor's ghost column: the values for an
-   entire edge travel in a single invocation. *)
+   entire edge travel in a single invocation.  A column's cells of one
+   color are every other row from the first one of that color. *)
 let capture_edge s ~side phase =
   let lc = match side with `Left -> 1 | `Right -> s.ncols in
   let gc = s.col0 + lc - 1 in
-  let color = phase_color phase in
-  let vals = ref [] in
-  for r = s.rows downto 1 do
-    match (Sor_core.color_of ~r ~c:gc, color) with
-    | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black ->
-      vals := (r, s.cells.((r * s.stride) + lc)) :: !vals
-    | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> ()
+  let first =
+    match (Sor_core.color_of ~r:1 ~c:gc, phase_color phase) with
+    | Sor_core.Red, Sor_core.Red | Sor_core.Black, Sor_core.Black -> 1
+    | Sor_core.Red, Sor_core.Black | Sor_core.Black, Sor_core.Red -> 2
+  in
+  let count = (s.rows - first + 2) / 2 in
+  (* Loops, not [init]/[iteri], so no value is boxed in passing. *)
+  let vals = Float.Array.create count in
+  for i = 0 to count - 1 do
+    Float.Array.set vals i s.cells.(((first + (2 * i)) * s.stride) + lc)
   done;
-  let vals = !vals in
   let install ns =
     let ghost_col = match side with `Left -> ns.ncols + 1 | `Right -> 0 in
-    List.iter (fun (r, v) -> ns.cells.((r * ns.stride) + ghost_col) <- v) vals;
+    for i = 0 to count - 1 do
+      ns.cells.(((first + (2 * i)) * ns.stride) + ghost_col) <-
+        Float.Array.get vals i
+    done;
     (match side with
     | `Left -> ns.recv_right <- max ns.recv_right phase
     | `Right -> ns.recv_left <- max ns.recv_left phase);
@@ -208,7 +214,7 @@ let capture_edge s ~side phase =
     ns.waiters <- [];
     List.iter (fun wake -> wake ()) ws
   in
-  (8 * List.length vals, install)
+  (8 * count, install)
 
 (* --- master convergence object (barrier with a combined value) ---------- *)
 

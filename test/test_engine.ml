@@ -115,6 +115,104 @@ let test_executed_counter () =
   ignore (Sim.Engine.run e);
   Alcotest.(check int) "counter" 7 (Sim.Engine.events_executed e)
 
+(* --- completing an event in place --------------------------------- *)
+
+(* [advance_in_place] answers from inside an event fired by [run]. *)
+let in_place_answer ?until ?(setup = fun _ -> ()) ~time () =
+  let e = Sim.Engine.create () in
+  let answer = ref None in
+  ignore
+    (Sim.Engine.schedule e ~delay:1.0 (fun () ->
+         answer := Some (Sim.Engine.advance_in_place e ~time)));
+  setup e;
+  ignore (Sim.Engine.run ?until e : int);
+  (e, Option.get !answer)
+
+let test_in_place_refusals () =
+  let refused what (e, answer) =
+    Alcotest.(check bool) (what ^ ": refused") false answer;
+    Alcotest.(check int) (what ^ ": none in place") 0
+      (Sim.Engine.in_place_completions e)
+  in
+  let e = Sim.Engine.create () in
+  refused "outside run" (e, Sim.Engine.advance_in_place e ~time:1.0);
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Sim.Engine.now e);
+  (* [step] fires one event and nothing more. *)
+  let e = Sim.Engine.create () in
+  let answer = ref true in
+  ignore
+    (Sim.Engine.schedule e ~delay:1.0 (fun () ->
+         answer := Sim.Engine.advance_in_place e ~time:2.0));
+  ignore (Sim.Engine.step e : bool);
+  refused "in step" (e, !answer);
+  refused "under a chooser"
+    (in_place_answer ~time:2.0
+       ~setup:(fun e -> Sim.Engine.set_chooser e (Some Util.pass_through))
+       ());
+  refused "tie with a queued entry"
+    (in_place_answer ~time:2.0
+       ~setup:(fun e -> ignore (Sim.Engine.schedule e ~delay:2.0 ignore))
+       ());
+  refused "tie with a dead entry"
+    (in_place_answer ~time:2.0
+       ~setup:(fun e ->
+         Sim.Engine.cancel e (Sim.Engine.schedule e ~delay:2.0 ignore))
+       ());
+  refused "past until" (in_place_answer ~until:1.5 ~time:2.0 ());
+  let e, answer = in_place_answer ~until:2.0 ~time:2.0 () in
+  Alcotest.(check bool) "at until: accepted" true answer;
+  Alcotest.(check int) "counted" 1 (Sim.Engine.in_place_completions e)
+
+(* An accepted completion leaves the engine as the scheduled event would
+   have: the same clock, executed count, run result and event ids. *)
+let test_in_place_as_fired () =
+  let later = ref 0.0 in
+  let drive ~in_place =
+    let e = Sim.Engine.create () in
+    ignore (Sim.Engine.schedule e ~delay:3.0 ignore);
+    ignore
+      (Sim.Engine.schedule e ~delay:1.0 (fun () ->
+           let work () = later := Sim.Engine.now e in
+           if not (in_place && Sim.Engine.advance_in_place e ~time:2.5) then
+             ignore (Sim.Engine.schedule_at e ~time:2.5 work)
+           else work ()));
+    let ran = Sim.Engine.run e in
+    let seen = !later in
+    let idents = ref [] in
+    Sim.Engine.set_chooser e
+      (Some
+         {
+           Util.pass_through with
+           Sim.Choice.pick =
+             (fun _ cands ->
+               idents :=
+                 Array.to_list
+                   (Array.map
+                      (fun c -> Sim.Choice.ident_name c.Sim.Choice.ident)
+                      cands);
+               0);
+         });
+    ignore (Sim.Engine.schedule e ~delay:1.0 ignore);
+    ignore (Sim.Engine.schedule e ~delay:1.0 ignore);
+    ignore (Sim.Engine.run e : int);
+    ( ran,
+      seen,
+      Sim.Engine.events_executed e,
+      Sim.Engine.now e,
+      !idents,
+      Sim.Engine.in_place_completions e )
+  in
+  let r1, s1, x1, n1, i1, p1 = drive ~in_place:true in
+  let r0, s0, x0, n0, i0, p0 = drive ~in_place:false in
+  Alcotest.(check int) "in place once" 1 p1;
+  Alcotest.(check int) "scheduled" 0 p0;
+  Alcotest.(check int) "run's count" r0 r1;
+  Alcotest.(check (float 0.0)) "work ran at the event's time" s0 s1;
+  Alcotest.(check (float 0.0)) "work time" 2.5 s1;
+  Alcotest.(check int) "events executed" x0 x1;
+  Alcotest.(check (float 0.0)) "clock" n0 n1;
+  Alcotest.(check (list string)) "later event ids" i0 i1
+
 (* --- model check ---------------------------------------------------- *)
 
 type op = Schedule of int | Cancel of int | Step | Run_until of int
@@ -369,6 +467,10 @@ let suite =
     Alcotest.test_case "event exception propagates" `Quick
       test_exception_propagates;
     Alcotest.test_case "executed counter" `Quick test_executed_counter;
+    Alcotest.test_case "in-place completion refusals" `Quick
+      test_in_place_refusals;
+    Alcotest.test_case "in-place completion counts as fired" `Quick
+      test_in_place_as_fired;
     QCheck_alcotest.to_alcotest prop_engine_model;
     QCheck_alcotest.to_alcotest prop_chooser_candidates;
     Alcotest.test_case "labels stay lazy under a chooser" `Quick

@@ -224,6 +224,204 @@ let test_pending_work () =
   ignore (Sim.Engine.run e);
   feq "pending work charged" 0.3 (Hw.Machine.cpu_time t)
 
+(* --- chunks completed in place ---------------------------------------- *)
+
+(* A chunk that the thread its CPU's chunk event resumed asks for
+   completes in place only when it is the engine's next event: a timer
+   queued for exactly its end goes first. *)
+let test_timer_at_chunk_end () =
+  let e, m = make ~cpus:1 ~quantum:10.0 ~ctx_switch:0.25 () in
+  let log = ref [] in
+  let note what = log := (what, Sim.Engine.now e) :: !log in
+  ignore (Sim.Engine.schedule_at e ~time:0.75 (fun () -> note "timer"));
+  ignore
+    (Hw.Machine.spawn m ~name:"t" (fun () ->
+         Sim.Fiber.consume 0.5;
+         note "first";
+         Sim.Fiber.consume 0.5;
+         note "second"));
+  ignore (Sim.Engine.run e);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "timer, then the thread"
+    [ ("timer", 0.75); ("first", 0.75); ("second", 1.25) ]
+    (List.rev !log);
+  Alcotest.(check int) "only the untied chunk in place" 1
+    (Sim.Engine.in_place_completions e);
+  Alcotest.(check int) "every chunk counted" 5 (Sim.Engine.events_executed e)
+
+(* A horizon inside a consume stops in-place completion there: the chunk
+   is left queued, and resuming ends where an uninterrupted run does. *)
+let test_until_inside_consume () =
+  let run ?until () =
+    let e, m = make ~cpus:1 ~quantum:10.0 ~ctx_switch:0.125 () in
+    let t =
+      Hw.Machine.spawn m ~name:"t" (fun () ->
+          for _ = 1 to 8 do
+            Sim.Fiber.consume 0.125
+          done)
+    in
+    Option.iter
+      (fun until ->
+        ignore (Sim.Engine.run ~until e);
+        feq "clock parked at the horizon" until (Sim.Engine.now e);
+        Alcotest.(check int) "one queued entry" 1 (Sim.Engine.pending e);
+        Alcotest.(check int) "in place up to the horizon" 3
+          (Sim.Engine.in_place_completions e))
+      until;
+    ignore (Sim.Engine.run e);
+    (Sim.Engine.now e, Sim.Engine.events_executed e, Hw.Machine.cpu_time t)
+  in
+  let now, events, cpu = run ~until:0.55 () in
+  let now', events', cpu' = run () in
+  feq "same end" now' now;
+  feq "end" 1.125 now;
+  Alcotest.(check int) "same events" events' events;
+  feq "same cpu time" cpu' cpu
+
+(* Random programs run the same with a pass-through chooser, under which
+   every chunk is an event, as without one, where chunks complete in
+   place. *)
+type op = Consume of int | Yield | Sleep of int | Arm of int
+
+let pp_op = function
+  | Consume k -> Printf.sprintf "consume %d" k
+  | Yield -> "yield"
+  | Sleep k -> Printf.sprintf "sleep %d" k
+  | Arm k -> Printf.sprintf "arm %d" k
+
+type program = {
+  nodes : (int * int) list;  (** per machine: CPUs, quantum in ticks *)
+  ctx : bool;  (** a 10 µs context switch, or none *)
+  threads : (int * op list) list;  (** home machine, body *)
+}
+
+(* Durations are ticks of 5 µs, so chunk ends often tie with each other
+   and with timers; a consume of 7 ticks stands for one shorter than the
+   machine's epsilon.  Quanta are 3 to 8 ticks: one no longer than the
+   context switch would let contending threads switch forever, each
+   switch using up the quantum before the thread runs. *)
+let tick = 5e-6
+let ticks k = if k = 7 then 1e-13 else float_of_int k *. tick
+
+let arb_program =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, map (fun k -> Consume k) (int_bound 7));
+        (1, return Yield);
+        (1, map (fun k -> Sleep k) (int_bound 6));
+        (1, map (fun k -> Arm k) (int_bound 6));
+      ]
+  in
+  let node = pair (int_range 1 3) (int_range 3 8) in
+  let thread = pair (int_bound 1) (list_size (int_bound 16) op) in
+  let print p =
+    Printf.sprintf "nodes [%s], ctx %b, threads [%s]"
+      (String.concat "; "
+         (List.map (fun (c, q) -> Printf.sprintf "%d cpus q%d" c q) p.nodes))
+      p.ctx
+      (String.concat "; "
+         (List.map
+            (fun (home, ops) ->
+              Printf.sprintf "node%d: %s" home
+                (String.concat ", " (List.map pp_op ops)))
+            p.threads))
+  in
+  QCheck.make ~print
+    (map3
+       (fun n0 n1 (ctx, threads) -> { nodes = [ n0; n1 ]; ctx; threads })
+       node node
+       (pair bool (list_size (int_range 1 5) thread)))
+
+type outcome = {
+  log : (string * float) list;
+  clock : float;
+  events : int;
+  busy : float list;
+  dispatches : int list;
+  preemptions : int list;
+  cpu : float list;
+  in_place : int;
+}
+
+let run_program ~checked p =
+  let e = Sim.Engine.create () in
+  if checked then Sim.Engine.set_chooser e (Some Util.pass_through);
+  let ctx_switch = if p.ctx then 10e-6 else 0.0 in
+  let ms =
+    Array.of_list
+      (List.mapi
+         (fun id (cpus, q) ->
+           Hw.Machine.create ~engine:e ~id ~cpus ~ctx_switch
+             ~quantum:(float_of_int q *. tick) ())
+         p.nodes)
+  in
+  let log = ref [] in
+  let note what = log := (what, Sim.Engine.now e) :: !log in
+  let tcbs =
+    List.mapi
+      (fun i (home, ops) ->
+        Hw.Machine.spawn ms.(home) ~name:(string_of_int i) (fun () ->
+            List.iteri
+              (fun j op ->
+                (match op with
+                | Consume k -> Sim.Fiber.consume (ticks k)
+                | Yield -> Sim.Fiber.yield ()
+                | Sleep k ->
+                  Sim.Fiber.block (fun wake ->
+                      ignore (Sim.Engine.schedule e ~delay:(ticks k) wake))
+                | Arm k ->
+                  ignore
+                    (Sim.Engine.schedule e ~delay:(ticks k) (fun () ->
+                         note (Printf.sprintf "timer %d.%d" i j))));
+                note (Printf.sprintf "t%d op%d" i j))
+              ops))
+      p.threads
+  in
+  ignore (Sim.Engine.run e : int);
+  let per f = Array.to_list (Array.map f ms) in
+  {
+    log = List.rev !log;
+    clock = Sim.Engine.now e;
+    events = Sim.Engine.events_executed e;
+    busy = per Hw.Machine.total_busy_time;
+    dispatches = per Hw.Machine.dispatch_count;
+    preemptions = per Hw.Machine.preemption_count;
+    cpu = List.map Hw.Machine.cpu_time tcbs;
+    in_place = Sim.Engine.in_place_completions e;
+  }
+
+let in_place_total = ref 0
+
+let prop_in_place_matches_events =
+  QCheck.Test.make ~name:"chunks in place match chunk events" ~count:2000
+    arb_program (fun p ->
+      let plain = run_program ~checked:false p in
+      let checked = run_program ~checked:true p in
+      let fail = QCheck.Test.fail_reportf in
+      if checked.in_place <> 0 then
+        fail "%d chunks completed in place under a chooser" checked.in_place;
+      if plain.log <> checked.log then fail "logs differ";
+      if plain.clock <> checked.clock then
+        fail "clock %g, checked %g" plain.clock checked.clock;
+      if plain.events <> checked.events then
+        fail "%d events, checked %d" plain.events checked.events;
+      if plain.busy <> checked.busy then fail "busy times differ";
+      if plain.dispatches <> checked.dispatches then fail "dispatches differ";
+      if plain.preemptions <> checked.preemptions then
+        fail "preemptions differ";
+      if plain.cpu <> checked.cpu then fail "thread CPU times differ";
+      in_place_total := !in_place_total + plain.in_place;
+      true)
+
+let test_in_place_matches_events () =
+  in_place_total := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |])
+    prop_in_place_matches_events;
+  Alcotest.(check bool) "plain runs completed chunks in place" true
+    (!in_place_total > 0)
+
 let suite =
   [
     Alcotest.test_case "single thread consumes" `Quick
@@ -252,4 +450,10 @@ let suite =
       test_set_policy_drains;
     Alcotest.test_case "pending work charged before resume" `Quick
       test_pending_work;
+    Alcotest.test_case "a timer at a chunk's end goes first" `Quick
+      test_timer_at_chunk_end;
+    Alcotest.test_case "run ~until inside an in-place consume" `Quick
+      test_until_inside_consume;
+    Alcotest.test_case "chunks in place match chunk events" `Quick
+      test_in_place_matches_events;
   ]

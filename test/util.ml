@@ -5,6 +5,11 @@ let run ?(nodes = 4) ?(cpus = 2) body =
   let cfg = Amber.Config.make ~nodes ~cpus () in
   Amber.Cluster.run_value cfg body
 
+(* A chooser that always takes the first candidate, which is what the
+   engine and the scheduler would pick without one. *)
+let pass_through =
+  { Sim.Choice.pick = (fun _ _ -> 0); faults = false; note_access = ignore }
+
 (* A formatter that discards everything: run-harness sections a test
    does not read. *)
 let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore

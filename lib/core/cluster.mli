@@ -12,8 +12,12 @@ type report = {
 }
 
 (** Raised when the event queue drains before the main thread finishes —
-    i.e. the program deadlocked. *)
-exception Deadlock
+    i.e. the program deadlocked.  [unfinished] counts the Amber threads
+    that never finished; [threads] describes the first ten of them in tid
+    order, each as {!Hw.Machine.pp_tcb} prints it followed by
+    [" in <name>"] of its innermost invocation frame's object, if it is
+    inside one.  The registered printer shows both. *)
+exception Deadlock of { unfinished : int; threads : string list }
 
 (** Run to completion.  Re-raises the first thread failure, if any. *)
 val run : Config.t -> (Runtime.t -> 'r) -> 'r * report

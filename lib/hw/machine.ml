@@ -443,6 +443,10 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
   if cpus <= 0 || cpus > max_cpus then
     invalid_arg "Machine.create: cpus must be in 1..max_cpus";
   if quantum <= 0.0 then invalid_arg "Machine.create: quantum must be positive";
+  (* Each dispatch charges the switch against the fresh quantum, so a
+     thread preempted while paying it gains [quantum - ctx_switch]. *)
+  if quantum <= ctx_switch then
+    invalid_arg "Machine.create: quantum must be longer than ctx_switch";
   let pol = match policy with Some p -> p | None -> Sched_policy.fifo () in
   let m =
     {

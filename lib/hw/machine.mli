@@ -32,7 +32,11 @@ type thread_state =
     keeps the set of idle CPUs in the bits of one int. *)
 val max_cpus : int
 
-(** Raises [Invalid_argument] unless [1 <= cpus <= max_cpus]. *)
+(** Raises [Invalid_argument] unless [1 <= cpus <= max_cpus] and
+    [ctx_switch < quantum].  A dispatch pays the context switch out of
+    the thread's fresh quantum, so with a quantum no longer than the
+    switch, threads sharing a CPU would only ever switch: each switch
+    would use up the quantum and preempt the thread before it ran. *)
 val create :
   engine:Sim.Engine.t ->
   id:int ->

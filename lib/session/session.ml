@@ -51,7 +51,7 @@ type layers = {
 let typed_failure = function
   | Topaz.Rpc.Node_dead _ | A.Aobject.Object_lost _
   | A.Aobject.Chain_exhausted _ | A.Overload.Overloaded _
-  | A.Athread.Join_failed _ | A.Cluster.Deadlock ->
+  | A.Athread.Join_failed _ | A.Cluster.Deadlock _ ->
     true
   | _ -> false
 

@@ -52,7 +52,7 @@ type section = {
   mutable pushes_done : int;
   mutable recv_left : int;  (* latest phase received from the left *)
   mutable recv_right : int;
-  mutable delta : float;
+  delta : Sor_core.acc;  (* largest change of the current iteration *)
   mutable stop : bool;
   mutable waiters : (unit -> unit) list;
 }
@@ -89,7 +89,7 @@ let make_section (p : Sor_core.params) ~ncols ~col0 ~is_first ~is_last =
     pushes_done = 0;
     recv_left = 0;
     recv_right = 0;
-    delta = 0.0;
+    delta = { Sor_core.max_change = 0.0 };
     stop = false;
     waiters = [];
   }
@@ -115,38 +115,16 @@ let rec wait_for rt s pred =
 let phase_color phase = if phase land 1 = 1 then Sor_core.Red else Sor_core.Black
 
 (* Update every point of [color] in local columns [c_from..c_to], rows
-   [r_from..r_to]; charge their CPU, then fold their largest change into
-   the section's delta.  Colors alternate along a row, so a row's points
-   of [color] are every other column from the first one of that color.
-   Points of one color never read each other, so any split or order of
-   the ranges gives the same values. *)
+   [r_from..r_to], folding their largest change into the section's
+   delta, then charge their CPU.  Any split or order of the ranges gives
+   the same values ({!Sor_core.relax_block}). *)
 let relax (p : Sor_core.params) s color ~c_from ~c_to ~r_from ~r_to =
-  let pts = ref 0 and delta = ref 0.0 in
-  for r = r_from to r_to do
-    let first =
-      if Sor_core.color_of ~r ~c:(s.col0 + c_from - 1) = color then c_from
-      else c_from + 1
-    in
-    let lc = ref first in
-    while !lc <= c_to do
-      let i = (r * s.stride) + !lc in
-      let old = s.cells.(i) in
-      let avg =
-        (s.cells.(i - 1) +. s.cells.(i + 1) +. s.cells.(i - s.stride)
-        +. s.cells.(i + s.stride))
-        /. 4.0
-      in
-      let next = old +. (p.Sor_core.omega *. (avg -. old)) in
-      s.cells.(i) <- next;
-      incr pts;
-      let d = Float.abs (next -. old) in
-      if d > !delta then delta := d;
-      lc := !lc + 2
-    done
-  done;
-  if !pts > 0 then
-    Sim.Fiber.consume (p.Sor_core.point_cpu *. float_of_int !pts);
-  if !delta > s.delta then s.delta <- !delta
+  let pts =
+    Sor_core.relax_block s.cells ~stride:s.stride ~omega:p.Sor_core.omega
+      ~col0:s.col0 color ~r_from ~r_to ~c_from ~c_to s.delta
+  in
+  if pts > 0 then
+    Sim.Fiber.consume (p.Sor_core.point_cpu *. float_of_int pts)
 
 let worker_body rt p cfg sec_obj ~w () =
   A.Invoke.invoke rt sec_obj (fun s ->
@@ -432,9 +410,10 @@ let coordinator_body rt p g ~mode i () =
         do_phase ((2 * it) - 1);
         do_phase (2 * it);
         let global_delta =
-          A.Invoke.invoke rt g.master_obj (report_op rt s.delta)
+          A.Invoke.invoke rt g.master_obj
+            (report_op rt s.delta.Sor_core.max_change)
         in
-        s.delta <- 0.0;
+        s.delta.Sor_core.max_change <- 0.0;
         (* Every coordinator sees the same combined delta, so they all
            make the same decision. *)
         let again =
@@ -526,8 +505,8 @@ let pipelined_op rt p g ~iters i s =
   for it = 1 to iters do
     do_phase ((2 * it) - 1);
     do_phase (2 * it);
-    let delta = s.delta in
-    s.delta <- 0.0;
+    let delta = s.delta.Sor_core.max_change in
+    s.delta.Sor_core.max_change <- 0.0;
     (* Pipelined convergence barrier: overlap round [it] against the next
        iteration's compute, awaiting it only before joining round
        [it + 1] — so rounds never interleave at the master. *)

@@ -33,6 +33,50 @@ type color = Red | Black
 
 let color_of ~r ~c = if (r + c) land 1 = 0 then Red else Black
 
+type acc = { mutable max_change : float }
+
+(* The block is checked once; the loop then reads and writes without
+   bounds checks.  A row's points of [color] are every other column from
+   the first one of that color, which alternates between [c_from] and
+   [c_from + 1] from row to row.  The largest change stays in a local
+   (unboxed) until the block is done. *)
+let relax_block (cells : float array) ~stride ~omega ~col0 color ~r_from
+    ~r_to ~c_from ~c_to acc =
+  if r_from > r_to || c_from > c_to then 0
+  else begin
+    if r_from < 1 || c_from < 1 || c_to > stride - 2
+       || r_to > (Array.length cells / stride) - 2
+    then invalid_arg "Sor_core.relax_block: block outside the grid";
+    let want = match color with Red -> 0 | Black -> 1 in
+    let skip = ref ((r_from + col0 + c_from - 1 + want) land 1) in
+    let points = ref 0 and max_change = ref acc.max_change in
+    for r = r_from to r_to do
+      let row = r * stride in
+      let first = c_from + !skip in
+      if first <= c_to then points := !points + ((c_to - first) / 2) + 1;
+      let i = ref (row + first) and last = row + c_to in
+      while !i <= last do
+        let k = !i in
+        let old = Array.unsafe_get cells k in
+        let avg =
+          (Array.unsafe_get cells (k - 1)
+          +. Array.unsafe_get cells (k + 1)
+          +. Array.unsafe_get cells (k - stride)
+          +. Array.unsafe_get cells (k + stride))
+          *. 0.25
+        in
+        let next = old +. (omega *. (avg -. old)) in
+        Array.unsafe_set cells k next;
+        let d = Float.abs (next -. old) in
+        if d > !max_change then max_change := d;
+        i := k + 2
+      done;
+      skip := 1 - !skip
+    done;
+    acc.max_change <- !max_change;
+    !points
+  end
+
 module Full_grid = struct
   type t = { rows : int; cols : int; cells : float array }
 
@@ -57,36 +101,13 @@ module Full_grid = struct
   let get t ~r ~c = t.cells.(idx t ~r ~c)
   let set t ~r ~c v = t.cells.(idx t ~r ~c) <- v
 
-  let update_point t (p : params) ~r ~c =
-    let i = idx t ~r ~c in
-    let old = t.cells.(i) in
-    let avg =
-      (t.cells.(i - 1) +. t.cells.(i + 1)
-      +. t.cells.(i - (t.cols + 2))
-      +. t.cells.(i + t.cols + 2))
-      /. 4.0
-    in
-    let next = old +. (p.omega *. (avg -. old)) in
-    t.cells.(i) <- next;
-    Float.abs (next -. old)
-
-  let sweep t p color =
-    let delta = ref 0.0 in
-    for r = 1 to t.rows do
-      (* First interior column of this color in row r. *)
-      let start =
-        match (color, color_of ~r ~c:1) with
-        | Red, Red | Black, Black -> 1
-        | Red, Black | Black, Red -> 2
-      in
-      let c = ref start in
-      while !c <= t.cols do
-        let d = update_point t p ~r ~c:!c in
-        if d > !delta then delta := d;
-        c := !c + 2
-      done
-    done;
-    !delta
+  let sweep t (p : params) color =
+    let acc = { max_change = 0.0 } in
+    ignore
+      (relax_block t.cells ~stride:(t.cols + 2) ~omega:p.omega ~col0:1 color
+         ~r_from:1 ~r_to:t.rows ~c_from:1 ~c_to:t.cols acc
+        : int);
+    acc.max_change
 
   let iterate t p =
     let d1 = sweep t p Red in

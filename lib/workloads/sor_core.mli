@@ -32,6 +32,44 @@ type color = Red | Black
 
 val color_of : r:int -> c:int -> color
 
+(** The largest absolute change a {!relax_block} call has seen, folded
+    across calls.  An all-float record, so storing into it allocates
+    nothing. *)
+type acc = { mutable max_change : float }
+
+(** [relax_block cells ~stride ~omega ~col0 color ~r_from ~r_to ~c_from
+    ~c_to acc] updates, in place, every point of [color] in rows
+    [r_from..r_to] and columns [c_from..c_to] of a row-major grid with a
+    ghost ring: [cells] holds [Array.length cells / stride] rows of
+    [stride] cells, and rows [1 .. length/stride - 2] and columns
+    [1 .. stride - 2] are the interior.  Local column [c] is global column
+    [col0 + c - 1], which fixes its color ({!color_of}).
+
+    Each point becomes [old +. omega *. (avg -. old)], where [avg] is
+    [(((left +. right) +. up) +. down) *. 0.25], bit-identical to dividing
+    by 4.  The largest [abs (new -. old)] is folded into
+    [acc.max_change]; the result is the number of points updated.
+
+    Points of one color read only points of the other, so splitting a
+    color's block into pieces and relaxing them in any order gives the
+    same cells and the same largest change.
+
+    An empty range updates nothing and returns 0.
+    @raise Invalid_argument before touching any cell if the block is
+    non-empty and leaves the interior. *)
+val relax_block :
+  float array ->
+  stride:int ->
+  omega:float ->
+  col0:int ->
+  color ->
+  r_from:int ->
+  r_to:int ->
+  c_from:int ->
+  c_to:int ->
+  acc ->
+  int
+
 (** A full grid including the boundary ring: [(rows+2) × (cols+2)],
     row-major.  Interior coordinates are 1-based. *)
 module Full_grid : sig

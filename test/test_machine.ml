@@ -111,6 +111,26 @@ let test_ctx_switch_charged () =
   ignore (Sim.Engine.run e);
   feq "dispatch cost added" 1.01 (Sim.Engine.now e)
 
+(* A quantum no longer than the context switch is refused: two threads
+   sharing the CPU would switch forever without running.  A longer one
+   runs them to completion. *)
+let test_quantum_longer_than_switch () =
+  Alcotest.check_raises "10 µs quantum, 10 µs switch"
+    (Invalid_argument "Machine.create: quantum must be longer than ctx_switch")
+    (fun () -> ignore (make ~cpus:1 ~quantum:10e-6 ~ctx_switch:10e-6 ()));
+  let e, m = make ~cpus:1 ~quantum:15e-6 ~ctx_switch:10e-6 () in
+  let ts =
+    List.init 2 (fun i ->
+        Hw.Machine.spawn m ~name:(string_of_int i) (fun () ->
+            Sim.Fiber.consume 100e-6))
+  in
+  ignore (Sim.Engine.run e);
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) "thread ran to the end" true
+        (Hw.Machine.state t = Hw.Machine.Finished Sim.Fiber.Completed))
+    ts
+
 let test_preempt_all () =
   let e, m = make ~cpus:2 ~quantum:10.0 ~preempt_cost:0.05 () in
   ignore (Hw.Machine.spawn m ~name:"a" (fun () -> Sim.Fiber.consume 1.0));
@@ -297,9 +317,8 @@ type program = {
 
 (* Durations are ticks of 5 µs, so chunk ends often tie with each other
    and with timers; a consume of 7 ticks stands for one shorter than the
-   machine's epsilon.  Quanta are 3 to 8 ticks: one no longer than the
-   context switch would let contending threads switch forever, each
-   switch using up the quantum before the thread runs. *)
+   machine's epsilon.  Quanta are 3 to 8 ticks, longer than the 2-tick
+   context switch, as [Hw.Machine.create] requires. *)
 let tick = 5e-6
 let ticks k = if k = 7 then 1e-13 else float_of_int k *. tick
 
@@ -437,6 +456,8 @@ let suite =
     Alcotest.test_case "block and wake" `Quick test_block_and_wake;
     Alcotest.test_case "machine wake API" `Quick test_wake_via_machine_api;
     Alcotest.test_case "context-switch cost" `Quick test_ctx_switch_charged;
+    Alcotest.test_case "quantum longer than the switch" `Quick
+      test_quantum_longer_than_switch;
     Alcotest.test_case "preempt_all conserves work" `Quick test_preempt_all;
     Alcotest.test_case "preempt_all except" `Quick test_preempt_all_except;
     Alcotest.test_case "on_resume hook runs" `Quick test_on_resume_hook_runs;

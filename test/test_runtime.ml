@@ -108,10 +108,47 @@ let test_cluster_failure_propagates () =
 
 let test_cluster_deadlock_detected () =
   let cfg = A.Config.make ~nodes:1 ~cpus:1 () in
-  Alcotest.check_raises "deadlock" A.Cluster.Deadlock (fun () ->
+  Alcotest.check_raises "deadlock"
+    (A.Cluster.Deadlock
+       { unfinished = 1; threads = [ "#9:main[blocked on node0]" ] })
+    (fun () ->
       ignore
         (A.Cluster.run_value cfg (fun _rt ->
              Sim.Fiber.block (fun _never_woken -> ()))))
+
+(* The exception names at most ten unfinished threads, in tid order, with
+   the object each is blocked inside, and counts the rest. *)
+let test_cluster_deadlock_names_threads () =
+  let cfg = A.Config.make ~nodes:2 ~cpus:1 () in
+  let main = ref 0 in
+  match
+    A.Cluster.run_value cfg (fun rt ->
+        main := Hw.Machine.tcb_id (A.Runtime.current rt).A.Runtime.tcb;
+        let gate = A.Api.create rt ~name:"gate" () in
+        A.Api.move_to rt gate ~dest:1;
+        for i = 1 to 12 do
+          ignore
+            (A.Athread.start rt ~name:(Printf.sprintf "w%d" i) (fun () ->
+                 A.Api.invoke rt gate (fun () ->
+                     Sim.Fiber.block (fun _never_woken -> ())))
+              : unit A.Athread.t)
+        done;
+        Sim.Fiber.block (fun _never_woken -> ()))
+  with
+  | () -> Alcotest.fail "no deadlock"
+  | exception A.Cluster.Deadlock { unfinished; threads } ->
+    Alcotest.(check int) "unfinished" 13 unfinished;
+    Alcotest.(check (list string))
+      "first ten"
+      (Printf.sprintf "#%d:main[blocked on node0]" !main
+      :: List.init 9 (fun i ->
+             Printf.sprintf "#%d:w%d[blocked on node1] in gate"
+               (!main + i + 1) (i + 1)))
+      threads;
+    Alcotest.(check bool) "printed with the count of the rest" true
+      (String.ends_with ~suffix:"; and 3 more)"
+         (Printexc.to_string
+            (A.Cluster.Deadlock { unfinished; threads })))
 
 let test_cluster_report () =
   let _, report =
@@ -158,6 +195,8 @@ let suite =
     Alcotest.test_case "main failure propagates" `Quick
       test_cluster_failure_propagates;
     Alcotest.test_case "deadlock detected" `Quick test_cluster_deadlock_detected;
+    Alcotest.test_case "deadlock names the unfinished threads" `Quick
+      test_cluster_deadlock_names_threads;
     Alcotest.test_case "run report populated" `Quick test_cluster_report;
     Alcotest.test_case "worker failure detected" `Quick
       test_worker_failure_detected_after_run;

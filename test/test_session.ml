@@ -185,7 +185,8 @@ let test_cli_balanced_fail_stop () =
     (List.exists (String.starts_with ~prefix:"failed: Rpc.Node_dead") lines)
 
 (* A run whose engine drains with the main thread unfinished is a typed
-   failure too: exit 5 and a [failed:] line, not an internal error. *)
+   failure too: exit 5 and a [failed:] line naming the unfinished
+   threads, not an internal error. *)
 let test_deadlock_exits_5 () =
   let buf = Buffer.create 64 in
   let o =
@@ -195,7 +196,9 @@ let test_deadlock_exits_5 () =
   in
   Alcotest.(check int) "exit 5" 5 o.Session.status;
   Alcotest.(check string) "typed failure printed"
-    "failed: Amber.Cluster.Deadlock\n" (Buffer.contents buf)
+    "failed: Cluster.Deadlock (the engine drained with 1 unfinished thread: \
+     #9:main[blocked on node0])\n"
+    (Buffer.contents buf)
 
 (* A chase around a stale cycle through the home node fails typed: exit
    5 and a [failed:] line naming the object's address. *)

@@ -39,6 +39,249 @@ let test_sor_colors_partition () =
   Alcotest.(check int) "half red" 50 !reds;
   Alcotest.(check int) "half black" 50 !blacks
 
+(* --- the shared relax kernel ---------------------------------------- *)
+
+(* A grid of [rows] × [cols] interior points inside a ghost ring, with
+   every cell drawn at random, as [Sor_core.relax_block] reads it. *)
+type grid_case = {
+  rows : int;
+  cols : int;
+  col0 : int;
+  omega : float;
+  color : W.Sor_core.color;
+  cells : float array;
+}
+
+let pp_color = function W.Sor_core.Red -> "red" | W.Sor_core.Black -> "black"
+
+let pp_grid g =
+  Printf.sprintf "%dx%d col0 %d omega %h %s" g.rows g.cols g.col0 g.omega
+    (pp_color g.color)
+
+let gen_grid =
+  let open QCheck.Gen in
+  let* rows = int_range 1 12 and* cols = int_range 1 12 in
+  let* col0 = int_range 1 40
+  and* omega = float_range 0.5 1.95
+  and* color = oneofl [ W.Sor_core.Red; W.Sor_core.Black ]
+  and* cells = array_repeat ((rows + 2) * (cols + 2)) (float_range 0.0 100.0) in
+  return { rows; cols; col0; omega; color; cells }
+
+(* The update written the plain way: one point at a time, checked
+   indexing, [/. 4.0]. *)
+let naive_relax g cells ~r_from ~r_to ~c_from ~c_to =
+  let stride = g.cols + 2 in
+  let points = ref 0 and max_change = ref 0.0 in
+  for r = r_from to r_to do
+    for c = c_from to c_to do
+      if W.Sor_core.color_of ~r ~c:(g.col0 + c - 1) = g.color then begin
+        let i = (r * stride) + c in
+        let old = cells.(i) in
+        let avg =
+          (cells.(i - 1) +. cells.(i + 1) +. cells.(i - stride)
+          +. cells.(i + stride))
+          /. 4.0
+        in
+        let next = old +. (g.omega *. (avg -. old)) in
+        cells.(i) <- next;
+        incr points;
+        max_change := Float.max !max_change (Float.abs (next -. old))
+      end
+    done
+  done;
+  (!points, !max_change)
+
+let relax g cells ~r_from ~r_to ~c_from ~c_to acc =
+  W.Sor_core.relax_block cells ~stride:(g.cols + 2) ~omega:g.omega
+    ~col0:g.col0 g.color ~r_from ~r_to ~c_from ~c_to acc
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_cells a b = Array.for_all2 same_bits a b
+
+(* The kernel and the plain update agree bit for bit on every cell, on
+   the largest change folded into a starting [acc], and on the point
+   count.  The result says what differed, [None] when nothing did. *)
+let kernel_vs_naive g ~r_from ~r_to ~c_from ~c_to ~acc0 =
+  let want = Array.copy g.cells and got = Array.copy g.cells in
+  let points, change = naive_relax g want ~r_from ~r_to ~c_from ~c_to in
+  let acc = { W.Sor_core.max_change = acc0 } in
+  let n = relax g got ~r_from ~r_to ~c_from ~c_to acc in
+  if n <> points then Some (Printf.sprintf "%d points, naive %d" n points)
+  else if not (same_cells got want) then Some "cells differ"
+  else if not (same_bits acc.W.Sor_core.max_change (Float.max acc0 change))
+  then
+    Some
+      (Printf.sprintf "largest change %h, naive %h" acc.W.Sor_core.max_change
+         (Float.max acc0 change))
+  else None
+
+let prop_kernel_matches_naive =
+  let gen =
+    let open QCheck.Gen in
+    let* g = gen_grid in
+    let* r_from = int_range 1 g.rows and* c_from = int_range 1 g.cols in
+    let* r_to = int_range (r_from - 1) g.rows
+    and* c_to = int_range (c_from - 1) g.cols
+    and* acc0 = oneof [ return 0.0; float_range 0.0 20.0 ] in
+    return (g, (r_from, r_to, c_from, c_to), acc0)
+  in
+  let print (g, (r_from, r_to, c_from, c_to), acc0) =
+    Printf.sprintf "%s, rows %d..%d, cols %d..%d, acc %h" (pp_grid g) r_from
+      r_to c_from c_to acc0
+  in
+  QCheck.Test.make ~name:"relax_block matches the plain update" ~count:500
+    (QCheck.make ~print gen)
+    (fun (g, (r_from, r_to, c_from, c_to), acc0) ->
+      match kernel_vs_naive g ~r_from ~r_to ~c_from ~c_to ~acc0 with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
+(* A grid of random cells, the same on every run. *)
+let fixed_grid ?(rows = 9) ?(cols = 6) color =
+  let rand = Random.State.make [| rows; cols |] in
+  let cells =
+    Array.init
+      ((rows + 2) * (cols + 2))
+      (fun _ -> Random.State.float rand 100.0)
+  in
+  { rows; cols; col0 = 5; omega = 1.5; color; cells }
+
+let check_naive what g ~r_from ~r_to ~c_from ~c_to =
+  match kernel_vs_naive g ~r_from ~r_to ~c_from ~c_to ~acc0:0.0 with
+  | None -> ()
+  | Some why -> Alcotest.failf "%s (%s): %s" what (pp_grid g) why
+
+let colors = [ W.Sor_core.Red; W.Sor_core.Black ]
+
+(* The border slices: one column, the rows of one worker. *)
+let test_kernel_one_column () =
+  List.iter
+    (fun color ->
+      let g = fixed_grid color in
+      check_naive "first column" g ~r_from:2 ~r_to:8 ~c_from:1 ~c_to:1;
+      check_naive "last column" g ~r_from:1 ~r_to:4 ~c_from:6 ~c_to:6)
+    colors
+
+(* A one-point block of the other color holds no point to update. *)
+let test_kernel_no_point_of_color () =
+  List.iter
+    (fun color ->
+      let g = fixed_grid color in
+      let c =
+        if W.Sor_core.color_of ~r:3 ~c:(g.col0 + 1) = color then 3 else 2
+      in
+      let cells = Array.copy g.cells in
+      let acc = { W.Sor_core.max_change = 1.5 } in
+      Alcotest.(check int) "no point" 0
+        (relax g cells ~r_from:3 ~r_to:3 ~c_from:c ~c_to:c acc);
+      Alcotest.(check bool) "no cell written" true (same_cells cells g.cells);
+      Alcotest.(check (float 0.0)) "acc kept" 1.5 acc.W.Sor_core.max_change)
+    colors
+
+(* Empty ranges update nothing and raise nothing, even where their bounds
+   lie outside the grid: a one-column section's interior slice is
+   columns 2..1. *)
+let test_kernel_empty_ranges () =
+  let g = fixed_grid ~cols:1 W.Sor_core.Red in
+  List.iter
+    (fun (r_from, r_to, c_from, c_to) ->
+      let cells = Array.copy g.cells in
+      let acc = { W.Sor_core.max_change = 0.0 } in
+      Alcotest.(check int) "no point" 0
+        (relax g cells ~r_from ~r_to ~c_from ~c_to acc);
+      Alcotest.(check bool) "no cell written" true (same_cells cells g.cells);
+      Alcotest.(check (float 0.0)) "no change" 0.0 acc.W.Sor_core.max_change)
+    [ (1, 9, 2, 1); (5, 4, 1, 1); (10, 9, 1, 1); (0, -1, -3, -4) ]
+
+(* The whole interior reads every cell of the ghost ring but the
+   corners.  The plain update writes no ring cell, so matching it also
+   shows the ring untouched. *)
+let test_kernel_touches_ring () =
+  List.iter
+    (fun color ->
+      check_naive "whole interior"
+        (fixed_grid ~rows:7 ~cols:8 color)
+        ~r_from:1 ~r_to:7 ~c_from:1 ~c_to:8)
+    colors
+
+(* A block leaving the interior raises before it writes a cell, even
+   where most of it lies inside. *)
+let test_kernel_rejects_out_of_grid () =
+  let g = fixed_grid ~rows:6 ~cols:5 W.Sor_core.Black in
+  List.iter
+    (fun (r_from, r_to, c_from, c_to) ->
+      let cells = Array.copy g.cells in
+      let acc = { W.Sor_core.max_change = 0.0 } in
+      (match relax g cells ~r_from ~r_to ~c_from ~c_to acc with
+      | n ->
+        Alcotest.failf "rows %d..%d, cols %d..%d accepted (%d points)"
+          r_from r_to c_from c_to n
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) "no cell written" true (same_cells cells g.cells);
+      Alcotest.(check (float 0.0)) "no change" 0.0 acc.W.Sor_core.max_change)
+    [
+      (0, 6, 1, 5); (1, 7, 1, 5); (1, 6, 0, 5); (1, 6, 1, 6); (1, 6, 2, 7);
+      (6, 6, 5, 6); (-2, 3, 1, 1); (1, 1, 1, 9);
+    ]
+
+(* A color's block split the way [Sor_amber.worker_body] splits a
+   section's: the two border columns by rows, the interior by columns,
+   for 1–4 workers.  Relaxing the pieces in any order gives the cells and
+   the largest change of one call over the whole block. *)
+let prop_split_invariance =
+  let pieces ~rows ~ncols ~workers =
+    List.concat_map
+      (fun w ->
+        let r_from = 1 + (w * rows / workers)
+        and r_to = (w + 1) * rows / workers in
+        let width = max 0 (ncols - 2) in
+        [ (r_from, r_to, 1, 1) ]
+        @ (if ncols > 1 then [ (r_from, r_to, ncols, ncols) ] else [])
+        @ [
+            ( 1,
+              rows,
+              2 + (w * width / workers),
+              1 + ((w + 1) * width / workers) );
+          ])
+      (List.init workers Fun.id)
+  in
+  let gen =
+    let open QCheck.Gen in
+    let* g = gen_grid and* workers = int_range 1 4 in
+    let* order = shuffle_l (pieces ~rows:g.rows ~ncols:g.cols ~workers) in
+    return (g, workers, order)
+  in
+  let print (g, workers, order) =
+    Printf.sprintf "%s, %d workers, pieces [%s]" (pp_grid g) workers
+      (String.concat "; "
+         (List.map
+            (fun (a, b, c, d) -> Printf.sprintf "r%d..%d c%d..%d" a b c d)
+            order))
+  in
+  QCheck.Test.make ~name:"relax_block is split-invariant" ~count:300
+    (QCheck.make ~print gen) (fun (g, _, order) ->
+      let whole = Array.copy g.cells and split = Array.copy g.cells in
+      let acc_whole = { W.Sor_core.max_change = 0.0 } in
+      let n_whole =
+        relax g whole ~r_from:1 ~r_to:g.rows ~c_from:1 ~c_to:g.cols acc_whole
+      in
+      let acc_split = { W.Sor_core.max_change = 0.0 } in
+      let n_split =
+        List.fold_left
+          (fun n (r_from, r_to, c_from, c_to) ->
+            n + relax g split ~r_from ~r_to ~c_from ~c_to acc_split)
+          0 order
+      in
+      if n_split <> n_whole then
+        QCheck.Test.fail_reportf "%d points split, %d whole" n_split n_whole
+      else if not (same_cells split whole) then
+        QCheck.Test.fail_report "cells differ"
+      else
+        same_bits acc_split.W.Sor_core.max_change
+          acc_whole.W.Sor_core.max_change
+        || QCheck.Test.fail_reportf "largest change %h split, %h whole"
+             acc_split.W.Sor_core.max_change acc_whole.W.Sor_core.max_change)
+
 let test_seq_matches_reference () =
   let p = sor_params 12 20 in
   let r = Util.run ~nodes:1 ~cpus:1 (fun rt -> W.Sor_seq.run rt p ~iters:5) in
@@ -324,6 +567,17 @@ let suite =
     Alcotest.test_case "reference solver converges to Laplace" `Slow
       test_sor_core_reference_converges;
     Alcotest.test_case "red/black partition" `Quick test_sor_colors_partition;
+    QCheck_alcotest.to_alcotest prop_kernel_matches_naive;
+    Alcotest.test_case "kernel: one-column block" `Quick
+      test_kernel_one_column;
+    Alcotest.test_case "kernel: no point of the color" `Quick
+      test_kernel_no_point_of_color;
+    Alcotest.test_case "kernel: empty ranges" `Quick test_kernel_empty_ranges;
+    Alcotest.test_case "kernel: block touching the ghost ring" `Quick
+      test_kernel_touches_ring;
+    Alcotest.test_case "kernel: out-of-grid blocks raise" `Quick
+      test_kernel_rejects_out_of_grid;
+    QCheck_alcotest.to_alcotest prop_split_invariance;
     Alcotest.test_case "sequential matches reference" `Quick
       test_seq_matches_reference;
     Alcotest.test_case "Amber SOR exact (overlap)" `Quick

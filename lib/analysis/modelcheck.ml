@@ -13,7 +13,8 @@
    branch whose whole candidate set is asleep is pruned without running
    the suffix.
 
-   Conflict keys come in two layers:
+   Conflict keys are {!Sim.Choice.key}s, immediate ints named below by
+   their {!Sim.Choice.key_name}.  They come in two layers:
 
    - {e static} keys attached to the candidate itself: [net:n<dst>] on
      deliveries, fault verbs and retransmit timers (all traffic into one
@@ -221,7 +222,7 @@ let steal_fixture =
            ready queue at that instant; the chooser decides when the
            instant is. *)
         ignore
-          (Sim.Engine.schedule (Runtime.engine rt) ~key:"node:0"
+          (Sim.Engine.schedule (Runtime.engine rt) ~key:(Choice.node 0)
              ~label:(Lazy.from_val "steal-attempt") ~delay:100e-6 (fun () ->
                let vm = Runtime.machine rt 0 in
                match
@@ -470,12 +471,16 @@ let apply_mutation m f =
 type entry = {
   cands : Choice.candidate array;
   chosen : int;
-  mutable dyn : string list;  (* dynamic keys observed while it ran *)
+  mutable dyn : Choice.key list;  (* dynamic keys observed while it ran *)
 }
+
+let rec mem (k : Choice.key) = function
+  | [] -> false
+  | k' :: rest -> k = k' || mem k rest
 
 (* The key set a decision conflicts on.  An [Event] or [Fault] decision
    with no static key is unknown state — it conflicts with everything
-   ("*").  A [Fiber] decision deliberately has {e no} static component:
+   ([unknown]).  A [Fiber] decision deliberately has {e no} static component:
    dispatch order matters only through what the dispatched code
    observably touched, which is exactly its dynamic keys; an empty set
    commutes with everything (e.g. the startup order of idle RPC server
@@ -485,11 +490,63 @@ let keyset (e : entry) =
   match c.Choice.dom with
   | Choice.Fiber -> e.dyn
   | Choice.Event | Choice.Fault ->
-    if c.Choice.key = "" then [ "*" ] else c.Choice.key :: e.dyn
+    if c.Choice.key = Choice.unknown then [ Choice.unknown ]
+    else c.Choice.key :: e.dyn
 
-let conflict ka kb =
-  List.mem "*" ka || List.mem "*" kb
-  || List.exists (fun k -> List.mem k kb) ka
+(* Whether a sleeper with static key [k] depends on a decision with key
+   set [ks]. *)
+let wakes ks (k : Choice.key) =
+  k = Choice.unknown || mem Choice.unknown ks || mem k ks
+
+(* Sleep sets: a deferred transition's ident to its static key. *)
+module Ident_tbl = Hashtbl.Make (struct
+  type t = Choice.ident
+
+  let equal = Choice.ident_equal
+  let hash = Choice.ident_hash
+end)
+
+(* A key's tag sits in its low bits, which repeat as addresses' do. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = Choice.key
+
+  let equal (a : t) b = a = b
+  let hash (k : t) = Vaspace.Addr_table.hash (k :> int)
+end)
+
+(* The race scan, in one forward pass.  For each decision of a trail,
+   given as its domain and key set, this is the latest earlier decision
+   whose key set meets its own, or -1: the decision it races with, where
+   DPOR reverses the pair (Flanagan and Godefroid, POPL 2005, need only
+   the latest dependent transition).  [unknown] meets every set, the
+   empty one included.  Fault decisions are branch points, not races:
+   they neither look for a partner nor serve as one.  Over the non-fault
+   decisions so far the pass keeps the latest holding each key, the
+   latest holding [unknown] and the latest of all, so a decision costs
+   one lookup per key. *)
+let race_partners (trail : (Choice.domain * Choice.key list) array) =
+  let partner = Array.make (Array.length trail) (-1) in
+  let latest = Key_tbl.create 16 in
+  let later p k =
+    match Key_tbl.find latest k with
+    | i -> if i > p then i else p
+    | exception Not_found -> p
+  in
+  let latest_unknown = ref (-1) and latest_any = ref (-1) in
+  Array.iteri
+    (fun j ((dom : Choice.domain), ks) ->
+      match dom with
+      | Fault -> ()
+      | Event | Fiber ->
+        let unknown = mem Choice.unknown ks in
+        partner.(j) <-
+          (if unknown then !latest_any
+           else List.fold_left later !latest_unknown ks);
+        List.iter (fun k -> Key_tbl.replace latest k j) ks;
+        if unknown then latest_unknown := j;
+        latest_any := j)
+    trail;
+  partner
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer-hook recorder: dynamic conflict keys                      *)
@@ -501,14 +558,14 @@ let conflict ka kb =
    the all-futures-resolved invariant.  Sync-object accesses keep their
    [obj:] key although AmberSan drops them. *)
 let recording_hooks eng ~resolved (h : San_hooks.t) : San_hooks.t =
-  let note fmt = Printf.ksprintf (Sim.Engine.note_access eng) fmt in
+  let note = Sim.Engine.note_access eng in
   fun ev ->
     (match ev with
     | San_hooks.Event.Thread_start { child = tid; _ }
     | Thread_join { child = tid; _ }
     | Migrate { tid; _ }
     | Steal { tid; _ } ->
-      note "tcb:%d" tid
+      note (Choice.tcb tid)
     | Object_created { addr; _ }
     | Object_destroyed { addr }
     | Access { addr; _ }
@@ -516,17 +573,18 @@ let recording_hooks eng ~resolved (h : San_hooks.t) : San_hooks.t =
     | Move_begin { addr }
     | Move_end { addr }
     | Replica_read { addr; _ } ->
-      note "obj:%d" addr
+      note (Choice.obj addr)
     | Sync_created { addr; _ }
     | Lock_acquired { addr; _ }
     | Lock_released { addr; _ }
     | Barrier { addr; _ } ->
-      note "lock:%d" addr
-    | Cond_signal { token; _ } | Cond_wake { token; _ } -> note "cond:%d" token
+      note (Choice.lock addr)
+    | Cond_signal { token; _ } | Cond_wake { token; _ } ->
+      note (Choice.cond token)
     | Future_resolve { id; _ } ->
       incr resolved;
-      note "fut:%d" id
-    | Future_await { id; _ } -> note "fut:%d" id);
+      note (Choice.fut id)
+    | Future_await { id; _ } -> note (Choice.fut id));
     h ev
 
 (* ------------------------------------------------------------------ *)
@@ -558,22 +616,20 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
   let rev_trail = ref [] in
   let depth = ref 0 in
   let last = ref None in
-  let sleep : (Choice.ident, string) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (id, key) -> Hashtbl.replace sleep id key) sleep0;
+  let sleep = Ident_tbl.create 16 in
+  List.iter (fun (id, key) -> Ident_tbl.replace sleep id key) sleep0;
   (* A slept transition wakes as soon as a dependent one executes: keep
      only sleepers that commute with what just ran.  A sleeper's own key
      set is approximated by its static key (unknown = wake). *)
   let wake_after e =
-    if Hashtbl.length sleep > 0 then begin
+    if Ident_tbl.length sleep > 0 then begin
       let ks = keyset e in
       let stale =
-        Hashtbl.fold
-          (fun id key acc ->
-            if conflict ks [ (if key = "" then "*" else key) ] then id :: acc
-            else acc)
+        Ident_tbl.fold
+          (fun id key acc -> if wakes ks key then id :: acc else acc)
           sleep []
       in
-      List.iter (Hashtbl.remove sleep) stale
+      List.iter (Ident_tbl.remove sleep) stale
     end
   in
   let prefix_len = Array.length prefix in
@@ -591,7 +647,7 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
       end
       else begin
         let n = Array.length cands in
-        let asleep i = Hashtbl.mem sleep cands.(i).Choice.ident in
+        let asleep i = Ident_tbl.mem sleep cands.(i).Choice.ident in
         if dom = Choice.Fault && !faults_spent >= fault_budget then
           (* budget exhausted: delivery is forced; alternatives of this
              decision are never enqueued either (see [explore]) *)
@@ -623,7 +679,7 @@ let run_one ?random fx ~prefix ~sleep0 ~max_depth ~fault_budget ~section =
       note_access =
         (fun k ->
           match !last with
-          | Some e -> if not (List.mem k e.dyn) then e.dyn <- k :: e.dyn
+          | Some e -> if not (mem k e.dyn) then e.dyn <- k :: e.dyn
           | None -> ());
     }
   in
@@ -744,22 +800,49 @@ let stats_lines st =
 (* The explored tree.  A node is one decision state, named by the choice
    path from the root; an execution is deterministic in that path, so
    the node's candidate array is the same in every execution through it
-   and the node need only remember indices.  [tried] holds the indices
-   run or enqueued there, [kids] the nodes they lead to. *)
+   and the node need only remember indices: those run or enqueued there,
+   an index [a] below [mask_bits] as bit [a] of [tried] and any larger
+   one in [tried_above], and in [kids] the nodes they lead to. *)
 type node = {
   up : node;  (* the parent; the root is its own *)
   via : int;  (* the index taken at [up] to reach this node *)
   depth : int;
-  mutable tried : int list;
+  mutable tried : int;
+  mutable tried_above : int list;
   mutable kids : node list;
 }
+
+let mask_bits = 62
+
+let tried node a =
+  if a < mask_bits then node.tried land (1 lsl a) <> 0
+  else List.exists (Int.equal a) node.tried_above
+
+let mark_tried node a =
+  if a < mask_bits then node.tried <- node.tried lor (1 lsl a)
+  else if not (tried node a) then node.tried_above <- a :: node.tried_above
+
+let tried_indices node =
+  let rec bits a m =
+    if m = 0 then node.tried_above
+    else if m land 1 <> 0 then a :: bits (a + 1) (m lsr 1)
+    else bits (a + 1) (m lsr 1)
+  in
+  bits 0 node.tried
 
 let child node i =
   let rec find = function
     | k :: rest -> if k.via = i then k else find rest
     | [] ->
       let k =
-        { up = node; via = i; depth = node.depth + 1; tried = []; kids = [] }
+        {
+          up = node;
+          via = i;
+          depth = node.depth + 1;
+          tried = 0;
+          tried_above = [];
+          kids = [];
+        }
       in
       node.kids <- k :: node.kids;
       k
@@ -780,14 +863,16 @@ let path node =
 
 (* A branch replays the path to [start], then runs on with [sleep0]
    asleep. *)
-type branch = { start : node; sleep0 : (Choice.ident * string) list }
+type branch = { start : node; sleep0 : (Choice.ident * Choice.key) list }
 
 let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
   let fault_budget = Option.value fault_budget ~default:fx.budget in
   let t0 = Unix.gettimeofday () in
   let st = new_stats () in
   let section () = stats_lines st in
-  let rec root = { up = root; via = -1; depth = 0; tried = []; kids = [] } in
+  let rec root =
+    { up = root; via = -1; depth = 0; tried = 0; tried_above = []; kids = [] }
+  in
   let stack = ref [ { start = root; sleep0 = [] } ] in
   let counterexample = ref None in
   while
@@ -821,24 +906,23 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
             if d = 0 then root else child nodes.(d - 1) trail.(d - 1).chosen
           in
           nodes.(d) <- node;
-          let c = trail.(d).chosen in
-          if not (List.mem c node.tried) then node.tried <- c :: node.tried
+          mark_tried node trail.(d).chosen
         done;
-        let keysets = Array.map keyset trail in
+        let dom e = e.cands.(e.chosen).Choice.dom in
+        let partners =
+          race_partners (Array.map (fun e -> (dom e, keyset e)) trail)
+        in
         let faults_before = Array.make (n + 1) 0 in
         for j = 0 to n - 1 do
           let extra =
-            if
-              trail.(j).cands.(trail.(j).chosen).Choice.dom = Choice.Fault
-              && trail.(j).chosen <> 0
-            then 1
+            if dom trail.(j) = Choice.Fault && trail.(j).chosen <> 0 then 1
             else 0
           in
           faults_before.(j + 1) <- faults_before.(j) + extra
         done;
         let push_alt i alt =
           let node = nodes.(i) in
-          if not (List.mem alt node.tried) then begin
+          if not (tried node alt) then begin
             (* transitions already taken from this node sleep in the new
                branch until something dependent wakes them *)
             let sleep0 =
@@ -846,9 +930,9 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
                 (fun a ->
                   let c = trail.(i).cands.(a) in
                   (c.Choice.ident, c.Choice.key))
-                node.tried
+                (tried_indices node)
             in
-            node.tried <- alt :: node.tried;
+            mark_tried node alt;
             stack := { start = child node alt; sleep0 } :: !stack
           end
         in
@@ -866,35 +950,28 @@ let explore ?(max_schedules = 4000) ?(max_depth = 3000) ?fault_budget fx =
               then push_alt j alt
             done
           | Choice.Event | Choice.Fiber ->
-            (* race reversal: find the latest earlier decision this one
-               conflicts with and schedule this transition there instead *)
-            let rec back i =
-              if i >= 0 then
-                if
-                  trail.(i).cands.(trail.(i).chosen).Choice.dom <> Choice.Fault
-                  && conflict keysets.(i) keysets.(j)
-                then begin
-                  let ei = trail.(i) in
-                  let found = ref false in
-                  Array.iteri
-                    (fun a (c : Choice.candidate) ->
-                      if (not !found) && c.Choice.ident = cj.Choice.ident
-                      then begin
-                        found := true;
-                        if a <> ei.chosen then push_alt i a
-                      end)
-                    ei.cands;
-                  (* the racing transition was not yet enabled at [i]:
-                     fall back to trying every alternative there
-                     (classic DPOR's "add all enabled") *)
-                  if not !found then
-                    for a = 0 to Array.length ei.cands - 1 do
-                      if a <> ei.chosen then push_alt i a
-                    done
-                end
-                else back (i - 1)
-            in
-            back (j - 1)
+            (* race reversal: schedule this transition at the latest
+               earlier decision it conflicts with instead *)
+            let i = partners.(j) in
+            if i >= 0 then begin
+              let ei = trail.(i) in
+              let rec find a =
+                if a >= Array.length ei.cands then -1
+                else if
+                  Choice.ident_equal ei.cands.(a).Choice.ident cj.Choice.ident
+                then a
+                else find (a + 1)
+              in
+              match find 0 with
+              | -1 ->
+                (* the racing transition was not yet enabled at [i]:
+                   fall back to trying every alternative there
+                   (classic DPOR's "add all enabled") *)
+                for a = 0 to Array.length ei.cands - 1 do
+                  if a <> ei.chosen then push_alt i a
+                done
+              | a -> if a <> ei.chosen then push_alt i a
+            end
         done
       end
   done;

@@ -37,7 +37,7 @@ let of_choice (c : Sim.Choice.candidate) ~index ~ncands =
     index;
     ncands;
     ident = Sim.Choice.ident_name c.Sim.Choice.ident;
-    key = c.Sim.Choice.key;
+    key = Sim.Choice.key_name c.Sim.Choice.key;
     label = Lazy.force c.Sim.Choice.label;
   }
 

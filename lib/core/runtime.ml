@@ -689,14 +689,14 @@ let node_down t ~node =
   if t.failure_hooks <> [] then
     notify_failure t ~kind:"node_down" ~node
       ~detail:(Printf.sprintf "node%d down (transient)" node);
-  Sim.Engine.note_access t.eng (Printf.sprintf "net:n%d" node);
+  Sim.Engine.note_access t.eng (Sim.Choice.net node);
   Hw.Ethernet.set_node_down t.net node;
   Hw.Machine.set_down t.machines.(node)
 
 let node_restart t ~node =
   t.ctrs.node_restarts <- t.ctrs.node_restarts + 1;
   emit t "crash" (lazy (Printf.sprintf "node%d restarting" node));
-  Sim.Engine.note_access t.eng (Printf.sprintf "net:n%d" node);
+  Sim.Engine.note_access t.eng (Sim.Choice.net node);
   Hw.Ethernet.set_node_up t.net node;
   Hw.Machine.set_up t.machines.(node)
 
@@ -718,7 +718,7 @@ let recover_object t ~dead (Aobject.Any o) =
   if not o.Aobject.lost then begin
     let addr = o.Aobject.addr in
     let touched = o.Aobject.location = dead || List.mem dead o.Aobject.replicas in
-    if touched then Sim.Engine.note_access t.eng (Printf.sprintf "obj:%d" addr);
+    if touched then Sim.Engine.note_access t.eng (Sim.Choice.obj addr);
     if o.Aobject.location <> dead then begin
       (* Master survived: forget the dead replica, if any. *)
       if List.mem dead o.Aobject.replicas then begin
@@ -843,7 +843,7 @@ let fail_stop t ~node:dead =
   if t.failure_hooks <> [] then
     notify_failure t ~kind:"node_dead" ~node:dead
       ~detail:(Printf.sprintf "node%d fail-stop" dead);
-  Sim.Engine.note_access t.eng (Printf.sprintf "net:n%d" dead);
+  Sim.Engine.note_access t.eng (Sim.Choice.net dead);
   (* The wire stops delivering to the corpse, and the transport aborts
      every outstanding transaction touching it.  Victims are collected
      first: the transport's [on_dead] callbacks (e.g. a thread flight)
@@ -859,8 +859,7 @@ let fail_stop t ~node:dead =
   Hw.Machine.set_down t.machines.(dead);
   List.iter
     (fun ts ->
-      Sim.Engine.note_access t.eng
-        (Printf.sprintf "tcb:%d" (Hw.Machine.tcb_id ts.tcb));
+      Sim.Engine.note_access t.eng (Sim.Choice.tcb (Hw.Machine.tcb_id ts.tcb));
       crash_kill_thread t ts (Topaz.Rpc.Node_dead { node = dead }))
     victims;
   (* The corpse's server fibers are frozen mid-handler and will never
@@ -911,7 +910,7 @@ let schedule_crashes t =
     in
     List.iter
       (fun c ->
-        let key = Printf.sprintf "node:%d" c.Config.cnode in
+        let key = Sim.Choice.node c.Config.cnode in
         ignore
           (Sim.Engine.schedule_at t.eng ~key
              ~label:(lazy (Printf.sprintf "crash node%d" c.Config.cnode))

@@ -153,21 +153,6 @@ let account t (p : Packet.t) ~waited ~tx =
   t.queueing <- t.queueing +. waited;
   t.busy <- t.busy +. tx
 
-(* The conflict key of everything that lands in [node]'s protocol state
-   from the wire: deliveries into it, fault decisions on packets bound
-   for it, and its own retransmit timers.  The key names a node, not a
-   medium, so one table serves every run: each node's key is built once,
-   the first time a chooser asks for it. *)
-let node_keys = ref [||]
-
-let node_key node =
-  let n = Array.length !node_keys in
-  if node >= n then
-    node_keys :=
-      Array.append !node_keys
-        (Array.init (node + 1 - n) (fun i -> "net:n" ^ string_of_int (n + i)));
-  !node_keys.(node)
-
 let set_node_down t node = Hashtbl.replace t.downs node ()
 let set_node_up t node = Hashtbl.remove t.downs node
 
@@ -189,7 +174,7 @@ let schedule_delivery t (p : Packet.t) ~time =
   in
   if Sim.Engine.chooser_active t.eng then
     ignore
-      (Sim.Engine.schedule_at t.eng ~key:(node_key p.Packet.dst)
+      (Sim.Engine.schedule_at t.eng ~key:(Sim.Choice.net p.Packet.dst)
          ~label:
            (lazy
              (Printf.sprintf "deliver %s %d>%d seq%d" p.Packet.kind
@@ -214,7 +199,7 @@ let schedule_delivery t (p : Packet.t) ~time =
 let inject t (p : Packet.t) ~delivery =
   match Sim.Engine.chooser t.eng with
   | Some c when c.Sim.Choice.faults && p.Packet.seq >= 0 ->
-    let key = node_key p.Packet.dst in
+    let key = Sim.Choice.net p.Packet.dst in
     let tag verb =
       {
         Sim.Choice.dom = Sim.Choice.Fault;
@@ -223,8 +208,13 @@ let inject t (p : Packet.t) ~delivery =
            one packet is unrelated to "dup" of another *)
         ident =
           Sim.Choice.Fault_tag
-            (Printf.sprintf "%s:%s:%d>%d:%d" verb p.Packet.kind p.Packet.src
-               p.Packet.dst p.Packet.seq);
+            {
+              verb;
+              kind = p.Packet.kind;
+              src = p.Packet.src;
+              dst = p.Packet.dst;
+              seq = p.Packet.seq;
+            };
         key;
         label =
           lazy

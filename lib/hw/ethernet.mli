@@ -84,12 +84,6 @@ val create :
     retransmission timers). *)
 val engine : t -> Sim.Engine.t
 
-(** [net:n<node>]: the static conflict key a chooser reads on deliveries
-    into [node], on fault decisions about packets bound for it and on
-    its retransmit timers.  Each node's key is built once, for the whole
-    program, and shared. *)
-val node_key : int -> string
-
 (** Submit a packet for transmission.  Returns the predicted delivery time
     under {!Fifo}; under {!Csma_cd} the return value is the earliest
     possible delivery (collisions may delay it further). *)

@@ -69,7 +69,6 @@ and t = {
   eng : Sim.Engine.t;
   cpus : cpu list;
   mutable pol : tcb Sched_policy.t;
-  key : string;  (* static conflict key of this node's scheduler events *)
   ctx_switch : float;
   quantum : float;
   preempt_cost : float;
@@ -208,7 +207,7 @@ let rec schedule_dispatch m =
     m.dispatch_pending <- true;
     ignore
       ((if Sim.Engine.chooser_active m.eng then
-          Sim.Engine.schedule m.eng ~key:m.key
+          Sim.Engine.schedule m.eng ~key:(Sim.Choice.node m.mid)
             ~label:(lazy (Printf.sprintf "dispatch node%d" m.mid))
             ~delay:0.0 m.dispatch_thunk
         else Sim.Engine.schedule m.eng ~delay:0.0 m.dispatch_thunk)
@@ -256,7 +255,7 @@ and choose_ready (c : Sim.Choice.t) m =
         {
           Sim.Choice.dom = Sim.Choice.Fiber;
           ident = Sim.Choice.Tid tcb.tid;
-          key = m.key;
+          key = Sim.Choice.node m.mid;
           label =
             lazy (Printf.sprintf "run %s t%d node%d" tcb.name tcb.tid m.mid);
         })
@@ -345,7 +344,7 @@ and start_chunk m cpu tcb =
   cpu.occupant <- tcb.some;
   cpu.chunk_ev <-
     (if Sim.Engine.chooser_active m.eng then
-       Sim.Engine.schedule m.eng ~key:m.key
+       Sim.Engine.schedule m.eng ~key:(Sim.Choice.node m.mid)
          ~label:
            (lazy (Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid))
          ~delay:chunk cpu.complete
@@ -471,7 +470,6 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
               in_place = (fun _ -> false);
             });
       pol;
-      key = "node:" ^ string_of_int id;
       ctx_switch;
       quantum;
       preempt_cost;

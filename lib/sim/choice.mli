@@ -24,23 +24,66 @@ val domain_name : domain -> string
 val domain_of_name : string -> domain option
 
 (** Stable identity of an alternative along a replayed prefix.  Built
-    without formatting: only a fault tag (verb and packet) is a string,
-    and it is built only when a fault-enabled chooser is installed.
-    Structural equality tells the three apart, so event 5, thread 5 and
-    a tag never collide. *)
+    without formatting, and compared field by field with {!ident_equal},
+    so event 5, thread 5 and a packet's fate never collide. *)
 type ident =
   | Event_id of int  (** a pending engine event *)
   | Tid of int  (** a ready fiber *)
-  | Fault_tag of string  (** a medium verb applied to one packet *)
+  | Fault_tag of {
+      verb : string;
+      kind : string;
+      src : int;
+      dst : int;
+      seq : int;
+    }  (** a medium verb applied to one packet *)
 
-(** [e<id>], [t<tid>] or the tag: the ident column of a schedule file. *)
+(** [e<id>], [t<tid>] or [verb:kind:src>dst:seq]: the ident column of a
+    schedule file. *)
 val ident_name : ident -> string
+
+val ident_equal : ident -> ident -> bool
+
+(** A hash that agrees with {!ident_equal}. *)
+val ident_hash : ident -> int
+
+(** A conflict key: which protocol state a decision touches, as one
+    immediate int (a 4-bit tag over the node, address or id), so naming
+    one allocates nothing and two compare with [=].  {!unknown}
+    conflicts with every key. *)
+type key = private int
+
+val unknown : key
+
+(** A machine's scheduler state: its dispatch and chunk events. *)
+val node : int -> key
+
+(** Everything that lands in a node's protocol state from the wire:
+    deliveries into it, fault decisions on packets bound for it and its
+    own retransmit timers. *)
+val net : int -> key
+
+val obj : int -> key
+val tcb : int -> key
+val lock : int -> key
+val cond : int -> key
+val fut : int -> key
+
+(** The reliable transport's receiver-side dedup table, which senders'
+    ack handling retires entries from. *)
+val rpc_dedup : key
+
+(** The server-side call table of request/reply dedup. *)
+val rpc_calls : key
+
+(** [node:3], [net:n2], [obj:<addr>], [tcb:7], [lock:<addr>],
+    [cond:<token>], [fut:<id>], [rpc:dedup], [rpc:calls], and [""] for
+    {!unknown}: the key column of a schedule file. *)
+val key_name : key -> string
 
 type candidate = {
   dom : domain;
   ident : ident;
-  key : string;
-      (** static conflict key; [""] = unknown, conflicts with all *)
+  key : key;  (** static conflict key *)
   label : string Lazy.t;
       (** human-readable description, forced only when a schedule is
           written *)
@@ -52,7 +95,7 @@ type t = {
           return a valid index into the array *)
   faults : bool;
       (** when false, fault choice points are not offered at all *)
-  note_access : string -> unit;
+  note_access : key -> unit;
       (** dynamic conflict keys observed while the chosen alternative
           executes (same-object invokes, same-lock acquires,
           same-descriptor coherence ops — the AmberSan happens-before

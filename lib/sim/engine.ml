@@ -8,7 +8,7 @@ type event = {
       (* nominal timestamp.  Under a chooser an event may fire "late"
          (after the clock has been advanced past it by another branch of
          the exploration); the clock never moves backwards. *)
-  key : string;
+  key : Choice.key;
   label : string Lazy.t option;
       (* forced only when a schedule is written; [None] reads [ev<id>] *)
   mutable live : bool;
@@ -59,7 +59,7 @@ let chooser_active t = t.chooser <> None
 let note_access t k =
   match t.chooser with None -> () | Some c -> c.Choice.note_access k
 
-let schedule_at t ?(key = "") ?label ~time thunk =
+let schedule_at t ?(key = Choice.unknown) ?label ~time thunk =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
   let time =
     if time >= t.clock then time
@@ -87,7 +87,7 @@ let no_event =
   {
     id = -1;
     time = Float.infinity;
-    key = "";
+    key = Choice.unknown;
     label = None;
     live = false;
     thunk = ignore;

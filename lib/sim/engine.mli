@@ -40,18 +40,18 @@ val chooser_active : t -> bool
 (** Report a dynamic conflict key (object address, lock, descriptor,
     future id) touched by the currently-executing decision.  A no-op
     unless a chooser is installed. *)
-val note_access : t -> string -> unit
+val note_access : t -> Choice.key -> unit
 
 (** [schedule t ~delay f] runs [f ()] at [now t +. delay].
     Raises [Invalid_argument] if [delay] is negative or NaN.
-    [key] is the static conflict key a chooser reads ([""], the default,
-    conflicts with everything).  [label] describes the event in a
+    [key] is the static conflict key a chooser reads
+    ({!Choice.unknown}, the default, conflicts with everything).  [label] describes the event in a
     schedule file; it is forced only when a schedule is written, so a
     call site formats it inside [lazy].  Without one the file reads
     [ev<id>].  Both are dead weight when no chooser is installed. *)
 val schedule :
   t ->
-  ?key:string ->
+  ?key:Choice.key ->
   ?label:string Lazy.t ->
   delay:float ->
   (unit -> unit) ->
@@ -63,7 +63,7 @@ val schedule :
     scheduling event later than its nominal timestamp.) *)
 val schedule_at :
   t ->
-  ?key:string ->
+  ?key:Choice.key ->
   ?label:string Lazy.t ->
   time:float ->
   (unit -> unit) ->

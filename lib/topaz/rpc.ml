@@ -404,7 +404,7 @@ let rec drain_retire t =
        [deliver_datagram] reads, so under a model checker the two do not
        commute even though they run on different nodes — tag the shared
        state so schedule exploration knows to reorder them. *)
-    Sim.Engine.note_access eng "rpc:dedup";
+    Sim.Engine.note_access eng Sim.Choice.rpc_dedup;
     if t.unsafe_dedup || safe_after <= Sim.Engine.now eng then begin
       ignore (Queue.pop t.retire_q : int * float);
       Hashtbl.remove t.delivered seq;
@@ -466,7 +466,7 @@ let rec arm t (tx : txn) =
     Some
       (if Sim.Engine.chooser_active eng then
          Sim.Engine.schedule eng
-           ~key:(Hw.Ethernet.node_key tx.src)
+           ~key:(Sim.Choice.net tx.src)
            ~label:
              (lazy
                (Printf.sprintf "rto %s %d>%d seq%d" tx.kind tx.src tx.dst
@@ -503,7 +503,7 @@ let send_reliable t ?on_dead ~src ~dst ~size ~kind deliver =
     let horizon = ref 0.0 in
     let on_wire d = horizon := Float.max !horizon (arrival_horizon t d) in
     let deliver_ack () =
-      Sim.Engine.note_access eng "rpc:dedup";
+      Sim.Engine.note_access eng Sim.Choice.rpc_dedup;
       if settle t seq then begin
         (* The sender has the ack, so it will never retransmit this seq
            again: queue its dedup entry for retirement once the count
@@ -513,7 +513,7 @@ let send_reliable t ?on_dead ~src ~dst ~size ~kind deliver =
       end
     in
     let deliver_datagram () =
-      Sim.Engine.note_access eng "rpc:dedup";
+      Sim.Engine.note_access eng Sim.Choice.rpc_dedup;
       if Hashtbl.mem t.delivered seq then
         Sim.Stats.Counter.incr t.rel.dup_datagrams
       else begin
@@ -544,7 +544,7 @@ let send_reliable t ?on_dead ~src ~dst ~size ~kind deliver =
 let first_request t seq =
   seq < 0
   || begin
-       Sim.Engine.note_access (Hw.Ethernet.engine t.ether) "rpc:calls";
+       Sim.Engine.note_access (Hw.Ethernet.engine t.ether) Sim.Choice.rpc_calls;
        match Hashtbl.find_opt t.call_state seq with
        | None ->
          Hashtbl.replace t.call_state seq Started;
@@ -606,7 +606,7 @@ let call t ~dst ~kind ~req_size ~work =
                 if seq >= 0 then
                   Sim.Engine.note_access
                     (Hw.Ethernet.engine t.ether)
-                    "rpc:calls";
+                    Sim.Choice.rpc_calls;
                 Sim.Span.finish t.spans !rsp;
                 if settle t seq then begin
                   result := Some value;

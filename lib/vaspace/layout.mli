@@ -14,6 +14,9 @@ val heap_base : int
 (** Size of one heap region ("currently 1M bytes", §3.1). *)
 val region_size : int
 
+(** One past the last address: the top of the 32-bit VAX address space. *)
+val address_space_top : int
+
 (** Allocation granularity within a region; all heap blocks are multiples
     of this and aligned to it. *)
 val block_align : int

@@ -414,12 +414,14 @@ let test_labels_stay_lazy () =
   in
   let labelled i ~delay =
     ignore
-      (Sim.Engine.schedule e ~key:"k" ~label:(lazy (render i)) ~delay ignore)
+      (Sim.Engine.schedule e ~key:(Sim.Choice.node 0)
+         ~label:(lazy (render i))
+         ~delay ignore)
   in
   labelled 0 ~delay:0.0;
   labelled 1 ~delay:1.0;
   labelled 2 ~delay:3.0;
-  ignore (Sim.Engine.schedule e ~key:"k" ~delay:2.0 ignore);
+  ignore (Sim.Engine.schedule e ~key:(Sim.Choice.node 0) ~delay:2.0 ignore);
   let decisions = ref [] in
   let pick _ cands =
     decisions := cands :: !decisions;

@@ -206,6 +206,164 @@ let test_counterexample_text () =
     (90, "f3508ea56a6869075b0ba32b9ea989be")
     (digest (crash_counterexample ()))
 
+(* --- conflict keys and the race scan ----------------------------------- *)
+
+module C = Sim.Choice
+
+let top = Vaspace.Layout.address_space_top
+
+(* The id-carrying constructors, each with the prefix of the string a
+   schedule file has always shown for it. *)
+let key_forms =
+  [|
+    ("node:", C.node);
+    ("net:n", C.net);
+    ("obj:", C.obj);
+    ("tcb:", C.tcb);
+    ("lock:", C.lock);
+    ("cond:", C.cond);
+    ("fut:", C.fut);
+  |]
+
+let test_key_names () =
+  List.iter
+    (fun (want, k) -> Alcotest.(check string) want want (C.key_name k))
+    [
+      ("node:3", C.node 3);
+      ("net:n2", C.net 2);
+      ("obj:16777216", C.obj Vaspace.Layout.heap_base);
+      ("tcb:7", C.tcb 7);
+      ("lock:16777232", C.lock (Vaspace.Layout.heap_base + 16));
+      ("cond:1", C.cond 1);
+      ("fut:0", C.fut 0);
+      ("obj:4294967296", C.obj top);
+      ("rpc:dedup", C.rpc_dedup);
+      ("rpc:calls", C.rpc_calls);
+      ("", C.unknown);
+    ]
+
+(* Two (constructor, id) pairs with ids up to the top of the address
+   space, the second often sharing the first's constructor or id: their
+   keys are equal exactly when the pairs are, each renders its prefix and
+   id, and none meets a constant key. *)
+let prop_keys_distinct =
+  let open QCheck.Gen in
+  let id =
+    frequency
+      [ (3, int_bound top); (1, oneofl [ 0; 1; 15; 16; 17; top - 1; top ]) ]
+  in
+  let form = int_bound (Array.length key_forms - 1) in
+  let pair_of (c, i) =
+    let nearby =
+      map (fun d -> min top (max 0 (i + d))) (int_range (-17) 17)
+    in
+    map
+      (fun q -> ((c, i), q))
+      (pair
+         (frequency [ (1, return c); (1, form) ])
+         (frequency [ (2, return i); (1, nearby); (1, id) ]))
+  in
+  QCheck.Test.make ~name:"keys never collide up to the address-space top"
+    ~count:2000
+    (QCheck.make
+       ~print:QCheck.Print.(pair (pair int int) (pair int int))
+       (pair form id >>= pair_of))
+    (fun ((c1, i1), (c2, i2)) ->
+      let key (c, i) = snd key_forms.(c) i in
+      let k1 = key (c1, i1) and k2 = key (c2, i2) in
+      let named (c, i) k = C.key_name k = fst key_forms.(c) ^ string_of_int i in
+      named (c1, i1) k1 && named (c2, i2) k2
+      && (k1 = k2) = (c1 = c2 && i1 = i2)
+      && List.for_all
+           (fun k -> k <> k1 && k <> k2)
+           [ C.unknown; C.rpc_dedup; C.rpc_calls ])
+
+(* A packet's fate compares field by field, renders as the tag schedule
+   files have always carried, and hashes alike when equal. *)
+let test_fault_idents () =
+  let fate ?(verb = "dup") ?(kind = "probe0") ?(src = 0) ?(dst = 1) ?(seq = 3)
+      () =
+    C.Fault_tag { verb; kind; src; dst; seq }
+  in
+  Alcotest.(check string) "tag" "dup:probe0:0>1:3" (C.ident_name (fate ()));
+  let same = fate ~kind:(String.concat "" [ "probe"; "0" ]) () in
+  Alcotest.(check bool) "equal fields, equal idents" true
+    (C.ident_equal (fate ()) same);
+  Alcotest.(check bool) "equal idents hash alike" true
+    (C.ident_hash (fate ()) = C.ident_hash same);
+  List.iter
+    (fun (what, other) ->
+      Alcotest.(check bool) what false (C.ident_equal (fate ()) other))
+    [
+      ("verb", fate ~verb:"drop" ());
+      ("kind", fate ~kind:"probe1" ());
+      ("src", fate ~src:2 ());
+      ("dst", fate ~dst:0 ());
+      ("seq", fate ~seq:4 ());
+      ("an event", C.Event_id 3);
+      ("a thread", C.Tid 3);
+    ];
+  Alcotest.(check bool) "event 5 is not thread 5" false
+    (C.ident_equal (C.Event_id 5) (C.Tid 5))
+
+(* The explorer's race scan before the forward pass, kept as the
+   reference: from each Event or Fiber decision, walk back to the latest
+   earlier non-fault decision whose key set conflicts with its own. *)
+let conflict ka kb =
+  List.mem C.unknown ka || List.mem C.unknown kb
+  || List.exists (fun k -> List.mem k kb) ka
+
+let backward_partners trail =
+  Array.mapi
+    (fun j (dom, ks) ->
+      match dom with
+      | C.Fault -> -1
+      | C.Event | C.Fiber ->
+        let rec back i =
+          if i < 0 then -1
+          else if fst trail.(i) <> C.Fault && conflict (snd trail.(i)) ks then
+            i
+          else back (i - 1)
+        in
+        back (j - 1))
+    trail
+
+let arb_trail =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [
+        (1, return C.unknown);
+        ( 8,
+          oneofl
+            [
+              C.node 0;
+              C.node 1;
+              C.net 0;
+              C.net 1;
+              C.obj 16;
+              C.obj 32;
+              C.tcb 3;
+              C.lock 48;
+              C.rpc_dedup;
+            ] );
+      ]
+  in
+  let decision =
+    pair (oneofl [ C.Event; C.Fiber; C.Fault ]) (list_size (int_bound 3) key)
+  in
+  let print (dom, ks) =
+    C.domain_name dom ^ "[" ^ String.concat "," (List.map C.key_name ks) ^ "]"
+  in
+  QCheck.make
+    ~print:(fun t -> String.concat " " (Array.to_list (Array.map print t)))
+    (array_size (int_bound 40) decision)
+
+let prop_race_partners =
+  QCheck.Test.make ~name:"forward race scan matches the backward walk"
+    ~count:1000 arb_trail (fun trail ->
+      M.race_partners trail = backward_partners trail)
+
 let test_schedule_rejects_garbage () =
   (match S.of_string "not a schedule" with
   | Ok _ -> Alcotest.fail "missing header accepted"
@@ -241,4 +399,9 @@ let suite =
       test_crash_counterexample_replays;
     Alcotest.test_case "schedule: counterexample text pinned" `Quick
       test_counterexample_text;
+    Alcotest.test_case "keys: old names" `Quick test_key_names;
+    QCheck_alcotest.to_alcotest prop_keys_distinct;
+    Alcotest.test_case "idents: packet fates compare by field" `Quick
+      test_fault_idents;
+    QCheck_alcotest.to_alcotest prop_race_partners;
   ]

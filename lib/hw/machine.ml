@@ -37,6 +37,9 @@ type tcb = {
   mutable on_resume : (tcb -> bool) option;
   mutable finish_callbacks : (Sim.Fiber.outcome -> unit) list;
   mutable dispatches : int;
+  (* Wakers handed out plus wakers fired: the waker of a block is live
+     while this still equals the count it was built with. *)
+  mutable wakers : int;
   (* Terminated by crash injection ({!kill}) rather than by its own
      fiber.  A stale waker aimed at a killed thread — a lock release, a
      late reply, an in-flight thread-state packet — becomes a no-op
@@ -52,8 +55,9 @@ type tcb = {
    thread is preempted or killed.  While busy, [occupant] holds the
    chunk's thread and [chunk_ev] the one event that completes the chunk;
    that event's thunk is [complete], built once per CPU, and the chunk
-   itself is in [times].  [in_place] is the CPU's {!Sim.Fiber} hook,
-   also built once: see [consume_in_place]. *)
+   itself is in [times].  With no chooser [chunk_ev] is one record,
+   built once and re-armed for each chunk.  [in_place] is the CPU's
+   {!Sim.Fiber} hook, also built once: see [consume_in_place]. *)
 and cpu = {
   index : int;
   running : thread_state;  (* [Running index], shared by its threads *)
@@ -74,8 +78,10 @@ and t = {
   preempt_cost : float;
   spans : Sim.Span.t;
   mutable dispatch_pending : bool;
-  (* The thunk of this machine's dispatch event, built once. *)
+  (* The thunk of this machine's dispatch event, built once, and with no
+     chooser the event itself, re-armed for each dispatch. *)
   mutable dispatch_thunk : unit -> unit;
+  mutable dispatch_ev : Sim.Engine.event_id;
   mutable dispatches_total : int;
   mutable preemptions : int;
   mutable failed : (tcb * exn) list;
@@ -205,13 +211,13 @@ let consume_in_place m cpu dt =
 let rec schedule_dispatch m =
   if m.up && not m.dispatch_pending then begin
     m.dispatch_pending <- true;
-    ignore
-      ((if Sim.Engine.chooser_active m.eng then
-          Sim.Engine.schedule m.eng ~key:(Sim.Choice.node m.mid)
-            ~label:(lazy (Printf.sprintf "dispatch node%d" m.mid))
-            ~delay:0.0 m.dispatch_thunk
-        else Sim.Engine.schedule m.eng ~delay:0.0 m.dispatch_thunk)
-        : Sim.Engine.event_id)
+    if Sim.Engine.chooser_active m.eng then
+      ignore
+        (Sim.Engine.schedule m.eng ~key:(Sim.Choice.node m.mid)
+           ~label:(lazy (Printf.sprintf "dispatch node%d" m.mid))
+           ~delay:0.0 m.dispatch_thunk
+          : Sim.Engine.event_id)
+    else m.dispatch_ev <- Sim.Engine.rearm m.eng m.dispatch_ev ~delay:0.0
   end
 
 and dispatch_event m =
@@ -348,7 +354,7 @@ and start_chunk m cpu tcb =
          ~label:
            (lazy (Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid))
          ~delay:chunk cpu.complete
-     else Sim.Engine.schedule m.eng ~delay:chunk cpu.complete)
+     else Sim.Engine.rearm m.eng cpu.chunk_ev ~delay:chunk)
 
 and chunk_done m cpu =
   match cpu.occupant with
@@ -419,10 +425,11 @@ and finish m cpu tcb outcome =
   dispatch m
 
 and waker tcb =
-  let fired = ref false in
+  let n = tcb.wakers + 1 in
+  tcb.wakers <- n;
   fun () ->
-    if not !fired then begin
-      fired := true;
+    if tcb.wakers = n then begin
+      tcb.wakers <- n + 1;
       match tcb.tstate with
       | Blocked ->
         tcb.tstate <- Ready;
@@ -435,7 +442,8 @@ and waker tcb =
 
 (* After the dispatch code: each CPU's completion thunk calls
    [chunk_done], its in-place hook [consume_in_place], and the dispatch
-   event's thunk [dispatch_event]. *)
+   event's thunk [dispatch_event].  The events around the thunks are
+   built here too. *)
 
 let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
     ?(preempt_cost = 0.0) ?policy ?(spans = Sim.Span.disabled ()) () =
@@ -465,7 +473,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
                   remaining = 0.0;
                 };
               occupant = None;
-              chunk_ev = Sim.Engine.no_event;
+              chunk_ev = Sim.Engine.idle_event ignore;
               complete = ignore;
               in_place = (fun _ -> false);
             });
@@ -476,6 +484,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
       spans;
       dispatch_pending = false;
       dispatch_thunk = ignore;
+      dispatch_ev = Sim.Engine.idle_event ignore;
       dispatches_total = 0;
       preemptions = 0;
       failed = [];
@@ -485,9 +494,11 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
   List.iter
     (fun cpu ->
       cpu.complete <- (fun () -> chunk_done m cpu);
+      cpu.chunk_ev <- Sim.Engine.idle_event cpu.complete;
       cpu.in_place <- (fun dt -> consume_in_place m cpu dt))
     m.cpus;
   m.dispatch_thunk <- (fun () -> dispatch_event m);
+  m.dispatch_ev <- Sim.Engine.idle_event m.dispatch_thunk;
   m
 
 (* --- public operations -------------------------------------------------- *)
@@ -507,6 +518,7 @@ let spawn m ~name ?(priority = 0) body =
       on_resume = None;
       finish_callbacks = [];
       dispatches = 0;
+      wakers = 0;
       killed = false;
       some = Some tcb;
     }

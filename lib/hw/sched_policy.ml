@@ -6,36 +6,61 @@ type 'a t = {
   length : unit -> int;
 }
 
-(* All three disciplines keep a doubly-ended list representation simple
-   enough to support mid-queue removal, which the machine model needs when
-   a thread is destroyed or explicitly migrated while runnable. *)
+(* A growable ring: [len] entries from [head], wrapping.  A free slot
+   keeps an entry it held before (or the one the ring grew for), so the
+   array needs no placeholder value.  Once the ring has grown, enqueue
+   allocates nothing and dequeue only the [Some] it returns; neither
+   moves another entry, and [length] is a field read. *)
+type 'a ring = { mutable buf : 'a array; mutable head : int; mutable len : int }
 
 let fifo () =
-  let q = ref [] (* rear, reversed *) and front = ref [] in
-  let normalize () =
-    if !front = [] then begin
-      front := List.rev !q;
-      q := []
+  let r = { buf = [||]; head = 0; len = 0 } in
+  let slot i =
+    let j = r.head + i and cap = Array.length r.buf in
+    if j >= cap then j - cap else j
+  in
+  let enqueue x =
+    let cap = Array.length r.buf in
+    if r.len = cap then begin
+      let buf = Array.make (max 8 (2 * cap)) x in
+      for i = 0 to r.len - 1 do
+        buf.(i) <- r.buf.(slot i)
+      done;
+      r.buf <- buf;
+      r.head <- 0
+    end;
+    r.buf.(slot r.len) <- x;
+    r.len <- r.len + 1
+  in
+  let dequeue () =
+    if r.len = 0 then None
+    else begin
+      let x = r.buf.(r.head) in
+      r.head <- slot 1;
+      r.len <- r.len - 1;
+      Some x
     end
   in
-  let enqueue x = q := x :: !q in
-  let dequeue () =
-    normalize ();
-    match !front with
-    | [] -> None
-    | x :: rest ->
-      front := rest;
-      Some x
-  in
+  (* Compact the kept entries towards the head, in order. *)
   let remove pred =
-    let keep l = List.filter (fun x -> not (pred x)) l in
-    let before = List.length !front + List.length !q in
-    front := keep !front;
-    q := keep !q;
-    before - (List.length !front + List.length !q)
+    let kept = ref 0 in
+    for i = 0 to r.len - 1 do
+      let x = r.buf.(slot i) in
+      if not (pred x) then begin
+        r.buf.(slot !kept) <- x;
+        incr kept
+      end
+    done;
+    let removed = r.len - !kept in
+    r.len <- !kept;
+    removed
   in
-  let length () = List.length !front + List.length !q in
+  let length () = r.len in
   { name = "fifo"; enqueue; dequeue; remove; length }
+
+(* [lifo] and [by_priority] keep lists, simple enough to support
+   mid-queue removal, which the machine model needs when a thread is
+   destroyed or explicitly migrated while runnable. *)
 
 let lifo () =
   let stack = ref [] in

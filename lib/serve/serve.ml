@@ -156,14 +156,25 @@ type result = {
       (* the first shed request's typed failure, for tests and logs *)
 }
 
-let kind_prefix = "serve-"
-let kind_of_cls c = kind_prefix ^ Trafficgen.cls_name c
+(* A request's RPC kind is "serve-" and its class name; each is a
+   constant, so no request builds one. *)
+let kind_of_cls = function
+  | Trafficgen.Read -> "serve-read"
+  | Trafficgen.Write -> "serve-write"
+  | Trafficgen.Compute -> "serve-compute"
 
 let cls_of_kind kind =
-  let n = String.length kind_prefix in
-  if String.length kind > n && String.sub kind 0 n = kind_prefix then
-    Some (String.sub kind n (String.length kind - n))
-  else None
+  match kind with
+  | "serve-read" -> Some Trafficgen.Read
+  | "serve-write" -> Some Trafficgen.Write
+  | "serve-compute" -> Some Trafficgen.Compute
+  | _ -> None
+
+(* Position of a class in [Trafficgen.all_classes]. *)
+let cls_index = function
+  | Trafficgen.Read -> 0
+  | Trafficgen.Write -> 1
+  | Trafficgen.Compute -> 2
 
 let service_cost = function
   | Trafficgen.Read -> read_cost
@@ -218,7 +229,8 @@ let run rt (cfg : cfg) =
         })
       Trafficgen.all_classes
   in
-  let stat c = List.find (fun (st : class_stats) -> st.cls = c) stats in
+  let by_cls = Array.of_list stats in
+  let stat c = by_cls.(cls_index c) in
   let overall_latency = Sim.Stats.Summary.create () in
   let sample_rejection = ref None in
   let outstanding = ref 0 in
@@ -236,16 +248,16 @@ let run rt (cfg : cfg) =
   in
   let lat_cls =
     if watched then
-      List.map
-        (fun (st : class_stats) ->
-          ( st.cls,
-            Sim.Series.window metrics
-              ~name:
-                (Printf.sprintf "serve.latency_ms[%s]"
-                   (Trafficgen.cls_name st.cls))
-              ~scale:1e3 () ))
-        stats
-    else []
+      Some
+        (Array.map
+           (fun (st : class_stats) ->
+             Sim.Series.window metrics
+               ~name:
+                 (Printf.sprintf "serve.latency_ms[%s]"
+                    (Trafficgen.cls_name st.cls))
+               ~scale:1e3 ())
+           by_cls)
+    else None
   in
   if watched then begin
     let sum f =
@@ -354,8 +366,8 @@ let run rt (cfg : cfg) =
            | None -> true
            | Some cls ->
              let ok =
-               Admission.admit ctrls.(dst) ~now:(A.Runtime.now rt) ~cls
-                 ~depth:inflight.(dst)
+               Admission.admit ctrls.(dst) ~now:(A.Runtime.now rt)
+                 ~cls:(Trafficgen.cls_name cls) ~depth:inflight.(dst)
              in
              if ok then inflight.(dst) <- inflight.(dst) + 1;
              ok)));
@@ -442,8 +454,8 @@ let run rt (cfg : cfg) =
               (match lat_all with
               | Some w -> Sim.Series.observe w dt
               | None -> ());
-              (match List.assoc_opt r.Trafficgen.cls lat_cls with
-              | Some w -> Sim.Series.observe w dt
+              (match lat_cls with
+              | Some ws -> Sim.Series.observe ws.(cls_index r.Trafficgen.cls) dt
               | None -> ());
               st.completed <- st.completed + 1
             end

@@ -1,17 +1,19 @@
 (* An event is its own handle: [event_id] is this record, so [cancel] and
    [is_pending] are one field access.  A cancelled event (under a chooser,
    a fired one too) stays in the heap with [live = false] until it reaches
-   the top and is reaped. *)
+   the top and is reaped.  The event's time is its queue entry's, which
+   the queue keeps unboxed.  Under a chooser an event may fire "late"
+   (after the clock has been advanced past it by another branch of the
+   exploration); the clock never moves backwards. *)
 type event = {
-  id : int;
-  time : float;
-      (* nominal timestamp.  Under a chooser an event may fire "late"
-         (after the clock has been advanced past it by another branch of
-         the exploration); the clock never moves backwards. *)
+  mutable id : int;
   key : Choice.key;
   label : string Lazy.t option;
       (* forced only when a schedule is written; [None] reads [ev<id>] *)
   mutable live : bool;
+  (* [true] from [add] until the entry leaves the heap: a record only
+     [rearm] may reuse, and only once it is out. *)
+  mutable queued : bool;
   thunk : unit -> unit;
 }
 
@@ -74,24 +76,44 @@ let schedule_at t ?(key = Choice.unknown) ?label ~time thunk =
   in
   let id = t.next_id in
   t.next_id <- id + 1;
-  let ev = { id; time; key; label; live = true; thunk } in
+  let ev = { id; key; label; live = true; queued = true; thunk } in
   Event_queue.add t.queue ~time ev;
   ev
 
-let schedule t ?key ?label ~delay thunk =
+let check_delay delay =
   if Float.is_nan delay || delay < 0.0 then
-    invalid_arg "Engine.schedule: negative or NaN delay";
+    invalid_arg "Engine.schedule: negative or NaN delay"
+
+let schedule t ?key ?label ~delay thunk =
+  check_delay delay;
   schedule_at t ?key ?label ~time:(t.clock +. delay) thunk
 
-let no_event =
+let idle_event thunk =
   {
     id = -1;
-    time = Float.infinity;
     key = Choice.unknown;
     label = None;
     live = false;
-    thunk = ignore;
+    queued = false;
+    thunk;
   }
+
+(* A record out of the queue is armed again in place, with the id a fresh
+   one would get.  One still queued, even dead, keeps its heap entry, and
+   re-arming it would revive that entry at its old time: it gets a fresh
+   record instead. *)
+let rearm t ev ~delay =
+  if ev.queued then schedule t ~key:ev.key ?label:ev.label ~delay ev.thunk
+  else begin
+    check_delay delay;
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    ev.id <- id;
+    ev.live <- true;
+    ev.queued <- true;
+    Event_queue.add t.queue ~time:(t.clock +. delay) ev;
+    ev
+  end
 
 (* The event that would end at [time] is the next one [run] pops, so
    its thunk may run now, inside the current event, with the clock, its
@@ -115,40 +137,50 @@ let[@inline] advance_in_place t ~time =
 let cancel _ ev = ev.live <- false
 let is_pending _ ev = ev.live
 
-let fire t ev =
-  if ev.time > t.clock then t.clock <- ev.time;
+(* [time] is the time of [ev]'s queue entry, which [run] and [step] have
+   popped and [checked_step] leaves queued. *)
+let[@inline] fire t ~time ev =
+  if time > t.clock then t.clock <- time;
   ev.live <- false;
   t.executed <- t.executed + 1;
   ev.thunk ()
+
+let[@inline] pop t =
+  let ev = Event_queue.pop_min t.queue in
+  ev.queued <- false;
+  ev
 
 (* Chooser-driven step: any pending event may fire next, not just the
    earliest — the chooser explores relative orderings of deliveries and
    timers that the timestamps of one particular run would fix.  Fired
    events are marked dead in place, so the heap holds them until they
-   reach the top: reap those first, then list the live rest. *)
+   reach the top: reap those first, then list the live rest, reading the
+   time of live entries only. *)
 let checked_step (c : Choice.t) t =
   let q = t.queue in
   while (not (Event_queue.is_empty q)) && not (Event_queue.min_value q).live do
-    ignore (Event_queue.pop_min q : event)
+    ignore (pop t : event)
   done;
-  let evs =
-    Event_queue.fold q ~init:[] ~f:(fun acc _ ev ->
-        if ev.live then ev :: acc else acc)
-    |> List.sort (fun a b ->
-           match Float.compare a.time b.time with
-           | 0 -> Int.compare a.id b.id
-           | n -> n)
-  in
+  let evs = ref [] in
+  for i = Event_queue.length q - 1 downto 0 do
+    let ev = Event_queue.value_at q i in
+    if ev.live then evs := (Event_queue.time_at q i, ev) :: !evs
+  done;
+  (* Sorted in place: a list sort would allocate each merge. *)
+  let evs = Array.of_list !evs in
+  Array.stable_sort
+    (fun (ta, a) (tb, b) ->
+      match Float.compare ta tb with 0 -> Int.compare a.id b.id | n -> n)
+    evs;
   match evs with
-  | [] -> false
-  | [ ev ] ->
-    fire t ev;
+  | [||] -> false
+  | [| (time, ev) |] ->
+    fire t ~time ev;
     true
   | evs ->
-    let arr = Array.of_list evs in
     let cands =
       Array.map
-        (fun ev ->
+        (fun (_, ev) ->
           {
             Choice.dom = Choice.Event;
             ident = Choice.Event_id ev.id;
@@ -158,10 +190,10 @@ let checked_step (c : Choice.t) t =
               | Some label -> label
               | None -> lazy ("ev" ^ string_of_int ev.id));
           })
-        arr
+        evs
     in
-    let idx = c.Choice.pick Choice.Event cands in
-    fire t arr.(idx);
+    let time, ev = evs.(c.Choice.pick Choice.Event cands) in
+    fire t ~time ev;
     true
 
 let step t =
@@ -171,9 +203,10 @@ let step t =
     let rec loop q =
       if Event_queue.is_empty q then false
       else
-        let ev = Event_queue.pop_min q in
+        let time = Event_queue.min_time q in
+        let ev = pop t in
         if ev.live then begin
-          fire t ev;
+          fire t ~time ev;
           true
         end
         else loop q
@@ -194,13 +227,19 @@ let run ?until t =
     t.horizon.until <- horizon;
     let q = t.queue in
     (* The horizon is checked on every entry, dead ones included, so a
-       cancelled event inside it cannot pull a live one from beyond. *)
+       cancelled event inside it cannot pull a live one from beyond.
+       Each entry's time is read once. *)
+    let draining = ref true in
     (match
-       while
-         (not (Event_queue.is_empty q)) && Event_queue.min_time q <= horizon
-       do
-         let ev = Event_queue.pop_min q in
-         if ev.live then fire t ev
+       while !draining do
+         if Event_queue.is_empty q then draining := false
+         else
+           let time = Event_queue.min_time q in
+           if time <= horizon then begin
+             let ev = pop t in
+             if ev.live then fire t ~time ev
+           end
+           else draining := false
        done
      with
     | () -> t.horizon.until <- Float.neg_infinity

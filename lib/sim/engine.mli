@@ -69,10 +69,23 @@ val schedule_at :
   (unit -> unit) ->
   event_id
 
-(** A handle that was never scheduled: never pending, and cancelling it
-    is a no-op.  It fills a field that holds an event only some of the
-    time. *)
-val no_event : event_id
+(** An event record built once by its owner and scheduled again and
+    again with {!rearm}: it fires [thunk], with the default key and no
+    label.  It starts idle, never pending, and cancelling it is a
+    no-op. *)
+val idle_event : (unit -> unit) -> event_id
+
+(** [rearm t ev ~delay] schedules [ev]'s thunk at [now t +. delay] under
+    the id a fresh {!schedule} would take, so ids and
+    {!events_executed} stay as they would be with fresh records.  When
+    [ev] has left the queue (never scheduled, fired, or cancelled and
+    reaped) it is armed again in place and returned: no record is
+    built.  A record still in the queue, live or cancelled but not yet
+    reaped, is never re-armed, since its entry would then fire at its
+    old time: a fresh record with [ev]'s thunk, key and label is
+    scheduled instead and returned.  So the owner keeps the handle it
+    gets back.  Raises [Invalid_argument] as {!schedule} does. *)
+val rearm : t -> event_id -> delay:float -> event_id
 
 (** Cancel a pending event in constant time, by clearing its live flag;
     its queue entry is reaped when it reaches the front.  Cancelling an

@@ -154,9 +154,10 @@ let clear q =
   q.values <- [||];
   q.size <- 0
 
-let fold q ~init ~f =
-  let acc = ref init in
-  for i = 0 to q.size - 1 do
-    acc := f !acc (Float.Array.get q.times i) q.values.(q.slots.(i))
-  done;
-  !acc
+let time_at q i =
+  if i < 0 || i >= q.size then invalid_arg "Event_queue.time_at";
+  Float.Array.unsafe_get q.times i
+
+let value_at q i =
+  if i < 0 || i >= q.size then invalid_arg "Event_queue.value_at";
+  Array.unsafe_get q.values (Array.unsafe_get q.slots i)

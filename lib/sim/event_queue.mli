@@ -35,6 +35,12 @@ val length : 'a t -> int
 (** Remove every entry. *)
 val clear : 'a t -> unit
 
-(** Fold over every entry in unspecified order.  The engine's chooser
-    step uses it to list the pending events. *)
-val fold : 'a t -> init:'b -> f:('b -> float -> 'a -> 'b) -> 'b
+(** {2 Entries by position}
+
+    Positions [0] to [length q - 1] name the queued entries in no
+    particular order.  An {!add} or a pop renumbers them.  The engine's
+    chooser step reads the values first and the time of the live ones
+    only.  Each raises [Invalid_argument] on a position out of range. *)
+
+val time_at : 'a t -> int -> float
+val value_at : 'a t -> int -> 'a

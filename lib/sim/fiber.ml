@@ -63,7 +63,14 @@ let spent : (unit, paused) continuation =
       : paused);
   Option.get !captured
 
-type fiber = { mutable latest : (unit, paused) continuation }
+(* [register] holds a [Block]'s argument from the effect's match to its
+   handler, which reads it before any other fiber can run. *)
+type fiber = {
+  mutable latest : (unit, paused) continuation;
+  mutable register : (unit -> unit) -> unit;
+}
+
+let no_register (_ : unit -> unit) = ()
 
 let take f =
   let k = f.latest in
@@ -75,7 +82,7 @@ let take f =
    continuation in [latest], and the resumption continues whichever
    continuation that is. *)
 let start body =
-  let f = { latest = spent } in
+  let f = { latest = spent; register = no_register } in
   let r =
     {
       resume = (fun () -> continue (take f) ());
@@ -94,6 +101,14 @@ let start body =
         f.latest <- k;
         Yielded r)
   in
+  let on_block =
+    Some
+      (fun k ->
+        f.latest <- k;
+        let register = f.register in
+        f.register <- no_register;
+        Blocked (register, r))
+  in
   match_with body ()
     {
       retc = (fun () -> Done Completed);
@@ -105,9 +120,7 @@ let start body =
           | Consume -> on_consume
           | Yield -> on_yield
           | Block register ->
-            Some
-              (fun k ->
-                f.latest <- k;
-                Blocked (register, r))
+            f.register <- register;
+            on_block
           | _ -> None);
     }

@@ -289,6 +289,11 @@ let ack_bytes = 16
 let raw_send t ?seq ~src ~dst ~size ~kind deliver =
   Hw.Ethernet.send t.ether (Hw.Packet.make ?seq ~src ~dst ~size ~kind deliver)
 
+(* One packet now; [on_wire] learns its predicted delivery time. *)
+let send_now t ?seq ?on_wire ~src ~dst ~size ~kind deliver =
+  let d = raw_send t ?seq ~src ~dst ~size ~kind deliver in
+  match on_wire with Some f -> f d | None -> ()
+
 (* Latest instant any copy of a packet predicted to land at [d] can still
    arrive: a stall window can hold it until the window ends, a delay
    spike adds its lag, and a fault-injected duplicate trails the original
@@ -326,8 +331,7 @@ let flush_pair t key =
     match List.rev b.items with
     | [] -> ()
     | [ (seq, size, kind, deliver, on_wire) ] ->
-      let d = raw_send t ~seq ~src ~dst ~size ~kind deliver in
-      Option.iter (fun f -> f d) on_wire
+      send_now t ~seq ?on_wire ~src ~dst ~size ~kind deliver
     | items ->
       t.coal_frames <- t.coal_frames + 1;
       t.coal_batched <- t.coal_batched + List.length items;
@@ -350,17 +354,13 @@ let flush_pair t key =
    flushes the batch ahead of itself.  Per-pair FIFO order is preserved:
    an ineligible message first flushes whatever is parked ahead of it. *)
 let wire_send t ?seq ?on_wire ~src ~dst ~size ~kind deliver =
-  let raw_now ?seq () =
-    let d = raw_send t ?seq ~src ~dst ~size ~kind deliver in
-    Option.iter (fun f -> f d) on_wire
-  in
   match t.coalesce with
-  | None -> raw_now ?seq ()
+  | None -> send_now t ?seq ?on_wire ~src ~dst ~size ~kind deliver
   | Some c ->
     let key = (src, dst) in
     if src = dst || size > max_msg_bytes then begin
       flush_pair t key;
-      raw_now ?seq ()
+      send_now t ?seq ?on_wire ~src ~dst ~size ~kind deliver
     end
     else begin
       t.coal_eligible <- t.coal_eligible + 1;
@@ -689,28 +689,29 @@ let unwatch t ~node id =
 let set_admission t hook = t.admission <- hook
 let posts_rejected t = t.posts_rejected
 
+(* Posts without [on_reject] are exempt from admission: losing a kernel
+   datagram to load shedding would wedge a protocol, not shed a
+   request. *)
+let admitted t ~dst ~kind on_reject =
+  match (t.admission, on_reject) with
+  | Some admit, Some _ -> admit ~dst ~kind
+  | _ -> true
+
+let reject t on_reject =
+  t.posts_rejected <- t.posts_rejected + 1;
+  match on_reject with Some f -> f () | None -> ()
+
 let post ?parent ?on_dead ?on_reject t ~src ~dst ~kind ~size handler =
   t.posts <- t.posts + 1;
   (* Admission is checked where the request lands (delivery for a remote
      post, enqueue for a local one): the per-node controller sees its own
-     queue depth and token buckets at arrival time.  Posts without
-     [on_reject] are exempt — losing a kernel datagram to load shedding
-     would wedge a protocol, not shed a request. *)
-  let admitted () =
-    match (t.admission, on_reject) with
-    | Some admit, Some _ -> admit ~dst ~kind
-    | _ -> true
-  in
-  let reject () =
-    t.posts_rejected <- t.posts_rejected + 1;
-    match on_reject with Some f -> f () | None -> ()
-  in
+     queue depth and token buckets at arrival time. *)
   if src = dst then begin
-    if admitted () then
+    if admitted t ~dst ~kind on_reject then
       enqueue_work (endpoint t dst) (fun () ->
           Sim.Fiber.consume t.c.dispatch_cpu;
           handler ())
-    else reject ()
+    else reject t on_reject
   end
   else begin
     (* Both the wire leg and the remote handler parent to whatever span
@@ -718,35 +719,45 @@ let post ?parent ?on_dead ?on_reject t ~src ~dst ~kind ~size handler =
        handler's nested spans causally attached to the decision that
        posted it.  A caller that posts from event context — inside a
        [Sim.Fiber.block] register callback, where no fiber is current —
-       passes [?parent] explicitly, captured while still on the fiber. *)
+       passes [?parent] explicitly, captured while still on the fiber.
+       With spans off no span is started, so no span argument is built,
+       and [finish] of span 0 does nothing. *)
     let parent =
       match parent with Some p -> p | None -> Sim.Span.current t.spans
     in
     let fsp =
-      Sim.Span.start_flow t.spans Sim.Span.Net_flight ~label:kind ~parent
-        ~arg:dst ()
+      if Sim.Span.enabled t.spans then
+        Sim.Span.start_flow t.spans Sim.Span.Net_flight ~label:kind ~parent
+          ~arg:dst ()
+      else 0
     in
     (* A datagram the transport gives up on (peer died) never delivers:
        close its flight span before surfacing the death. *)
-    let on_dead e =
-      Sim.Span.finish t.spans fsp;
-      match on_dead with Some f -> f e | None -> ()
+    let on_dead =
+      if fsp = 0 then on_dead
+      else
+        Some
+          (fun e ->
+            Sim.Span.finish t.spans fsp;
+            match on_dead with Some f -> f e | None -> ())
     in
-    send_reliable t ~on_dead ~src ~dst ~size ~kind (fun () ->
+    send_reliable t ?on_dead ~src ~dst ~size ~kind (fun () ->
         Sim.Span.finish t.spans fsp;
-        if admitted () then
+        if admitted t ~dst ~kind on_reject then
           enqueue_work (endpoint t dst) (fun () ->
               Sim.Fiber.consume (recv_side_cpu t size +. t.c.dispatch_cpu);
               let ssp =
-                Sim.Span.start t.spans Sim.Span.Rpc_server ~label:kind
-                  ~async:true ~parent ()
+                if Sim.Span.enabled t.spans then
+                  Sim.Span.start t.spans Sim.Span.Rpc_server ~label:kind
+                    ~async:true ~parent ()
+                else 0
               in
               match handler () with
               | () -> Sim.Span.finish t.spans ssp
               | exception e ->
                 Sim.Span.finish t.spans ssp;
                 raise e)
-        else reject ())
+        else reject t on_reject)
   end
 
 (* The legs' own give-ups miss one window: a datagram is acked at

@@ -401,6 +401,70 @@ let prop_chooser_candidates =
       drive e m prog ~on_step ~on_run ~thunk;
       true)
 
+(* An owned record re-armed after it fired is armed in place; one still
+   queued, cancelled but not reaped, is replaced by a fresh record, and
+   its stale entry never fires.  The armings take the ids and executed
+   counts that fresh scheduling takes: the two drives end alike and
+   hand the same ids to the next events. *)
+let test_rearm () =
+  let drive ~rearm =
+    let e = Sim.Engine.create () in
+    let fired = ref [] in
+    let thunk () = fired := Sim.Engine.now e :: !fired in
+    let owned = Sim.Engine.idle_event thunk in
+    let arm h ~delay =
+      if rearm then Sim.Engine.rearm e h ~delay
+      else Sim.Engine.schedule e ~delay thunk
+    in
+    let pending = Alcotest.(check bool) in
+    if rearm then begin
+      pending "idle" false (Sim.Engine.is_pending e owned);
+      Sim.Engine.cancel e owned
+    end;
+    let h1 = arm owned ~delay:2.0 in
+    if rearm then Alcotest.(check bool) "armed in place" true (h1 == owned);
+    pending "armed" true (Sim.Engine.is_pending e h1);
+    Sim.Engine.cancel e h1;
+    pending "cancelled" false (Sim.Engine.is_pending e h1);
+    let h2 = arm h1 ~delay:1.0 in
+    if rearm then
+      Alcotest.(check bool) "a queued record is not reused" false (h2 == h1);
+    pending "fresh arming" true (Sim.Engine.is_pending e h2);
+    pending "stale entry" false (Sim.Engine.is_pending e h1);
+    ignore (Sim.Engine.run ~until:1.5 e : int);
+    pending "fired" false (Sim.Engine.is_pending e h2);
+    let h3 = arm h2 ~delay:1.0 in
+    if rearm then Alcotest.(check bool) "fired record reused" true (h3 == h2);
+    pending "re-armed" true (Sim.Engine.is_pending e h3);
+    ignore (Sim.Engine.run e : int);
+    pending "done" false (Sim.Engine.is_pending e h3);
+    let idents = ref [] in
+    Sim.Engine.set_chooser e
+      (Some
+         {
+           Util.pass_through with
+           Sim.Choice.pick =
+             (fun _ cands ->
+               idents :=
+                 Array.to_list
+                   (Array.map
+                      (fun c -> Sim.Choice.ident_name c.Sim.Choice.ident)
+                      cands);
+               0);
+         });
+    ignore (Sim.Engine.schedule e ~delay:1.0 ignore);
+    ignore (Sim.Engine.schedule e ~delay:1.0 ignore);
+    ignore (Sim.Engine.run e : int);
+    (List.rev !fired, Sim.Engine.events_executed e, !idents)
+  in
+  let fired, executed, idents = drive ~rearm:true in
+  Alcotest.(check (list (float 0.0))) "each arming fired once, at its time"
+    [ 1.0; 2.5 ] fired;
+  Alcotest.(check (list string)) "next ids" [ "e3"; "e4" ] idents;
+  let fresh = drive ~rearm:false in
+  Alcotest.(check (triple (list (float 0.0)) int (list string)))
+    "as fresh scheduling" fresh (fired, executed, idents)
+
 (* Under a chooser an event's label is formatted only when a schedule is
    written: deciding among candidates forces none, and
    [Schedule.of_choice] forces exactly the candidates it records.  An
@@ -475,6 +539,7 @@ let suite =
       test_in_place_as_fired;
     QCheck_alcotest.to_alcotest prop_engine_model;
     QCheck_alcotest.to_alcotest prop_chooser_candidates;
+    Alcotest.test_case "re-armed records fire as fresh ones" `Quick test_rearm;
     Alcotest.test_case "labels stay lazy under a chooser" `Quick
       test_labels_stay_lazy;
   ]

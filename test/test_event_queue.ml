@@ -69,11 +69,28 @@ let test_interleaved_add_pop () =
   | None -> Alcotest.fail "pop");
   check_int "one left" 1 (Sim.Event_queue.length q)
 
-let test_fold () =
+(* Positions name each queued entry once, with its own time; a position
+   out of range raises. *)
+let test_positions () =
   let q = Sim.Event_queue.create () in
-  List.iter (fun t -> Sim.Event_queue.add q ~time:t t) [ 3.0; 1.0; 2.0 ];
-  let sum = Sim.Event_queue.fold q ~init:0.0 ~f:(fun acc t _ -> acc +. t) in
-  Alcotest.(check (float 1e-9)) "fold sums all" 6.0 sum
+  List.iter
+    (fun t -> Sim.Event_queue.add q ~time:t (int_of_float t))
+    [ 3.0; 1.0; 4.0; 2.0 ];
+  ignore (Sim.Event_queue.pop_min q : int);
+  let entries =
+    List.init (Sim.Event_queue.length q) (fun i ->
+        (Sim.Event_queue.time_at q i, Sim.Event_queue.value_at q i))
+  in
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "every entry once" [ (2.0, 2); (3.0, 3); (4.0, 4) ]
+    (List.sort compare entries);
+  let out_of_range f =
+    match f () with
+    | _ -> Alcotest.fail "no exception"
+    | exception Invalid_argument _ -> ()
+  in
+  out_of_range (fun () -> Sim.Event_queue.time_at q 3);
+  out_of_range (fun () -> float_of_int (Sim.Event_queue.value_at q (-1)))
 
 (* Property: popping yields times in nondecreasing order, with seq order on
    ties, for arbitrary insert sequences. *)
@@ -208,7 +225,7 @@ let suite =
     Alcotest.test_case "NaN time rejected" `Quick test_nan_rejected;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "interleaved add/pop" `Quick test_interleaved_add_pop;
-    Alcotest.test_case "fold visits everything" `Quick test_fold;
+    Alcotest.test_case "positions name every entry" `Quick test_positions;
     QCheck_alcotest.to_alcotest prop_sorted;
     QCheck_alcotest.to_alcotest prop_length;
     QCheck_alcotest.to_alcotest prop_model;

@@ -94,6 +94,35 @@ let test_block_and_wake () =
   Alcotest.(check bool) "finished" true
     (match Hw.Machine.state t with Hw.Machine.Finished _ -> true | _ -> false)
 
+(* A waker wakes its own block once: called again, or after the thread
+   has blocked anew, it does nothing. *)
+let test_waker_one_shot () =
+  let e, m = make () in
+  let wakers = ref [] in
+  let register w = wakers := w :: !wakers in
+  let t =
+    Hw.Machine.spawn m ~name:"s" (fun () ->
+        Sim.Fiber.block register;
+        Sim.Fiber.block register)
+  in
+  let blocked what =
+    Alcotest.(check bool) what true (Hw.Machine.state t = Hw.Machine.Blocked)
+  in
+  ignore (Sim.Engine.run e);
+  let first = List.hd !wakers in
+  first ();
+  first ();
+  ignore (Sim.Engine.run e);
+  blocked "in the second block";
+  Alcotest.(check int) "two blocks" 2 (List.length !wakers);
+  first ();
+  ignore (Sim.Engine.run e);
+  blocked "a stale waker does nothing";
+  (List.hd !wakers) ();
+  ignore (Sim.Engine.run e);
+  Alcotest.(check bool) "finished" true
+    (match Hw.Machine.state t with Hw.Machine.Finished _ -> true | _ -> false)
+
 let test_wake_via_machine_api () =
   let e, m = make () in
   let t =
@@ -300,14 +329,18 @@ let test_until_inside_consume () =
 
 (* Random programs run the same with a pass-through chooser, under which
    every chunk is an event, as without one, where chunks complete in
-   place. *)
-type op = Consume of int | Yield | Sleep of int | Arm of int
+   place and each CPU re-arms one chunk record.  A [Preempt] timer
+   cancels the chunks running on the thread's home machine; the chunk
+   that follows on the same CPU finds its record still queued, so it
+   takes a fresh one. *)
+type op = Consume of int | Yield | Sleep of int | Arm of int | Preempt of int
 
 let pp_op = function
   | Consume k -> Printf.sprintf "consume %d" k
   | Yield -> "yield"
   | Sleep k -> Printf.sprintf "sleep %d" k
   | Arm k -> Printf.sprintf "arm %d" k
+  | Preempt k -> Printf.sprintf "preempt %d" k
 
 type program = {
   nodes : (int * int) list;  (** per machine: CPUs, quantum in ticks *)
@@ -331,6 +364,7 @@ let arb_program =
         (1, return Yield);
         (1, map (fun k -> Sleep k) (int_bound 6));
         (1, map (fun k -> Arm k) (int_bound 6));
+        (1, map (fun k -> Preempt k) (int_bound 6));
       ]
   in
   let node = pair (int_range 1 3) (int_range 3 8) in
@@ -362,6 +396,7 @@ type outcome = {
   preemptions : int list;
   cpu : float list;
   in_place : int;
+  preempted : int;  (** threads that [Preempt] timers descheduled *)
 }
 
 let run_program ~checked p =
@@ -378,6 +413,7 @@ let run_program ~checked p =
   in
   let log = ref [] in
   let note what = log := (what, Sim.Engine.now e) :: !log in
+  let preempted = ref 0 in
   let tcbs =
     List.mapi
       (fun i (home, ops) ->
@@ -393,7 +429,13 @@ let run_program ~checked p =
                 | Arm k ->
                   ignore
                     (Sim.Engine.schedule e ~delay:(ticks k) (fun () ->
-                         note (Printf.sprintf "timer %d.%d" i j))));
+                         note (Printf.sprintf "timer %d.%d" i j)))
+                | Preempt k ->
+                  ignore
+                    (Sim.Engine.schedule e ~delay:(ticks k) (fun () ->
+                         let n = Hw.Machine.preempt_all ms.(home) in
+                         preempted := !preempted + n;
+                         note (Printf.sprintf "preempt %d.%d: %d" i j n))));
                 note (Printf.sprintf "t%d op%d" i j))
               ops))
       p.threads
@@ -409,9 +451,11 @@ let run_program ~checked p =
     preemptions = per Hw.Machine.preemption_count;
     cpu = List.map Hw.Machine.cpu_time tcbs;
     in_place = Sim.Engine.in_place_completions e;
+    preempted = !preempted;
   }
 
 let in_place_total = ref 0
+let preempted_total = ref 0
 
 let prop_in_place_matches_events =
   QCheck.Test.make ~name:"chunks in place match chunk events" ~count:2000
@@ -432,14 +476,18 @@ let prop_in_place_matches_events =
         fail "preemptions differ";
       if plain.cpu <> checked.cpu then fail "thread CPU times differ";
       in_place_total := !in_place_total + plain.in_place;
+      preempted_total := !preempted_total + plain.preempted;
       true)
 
 let test_in_place_matches_events () =
   in_place_total := 0;
+  preempted_total := 0;
   QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |])
     prop_in_place_matches_events;
   Alcotest.(check bool) "plain runs completed chunks in place" true
-    (!in_place_total > 0)
+    (!in_place_total > 0);
+  Alcotest.(check bool) "preempt timers descheduled threads" true
+    (!preempted_total > 0)
 
 let suite =
   [
@@ -454,6 +502,7 @@ let suite =
       test_one_event_per_chunk;
     Alcotest.test_case "yield round-robin" `Quick test_yield_round_robin;
     Alcotest.test_case "block and wake" `Quick test_block_and_wake;
+    Alcotest.test_case "a waker is one-shot" `Quick test_waker_one_shot;
     Alcotest.test_case "machine wake API" `Quick test_wake_via_machine_api;
     Alcotest.test_case "context-switch cost" `Quick test_ctx_switch_charged;
     Alcotest.test_case "quantum longer than the switch" `Quick

@@ -59,6 +59,79 @@ let prop_fifo_order =
       List.iter p.Hw.Sched_policy.enqueue xs;
       drain p = xs)
 
+(* The fifo ring against a list model, over random enqueue, dequeue,
+   [remove] and [length] sequences.  The ring starts with room for 8, so
+   longer queues grow it, some of them while the entries wrap. *)
+type fifo_op = Enq of int | Deq | Remove_multiples of int | Length
+
+let pp_fifo_op = function
+  | Enq x -> Printf.sprintf "enq %d" x
+  | Deq -> "deq"
+  | Remove_multiples k -> Printf.sprintf "remove multiples of %d" k
+  | Length -> "length"
+
+let fifo_grew = ref 0
+
+let prop_fifo_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun x -> Enq x) small_nat);
+          (3, return Deq);
+          (1, map (fun k -> Remove_multiples k) (int_range 2 5));
+          (1, return Length);
+        ])
+  in
+  let ops = QCheck.Gen.(list_size (int_bound 120) op) in
+  let print ops = String.concat "; " (List.map pp_fifo_op ops) in
+  QCheck.Test.make ~name:"fifo ring matches a list model" ~count:500
+    (QCheck.make ~print ops) (fun ops ->
+      let p = Hw.Sched_policy.fifo () in
+      let fail = QCheck.Test.fail_reportf in
+      let peak = ref 0 in
+      let model =
+        List.fold_left
+          (fun model op ->
+            match op with
+            | Enq x ->
+              p.Hw.Sched_policy.enqueue x;
+              let model = model @ [ x ] in
+              peak := max !peak (List.length model);
+              model
+            | Deq -> (
+              let got = p.Hw.Sched_policy.dequeue () in
+              match model with
+              | [] ->
+                if got <> None then fail "dequeued from an empty queue";
+                []
+              | x :: rest ->
+                if got <> Some x then fail "dequeue: wanted %d" x;
+                rest)
+            | Remove_multiples k ->
+              let hit x = x mod k = 0 in
+              let n = p.Hw.Sched_policy.remove hit in
+              let model' = List.filter (fun x -> not (hit x)) model in
+              if n <> List.length model - List.length model' then
+                fail "remove counted %d" n;
+              model'
+            | Length ->
+              if p.Hw.Sched_policy.length () <> List.length model then
+                fail "length %d, model %d" (p.Hw.Sched_policy.length ())
+                  (List.length model);
+              model)
+          [] ops
+      in
+      if !peak > 8 then incr fifo_grew;
+      if p.Hw.Sched_policy.length () <> List.length model then
+        fail "final length differs";
+      drain p = model)
+
+let test_fifo_model () =
+  fifo_grew := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 30 |]) prop_fifo_model;
+  Alcotest.(check bool) "some runs grew the ring" true (!fifo_grew > 0)
+
 let suite =
   [
     Alcotest.test_case "fifo" `Quick test_fifo;
@@ -68,4 +141,5 @@ let suite =
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "length" `Quick test_length;
     QCheck_alcotest.to_alcotest prop_fifo_order;
+    Alcotest.test_case "fifo ring matches a list model" `Quick test_fifo_model;
   ]

@@ -114,7 +114,8 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
         ~obj:obj.Aobject.addr ()
     else 0
   in
-  let entered_at = Runtime.now rt in
+  let clock = Runtime.clock rt in
+  let entered_at = clock.Sim.Engine.now in
   (* Where the call was issued from — captured before settling migrates
      the thread, so the balancer's window counters attribute the
      invocation to the caller's node, not the object's. *)
@@ -169,7 +170,7 @@ let invoke rt ?(payload = 0) ?(return_payload = 0) ?(mode = San_hooks.Atomic)
     ctrs.Runtime.remote_invocations <- ctrs.Runtime.remote_invocations + 1;
     Sim.Stats.Summary.add
       (Runtime.remote_invoke_latency rt)
-      (Runtime.now rt -. entered_at)
+      (clock.Sim.Engine.now -. entered_at)
   end;
   Aobject.record_call obj ~origin ~local:(hops = 0);
   (* A Read settled on a replica runs against the local snapshot — served

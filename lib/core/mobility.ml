@@ -163,13 +163,14 @@ let move_to rt obj ~dest =
     invalid_arg "Mobility.move_to: bad destination node";
   if obj.Aobject.parent <> None then
     invalid_arg "Mobility.move_to: object is attached; move its root";
-  let t0 = Runtime.now rt in
+  let clock = Runtime.clock rt in
+  let t0 = clock.Sim.Engine.now in
   bracketed rt obj.Aobject.addr (fun () ->
       Sim.Span.with_span (Runtime.spans rt) Sim.Span.Object_move
         ~label:obj.Aobject.name ~obj:obj.Aobject.addr ~arg:dest (fun () ->
           if obj.Aobject.immutable_ then replicate rt obj ~dest
           else move_mutable rt obj.Aobject.addr (Aobject.Any obj) ~dest));
-  Sim.Stats.Summary.add (Runtime.move_latency rt) (Runtime.now rt -. t0);
+  Sim.Stats.Summary.add (Runtime.move_latency rt) (clock.Sim.Engine.now -. t0);
   (* If the caller was bound to the moved object, force it through the
      context-switch-in check so it follows the object (§3.5). *)
   Sim.Fiber.yield ()

@@ -45,6 +45,7 @@ type counters = {
 type t = {
   cfg : Config.t;
   eng : Sim.Engine.t;
+  clock : Sim.Engine.clock;
   net : Hw.Ethernet.t;
   machines : Hw.Machine.t array;
   vms : Topaz.Vm.t array;
@@ -168,6 +169,7 @@ let create_raw cfg =
     {
       cfg;
       eng;
+      clock = Sim.Engine.clock eng;
       net;
       machines;
       vms =
@@ -237,7 +239,8 @@ let heap t i =
     invalid_arg "Runtime.heap: bad node";
   t.heaps.(i)
 
-let now t = Sim.Engine.now t.eng
+let clock t = t.clock
+let now t = t.clock.now
 let counters t = t.ctrs
 let remote_invoke_latency t = t.remote_invoke_latency
 let move_latency t = t.move_latency

@@ -71,6 +71,11 @@ val heap : t -> int -> Vaspace.Heap.t
 (** Virtual time now. *)
 val now : t -> float
 
+(** The engine's clock record ({!Sim.Engine.clock}).  Code on the
+    invocation path reads [(clock t).now] in place: a call to {!now}
+    from another module boxes its result unless it is inlined. *)
+val clock : t -> Sim.Engine.clock
+
 (** {1 Thread bookkeeping} *)
 
 val register_thread : t -> tstate -> unit

@@ -54,8 +54,21 @@ type pending = {
 (* Packets and bytes of one packet kind, bumped in place. *)
 type traffic = { mutable kind_packets : int; mutable kind_bytes : int }
 
+(* The medium's float state.  Every field is a float, so OCaml stores
+   the record flat and a packet updates it with no box and no write
+   barrier. *)
+type wire = {
+  mutable free_at : float;
+  (* Earliest contention-round event currently scheduled (infinity when
+     none).  Extra stale rounds are harmless: they just recompute. *)
+  mutable next_round : float;
+  mutable queueing : float;
+  mutable busy : float;
+}
+
 type t = {
   eng : Sim.Engine.t;
+  clock : Sim.Engine.clock;
   bandwidth_bps : float;
   propagation : float;
   wire_overhead : float;
@@ -68,17 +81,12 @@ type t = {
      same random numbers as a build without this layer. *)
   frng : Sim.Rng.t option;
   spans : Sim.Span.t;
-  mutable free_at : float;
+  wire : wire;
   (* CSMA/CD state *)
   mutable waiting : pending list;
-  (* Earliest contention-round event currently scheduled (infinity when
-     none).  Extra stale rounds are harmless: they just recompute. *)
-  mutable next_round : float;
   (* statistics *)
   mutable packets : int;
   mutable bytes : int;
-  mutable queueing : float;
-  mutable busy : float;
   mutable collision_count : int;
   mutable dropped : int;
   mutable duplicated : int;
@@ -105,6 +113,7 @@ let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   {
     eng = engine;
+    clock = Sim.Engine.clock engine;
     bandwidth_bps;
     propagation;
     wire_overhead;
@@ -114,13 +123,16 @@ let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
     faults;
     frng = (if faults_enabled faults then Some (Sim.Rng.split rng) else None);
     spans;
-    free_at = 0.0;
+    wire =
+      {
+        free_at = 0.0;
+        next_round = Float.infinity;
+        queueing = 0.0;
+        busy = 0.0;
+      };
     waiting = [];
-    next_round = Float.infinity;
     packets = 0;
     bytes = 0;
-    queueing = 0.0;
-    busy = 0.0;
     collision_count = 0;
     dropped = 0;
     duplicated = 0;
@@ -134,13 +146,13 @@ let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
 let engine t = t.eng
 let propagation t = t.propagation
 
-let tx_time t ~size =
+let[@inline] tx_time t ~size =
   t.wire_overhead
   +. (8.0 *. float_of_int (size + t.header_bytes) /. t.bandwidth_bps)
 
-let busy_until t = t.free_at
+let busy_until t = t.wire.free_at
 
-let account t (p : Packet.t) ~waited ~tx =
+let[@inline] account t (p : Packet.t) ~waited ~tx =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + p.Packet.size;
   (match Hashtbl.find t.by_kind p.Packet.kind with
@@ -150,8 +162,8 @@ let account t (p : Packet.t) ~waited ~tx =
   | exception Not_found ->
     Hashtbl.add t.by_kind p.Packet.kind
       { kind_packets = 1; kind_bytes = p.Packet.size });
-  t.queueing <- t.queueing +. waited;
-  t.busy <- t.busy +. tx
+  t.wire.queueing <- t.wire.queueing +. waited;
+  t.wire.busy <- t.wire.busy +. tx
 
 let set_node_down t node = Hashtbl.replace t.downs node ()
 let set_node_up t node = Hashtbl.remove t.downs node
@@ -272,19 +284,22 @@ let inject t (p : Packet.t) ~delivery =
       end
     end)
 
-(* Begin transmitting [p] at [start] (medium known free then). *)
-let transmit t (p : Packet.t) ~submitted ~start =
+let mark_transmit t (p : Packet.t) ~submitted ~start ~tx =
+  Sim.Span.mark t.spans ~category:"net" ~at:start
+    (lazy
+      (Format.asprintf "%a queued=%.0fus tx=%.0fus" Packet.pp p
+         ((start -. submitted) *. 1e6)
+         (tx *. 1e6)))
+
+(* Begin transmitting [p] at [start] (medium known free then).  Inlined,
+   so [send]'s clock read reaches the float state unboxed. *)
+let[@inline] transmit t (p : Packet.t) ~submitted ~start =
   let tx = tx_time t ~size:p.Packet.size in
   let done_at = start +. tx in
-  t.free_at <- done_at;
+  t.wire.free_at <- done_at;
   account t p ~waited:(start -. submitted) ~tx;
   let delivery = done_at +. t.propagation in
-  if Sim.Span.marking t.spans then
-    Sim.Span.mark t.spans ~category:"net" ~at:start
-      (lazy
-        (Format.asprintf "%a queued=%.0fus tx=%.0fus" Packet.pp p
-           ((start -. submitted) *. 1e6)
-           (tx *. 1e6)));
+  if Sim.Span.marking t.spans then mark_transmit t p ~submitted ~start ~tx;
   inject t p ~delivery;
   delivery
 
@@ -294,9 +309,9 @@ let transmit t (p : Packet.t) ~submitted ~start =
    backoff has expired attempt together; one succeeds alone, several
    collide and back off. *)
 let rec csma_round t =
-  t.next_round <- Float.infinity;
-  let now = Sim.Engine.now t.eng in
-  if now < t.free_at then schedule_round t t.free_at
+  t.wire.next_round <- Float.infinity;
+  let now = t.clock.now in
+  if now < t.wire.free_at then schedule_round t t.wire.free_at
   else begin
     let ready, deferred =
       List.partition (fun w -> w.backoff_until <= now +. 1e-12) t.waiting
@@ -315,12 +330,12 @@ let rec csma_round t =
     | [ w ] ->
       t.waiting <- deferred;
       ignore (transmit t w.pkt ~submitted:w.submitted ~start:now : float);
-      if deferred <> [] then schedule_round t t.free_at
+      if deferred <> [] then schedule_round t t.wire.free_at
     | several ->
       (* Collision: everyone jams, then picks a fresh backoff slot. *)
       t.collision_count <- t.collision_count + 1;
-      t.busy <- t.busy +. jam_time;
-      t.free_at <- now +. jam_time;
+      t.wire.busy <- t.wire.busy +. jam_time;
+      t.wire.free_at <- now +. jam_time;
       List.iter
         (fun w ->
           w.attempts <- w.attempts + 1;
@@ -335,38 +350,39 @@ let rec csma_round t =
           (fun acc w -> Float.min acc w.backoff_until)
           Float.infinity t.waiting
       in
-      schedule_round t (Float.max next t.free_at)
+      schedule_round t (Float.max next t.wire.free_at)
   end
 
 and schedule_round t time =
-  let time = Float.max time (Sim.Engine.now t.eng) in
-  if time < t.next_round -. 1e-12 then begin
-    t.next_round <- time;
+  let time = Float.max time (t.clock.now) in
+  if time < t.wire.next_round -. 1e-12 then begin
+    t.wire.next_round <- time;
     ignore
       (Sim.Engine.schedule_at t.eng ~time (fun () -> csma_round t)
         : Sim.Engine.event_id)
   end
 
 let send t (p : Packet.t) =
-  let now = Sim.Engine.now t.eng in
+  let now = t.clock.now in
   match t.mac with
   | Fifo ->
-    let start = Float.max now t.free_at in
-    t.free_at <- start +. tx_time t ~size:p.Packet.size;
+    let start = if now > t.wire.free_at then now else t.wire.free_at in
     transmit t p ~submitted:now ~start
   | Csma_cd ->
     let w =
       { pkt = p; submitted = now; attempts = 0; backoff_until = now }
     in
     t.waiting <- t.waiting @ [ w ];
-    schedule_round t (Float.max now t.free_at);
+    schedule_round t (Float.max now t.wire.free_at);
     (* Earliest possible delivery, ignoring collisions. *)
-    Float.max now t.free_at +. tx_time t ~size:p.Packet.size +. t.propagation
+    Float.max now t.wire.free_at
+    +. tx_time t ~size:p.Packet.size
+    +. t.propagation
 
 let packets_sent t = t.packets
 let bytes_sent t = t.bytes
-let total_queueing t = t.queueing
-let busy_seconds t = t.busy
+let total_queueing t = t.wire.queueing
+let busy_seconds t = t.wire.busy
 let collisions t = t.collision_count
 let faults_in_effect t = t.faults
 let packets_dropped t = t.dropped
@@ -384,8 +400,8 @@ let traffic_by_kind t =
 let reset_stats t =
   t.packets <- 0;
   t.bytes <- 0;
-  t.queueing <- 0.0;
-  t.busy <- 0.0;
+  t.wire.queueing <- 0.0;
+  t.wire.busy <- 0.0;
   t.collision_count <- 0;
   t.dropped <- 0;
   t.duplicated <- 0;

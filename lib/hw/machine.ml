@@ -29,8 +29,12 @@ type tcb = {
   name : string;
   mutable machine : t;
   mutable tstate : thread_state;
-  (* Continuation to run when next placed on a CPU; [no_step] while the
-     fiber is actively being stepped or after it finishes. *)
+  (* Continuation to run when next placed on a CPU: the fiber's start
+     until the first step, and from the first pause on its resumption,
+     one closure for the fiber's life.  Stepping a thread that is running
+     its fiber, or has finished, raises: [no_step] stands in from the
+     first step to the first pause and after a kill, and the resumption
+     itself refuses a fiber with no pause pending. *)
   mutable step : unit -> Sim.Fiber.paused;
   acct : thread_acct;
   mutable prio : int;
@@ -57,7 +61,10 @@ type tcb = {
    that event's thunk is [complete], built once per CPU, and the chunk
    itself is in [times].  With no chooser [chunk_ev] is one record,
    built once and re-armed for each chunk.  [in_place] is the CPU's
-   {!Sim.Fiber} hook, also built once: see [consume_in_place]. *)
+   {!Sim.Fiber} hook, also built once: see [consume_in_place].  The
+   chunk path stores [occupant], [chunk_ev] and a thread's [step] only
+   when the value changes: each pointer store into a long-lived block
+   pays OCaml's write barrier. *)
 and cpu = {
   index : int;
   running : thread_state;  (* [Running index], shared by its threads *)
@@ -71,6 +78,7 @@ and cpu = {
 and t = {
   mid : int;
   eng : Sim.Engine.t;
+  clock : Sim.Engine.clock;
   cpus : cpu list;
   mutable pol : tcb Sched_policy.t;
   ctx_switch : float;
@@ -98,10 +106,14 @@ let tid_counter = ref 0
    many clusters the hosting process ran before this one. *)
 let reset_tids () = tid_counter := 0
 
-(* The thread whose fiber is executing right now.  The simulator is
-   single-threaded and fibers run to their next pause within one event, so
-   a single slot suffices. *)
-let current : tcb option ref = ref None
+(* The thread whose fiber is executing right now: [last] while [inside]
+   holds.  The simulator is single-threaded and fibers run to their next
+   pause within one event, so a single slot suffices.  [last] keeps the
+   thread stepped most recently after its fiber pauses, so stepping the
+   same thread again stores no pointer. *)
+type running = { mutable last : tcb option; mutable inside : bool }
+
+let current = { last = None; inside = false }
 
 let epsilon = 1e-12
 
@@ -123,14 +135,9 @@ let cpu_count m = List.length m.cpus
 let policy_name m = m.pol.Sched_policy.name
 
 let set_policy m new_pol =
-  let rec drain () =
-    match m.pol.Sched_policy.dequeue () with
-    | None -> ()
-    | Some tcb ->
-      new_pol.Sched_policy.enqueue tcb;
-      drain ()
-  in
-  drain ();
+  while m.pol.Sched_policy.length () > 0 do
+    new_pol.Sched_policy.enqueue (m.pol.Sched_policy.pop ())
+  done;
   m.pol <- new_pol
 
 let tcb_id t = t.tid
@@ -152,10 +159,10 @@ let on_finish t cb =
   | Finished outcome -> cb outcome
   | Ready | Running _ | Blocked -> t.finish_callbacks <- cb :: t.finish_callbacks
 
-let self () = !current
+let self () = if current.inside then current.last else None
 
 let self_exn () =
-  match !current with
+  match self () with
   | Some t -> t
   | None -> failwith "Machine.self_exn: not inside a fiber"
 
@@ -167,15 +174,22 @@ let[@inline] credit cpu tcb seconds =
   cpu.times.busy_seconds <- cpu.times.busy_seconds +. seconds;
   tcb.acct.cpu_seconds <- tcb.acct.cpu_seconds +. seconds
 
-(* Run [tcb]'s fiber to its next pause. *)
+(* Run [tcb]'s fiber to its next pause.  A step from event context
+   leaves [tcb] in [current.last]; a nested one, from inside another
+   fiber, puts that fiber's thread back. *)
 let step_fiber tcb =
-  let step = tcb.step in
-  tcb.step <- no_step;
-  let saved = !current in
-  current := tcb.some;
-  let paused = step () in
-  current := saved;
+  let outer = current.inside and saved = current.last in
+  if saved != tcb.some then current.last <- tcb.some;
+  current.inside <- true;
+  let paused = tcb.step () in
+  if not outer then current.inside <- false
+  else if saved != tcb.some then current.last <- saved;
   paused
+
+(* From the first pause on, every pause carries the fiber's one
+   resumption, so this stores once per thread. *)
+let[@inline] keep_step tcb (r : Sim.Fiber.resumption) =
+  if tcb.step != r.resume then tcb.step <- r.resume
 
 (* The hook a chunk event installs while the fiber it resumed runs (see
    [chunk_done]).  The fiber's next consume of [dt] would start a chunk
@@ -187,14 +201,14 @@ let step_fiber tcb =
    is declined and pauses. *)
 let consume_in_place m cpu dt =
   match cpu.occupant with
-  | Some tcb when cpu.occupant == !current ->
+  | Some tcb when cpu.occupant == self () ->
     let a = cpu.times in
     let left = a.quantum_left in
     let chunk = if epsilon > dt then epsilon else dt in
     dt <= left
     && (left -. chunk > epsilon || m.pol.Sched_policy.length () = 0)
     &&
-    let now = Sim.Engine.now m.eng in
+    let now = m.clock.now in
     Sim.Engine.advance_in_place m.eng ~time:(now +. chunk)
     && begin
          a.chunk_started <- now;
@@ -217,7 +231,9 @@ let rec schedule_dispatch m =
            ~label:(lazy (Printf.sprintf "dispatch node%d" m.mid))
            ~delay:0.0 m.dispatch_thunk
           : Sim.Engine.event_id)
-    else m.dispatch_ev <- Sim.Engine.rearm m.eng m.dispatch_ev ~delay:0.0
+    else
+      let ev = Sim.Engine.rearm m.eng m.dispatch_ev ~delay:0.0 in
+      if ev != m.dispatch_ev then m.dispatch_ev <- ev
   end
 
 and dispatch_event m =
@@ -249,12 +265,10 @@ and fill m idle = function
    preserved, so declining to reorder reproduces the policy's own
    answer). *)
 and choose_ready (c : Sim.Choice.t) m =
-  let rec drain acc =
-    match m.pol.Sched_policy.dequeue () with
-    | None -> List.rev acc
-    | Some tcb -> drain (tcb :: acc)
+  let ready =
+    Array.init (m.pol.Sched_policy.length ()) (fun _ ->
+        m.pol.Sched_policy.pop ())
   in
-  let ready = Array.of_list (drain []) in
   let cands =
     Array.map
       (fun tcb ->
@@ -278,9 +292,9 @@ and next_runnable m =
   (match Sim.Engine.chooser m.eng with
   | Some c when m.pol.Sched_policy.length () > 1 -> choose_ready c m
   | Some _ | None -> ());
-  match m.pol.Sched_policy.dequeue () with
-  | None -> None
-  | Some tcb -> (
+  if m.pol.Sched_policy.length () = 0 then None
+  else
+    let tcb = m.pol.Sched_policy.pop () in
     match tcb.on_resume with
     | None -> tcb.some
     | Some hook ->
@@ -293,7 +307,7 @@ and next_runnable m =
             "Machine: on_resume hook returned false but left thread Ready"
         | Running _ | Blocked | Finished _ -> ());
         next_runnable m
-      end)
+      end
 
 and run_on m cpu tcb =
   tcb.tstate <- cpu.running;
@@ -319,18 +333,18 @@ and handle_pause m cpu tcb (paused : Sim.Fiber.paused) =
   match paused with
   | Sim.Fiber.Done outcome -> finish m cpu tcb outcome
   | Sim.Fiber.Consumed (dt, r) ->
-    tcb.step <- r.Sim.Fiber.resume;
+    keep_step tcb r;
     cpu.times.remaining <- dt;
     start_chunk m cpu tcb
   | Sim.Fiber.Blocked (register, r) ->
-    tcb.step <- r.Sim.Fiber.resume;
+    keep_step tcb r;
     tcb.tstate <- Blocked;
     release m cpu;
     (* Register after marking Blocked so a synchronous wake works. *)
     register (waker tcb);
     dispatch m
   | Sim.Fiber.Yielded r ->
-    tcb.step <- r.Sim.Fiber.resume;
+    keep_step tcb r;
     tcb.tstate <- Ready;
     tcb.machine.pol.Sched_policy.enqueue tcb;
     release m cpu;
@@ -344,17 +358,19 @@ and start_chunk m cpu tcb =
   let remaining = a.remaining and left = a.quantum_left in
   let chunk = if left > remaining then remaining else left in
   let chunk = if epsilon > chunk then epsilon else chunk in
-  a.chunk_started <- Sim.Engine.now m.eng;
+  a.chunk_started <- m.clock.now;
   a.chunk <- chunk;
   a.remaining <- remaining -. chunk;
-  cpu.occupant <- tcb.some;
-  cpu.chunk_ev <-
-    (if Sim.Engine.chooser_active m.eng then
-       Sim.Engine.schedule m.eng ~key:(Sim.Choice.node m.mid)
-         ~label:
-           (lazy (Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid))
-         ~delay:chunk cpu.complete
-     else Sim.Engine.rearm m.eng cpu.chunk_ev ~delay:chunk)
+  if cpu.occupant != tcb.some then cpu.occupant <- tcb.some;
+  let ev =
+    if Sim.Engine.chooser_active m.eng then
+      Sim.Engine.schedule m.eng ~key:(Sim.Choice.node m.mid)
+        ~label:
+          (lazy (Printf.sprintf "chunk %s t%d node%d" tcb.name tcb.tid m.mid))
+        ~delay:chunk cpu.complete
+    else Sim.Engine.rearm m.eng cpu.chunk_ev ~delay:chunk
+  in
+  if ev != cpu.chunk_ev then cpu.chunk_ev <- ev
 
 and chunk_done m cpu =
   match cpu.occupant with
@@ -414,7 +430,6 @@ and release m cpu =
 
 and finish m cpu tcb outcome =
   tcb.tstate <- Finished outcome;
-  tcb.step <- no_step;
   (match outcome with
   | Sim.Fiber.Failed e -> m.failed <- (tcb, e) :: m.failed
   | Sim.Fiber.Completed -> ());
@@ -459,6 +474,7 @@ let create ~engine ~id ~cpus ?(ctx_switch = 0.0) ?(quantum = 0.1)
     {
       mid = id;
       eng = engine;
+      clock = Sim.Engine.clock engine;
       cpus =
         List.init cpus (fun index ->
             {
@@ -512,7 +528,10 @@ let spawn m ~name ?(priority = 0) body =
       name;
       machine = m;
       tstate = Ready;
-      step = (fun () -> Sim.Fiber.start body);
+      step =
+        (fun () ->
+          tcb.step <- no_step;
+          Sim.Fiber.start body);
       acct = { pending_consume = 0.0; cpu_seconds = 0.0 };
       prio = priority;
       on_resume = None;
@@ -553,7 +572,7 @@ let preempt_all ?except m =
           m.preemptions <- m.preemptions + 1;
           Sim.Engine.cancel m.eng cpu.chunk_ev;
           let a = cpu.times in
-          let elapsed = Sim.Engine.now m.eng -. a.chunk_started in
+          let elapsed = m.clock.now -. a.chunk_started in
           let elapsed = Float.max 0.0 (Float.min elapsed a.chunk) in
           credit cpu tcb elapsed;
           let owed = (a.chunk -. elapsed) +. a.remaining in

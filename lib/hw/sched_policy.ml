@@ -1,16 +1,18 @@
 type 'a t = {
   name : string;
   enqueue : 'a -> unit;
-  dequeue : unit -> 'a option;
+  pop : unit -> 'a;
   remove : ('a -> bool) -> int;
   length : unit -> int;
 }
 
+let empty () = invalid_arg "Sched_policy.pop: empty queue"
+
 (* A growable ring: [len] entries from [head], wrapping.  A free slot
    keeps an entry it held before (or the one the ring grew for), so the
    array needs no placeholder value.  Once the ring has grown, enqueue
-   allocates nothing and dequeue only the [Some] it returns; neither
-   moves another entry, and [length] is a field read. *)
+   and pop allocate nothing and move no other entry, and [length] is a
+   field read. *)
 type 'a ring = { mutable buf : 'a array; mutable head : int; mutable len : int }
 
 let fifo () =
@@ -29,16 +31,19 @@ let fifo () =
       r.buf <- buf;
       r.head <- 0
     end;
-    r.buf.(slot r.len) <- x;
+    (* A thread that cycles through a short queue finds itself in the
+       slot: storing it again would only pay the write barrier. *)
+    let i = slot r.len in
+    if r.buf.(i) != x then r.buf.(i) <- x;
     r.len <- r.len + 1
   in
-  let dequeue () =
-    if r.len = 0 then None
+  let pop () =
+    if r.len = 0 then empty ()
     else begin
       let x = r.buf.(r.head) in
       r.head <- slot 1;
       r.len <- r.len - 1;
-      Some x
+      x
     end
   in
   (* Compact the kept entries towards the head, in order. *)
@@ -56,7 +61,7 @@ let fifo () =
     removed
   in
   let length () = r.len in
-  { name = "fifo"; enqueue; dequeue; remove; length }
+  { name = "fifo"; enqueue; pop; remove; length }
 
 (* [lifo] and [by_priority] keep lists, simple enough to support
    mid-queue removal, which the machine model needs when a thread is
@@ -65,12 +70,12 @@ let fifo () =
 let lifo () =
   let stack = ref [] in
   let enqueue x = stack := x :: !stack in
-  let dequeue () =
+  let pop () =
     match !stack with
-    | [] -> None
+    | [] -> empty ()
     | x :: rest ->
       stack := rest;
-      Some x
+      x
   in
   let remove pred =
     let before = List.length !stack in
@@ -78,7 +83,7 @@ let lifo () =
     before - List.length !stack
   in
   let length () = List.length !stack in
-  { name = "lifo"; enqueue; dequeue; remove; length }
+  { name = "lifo"; enqueue; pop; remove; length }
 
 let by_priority ~priority_of () =
   (* Sorted association list: highest priority first, FIFO among equals. *)
@@ -92,12 +97,12 @@ let by_priority ~priority_of () =
     in
     items := insert !items
   in
-  let dequeue () =
+  let pop () =
     match !items with
-    | [] -> None
+    | [] -> empty ()
     | (_, x) :: rest ->
       items := rest;
-      Some x
+      x
   in
   let remove pred =
     let before = List.length !items in
@@ -105,4 +110,4 @@ let by_priority ~priority_of () =
     before - List.length !items
   in
   let length () = List.length !items in
-  { name = "priority"; enqueue; dequeue; remove; length }
+  { name = "priority"; enqueue; pop; remove; length }

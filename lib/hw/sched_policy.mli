@@ -8,7 +8,10 @@
 type 'a t = {
   name : string;
   enqueue : 'a -> unit;
-  dequeue : unit -> 'a option;
+  pop : unit -> 'a;
+      (** remove and return the next entry; raises [Invalid_argument] on
+          an empty queue, so test [length] first.  Returning the entry
+          itself, not an option, makes a dispatch allocate nothing here. *)
   remove : ('a -> bool) -> int;
       (** remove all entries matching the predicate; returns how many *)
   length : unit -> int;

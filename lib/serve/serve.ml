@@ -181,6 +181,23 @@ let service_cost = function
   | Trafficgen.Write -> write_cost
   | Trafficgen.Compute -> compute_cost
 
+(* Serve one request at its object in [Atomic] mode: [false] when the
+   invoke chased the object onto a corpse (see [run]). *)
+let serve_one rt ~mode obj (cls : Trafficgen.cls) =
+  let cost = service_cost cls in
+  try
+    ignore
+      (A.Api.invoke rt ~payload:request_bytes ~mode obj (fun cell ->
+           Sim.Fiber.consume cost;
+           match cls with
+           | Trafficgen.Write ->
+             incr cell;
+             !cell
+           | Trafficgen.Read | Trafficgen.Compute -> !cell)
+        : int);
+    true
+  with Topaz.Rpc.Node_dead _ -> false
+
 let report_lines stats ~goodput ~reject_frac ~failed () =
   let ms v = v *. 1e3 in
   List.map
@@ -419,7 +436,6 @@ let run rt (cfg : cfg) =
          not have; replicas still earn their keep under serving as crash
          insurance (master promotion). *)
       let mode = A.San_hooks.Atomic in
-      let cost = service_cost r.Trafficgen.cls in
       let parent = Sim.Span.current spans in
       (* Worker-side body: serve the request, then notify home.  An
          invoke that chases an object onto a corpse (the move was skipped
@@ -427,22 +443,12 @@ let run rt (cfg : cfg) =
          since) surfaces [Node_dead] here in the worker; the request is
          reported home as failed rather than completed. *)
       let job () =
+        let obj = objs.(key) and cls = r.Trafficgen.cls in
         let ok =
-          Sim.Span.with_span spans Sim.Span.Serve_request ~label:cls_s
-            ~tag:cls_s ~arg:key (fun () ->
-              try
-                ignore
-                  (A.Api.invoke rt ~payload:request_bytes ~mode objs.(key)
-                     (fun cell ->
-                       Sim.Fiber.consume cost;
-                       match r.Trafficgen.cls with
-                       | Trafficgen.Write ->
-                         incr cell;
-                         !cell
-                       | Trafficgen.Read | Trafficgen.Compute -> !cell)
-                    : int);
-                true
-              with Topaz.Rpc.Node_dead _ -> false)
+          if Sim.Span.enabled spans then
+            Sim.Span.with_span spans Sim.Span.Serve_request ~label:cls_s
+              ~tag:cls_s ~arg:key (fun () -> serve_one rt ~mode obj cls)
+          else serve_one rt ~mode obj cls
         in
         inflight.(dst) <- inflight.(dst) - 1;
         Topaz.Rpc.post rpc ~src:dst ~dst:gen_node ~kind:"serve-done"

@@ -19,13 +19,14 @@ type event = {
 
 type event_id = event
 
-(* A record whose only field is a float, which OCaml stores unboxed, so
-   [run] sets it without allocating. *)
-type horizon = { mutable until : float }
+(* All floats, so OCaml stores the record flat: advancing the clock or
+   setting the horizon writes a float in place, with no box and no write
+   barrier. *)
+type clock = { mutable now : float; mutable until : float }
 
 type t = {
   queue : event Event_queue.t;
-  mutable clock : float;
+  clock : clock;
   mutable next_id : int;
   mutable executed : int;
   root_rng : Rng.t;
@@ -33,26 +34,31 @@ type t = {
      operation — every decision point takes its single normal answer and
      this field costs one dead branch per step. *)
   mutable chooser : Choice.t option;
-  (* [run]'s [until] (infinity without one) while it drains the queue
-     with no chooser, and [neg_infinity] otherwise: no event completes in
-     place past it. *)
-  horizon : horizon;
+  (* [clock.until] is [run]'s [until] (infinity without one) while it
+     drains the queue with no chooser, and [neg_infinity] otherwise: no
+     event completes in place past it. *)
   mutable in_place : int;
+  (* The chooser step's scratch: the live entries' heap positions and
+     ids, sorted by (time, id).  Grown when the queue outgrows them. *)
+  mutable live_pos : int array;
+  mutable live_ids : int array;
 }
 
 let create ?(seed = 0x5EEDL) () =
   {
     queue = Event_queue.create ();
-    clock = 0.0;
+    clock = { now = 0.0; until = Float.neg_infinity };
     next_id = 0;
     executed = 0;
     root_rng = Rng.make seed;
     chooser = None;
-    horizon = { until = Float.neg_infinity };
     in_place = 0;
+    live_pos = [||];
+    live_ids = [||];
   }
 
-let now t = t.clock
+let now t = t.clock.now
+let clock t = t.clock
 let rng t = t.root_rng
 let set_chooser t c = t.chooser <- c
 let chooser t = t.chooser
@@ -63,16 +69,17 @@ let note_access t k =
 
 let schedule_at t ?(key = Choice.unknown) ?label ~time thunk =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
+  let now = t.clock.now in
   let time =
-    if time >= t.clock then time
+    if time >= now then time
     else if t.chooser <> None then
       (* A replayed schedule may have run the scheduling event later than
          its nominal timestamp; absolute-time follow-ups land "now". *)
-      t.clock
+      now
     else
       invalid_arg
         (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
-           t.clock)
+           now)
   in
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -86,7 +93,7 @@ let check_delay delay =
 
 let schedule t ?key ?label ~delay thunk =
   check_delay delay;
-  schedule_at t ?key ?label ~time:(t.clock +. delay) thunk
+  schedule_at t ?key ?label ~time:(t.clock.now +. delay) thunk
 
 let idle_event thunk =
   {
@@ -111,7 +118,7 @@ let rearm t ev ~delay =
     ev.id <- id;
     ev.live <- true;
     ev.queued <- true;
-    Event_queue.add t.queue ~time:(t.clock +. delay) ev;
+    Event_queue.add t.queue ~time:(t.clock.now +. delay) ev;
     ev
   end
 
@@ -124,10 +131,11 @@ let rearm t ev ~delay =
    too, as [run]'s horizon test counts it.  Under a chooser [run] steps
    instead and leaves the horizon at [neg_infinity]. *)
 let[@inline] advance_in_place t ~time =
-  time <= t.horizon.until
-  && (Event_queue.is_empty t.queue || time < Event_queue.min_time t.queue)
+  time <= t.clock.until
+  && (Event_queue.is_empty t.queue
+     || time < Float.Array.unsafe_get (Event_queue.times t.queue) 0)
   && begin
-       t.clock <- time;
+       t.clock.now <- time;
        t.next_id <- t.next_id + 1;
        t.executed <- t.executed + 1;
        t.in_place <- t.in_place + 1;
@@ -140,7 +148,7 @@ let is_pending _ ev = ev.live
 (* [time] is the time of [ev]'s queue entry, which [run] and [step] have
    popped and [checked_step] leaves queued. *)
 let[@inline] fire t ~time ev =
-  if time > t.clock then t.clock <- time;
+  if time > t.clock.now then t.clock.now <- time;
   ev.live <- false;
   t.executed <- t.executed + 1;
   ev.thunk ()
@@ -154,47 +162,72 @@ let[@inline] pop t =
    earliest — the chooser explores relative orderings of deliveries and
    timers that the timestamps of one particular run would fix.  Fired
    events are marked dead in place, so the heap holds them until they
-   reach the top: reap those first, then list the live rest, reading the
-   time of live entries only. *)
+   reach the top: reap those first.  One pass then insertion-sorts the
+   live entries' positions by (time, id) into the engine's scratch
+   arrays, which allocates nothing.  Most decisions leave one live
+   event, which fires at once; only a real choice builds candidates. *)
+let candidate ev =
+  {
+    Choice.dom = Choice.Event;
+    ident = Choice.Event_id ev.id;
+    key = ev.key;
+    label =
+      (match ev.label with
+      | Some label -> label
+      | None -> lazy ("ev" ^ string_of_int ev.id));
+  }
+
 let checked_step (c : Choice.t) t =
   let q = t.queue in
   while (not (Event_queue.is_empty q)) && not (Event_queue.min_value q).live do
     ignore (pop t : event)
   done;
-  let evs = ref [] in
-  for i = Event_queue.length q - 1 downto 0 do
+  let n = Event_queue.length q in
+  if Array.length t.live_pos < n then begin
+    t.live_pos <- Array.make (2 * n) 0;
+    t.live_ids <- Array.make (2 * n) 0
+  end;
+  let times = Event_queue.times q and pos = t.live_pos and ids = t.live_ids in
+  let live = ref 0 in
+  for i = 0 to n - 1 do
     let ev = Event_queue.value_at q i in
-    if ev.live then evs := (Event_queue.time_at q i, ev) :: !evs
+    if ev.live then begin
+      let time = Float.Array.get times i in
+      let k = ref !live in
+      while
+        !k > 0
+        &&
+        let tk = Float.Array.get times pos.(!k - 1) in
+        tk > time || (tk = time && ids.(!k - 1) > ev.id)
+      do
+        pos.(!k) <- pos.(!k - 1);
+        ids.(!k) <- ids.(!k - 1);
+        decr k
+      done;
+      pos.(!k) <- i;
+      ids.(!k) <- ev.id;
+      incr live
+    end
   done;
-  (* Sorted in place: a list sort would allocate each merge. *)
-  let evs = Array.of_list !evs in
-  Array.stable_sort
-    (fun (ta, a) (tb, b) ->
-      match Float.compare ta tb with 0 -> Int.compare a.id b.id | n -> n)
-    evs;
-  match evs with
-  | [||] -> false
-  | [| (time, ev) |] ->
-    fire t ~time ev;
-    true
-  | evs ->
-    let cands =
-      Array.map
-        (fun (_, ev) ->
-          {
-            Choice.dom = Choice.Event;
-            ident = Choice.Event_id ev.id;
-            key = ev.key;
-            label =
-              (match ev.label with
-              | Some label -> label
-              | None -> lazy ("ev" ^ string_of_int ev.id));
-          })
-        evs
-    in
-    let time, ev = evs.(c.Choice.pick Choice.Event cands) in
-    fire t ~time ev;
-    true
+  !live > 0
+  && begin
+       let chosen =
+         if !live = 1 then pos.(0)
+         else begin
+           let cands =
+             Array.make !live (candidate (Event_queue.value_at q pos.(0)))
+           in
+           for k = 1 to !live - 1 do
+             cands.(k) <- candidate (Event_queue.value_at q pos.(k))
+           done;
+           (* [pick] reads the candidates only, so the positions hold. *)
+           pos.(c.Choice.pick Choice.Event cands)
+         end
+       in
+       let ev = Event_queue.value_at q chosen in
+       fire t ~time:(Float.Array.get times chosen) ev;
+       true
+     end
 
 let step t =
   match t.chooser with
@@ -203,7 +236,7 @@ let step t =
     let rec loop q =
       if Event_queue.is_empty q then false
       else
-        let time = Event_queue.min_time q in
+        let time = Float.Array.unsafe_get (Event_queue.times q) 0 in
         let ev = pop t in
         if ev.live then begin
           fire t ~time ev;
@@ -224,7 +257,7 @@ let run ?until t =
     done
   | None ->
     let horizon = match until with None -> Float.infinity | Some u -> u in
-    t.horizon.until <- horizon;
+    t.clock.until <- horizon;
     let q = t.queue in
     (* The horizon is checked on every entry, dead ones included, so a
        cancelled event inside it cannot pull a live one from beyond.
@@ -234,7 +267,7 @@ let run ?until t =
        while !draining do
          if Event_queue.is_empty q then draining := false
          else
-           let time = Event_queue.min_time q in
+           let time = Float.Array.unsafe_get (Event_queue.times q) 0 in
            if time <= horizon then begin
              let ev = pop t in
              if ev.live then fire t ~time ev
@@ -242,12 +275,12 @@ let run ?until t =
            else draining := false
        done
      with
-    | () -> t.horizon.until <- Float.neg_infinity
+    | () -> t.clock.until <- Float.neg_infinity
     | exception e ->
-      t.horizon.until <- Float.neg_infinity;
+      t.clock.until <- Float.neg_infinity;
       raise e);
     (match until with
-    | Some u when u > t.clock && Float.is_finite u -> t.clock <- u
+    | Some u when u > t.clock.now && Float.is_finite u -> t.clock.now <- u
     | Some _ | None -> ()));
   t.executed - start
 

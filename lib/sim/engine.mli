@@ -27,6 +27,20 @@ val create : ?seed:int64 -> unit -> t
 (** Current virtual time, in seconds. *)
 val now : t -> float
 
+(** The clock, read in place: [now] is the virtual time and [until] the
+    horizon of the running {!run} ([neg_infinity] outside one, and under
+    a chooser).  The engine writes both without allocating, because a
+    record whose fields are all floats is stored flat.  A function that
+    returns a float returns it boxed unless the call is inlined, and
+    dune's dev profile compiles with [-opaque], which inlines nothing
+    across modules: so a module on the event path keeps this record and
+    reads [(clock t).now] itself, where a call to {!now} would allocate
+    a box per read. *)
+type clock = private { mutable now : float; mutable until : float }
+
+(** The engine's clock record; one per engine, for its whole life. *)
+val clock : t -> clock
+
 (** Root random state for this simulation (see {!Rng}). *)
 val rng : t -> Rng.t
 

@@ -1,8 +1,9 @@
 (* An indexed binary heap over parallel arrays.  Heap position [i] holds
    the entry with timestamp [times.(i)], insertion number [seqs.(i)] and
    value [values.(slots.(i))].  [add] writes each value once into a free
-   slot of [values]; sifting then moves only unboxed floats and ints, so
-   it allocates nothing and never runs the write barrier.
+   slot of [values], unless the slot holds it already; sifting then moves
+   only unboxed floats and ints, so it allocates nothing and never runs
+   the write barrier.
 
    [slots] is a permutation of [0, capacity): positions [0, size) name the
    live entries' slots and positions [size, capacity) the free ones, so
@@ -58,7 +59,10 @@ let add q ~time value =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   let slot = Array.unsafe_get slots q.size in
-  q.values.(slot) <- value;
+  (* The free slot taken is the one the latest pop parked, so a record
+     re-armed by the event it fired finds itself there: storing it again
+     would only pay the write barrier. *)
+  if Array.unsafe_get q.values slot != value then q.values.(slot) <- value;
   (* Sift the hole at the new last position up.  [seq] is larger than
      every queued one, so the new entry precedes a parent only on a
      strictly earlier time. *)
@@ -154,9 +158,7 @@ let clear q =
   q.values <- [||];
   q.size <- 0
 
-let time_at q i =
-  if i < 0 || i >= q.size then invalid_arg "Event_queue.time_at";
-  Float.Array.unsafe_get q.times i
+let times q = q.times
 
 let value_at q i =
   if i < 0 || i >= q.size then invalid_arg "Event_queue.value_at";

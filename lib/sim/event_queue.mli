@@ -40,7 +40,16 @@ val clear : 'a t -> unit
     Positions [0] to [length q - 1] name the queued entries in no
     particular order.  An {!add} or a pop renumbers them.  The engine's
     chooser step reads the values first and the time of the live ones
-    only.  Each raises [Invalid_argument] on a position out of range. *)
+    only. *)
 
-val time_at : 'a t -> int -> float
+(** The value at a position.  Raises [Invalid_argument] on a position
+    out of range. *)
 val value_at : 'a t -> int -> 'a
+
+(** The times by position: [Float.Array.get (times q) i] is the time of
+    the entry at position [i], so position [0] holds {!min_time} when
+    the queue is not empty.  Reading a float out of the array boxes
+    nothing, where a call to {!min_time} returns a box unless it is
+    inlined.  An {!add} may replace the array, so read it afresh after
+    one; positions from [length q] on hold stale times. *)
+val times : 'a t -> Float.Array.t

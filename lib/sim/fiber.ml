@@ -23,16 +23,24 @@ type duration = { mutable dt : float }
 let duration = { dt = 0.0 }
 
 (* The executor's offer to account for a consume without a pause; see
-   {!set_in_place}. *)
-let never (_ : float) = false
-let in_place = ref never
-let set_in_place f = in_place := f
-let clear_in_place () = in_place := never
+   {!set_in_place}.  Arming and disarming write the immediate [armed];
+   the hook itself is stored only when a different one is installed, so
+   an executor that installs the same hook event after event pays no
+   write barrier. *)
+type in_place = { mutable armed : bool; mutable hook : float -> bool }
+
+let in_place = { armed = false; hook = (fun _ -> false) }
+
+let set_in_place f =
+  if in_place.hook != f then in_place.hook <- f;
+  in_place.armed <- true
+
+let clear_in_place () = in_place.armed <- false
 
 let consume dt =
   if Float.is_nan dt || dt < 0.0 then
     invalid_arg "Fiber.consume: negative or NaN duration";
-  if dt > 0.0 && not (!in_place dt) then begin
+  if dt > 0.0 && not (in_place.armed && in_place.hook dt) then begin
     duration.dt <- dt;
     Effect.perform Consume
   end
@@ -40,9 +48,8 @@ let consume dt =
 let block register = Effect.perform (Block register)
 let yield () = Effect.perform Yield
 
-(* The slot of a fiber with no pause pending: a continuation that has
-   already been continued.  A fiber's slot holds it before the first
-   pause and again from each resumption until the next pause. *)
+(* A continuation that has already been continued: a fiber's slot holds
+   it until the first pause. *)
 let spent : (unit, paused) continuation =
   let captured : (unit, paused) continuation option ref = ref None in
   ignore
@@ -72,11 +79,13 @@ type fiber = {
 
 let no_register (_ : unit -> unit) = ()
 
-let take f =
-  let k = f.latest in
-  if k == spent then invalid_arg "Fiber: no pause to resume";
-  f.latest <- spent;
-  k
+(* Continuing leaves the slot as it is: OCaml's continuations are
+   one-shot, so the runtime empties the one continued, and continuing it
+   again raises [Effect.Continuation_already_resumed].  That check guards a
+   resumption without a store of its own.  The exception can only come
+   from the continue itself: one raised inside the fiber reaches its
+   [exnc] first. *)
+let no_pause () = invalid_arg "Fiber: no pause to resume"
 
 (* One resumption and one set of handlers per fiber: a pause stores its
    continuation in [latest], and the resumption continues whichever
@@ -85,8 +94,16 @@ let start body =
   let f = { latest = spent; register = no_register } in
   let r =
     {
-      resume = (fun () -> continue (take f) ());
-      abort = (fun e -> discontinue (take f) e);
+      resume =
+        (fun () ->
+          match continue f.latest () with
+          | p -> p
+          | exception Effect.Continuation_already_resumed -> no_pause ());
+      abort =
+        (fun e ->
+          match discontinue f.latest e with
+          | p -> p
+          | exception Effect.Continuation_already_resumed -> no_pause ());
     }
   in
   let on_consume =

@@ -1,25 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes, which a draw reads and writes as
+   a raw int64: a [mutable] int64 field would box every new state and
+   pay the write barrier to store it. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let make seed = { state = seed }
+let make seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
 
 let split t =
   let seed = bits64 t in
   (* Re-mix with a distinct constant so child streams starting from nearby
      seeds do not overlap the parent's sequence. *)
-  { state = mix64 (Int64.logxor seed 0xA0761D6478BD642FL) }
+  make (mix64 (Int64.logxor seed 0xA0761D6478BD642FL))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -405,7 +405,7 @@ let rec drain_retire t =
        commute even though they run on different nodes — tag the shared
        state so schedule exploration knows to reorder them. *)
     Sim.Engine.note_access eng Sim.Choice.rpc_dedup;
-    if t.unsafe_dedup || safe_after <= Sim.Engine.now eng then begin
+    if t.unsafe_dedup || safe_after <= (Sim.Engine.clock eng).now then begin
       ignore (Queue.pop t.retire_q : int * float);
       Hashtbl.remove t.delivered seq;
       drain_retire t

@@ -465,6 +465,147 @@ let test_rearm () =
   Alcotest.(check (triple (list (float 0.0)) int (list string)))
     "as fresh scheduling" fresh (fired, executed, idents)
 
+(* Re-armed records against fresh scheduling, over random programs.
+   Three owned records are armed from outside ([Arm]) and re-arm
+   themselves when they fire ([Repeat] sets how many times); fresh
+   events, cancels of either kind, [step] and [run ~until] interleave
+   with them.  One drive re-arms the owned records, the other schedules
+   a fresh record for every arming, and both must log the same firings
+   (name, time, executed count), the same clock, executed count and
+   pending flags after every op, and the same ids, which a chooser
+   installed at the end reads off the events still queued.  Inside every
+   thunk the clock record reads [now] and the horizon of the [run] that
+   fired it ([neg_infinity] under [step] and the chooser). *)
+type rop =
+  | Fresh of int
+  | Arm of int * int
+  | Repeat of int * int
+  | Cancel_owned of int
+  | Cancel_fresh of int
+  | R_step
+  | R_until of int
+
+let owned_records = 3
+
+let pp_rop = function
+  | Fresh d -> Printf.sprintf "fresh +%d" d
+  | Arm (k, d) -> Printf.sprintf "arm o%d +%d" k d
+  | Repeat (k, n) -> Printf.sprintf "o%d repeats %d" k n
+  | Cancel_owned k -> Printf.sprintf "cancel o%d" k
+  | Cancel_fresh k -> Printf.sprintf "cancel fresh #%d" k
+  | R_step -> "step"
+  | R_until h -> Printf.sprintf "run ~until:+%d" h
+
+let arb_rearm_program =
+  let open QCheck.Gen in
+  let owned = int_bound (owned_records - 1) in
+  let op =
+    frequency
+      [
+        (3, map (fun d -> Fresh d) (int_bound 4));
+        (4, map2 (fun k d -> Arm (k, d)) owned (int_bound 4));
+        (2, map2 (fun k n -> Repeat (k, n)) owned (int_bound 3));
+        (2, map (fun k -> Cancel_owned k) owned);
+        (1, map (fun k -> Cancel_fresh k) (int_bound 1000));
+        (2, return R_step);
+        (2, map (fun h -> R_until h) (int_bound 4));
+      ]
+  in
+  QCheck.make ~print:QCheck.Print.(list pp_rop) ~shrink:QCheck.Shrink.list
+    (list_size (int_bound 60) op)
+
+let drive_rearm ~rearm prog =
+  let e = Sim.Engine.create () in
+  let log = ref [] and horizon = ref Float.neg_infinity in
+  let repeats = Array.make owned_records 0 in
+  let note name =
+    let c = Sim.Engine.clock e in
+    if c.Sim.Engine.now <> Sim.Engine.now e then
+      fail "%s: clock record %g, now %g" name c.Sim.Engine.now
+        (Sim.Engine.now e);
+    if c.Sim.Engine.until <> !horizon then
+      fail "%s: horizon %g, want %g" name c.Sim.Engine.until !horizon;
+    log := (name, Sim.Engine.now e, Sim.Engine.events_executed e) :: !log
+  in
+  let owned = Array.make owned_records (Sim.Engine.idle_event ignore) in
+  let rec arm k ~delay =
+    owned.(k) <-
+      (if rearm then Sim.Engine.rearm e owned.(k) ~delay
+       else Sim.Engine.schedule e ~delay (thunk k))
+  and thunk k () =
+    note (Printf.sprintf "o%d" k);
+    if repeats.(k) > 0 then begin
+      repeats.(k) <- repeats.(k) - 1;
+      arm k ~delay:(half k)
+    end
+  in
+  if rearm then
+    Array.iteri (fun k _ -> owned.(k) <- Sim.Engine.idle_event (thunk k)) owned;
+  let fresh = ref [||] in
+  let trace = ref [] in
+  List.iter
+    (fun op ->
+      (match op with
+      | Fresh d ->
+        let i = Array.length !fresh in
+        let name = Printf.sprintf "f%d" i in
+        fresh :=
+          Array.append !fresh
+            [| Sim.Engine.schedule e ~delay:(half d) (fun () -> note name) |]
+      | Arm (k, d) -> arm k ~delay:(half d)
+      | Repeat (k, n) -> repeats.(k) <- n
+      | Cancel_owned k -> Sim.Engine.cancel e owned.(k)
+      | Cancel_fresh k ->
+        let n = Array.length !fresh in
+        if n > 0 then Sim.Engine.cancel e !fresh.(k mod n)
+      | R_step -> ignore (Sim.Engine.step e : bool)
+      | R_until h ->
+        let until = Sim.Engine.now e +. half h in
+        horizon := until;
+        ignore (Sim.Engine.run ~until e : int);
+        horizon := Float.neg_infinity);
+      let pending h = Sim.Engine.is_pending e h in
+      trace :=
+        ( pp_rop op,
+          Sim.Engine.now e,
+          Sim.Engine.events_executed e,
+          Array.map pending owned,
+          Array.map pending !fresh )
+        :: !trace)
+    prog;
+  let idents = ref [] in
+  Sim.Engine.set_chooser e
+    (Some
+       {
+         Util.pass_through with
+         Sim.Choice.pick =
+           (fun _ cands ->
+             idents :=
+               Array.map
+                 (fun c -> Sim.Choice.ident_name c.Sim.Choice.ident)
+                 cands
+               :: !idents;
+             0);
+       });
+  ignore (Sim.Engine.run e : int);
+  (List.rev !log, List.rev !trace, List.rev !idents)
+
+let prop_rearm_matches_fresh =
+  QCheck.Test.make ~name:"re-armed records match fresh scheduling" ~count:500
+    arb_rearm_program (fun prog ->
+      let log1, trace1, ids1 = drive_rearm ~rearm:true prog in
+      let log0, trace0, ids0 = drive_rearm ~rearm:false prog in
+      if log1 <> log0 then fail "firings differ";
+      List.iter2
+        (fun (what, n1, x1, o1, f1) (_, n0, x0, o0, f0) ->
+          if n1 <> n0 then fail "%s: clock %g, fresh %g" what n1 n0;
+          if x1 <> x0 then fail "%s: %d executed, fresh %d" what x1 x0;
+          if o1 <> o0 then fail "%s: owned pending flags differ" what;
+          if f1 <> f0 then fail "%s: fresh pending flags differ" what)
+        trace1 trace0;
+      if ids1 <> ids0 then fail "ids differ";
+      true)
+
 (* Under a chooser an event's label is formatted only when a schedule is
    written: deciding among candidates forces none, and
    [Schedule.of_choice] forces exactly the candidates it records.  An
@@ -539,6 +680,7 @@ let suite =
       test_in_place_as_fired;
     QCheck_alcotest.to_alcotest prop_engine_model;
     QCheck_alcotest.to_alcotest prop_chooser_candidates;
+    QCheck_alcotest.to_alcotest prop_rearm_matches_fresh;
     Alcotest.test_case "re-armed records fire as fresh ones" `Quick test_rearm;
     Alcotest.test_case "labels stay lazy under a chooser" `Quick
       test_labels_stay_lazy;

@@ -133,23 +133,31 @@ let test_one_resumption () =
     | _ -> Alcotest.fail "expected Yielded")
   | _ -> Alcotest.fail "expected Consumed"
 
+(* From inside the running fiber, its own resumption has no pause to
+   continue: resuming or aborting raises, and the fiber sees the
+   exception. *)
 let test_resume_twice_rejected () =
-  let inner = ref None in
-  let paused =
-    start (fun () ->
-        consume 1.0;
-        (* Running again: the pause we were resumed from is spent. *)
-        match !inner with
-        | Some r -> ignore (r.resume () : paused)
-        | None -> ())
+  let again how =
+    let inner = ref None in
+    let paused =
+      start (fun () ->
+          consume 1.0;
+          (* Running again: the pause we were resumed from is spent. *)
+          match !inner with
+          | Some r -> ignore (how r : paused)
+          | None -> ())
+    in
+    match paused with
+    | Consumed (_, r) -> (
+      inner := Some r;
+      match r.resume () with
+      | Done (Failed (Invalid_argument msg)) ->
+        Alcotest.(check string) "message" "Fiber: no pause to resume" msg
+      | _ -> Alcotest.fail "a second resume without a pause should raise")
+    | _ -> Alcotest.fail "expected Consumed"
   in
-  match paused with
-  | Consumed (_, r) -> (
-    inner := Some r;
-    match r.resume () with
-    | Done (Failed (Invalid_argument _)) -> ()
-    | _ -> Alcotest.fail "a second resume without a pause should raise")
-  | _ -> Alcotest.fail "expected Consumed"
+  again (fun r -> r.resume ());
+  again (fun r -> r.abort Exit)
 
 let test_effects_outside_fiber_raise () =
   match consume 1.0 with

@@ -250,6 +250,63 @@ let test_failure_recorded () =
   | [ (_, Failure msg) ] when msg = "dead" -> ()
   | _ -> Alcotest.fail "expected one failure"
 
+(* A finished or running thread must never be stepped again.  A policy
+   that hands out one extra thread ahead of its queue puts such a thread
+   in front of a CPU: a finished one from a later dispatch, a running one
+   from a dispatch its own fiber fires.  Whether the thread paused
+   before or not, the step raises [Invalid_argument]. *)
+let test_step_without_continuation () =
+  let with_extra () =
+    let base = Hw.Sched_policy.fifo () and extra = ref None in
+    let pol =
+      {
+        base with
+        Hw.Sched_policy.pop =
+          (fun () ->
+            match !extra with
+            | Some t ->
+              extra := None;
+              t
+            | None -> base.Hw.Sched_policy.pop ());
+        length =
+          (fun () ->
+            base.Hw.Sched_policy.length ()
+            + match !extra with Some _ -> 1 | None -> 0);
+      }
+    in
+    let e = Sim.Engine.create () in
+    (e, Hw.Machine.create ~engine:e ~id:0 ~cpus:2 ~policy:pol (), extra)
+  in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: stepped" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun paused ->
+      let what = if paused then "after a pause" else "before any pause" in
+      let e, m, extra = with_extra () in
+      let t =
+        Hw.Machine.spawn m ~name:"t" (fun () ->
+            if paused then Sim.Fiber.consume 1.0)
+      in
+      ignore (Sim.Engine.run e : int);
+      extra := Some t;
+      ignore (Hw.Machine.spawn m ~name:"next" ignore);
+      raises ("finished thread, " ^ what) (fun () -> Sim.Engine.run e);
+      let e, m, extra = with_extra () in
+      let t =
+        Hw.Machine.spawn m ~name:"t" (fun () ->
+            if paused then Sim.Fiber.consume 1.0;
+            extra := Hw.Machine.self ();
+            ignore (Hw.Machine.spawn m ~name:"next" ignore);
+            raises ("running thread, " ^ what) (fun () -> Sim.Engine.step e))
+      in
+      ignore (Sim.Engine.run e : int);
+      Alcotest.(check bool) ("ran on, " ^ what) true
+        (Hw.Machine.state t = Hw.Machine.Finished Sim.Fiber.Completed))
+    [ false; true ]
+
 let test_set_policy_drains () =
   let e, m = make ~cpus:1 () in
   let log = ref [] in
@@ -516,6 +573,8 @@ let suite =
     Alcotest.test_case "transfer of running thread rejected" `Quick
       test_transfer_running_rejected;
     Alcotest.test_case "failures recorded" `Quick test_failure_recorded;
+    Alcotest.test_case "stepping a finished or running thread raises" `Quick
+      test_step_without_continuation;
     Alcotest.test_case "policy replacement drains queue" `Quick
       test_set_policy_drains;
     Alcotest.test_case "pending work charged before resume" `Quick

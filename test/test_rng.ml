@@ -6,6 +6,34 @@ let test_deterministic () =
     Alcotest.(check int64) "same stream" (Sim.Rng.bits64 a) (Sim.Rng.bits64 b)
   done
 
+(* The stream is part of every seeded result: the first draws of three
+   seeds, the default engine seed among them, as SplitMix64 gives them. *)
+let test_stream_pinned () =
+  let check seed want =
+    let r = Sim.Rng.make seed in
+    List.iter
+      (fun w ->
+        Alcotest.(check int64) (Printf.sprintf "seed %Ld" seed) w
+          (Sim.Rng.bits64 r))
+      want
+  in
+  check 0L [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  check 1L [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL ];
+  check 0x5EEDL
+    [ 0x09F1FD9D03F0A9B4L; 0x553274161BBF8475L; 0x5D5BCA4696B343B3L ];
+  let r = Sim.Rng.make 0x5EEDL in
+  let child = Sim.Rng.split r in
+  Alcotest.(check int64) "split child" 0x60BD44CB2C55AF4EL
+    (Sim.Rng.bits64 child);
+  Alcotest.(check int64) "parent after split" 0x553274161BBF8475L
+    (Sim.Rng.bits64 r);
+  let r = Sim.Rng.make 1L in
+  ignore (Sim.Rng.bits64 r : int64);
+  ignore (Sim.Rng.bits64 r : int64);
+  ignore (Sim.Rng.bits64 r : int64);
+  Alcotest.(check int) "int" 331 (Sim.Rng.int r 1000);
+  Alcotest.(check (float 0.0)) "float" 0x1.c6ed53634406cp-2 (Sim.Rng.float r)
+
 let test_seeds_differ () =
   let a = Sim.Rng.make 1L and b = Sim.Rng.make 2L in
   let same = ref 0 in
@@ -80,6 +108,7 @@ let test_shuffle_permutes () =
 let suite =
   [
     Alcotest.test_case "deterministic from seed" `Quick test_deterministic;
+    Alcotest.test_case "first draws pinned" `Quick test_stream_pinned;
     Alcotest.test_case "different seeds diverge" `Quick test_seeds_differ;
     Alcotest.test_case "split streams are independent" `Quick
       test_split_independent;

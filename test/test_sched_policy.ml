@@ -1,8 +1,12 @@
 (* Scheduling disciplines. *)
 
+let dequeue p =
+  if p.Hw.Sched_policy.length () = 0 then None
+  else Some (p.Hw.Sched_policy.pop ())
+
 let drain pol =
   let rec go acc =
-    match pol.Hw.Sched_policy.dequeue () with
+    match dequeue pol with
     | None -> List.rev acc
     | Some x -> go (x :: acc)
   in
@@ -17,10 +21,10 @@ let test_fifo_interleaved () =
   let p = Hw.Sched_policy.fifo () in
   p.Hw.Sched_policy.enqueue 1;
   p.Hw.Sched_policy.enqueue 2;
-  Alcotest.(check (option int)) "1" (Some 1) (p.Hw.Sched_policy.dequeue ());
+  Alcotest.(check (option int)) "1" (Some 1) (dequeue p);
   p.Hw.Sched_policy.enqueue 3;
-  Alcotest.(check (option int)) "2" (Some 2) (p.Hw.Sched_policy.dequeue ());
-  Alcotest.(check (option int)) "3" (Some 3) (p.Hw.Sched_policy.dequeue ())
+  Alcotest.(check (option int)) "2" (Some 2) (dequeue p);
+  Alcotest.(check (option int)) "3" (Some 3) (dequeue p)
 
 let test_lifo () =
   let p = Hw.Sched_policy.lifo () in
@@ -42,13 +46,27 @@ let test_remove () =
   Alcotest.(check int) "two removed" 2 removed;
   Alcotest.(check (list int)) "odds remain in order" [ 1; 3 ] (drain p)
 
+let test_pop_empty () =
+  List.iter
+    (fun (p : int Hw.Sched_policy.t) ->
+      p.Hw.Sched_policy.enqueue 1;
+      ignore (p.Hw.Sched_policy.pop () : int);
+      Alcotest.check_raises p.Hw.Sched_policy.name
+        (Invalid_argument "Sched_policy.pop: empty queue") (fun () ->
+          ignore (p.Hw.Sched_policy.pop () : int)))
+    [
+      Hw.Sched_policy.fifo ();
+      Hw.Sched_policy.lifo ();
+      Hw.Sched_policy.by_priority ~priority_of:Fun.id ();
+    ]
+
 let test_length () =
   let p = Hw.Sched_policy.lifo () in
   Alcotest.(check int) "empty" 0 (p.Hw.Sched_policy.length ());
   p.Hw.Sched_policy.enqueue 1;
   p.Hw.Sched_policy.enqueue 2;
   Alcotest.(check int) "two" 2 (p.Hw.Sched_policy.length ());
-  ignore (p.Hw.Sched_policy.dequeue ());
+  ignore (dequeue p);
   Alcotest.(check int) "one" 1 (p.Hw.Sched_policy.length ())
 
 let prop_fifo_order =
@@ -100,7 +118,7 @@ let prop_fifo_model =
               peak := max !peak (List.length model);
               model
             | Deq -> (
-              let got = p.Hw.Sched_policy.dequeue () in
+              let got = dequeue p in
               match model with
               | [] ->
                 if got <> None then fail "dequeued from an empty queue";
@@ -139,6 +157,7 @@ let suite =
     Alcotest.test_case "lifo" `Quick test_lifo;
     Alcotest.test_case "priority with FIFO ties" `Quick test_priority;
     Alcotest.test_case "remove" `Quick test_remove;
+    Alcotest.test_case "pop on an empty queue raises" `Quick test_pop_empty;
     Alcotest.test_case "length" `Quick test_length;
     QCheck_alcotest.to_alcotest prop_fifo_order;
     Alcotest.test_case "fifo ring matches a list model" `Quick test_fifo_model;

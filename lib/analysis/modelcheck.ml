@@ -180,7 +180,7 @@ let rpc_fixture =
         let hits = Array.make n 0 in
         for k = 0 to n - 1 do
           Topaz.Rpc.send_reliable rpc ~src:0 ~dst:1 ~size:64
-            ~kind:(Printf.sprintf "probe%d" k) (fun () ->
+            ~kind:(Hw.Packet.Kind.v (Printf.sprintf "probe%d" k)) (fun () ->
               hits.(k) <- hits.(k) + 1)
         done;
         fun () ->

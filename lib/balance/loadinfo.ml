@@ -19,6 +19,8 @@ type t = {
 (* EWMA weight of a fresh load sample. *)
 let alpha = 0.5
 
+let gossip_kind = Hw.Packet.Kind.v "gossip"
+
 let create rt ~rng =
   let nodes = A.Runtime.nodes rt in
   {
@@ -73,6 +75,6 @@ let tick t =
         Array.map (fun e -> (e.ready, e.running, e.stamp)) t.boards.(n)
       in
       Topaz.Rpc.send_reliable (A.Runtime.rpc rt) ~src:n ~dst:peer
-        ~size:t.msg_bytes ~kind:"gossip" (fun () ->
+        ~size:t.msg_bytes ~kind:gossip_kind (fun () ->
           merge t.boards.(peer) snap)
     done

@@ -5,6 +5,8 @@ type t = { rt : A.Runtime.t; li : Loadinfo.t; rng : Sim.Rng.t }
 (* Board load below which nobody is robbed. *)
 let min_victim_load = 1.5
 
+let steal_kind = Hw.Packet.Kind.v "steal-req"
+
 let create rt ~li ~rng = { rt; li; rng }
 
 (* Only unbound threads are stealable: a thread holding invocation frames
@@ -83,7 +85,7 @@ let tick t =
         (* The dequeue must happen at the victim, after a wire delay —
            the handler runs in a server fiber there. *)
         Topaz.Rpc.post (A.Runtime.rpc rt) ~src:thief ~dst:victim
-          ~kind:"steal-req" ~size:32 (fun () ->
+          ~kind:steal_kind ~size:32 (fun () ->
             ignore (grab t ~victim ~thief : bool))
     end
   done

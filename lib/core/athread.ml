@@ -25,6 +25,8 @@ let () =
    space (the paper reserves a distinct segment per thread, §3.1). *)
 let thread_segment_bytes = 8192
 
+let join_notify_kind = Hw.Packet.Kind.v "join-notify"
+
 let start_on rt ~node ?(name = "thread") ?priority body =
   let result = ref None in
   let body_wrapped () =
@@ -105,7 +107,7 @@ let join rt t =
     Sim.Fiber.block (fun wake ->
         (* Reliable: a lost completion notification must not hang Join. *)
         Topaz.Rpc.send_reliable (Runtime.rpc rt) ~src:finished_on ~dst:here
-          ~size:64 ~kind:"join-notify" wake);
+          ~size:64 ~kind:join_notify_kind wake);
   Runtime.with_san rt (fun h ->
       h
         (San_hooks.Event.Thread_join

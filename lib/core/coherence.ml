@@ -25,6 +25,11 @@
      a successful re-grant to the same node — it must not tear down the
      newer grant's registration). *)
 
+let copy_kind = Hw.Packet.Kind.v "repl-copy"
+let ack_kind = Hw.Packet.Kind.v "repl-ack"
+let req_kind = Hw.Packet.Kind.v "repl-req"
+let inval_kind = Hw.Packet.Kind.v "inval"
+
 let install rt ~copy (obj : 'a Aobject.t) ~dest =
   Aobject.check_lost obj;
   if dest < 0 || dest >= Runtime.nodes rt then
@@ -86,7 +91,7 @@ let install rt ~copy (obj : 'a Aobject.t) ~dest =
         Sim.Fiber.consume ship_cpu;
         try
           Topaz.Rpc.post_acked (Runtime.rpc rt) ~src ~dst:dest
-            ~kind:"repl-copy" ~size:bytes ~ack_kind:"repl-ack"
+            ~kind:copy_kind ~size:bytes ~ack_kind:ack_kind
             ~ack_size:c.Cost_model.move_ack_bytes
             ~on_dead:(fun _ ->
               (* The transport gave up on the copy: deregister the grant
@@ -161,7 +166,7 @@ let install rt ~copy (obj : 'a Aobject.t) ~dest =
       if master = here && obj.Aobject.location = here then
         Option.iter (ship ~src:here) (capture ())
       else
-        Topaz.Rpc.call (Runtime.rpc rt) ~dst:master ~kind:"repl-req"
+        Topaz.Rpc.call (Runtime.rpc rt) ~dst:master ~kind:req_kind
           ~req_size:64 ~work:(fun () ->
             ( c.Cost_model.move_ack_bytes,
               (* The master may have moved between resolve and arrival;
@@ -199,7 +204,7 @@ let invalidate rt (obj : 'a Aobject.t) =
              recall is acknowledged — a lost invalidation is retried,
              never silently dropped. *)
           try
-            Topaz.Rpc.call (Runtime.rpc rt) ~dst:node ~kind:"inval"
+            Topaz.Rpc.call (Runtime.rpc rt) ~dst:node ~kind:inval_kind
               ~req_size:32 ~work:(fun () ->
                 Aobject.drop_snapshot obj ~node;
                 if Descriptor.is_replica (Runtime.descriptors rt node) addr

@@ -19,6 +19,9 @@
 
 type state = Resident | Forwarded of int | Replica of int
 
+(** One node's descriptors: a flat open-addressing table keyed by
+    address.  Reads and writes allocate nothing: {!get} hands out shared
+    [state option] values. *)
 type table
 
 val create_table : node:int -> table
@@ -28,7 +31,10 @@ val node : table -> int
     case. *)
 val get : table -> int -> state option
 
+(** The setters raise [Invalid_argument] on a negative address or
+    node. *)
 val set_resident : table -> int -> unit
+
 val set_forwarded : table -> int -> int -> unit
 
 (** Mark this node as holding a read-only copy of a mutable object whose

@@ -30,6 +30,7 @@ type 'a t = {
   mutable span : int;  (* the helper's Async_invoke span, 0 until it runs *)
 }
 
+let notify_kind = Hw.Packet.Kind.v "future-notify"
 let id f = f.id
 let is_resolved f = f.state <> None
 let peek f = f.state
@@ -87,7 +88,7 @@ let invoke_async rt ?(payload = 0) ?(return_payload = 0)
         ~on_dead:(fun e -> if fut.state = None then publish (Error e) ())
         ~src:here ~dst:fut.home
         ~size:(Runtime.cost rt).Cost_model.future_notify_bytes
-        ~kind:"future-notify" (publish outcome)
+        ~kind:notify_kind (publish outcome)
     end;
     Sim.Span.finish spans sp
   in

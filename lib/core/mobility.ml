@@ -1,3 +1,10 @@
+let contents_kind = Hw.Packet.Kind.v "obj-contents"
+let move_ack_kind = Hw.Packet.Kind.v "move-ack"
+let move_req_kind = Hw.Packet.Kind.v "move-req"
+let copy_kind = Hw.Packet.Kind.v "obj-copy"
+let copy_ack_kind = Hw.Packet.Kind.v "copy-ack"
+let copy_req_kind = Hw.Packet.Kind.v "copy-req"
+
 (* Perform the §3.4/§3.5 move protocol for a mutable object whose master
    copy is resident on the calling fiber's node.  Returns after the
    contents are installed at [dest] and acknowledged. *)
@@ -38,7 +45,7 @@ let do_move_here rt (root : Aobject.any) ~dest =
      installed on the corpse are re-mastered by fail-stop recovery. *)
   let aborted = ref false in
   Topaz.Rpc.post_acked (Runtime.rpc rt) ~src:here ~dst:dest
-    ~kind:"obj-contents" ~size:bytes ~ack_kind:"move-ack"
+    ~kind:contents_kind ~size:bytes ~ack_kind:move_ack_kind
     ~ack_size:c.Cost_model.move_ack_bytes
     ~on_dead:(fun _ ->
       (* If the contents never installed, the master stays where it was:
@@ -86,7 +93,9 @@ let move_mutable rt (obj_addr : int) (root : Aobject.any) ~dest =
   let visit node =
     Sim.Fiber.consume c.Cost_model.forward_lookup_cpu;
     let d = Descriptor.get (Runtime.descriptors rt node) obj_addr in
-    if d = Some Descriptor.Resident then do_move_here rt root ~dest;
+    (match d with
+    | Some Descriptor.Resident -> do_move_here rt root ~dest
+    | Some (Descriptor.Forwarded _ | Descriptor.Replica _) | None -> ());
     d
   in
   ignore
@@ -95,7 +104,7 @@ let move_mutable rt (obj_addr : int) (root : Aobject.any) ~dest =
        ~step:(fun ~node ->
          if node = Runtime.current_node rt then visit node
          else
-           Topaz.Rpc.call (Runtime.rpc rt) ~dst:node ~kind:"move-req"
+           Topaz.Rpc.call (Runtime.rpc rt) ~dst:node ~kind:move_req_kind
              ~req_size:64 ~work:(fun () -> (32, visit node)))
       : int)
 
@@ -117,7 +126,7 @@ let replicate rt (obj : 'a Aobject.t) ~dest =
         (c.Cost_model.move_fixed_cpu
         +. (c.Cost_model.move_per_byte_cpu *. float_of_int bytes));
       Topaz.Rpc.post_acked (Runtime.rpc rt) ~src:source ~dst:dest
-        ~kind:"obj-copy" ~size:bytes ~ack_kind:"copy-ack"
+        ~kind:copy_kind ~size:bytes ~ack_kind:copy_ack_kind
         ~ack_size:c.Cost_model.move_ack_bytes ~on_dead:ignore (fun () ->
           (* Count the copy only once it is installed at the destination:
              a copy request that dies on the wire is not a copy. *)
@@ -137,7 +146,7 @@ let replicate rt (obj : 'a Aobject.t) ~dest =
       (* A remote source relays the copy; its failure comes back in the
          reply and is raised here. *)
       match
-        Topaz.Rpc.call (Runtime.rpc rt) ~dst:source ~kind:"copy-req"
+        Topaz.Rpc.call (Runtime.rpc rt) ~dst:source ~kind:copy_req_kind
           ~req_size:64 ~work:(fun () ->
             ( c.Cost_model.move_ack_bytes,
               match copy () with

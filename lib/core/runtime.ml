@@ -1,5 +1,9 @@
 type frame = { fobj : Aobject.any; fmode : San_hooks.mode }
 
+let grant_kind = Hw.Packet.Kind.v "as-grant"
+let thread_kind = Hw.Packet.Kind.v "thread"
+let locate_kind = Hw.Packet.Kind.v "locate"
+
 type tstate = {
   tcb : Hw.Machine.tcb;
   taddr : int;
@@ -55,8 +59,8 @@ type t = {
   server : Vaspace.Space_server.t;
   mutable threads : tstate option array;
       (* registered threads by tcb id; grown by doubling *)
-  objs : (int, Aobject.any) Hashtbl.t;  (* live objects, keyed by addr *)
-  lost_addrs : (int, string) Hashtbl.t;
+  objs : Aobject.any Vaspace.Addr_table.t;  (* live objects, keyed by addr *)
+  lost_addrs : string Vaspace.Addr_table.t;
       (* addr -> name of addresses whose only copy died with a fail-stop
          node (objects and thread objects alike); a chase that dangles on
          one of these raises [Aobject.Object_lost] instead of the generic
@@ -180,8 +184,8 @@ let create_raw cfg =
       heaps = [||];
       server;
       threads = Array.make 64 None;
-      objs = Hashtbl.create 64;
-      lost_addrs = Hashtbl.create 8;
+      objs = Vaspace.Addr_table.create 64;
+      lost_addrs = Vaspace.Addr_table.create 8;
       spans;
       ctrs = fresh_counters ();
       remote_invoke_latency = Sim.Stats.Summary.create ();
@@ -204,7 +208,7 @@ let create_raw cfg =
             r
           | [] ->
             let dst = Vaspace.Space_server.server_node server in
-            Topaz.Rpc.call rpc_fabric ~dst ~kind:"as-grant" ~req_size:32
+            Topaz.Rpc.call rpc_fabric ~dst ~kind:grant_kind ~req_size:32
               ~work:(fun () ->
                 (48, Vaspace.Space_server.grant server ~node))
         in
@@ -388,7 +392,8 @@ let crash_kill_thread t ts e =
     Sim.Span.finish_all_for t.spans ~tid;
     ts.frames <- [];
     ts.chase_path := [];
-    Hashtbl.replace t.lost_addrs ts.taddr (Hw.Machine.tcb_name ts.tcb);
+    Vaspace.Addr_table.replace t.lost_addrs ts.taddr
+      (Hw.Machine.tcb_name ts.tcb);
     Array.iter (fun tbl -> Descriptor.clear tbl ts.taddr) t.tables;
     Hw.Machine.kill ts.tcb e
   end
@@ -435,7 +440,7 @@ let thread_flight t ts ~src ~dest ~size ~explicit =
       ~on_dead:(fun e ->
         Sim.Span.finish t.spans sp;
         crash_kill_thread t ts e)
-      ~src ~dst:dest ~size ~kind:"thread"
+      ~src ~dst:dest ~size ~kind:thread_kind
       (fun () ->
         if not (Hw.Machine.was_killed ts.tcb) then begin
           Sim.Span.finish t.spans sp;
@@ -534,7 +539,7 @@ let stop t ~addr ~path ~moving_to found ~replica =
 (* A dangling reference to an address the crash injector registered as
    lost is not a protocol bug: the only copy died with its node. *)
 let dangling t ~what ~addr =
-  (match Hashtbl.find_opt t.lost_addrs addr with
+  (match Vaspace.Addr_table.find_opt t.lost_addrs addr with
   | Some name -> raise (Aobject.Object_lost { addr; name })
   | None -> ());
   failwith (Printf.sprintf "%s: dangling reference to 0x%x" what addr)
@@ -613,7 +618,7 @@ let resolve_location t ~addr =
     ~start:here ~step:(fun ~node ->
       if node = here then lookup node
       else
-        Topaz.Rpc.call t.rpc_fabric ~dst:node ~kind:"locate"
+        Topaz.Rpc.call t.rpc_fabric ~dst:node ~kind:locate_kind
           ~req_size:c.Cost_model.locate_req_bytes ~work:(fun () ->
             (16, lookup node)))
 
@@ -632,7 +637,7 @@ let create_object t ?(size = 64) ~name state =
   emit t "create"
     (lazy (Printf.sprintf "%s@0x%x (%dB) on node%d" name addr size node));
   let obj = Aobject.make ~addr ~name ~size ~node state in
-  Hashtbl.replace t.objs addr (Aobject.Any obj);
+  Vaspace.Addr_table.replace t.objs addr (Aobject.Any obj);
   with_san t (fun h ->
       h
         (San_hooks.Event.Object_created
@@ -662,14 +667,14 @@ let destroy_object t obj =
   if home <> node then Descriptor.clear (descriptors t home) obj.Aobject.addr;
   with_san t (fun h ->
       h (San_hooks.Event.Object_destroyed { addr = obj.Aobject.addr }));
-  Hashtbl.remove t.objs obj.Aobject.addr
+  Vaspace.Addr_table.remove t.objs obj.Aobject.addr
 
-let find_object t addr = Hashtbl.find_opt t.objs addr
+let find_object t addr = Vaspace.Addr_table.find_opt t.objs addr
 
 (* Sorted by address so policy layers scanning the population see a
    deterministic order regardless of hash-table internals. *)
 let objects t =
-  Hashtbl.fold (fun _ o acc -> o :: acc) t.objs []
+  Vaspace.Addr_table.fold (fun _ o acc -> o :: acc) t.objs []
   |> List.sort (fun a b ->
          compare (Aobject.addr_of_any a) (Aobject.addr_of_any b))
 
@@ -744,7 +749,7 @@ let recover_object t ~dead (Aobject.Any o) =
         emit t "crash"
           (lazy (Printf.sprintf "%s@0x%x lost with node%d" o.Aobject.name addr dead));
         o.Aobject.lost <- true;
-        Hashtbl.replace t.lost_addrs addr o.Aobject.name;
+        Vaspace.Addr_table.replace t.lost_addrs addr o.Aobject.name;
         Array.iter (fun tbl -> Descriptor.clear tbl addr) t.tables;
         if t.failure_hooks <> [] then
           notify_failure t ~kind:"object_lost" ~node:dead
@@ -802,7 +807,7 @@ let recover_object t ~dead (Aobject.Any o) =
         o.Aobject.replicas <- [];
         o.Aobject.grants <- [];
         o.Aobject.rcopies <- [];
-        Hashtbl.replace t.lost_addrs addr o.Aobject.name;
+        Vaspace.Addr_table.replace t.lost_addrs addr o.Aobject.name;
         Array.iter (fun tbl -> Descriptor.clear tbl addr) t.tables;
         if t.failure_hooks <> [] then
           notify_failure t ~kind:"object_lost" ~node:dead
@@ -941,4 +946,4 @@ let create cfg =
   t
 
 let node_is_up t i = Hw.Machine.is_up (machine t i)
-let lost_object_count t = Hashtbl.length t.lost_addrs
+let lost_object_count t = Vaspace.Addr_table.length t.lost_addrs

@@ -51,9 +51,6 @@ type pending = {
   mutable backoff_until : float;
 }
 
-(* Packets and bytes of one packet kind, bumped in place. *)
-type traffic = { mutable kind_packets : int; mutable kind_bytes : int }
-
 (* The medium's float state.  Every field is a float, so OCaml stores
    the record flat and a packet updates it with no box and no write
    barrier. *)
@@ -93,12 +90,16 @@ type t = {
   mutable delayed : int;
   mutable stalled : int;
   mutable dropped_dead : int;
-  (* Nodes currently crashed: a packet whose delivery instant finds its
-     destination in this set vanishes (the NIC is powered off), covering
-     both packets sent to a dead node and packets already in flight when
-     the node died.  Empty in every run without crash injection. *)
-  downs : (int, unit) Hashtbl.t;
-  by_kind : (string, traffic) Hashtbl.t;
+  (* Nodes currently crashed, by node id: a packet whose delivery
+     instant finds its destination marked here vanishes (the NIC is
+     powered off), covering both packets sent to a dead node and packets
+     already in flight when the node died.  Grown by [set_node_down], so
+     empty in every run without crash injection. *)
+  mutable downs : bool array;
+  (* Packets and bytes per packet kind, indexed by [Packet.Kind.index]
+     and grown when a kind interned after [create] first goes out. *)
+  mutable kind_packets : int array;
+  mutable kind_bytes : int array;
 }
 
 let slot_time = 51.2e-6
@@ -111,6 +112,7 @@ let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
   if bandwidth_bps <= 0.0 then invalid_arg "Ethernet.create: bandwidth";
   validate_faults faults;
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
+  let kinds = Packet.Kind.count () in
   {
     eng = engine;
     clock = Sim.Engine.clock engine;
@@ -139,8 +141,9 @@ let create ~engine ?(bandwidth_bps = 10e6) ?(propagation = 20e-6)
     delayed = 0;
     stalled = 0;
     dropped_dead = 0;
-    downs = Hashtbl.create 4;
-    by_kind = Hashtbl.create 16;
+    downs = [||];
+    kind_packets = Array.make kinds 0;
+    kind_bytes = Array.make kinds 0;
   }
 
 let engine t = t.eng
@@ -152,21 +155,34 @@ let[@inline] tx_time t ~size =
 
 let busy_until t = t.wire.free_at
 
+let grow_kinds t =
+  let n = max (Packet.Kind.count ()) (2 * Array.length t.kind_packets) in
+  let grow a = Array.append a (Array.make (n - Array.length a) 0) in
+  t.kind_packets <- grow t.kind_packets;
+  t.kind_bytes <- grow t.kind_bytes
+
 let[@inline] account t (p : Packet.t) ~waited ~tx =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + p.Packet.size;
-  (match Hashtbl.find t.by_kind p.Packet.kind with
-  | k ->
-    k.kind_packets <- k.kind_packets + 1;
-    k.kind_bytes <- k.kind_bytes + p.Packet.size
-  | exception Not_found ->
-    Hashtbl.add t.by_kind p.Packet.kind
-      { kind_packets = 1; kind_bytes = p.Packet.size });
+  let k = Packet.Kind.index p.Packet.kind in
+  if k >= Array.length t.kind_packets then grow_kinds t;
+  t.kind_packets.(k) <- t.kind_packets.(k) + 1;
+  t.kind_bytes.(k) <- t.kind_bytes.(k) + p.Packet.size;
   t.wire.queueing <- t.wire.queueing +. waited;
   t.wire.busy <- t.wire.busy +. tx
 
-let set_node_down t node = Hashtbl.replace t.downs node ()
-let set_node_up t node = Hashtbl.remove t.downs node
+let set_node_down t node =
+  if node < 0 then invalid_arg "Ethernet.set_node_down: node";
+  if node >= Array.length t.downs then
+    t.downs <-
+      Array.append t.downs (Array.make (node + 1 - Array.length t.downs) false);
+  t.downs.(node) <- true
+
+let set_node_up t node =
+  if node >= 0 && node < Array.length t.downs then t.downs.(node) <- false
+
+let is_down t node =
+  node >= 0 && node < Array.length t.downs && t.downs.(node)
 
 (* Schedule the receiver-side delivery event.  Under a chooser the event
    carries its node's conflict key and a label formatted only if a
@@ -175,7 +191,7 @@ let schedule_delivery t (p : Packet.t) ~time =
   (* The down check runs at the delivery instant, not at send time: a
      packet in flight when its destination dies is lost too. *)
   let deliver () =
-    if Hashtbl.mem t.downs p.Packet.dst then begin
+    if is_down t p.Packet.dst then begin
       t.dropped_dead <- t.dropped_dead + 1;
       Sim.Span.mark t.spans ~category:"crash"
         (lazy
@@ -189,7 +205,8 @@ let schedule_delivery t (p : Packet.t) ~time =
       (Sim.Engine.schedule_at t.eng ~key:(Sim.Choice.net p.Packet.dst)
          ~label:
            (lazy
-             (Printf.sprintf "deliver %s %d>%d seq%d" p.Packet.kind
+             (Printf.sprintf "deliver %s %d>%d seq%d"
+                (Packet.Kind.name p.Packet.kind)
                 p.Packet.src p.Packet.dst p.Packet.seq))
          ~time deliver
         : Sim.Engine.event_id)
@@ -222,7 +239,7 @@ let inject t (p : Packet.t) ~delivery =
           Sim.Choice.Fault_tag
             {
               verb;
-              kind = p.Packet.kind;
+              kind = Packet.Kind.name p.Packet.kind;
               src = p.Packet.src;
               dst = p.Packet.dst;
               seq = p.Packet.seq;
@@ -230,7 +247,8 @@ let inject t (p : Packet.t) ~delivery =
         key;
         label =
           lazy
-            (Printf.sprintf "%s %s %d>%d seq%d" verb p.Packet.kind
+            (Printf.sprintf "%s %s %d>%d seq%d" verb
+               (Packet.Kind.name p.Packet.kind)
                p.Packet.src p.Packet.dst p.Packet.seq);
       }
     in
@@ -392,10 +410,15 @@ let packets_stalled t = t.stalled
 let packets_dropped_dead t = t.dropped_dead
 
 let traffic_by_kind t =
-  Hashtbl.fold
-    (fun kind k acc -> (kind, k.kind_packets, k.kind_bytes) :: acc)
-    t.by_kind []
-  |> List.sort compare
+  let acc = ref [] in
+  Array.iteri
+    (fun k packets ->
+      if packets > 0 then
+        acc :=
+          (Packet.Kind.name (Packet.Kind.of_index k), packets, t.kind_bytes.(k))
+          :: !acc)
+    t.kind_packets;
+  List.sort compare !acc
 
 let reset_stats t =
   t.packets <- 0;
@@ -407,4 +430,5 @@ let reset_stats t =
   t.duplicated <- 0;
   t.delayed <- 0;
   t.stalled <- 0;
-  Hashtbl.reset t.by_kind
+  Array.fill t.kind_packets 0 (Array.length t.kind_packets) 0;
+  Array.fill t.kind_bytes 0 (Array.length t.kind_bytes) 0

@@ -104,10 +104,12 @@ val busy_until : t -> float
 
     A crashed node's interface is powered off: any packet whose delivery
     instant finds the destination down is silently discarded — including
-    packets already in flight when the node died.  With no crashes
-    configured the set stays empty and the check is one hashtable probe
-    per delivery. *)
+    packets already in flight when the node died.  The down flags are a
+    per-node array, grown to the highest node marked down: with no
+    crashes configured it stays empty and the check is one length
+    compare per delivery. *)
 
+(** Raises [Invalid_argument] on a negative node. *)
 val set_node_down : t -> int -> unit
 val set_node_up : t -> int -> unit
 

@@ -27,6 +27,11 @@ type t = {
 }
 
 let c = Costs.default
+let inval_kind = Hw.Packet.Kind.v "dsm-inval"
+let mgr_kind = Hw.Packet.Kind.v "dsm-mgr"
+let mgr_update_kind = Hw.Packet.Kind.v "dsm-mgr-update"
+let read_kind = Hw.Packet.Kind.v "dsm-read"
+let write_kind = Hw.Packet.Kind.v "dsm-write"
 
 let create rt ?initial_owner ?(manager = Dynamic) ~pages () =
   if pages <= 0 then invalid_arg "Dsm.create: pages";
@@ -89,7 +94,7 @@ let invalidate_copies t ~new_owner page targets =
     (fun victim ->
       if victim <> new_owner then begin
         t.st.invalidations <- t.st.invalidations + 1;
-        Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:victim ~kind:"dsm-inval"
+        Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:victim ~kind:inval_kind
           ~req_size:c.Costs.invalidate_bytes ~work:(fun () ->
             Sim.Fiber.consume c.Costs.invalidate_cpu;
             let e = Page_table.entry t.tables.(victim) page in
@@ -142,7 +147,7 @@ let rec transact_fixed t ~page ~kind ~at_owner tries =
   let mgr = manager_of t page in
   t.st.manager_lookups <- t.st.manager_lookups + 1;
   let owner =
-    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:mgr ~kind:"dsm-mgr"
+    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:mgr ~kind:mgr_kind
       ~req_size:c.Costs.request_bytes ~work:(fun () ->
         Sim.Fiber.consume c.Costs.invalidate_cpu;
         (c.Costs.reply_ctrl_bytes, t.fixed_owner.(page)))
@@ -165,7 +170,7 @@ let record_fixed_owner t ~page ~new_owner =
   | Dynamic -> ()
   | Fixed ->
     let mgr = manager_of t page in
-    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:mgr ~kind:"dsm-mgr-update"
+    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:mgr ~kind:mgr_update_kind
       ~req_size:c.Costs.request_bytes ~work:(fun () ->
         Sim.Fiber.consume c.Costs.invalidate_cpu;
         t.fixed_owner.(page) <- new_owner;
@@ -179,7 +184,7 @@ let read_fault t node page =
   (* Another local thread may have faulted the page in meanwhile. *)
   if e.Page_table.access = Page_table.No_access then begin
     let data, owner =
-      transact t ~page ~kind:"dsm-read"
+      transact t ~page ~kind:read_kind
         ~at_owner:(fun owner eo ->
           (* Owner grants a read copy and downgrades to Read so a future
              write by the owner itself must re-invalidate. *)
@@ -214,7 +219,7 @@ let write_fault t node page =
     end
     else begin
       let data, targets =
-        transact t ~page ~kind:"dsm-write"
+        transact t ~page ~kind:write_kind
           ~at_owner:(fun owner eo ->
             let data = snapshot_page t ~node:owner page in
             (* The old owner relinquishes on grant, so only read copies

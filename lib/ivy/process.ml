@@ -24,6 +24,7 @@ let join t =
 (* Default process context: registers + kernel state + working-set pages
    pushed with the process (Ivy moved processes wholesale). *)
 let default_state_bytes = 4096
+let process_kind = Hw.Packet.Kind.v "process"
 
 let migrate rt ?(state_bytes = default_state_bytes) ~dest () =
   let machine = Hw.Machine.self_machine () in
@@ -35,7 +36,7 @@ let migrate rt ?(state_bytes = default_state_bytes) ~dest () =
     Sim.Fiber.block (fun wake ->
         (* Reliable: a dropped process-state flight would strand it. *)
         Topaz.Rpc.send_reliable (Runtime.rpc rt) ~src ~dst:dest
-          ~size:state_bytes ~kind:"process" (fun () ->
+          ~size:state_bytes ~kind:process_kind (fun () ->
             Hw.Machine.transfer tcb ~dest:(Runtime.machine rt dest);
             wake ()));
     Sim.Fiber.consume c.Amber.Cost_model.thread_recv_cpu

@@ -1,5 +1,9 @@
 module Runtime = Amber.Runtime
 
+let acquire_kind = Hw.Packet.Kind.v "rpc-lock-acq"
+let release_kind = Hw.Packet.Kind.v "rpc-lock-rel"
+let barrier_kind = Hw.Packet.Kind.v "rpc-barrier"
+
 module Lock = struct
   type state = {
     mutable held : bool;
@@ -14,14 +18,14 @@ module Lock = struct
     { rt; home; s = { held = false; waiters = Queue.create () } }
 
   let acquire t =
-    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:t.home ~kind:"rpc-lock-acq"
+    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:t.home ~kind:acquire_kind
       ~req_size:32 ~work:(fun () ->
         if not t.s.held then t.s.held <- true
         else Sim.Fiber.block (fun wake -> Queue.add wake t.s.waiters);
         (16, ()))
 
   let release t =
-    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:t.home ~kind:"rpc-lock-rel"
+    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:t.home ~kind:release_kind
       ~req_size:32 ~work:(fun () ->
         if not t.s.held then invalid_arg "Sync_rpc.Lock.release: not held";
         (match Queue.take_opt t.s.waiters with
@@ -56,7 +60,7 @@ module Barrier = struct
     { rt; home; s = { parties; arrived = 0; wakers = [] } }
 
   let pass t =
-    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:t.home ~kind:"rpc-barrier"
+    Topaz.Rpc.call (Runtime.rpc t.rt) ~dst:t.home ~kind:barrier_kind
       ~req_size:32 ~work:(fun () ->
         if t.s.arrived + 1 >= t.s.parties then begin
           t.s.arrived <- 0;

@@ -156,19 +156,24 @@ type result = {
       (* the first shed request's typed failure, for tests and logs *)
 }
 
-(* A request's RPC kind is "serve-" and its class name; each is a
-   constant, so no request builds one. *)
+(* A request's RPC kind is "serve-" and its class name, interned once,
+   so no request builds or hashes one. *)
+let read_kind = Hw.Packet.Kind.v "serve-read"
+let write_kind = Hw.Packet.Kind.v "serve-write"
+let compute_kind = Hw.Packet.Kind.v "serve-compute"
+let done_kind = Hw.Packet.Kind.v "serve-done"
+let rej_kind = Hw.Packet.Kind.v "serve-rej"
+
 let kind_of_cls = function
-  | Trafficgen.Read -> "serve-read"
-  | Trafficgen.Write -> "serve-write"
-  | Trafficgen.Compute -> "serve-compute"
+  | Trafficgen.Read -> read_kind
+  | Trafficgen.Write -> write_kind
+  | Trafficgen.Compute -> compute_kind
 
 let cls_of_kind kind =
-  match kind with
-  | "serve-read" -> Some Trafficgen.Read
-  | "serve-write" -> Some Trafficgen.Write
-  | "serve-compute" -> Some Trafficgen.Compute
-  | _ -> None
+  if kind == read_kind then Some Trafficgen.Read
+  else if kind == write_kind then Some Trafficgen.Write
+  else if kind == compute_kind then Some Trafficgen.Compute
+  else None
 
 (* Position of a class in [Trafficgen.all_classes]. *)
 let cls_index = function
@@ -451,7 +456,7 @@ let run rt (cfg : cfg) =
           else serve_one rt ~mode obj cls
         in
         inflight.(dst) <- inflight.(dst) - 1;
-        Topaz.Rpc.post rpc ~src:dst ~dst:gen_node ~kind:"serve-done"
+        Topaz.Rpc.post rpc ~src:dst ~dst:gen_node ~kind:done_kind
           ~size:reply_bytes (fun () ->
             if ok then begin
               let dt = A.Runtime.now rt -. issued_at in
@@ -480,7 +485,7 @@ let run rt (cfg : cfg) =
           A.Runtime.notify_failure rt ~kind:"overloaded" ~node:dst
             ~detail:(Printf.sprintf "first shed: class %s at node%d" cls_s dst)
         end;
-        Topaz.Rpc.post rpc ~parent ~src:dst ~dst:gen_node ~kind:"serve-rej"
+        Topaz.Rpc.post rpc ~parent ~src:dst ~dst:gen_node ~kind:rej_kind
           ~size:16 (fun () ->
             st.rejected <- st.rejected + 1;
             decr outstanding)

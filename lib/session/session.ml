@@ -51,7 +51,8 @@ type layers = {
 let typed_failure = function
   | Topaz.Rpc.Node_dead _ | A.Aobject.Object_lost _
   | A.Aobject.Chain_exhausted _ | A.Overload.Overloaded _
-  | A.Athread.Join_failed _ | A.Cluster.Deadlock _ ->
+  | A.Athread.Join_failed _ | A.Cluster.Deadlock _
+  | Vaspace.Space_server.Exhausted _ ->
     true
   | _ -> false
 

@@ -72,7 +72,7 @@ type txn = {
   seq : int;
   src : int;
   dst : int;
-  kind : string;
+  kind : Hw.Packet.Kind.t;
   resend : unit -> unit;
   on_dead : int -> unit;
   mutable attempts : int;
@@ -102,7 +102,8 @@ type coalescing_counters = {
    accumulated so far (headers included). *)
 type pending_batch = {
   mutable items :
-    (int * int * string * (unit -> unit) * (float -> unit) option) list;
+    (int * int * Hw.Packet.Kind.t * (unit -> unit) * (float -> unit) option)
+    list;
       (* seq, size, kind, deliver *)
   mutable pbytes : int;
   mutable ptimer : Sim.Engine.event_id option;
@@ -112,6 +113,7 @@ type pending_batch = {
    header (length + kind tag) in front of each payload. *)
 let frame_header_bytes = 8
 let msg_header_bytes = 4
+let coal_kind = Hw.Packet.Kind.v "coal"
 
 type t = {
   ether : Hw.Ethernet.t;
@@ -158,9 +160,9 @@ type t = {
   mutable peer_deaths : int;
   (* Peer-death watchers, fired by [mark_node_dead] after the
      transaction aborts; {!post_acked} registers one for the window the
-     aborts cannot see.  Keyed by watched node; each entry keeps its
+     aborts cannot see.  Indexed by watched node; each entry keeps its
      registration id so firing order is deterministic. *)
-  watchers : (int, (int * (exn -> unit)) list) Hashtbl.t;
+  watchers : (int * (exn -> unit)) list array;
   mutable next_watch : int;
   (* The server-pool fibers, per node, for the crash injector: a
      fail-stopped node freezes them mid-handler and they never unwind,
@@ -181,7 +183,7 @@ type t = {
      futures, mobility) can never be shed.  The hook must not consume
      virtual time or draw RNG: with no admission-subject posts in a run
      it contributes nothing and reports stay byte-identical. *)
-  mutable admission : (dst:int -> kind:string -> bool) option;
+  mutable admission : (dst:int -> kind:Hw.Packet.Kind.t -> bool) option;
   mutable posts_rejected : int;
 }
 
@@ -246,7 +248,7 @@ let create ~ether ~machines ?(servers_per_node = 8)
     outstanding = Hashtbl.create 16;
     dead = Array.make (Array.length machines) false;
     peer_deaths = 0;
-    watchers = Hashtbl.create 8;
+    watchers = Array.make (Array.length machines) [];
     next_watch = 0;
     server_tcbs;
     coalesce;
@@ -287,7 +289,7 @@ let ack_bytes = 16
 (* --- the wire ------------------------------------------------------------- *)
 
 let raw_send t ?seq ~src ~dst ~size ~kind deliver =
-  Hw.Ethernet.send t.ether (Hw.Packet.make ?seq ~src ~dst ~size ~kind deliver)
+  Hw.Ethernet.send t.ether (Hw.Packet.of_kind ?seq ~src ~dst ~size kind deliver)
 
 (* One packet now; [on_wire] learns its predicted delivery time. *)
 let send_now t ?seq ?on_wire ~src ~dst ~size ~kind deliver =
@@ -341,7 +343,7 @@ let flush_pair t key =
           frame_header_bytes items
       in
       let d =
-        raw_send t ~src ~dst ~size ~kind:"coal" (fun () ->
+        raw_send t ~src ~dst ~size ~kind:coal_kind (fun () ->
             List.iter (fun (_, _, _, deliver, _) -> deliver ()) items)
       in
       List.iter (fun (_, _, _, _, on_wire) -> Option.iter (fun f -> f d) on_wire) items)
@@ -469,8 +471,8 @@ let rec arm t (tx : txn) =
            ~key:(Sim.Choice.net tx.src)
            ~label:
              (lazy
-               (Printf.sprintf "rto %s %d>%d seq%d" tx.kind tx.src tx.dst
-                  tx.seq))
+               (Printf.sprintf "rto %s %d>%d seq%d"
+                  (Hw.Packet.Kind.name tx.kind) tx.src tx.dst tx.seq))
            ~delay thunk
        else Sim.Engine.schedule eng ~delay thunk)
 
@@ -523,8 +525,8 @@ let send_reliable t ?on_dead ~src ~dst ~size ~kind deliver =
       (* Ack every arrival: if the previous ack was lost, the
          retransmitted datagram re-triggers it. *)
       Sim.Stats.Counter.incr t.rel.acks_sent;
-      wire_send t ~seq ~src:dst ~dst:src ~size:ack_bytes ~kind:(kind ^ "-ack")
-        deliver_ack
+      wire_send t ~seq ~src:dst ~dst:src ~size:ack_bytes
+        ~kind:(Hw.Packet.Kind.ack kind) deliver_ack
     in
     (* The dead party's identity goes to [on_dead], which may live on
        either side of the wire (a future-notify's observer is at [dst]
@@ -574,14 +576,15 @@ let call t ~dst ~kind ~req_size ~work =
     result
   end
   else begin
-    let csp = Sim.Span.start t.spans Sim.Span.Rpc_call ~label:kind ~arg:dst () in
+    let label = Hw.Packet.Kind.name kind in
+    let csp = Sim.Span.start t.spans Sim.Span.Rpc_call ~label ~arg:dst () in
     Sim.Fiber.consume (send_side_cpu t req_size);
     let seq = if t.reliable then next_seq t else -1 in
     let result = ref None in
     (* One flight span per wire leg, first send to first delivery; finish
        is idempotent, so retransmits and duplicates leave it alone. *)
     let fsp =
-      Sim.Span.start_flow t.spans Sim.Span.Net_flight ~label:kind ~parent:csp
+      Sim.Span.start_flow t.spans Sim.Span.Net_flight ~label ~parent:csp
         ~arg:dst ()
     in
     let rsp = ref 0 in
@@ -590,18 +593,17 @@ let call t ~dst ~kind ~req_size ~work =
           (* Runs in a server fiber on [dst]. *)
           Sim.Fiber.consume (recv_side_cpu t req_size +. t.c.dispatch_cpu);
           let ssp =
-            Sim.Span.start t.spans Sim.Span.Rpc_server ~label:kind ~parent:csp
-              ()
+            Sim.Span.start t.spans Sim.Span.Rpc_server ~label ~parent:csp ()
           in
           let reply_size, value = work () in
           Sim.Fiber.consume (send_side_cpu t reply_size);
           Sim.Span.finish t.spans ssp;
-          let rkind = kind ^ "-reply" in
+          let rkind = Hw.Packet.Kind.reply kind in
           rsp :=
-            Sim.Span.start_flow t.spans Sim.Span.Net_flight ~label:rkind
-              ~parent:csp ~arg:src ();
+            Sim.Span.start_flow t.spans Sim.Span.Net_flight
+              ~label:(Hw.Packet.Kind.name rkind) ~parent:csp ~arg:src ();
           let reply =
-            Hw.Packet.make ~seq ~src:dst ~dst:src ~size:reply_size ~kind:rkind
+            Hw.Packet.of_kind ~seq ~src:dst ~dst:src ~size:reply_size rkind
               (fun () ->
                 if seq >= 0 then
                   Sim.Engine.note_access
@@ -618,7 +620,7 @@ let call t ~dst ~kind ~req_size ~work =
           ignore (Hw.Ethernet.send t.ether reply : float)
         in
         let request =
-          Hw.Packet.make ~seq ~src ~dst ~size:req_size ~kind (fun () ->
+          Hw.Packet.of_kind ~seq ~src ~dst ~size:req_size kind (fun () ->
               Sim.Span.finish t.spans fsp;
               if first_request t seq then enqueue_work (endpoint t dst) serve)
         in
@@ -659,10 +661,10 @@ let mark_node_dead t ~node =
      fires for waits the abort walk could not reach.  Snapshot-and-clear
      before firing — a watcher body may register new watchers (a retry)
      without them being invoked for this death. *)
-  match Hashtbl.find_opt t.watchers node with
-  | None -> ()
-  | Some ws ->
-    Hashtbl.remove t.watchers node;
+  match t.watchers.(node) with
+  | [] -> ()
+  | ws ->
+    t.watchers.(node) <- [];
     List.sort (fun (a, _) (b, _) -> compare a b) ws
     |> List.iter (fun (_, f) -> f (Node_dead { node }))
 
@@ -674,17 +676,13 @@ let server_tids t ~node =
 let watch_peer t ~node f =
   t.next_watch <- t.next_watch + 1;
   let id = t.next_watch in
-  let prev = Option.value (Hashtbl.find_opt t.watchers node) ~default:[] in
-  Hashtbl.replace t.watchers node ((id, f) :: prev);
+  t.watchers.(node) <- (id, f) :: t.watchers.(node);
   id
 
 let unwatch t ~node id =
-  match Hashtbl.find_opt t.watchers node with
-  | None -> ()
-  | Some ws -> (
-    match List.filter (fun (i, _) -> i <> id) ws with
-    | [] -> Hashtbl.remove t.watchers node
-    | ws -> Hashtbl.replace t.watchers node ws)
+  match t.watchers.(node) with
+  | [] -> ()
+  | ws -> t.watchers.(node) <- List.filter (fun (i, _) -> i <> id) ws
 
 let set_admission t hook = t.admission <- hook
 let posts_rejected t = t.posts_rejected
@@ -727,8 +725,8 @@ let post ?parent ?on_dead ?on_reject t ~src ~dst ~kind ~size handler =
     in
     let fsp =
       if Sim.Span.enabled t.spans then
-        Sim.Span.start_flow t.spans Sim.Span.Net_flight ~label:kind ~parent
-          ~arg:dst ()
+        Sim.Span.start_flow t.spans Sim.Span.Net_flight
+          ~label:(Hw.Packet.Kind.name kind) ~parent ~arg:dst ()
       else 0
     in
     (* A datagram the transport gives up on (peer died) never delivers:
@@ -748,8 +746,8 @@ let post ?parent ?on_dead ?on_reject t ~src ~dst ~kind ~size handler =
               Sim.Fiber.consume (recv_side_cpu t size +. t.c.dispatch_cpu);
               let ssp =
                 if Sim.Span.enabled t.spans then
-                  Sim.Span.start t.spans Sim.Span.Rpc_server ~label:kind
-                    ~async:true ~parent ()
+                  Sim.Span.start t.spans Sim.Span.Rpc_server
+                    ~label:(Hw.Packet.Kind.name kind) ~async:true ~parent ()
                 else 0
               in
               match handler () with

@@ -155,7 +155,9 @@ val reliability : t -> reliability_counters
     calling fiber's node to node [dst].  [work] executes in a server fiber
     on [dst] and returns [(reply_size, result)].  The caller blocks until
     the reply arrives.  A call whose destination is the caller's own node
-    short-circuits the wire but still pays dispatch CPU.
+    short-circuits the wire but still pays dispatch CPU.  The reply
+    travels as [Hw.Packet.Kind.reply kind] (and a reliable datagram's
+    ack as [Hw.Packet.Kind.ack kind]), derived once per kind.
 
     In reliable mode the call survives lost requests and lost replies,
     and [work] still executes exactly once (see {e Reliability} above).
@@ -165,7 +167,8 @@ val reliability : t -> reliability_counters
 
     Must be called from inside a fiber. *)
 val call :
-  t -> dst:int -> kind:string -> req_size:int -> work:(unit -> int * 'a) -> 'a
+  t -> dst:int -> kind:Hw.Packet.Kind.t -> req_size:int ->
+  work:(unit -> int * 'a) -> 'a
 
 (** [send_reliable t ~src ~dst ~size ~kind deliver] sends a one-way
     datagram whose [deliver] callback runs in event context at [dst]
@@ -182,7 +185,8 @@ val call :
 val send_reliable :
   t ->
   ?on_dead:(exn -> unit) ->
-  src:int -> dst:int -> size:int -> kind:string -> (unit -> unit) -> unit
+  src:int -> dst:int -> size:int -> kind:Hw.Packet.Kind.t -> (unit -> unit) ->
+  unit
 
 (** Tell the transport [node] has crashed fail-stop: every open
     transaction whose destination is [node] aborts now with
@@ -223,7 +227,8 @@ val post :
   ?parent:int ->
   ?on_dead:(exn -> unit) ->
   ?on_reject:(unit -> unit) ->
-  t -> src:int -> dst:int -> kind:string -> size:int -> (unit -> unit) -> unit
+  t -> src:int -> dst:int -> kind:Hw.Packet.Kind.t -> size:int ->
+  (unit -> unit) -> unit
 
 (** [post_acked t ~src ~dst ~kind ~size ~ack_kind ~ack_size ~on_dead
     handler] is the two-leg handshake "post, then wait for the ack": it
@@ -246,9 +251,9 @@ val post_acked :
   t ->
   src:int ->
   dst:int ->
-  kind:string ->
+  kind:Hw.Packet.Kind.t ->
   size:int ->
-  ack_kind:string ->
+  ack_kind:Hw.Packet.Kind.t ->
   ack_size:int ->
   on_dead:(exn -> unit) ->
   (unit -> bool) ->
@@ -267,7 +272,8 @@ val post_acked :
     plus queue-depth policies here ({!module:Serve} in [lib/serve]). *)
 
 (** Install (or with [None] remove) the admission hook. *)
-val set_admission : t -> (dst:int -> kind:string -> bool) option -> unit
+val set_admission :
+  t -> (dst:int -> kind:Hw.Packet.Kind.t -> bool) option -> unit
 
 (** One-way posts shed by the admission hook. *)
 val posts_rejected : t -> int

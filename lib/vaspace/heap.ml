@@ -9,7 +9,7 @@ type t = {
   mutable bump : int;  (* next unused byte in the newest region *)
   mutable bump_limit : int;
   (* size -> free blocks of exactly that (rounded) size *)
-  free_pool : (int, int list ref) Hashtbl.t;
+  free_pool : int list ref Addr_table.t;
   blocks : block Addr_table.t;  (* keyed by base *)
   mutable live_count : int;
   mutable reuses : int;
@@ -23,7 +23,7 @@ let create ~node ~grow () =
     region_list = [];
     bump = 0;
     bump_limit = 0;
-    free_pool = Hashtbl.create 32;
+    free_pool = Addr_table.create 32;
     blocks = Addr_table.create 256;
     live_count = 0;
     reuses = 0;
@@ -46,7 +46,7 @@ let add_region t =
   t.bump_limit <- r.Region.base + r.Region.size
 
 let take_free t size =
-  match Hashtbl.find_opt t.free_pool size with
+  match Addr_table.find_opt t.free_pool size with
   | None | Some { contents = [] } -> None
   | Some lst -> (
     match !lst with
@@ -81,11 +81,11 @@ let free t base =
     block.live <- false;
     t.live_count <- t.live_count - 1;
     let lst =
-      match Hashtbl.find_opt t.free_pool block.size with
+      match Addr_table.find_opt t.free_pool block.size with
       | Some l -> l
       | None ->
         let l = ref [] in
-        Hashtbl.replace t.free_pool block.size l;
+        Addr_table.replace t.free_pool block.size l;
         l
     in
     lst := base :: !lst

@@ -1,3 +1,15 @@
+exception Exhausted of { node : int; regions : int }
+
+let () =
+  Printexc.register_printer (function
+    | Exhausted { node; regions } ->
+      Some
+        (Printf.sprintf
+           "Space_server.Exhausted { node = %d; regions = %d } (the address \
+            space has no region left to grant)"
+           node regions)
+    | _ -> None)
+
 type t = {
   nodes : int;
   initial_per_node : int;
@@ -30,7 +42,7 @@ let initial_regions t node =
 let grant t ~node =
   if node < 0 || node >= t.nodes then invalid_arg "Space_server.grant: node";
   if t.next_region >= Layout.max_regions then
-    failwith "Space_server.grant: address space exhausted";
+    raise (Exhausted { node; regions = t.next_region });
   let index = t.next_region in
   if index = Array.length t.owners then begin
     let bigger = Array.make (min Layout.max_regions (2 * index)) 0 in

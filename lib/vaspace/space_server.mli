@@ -12,6 +12,13 @@
 
 type t
 
+(** Raised by {!grant} when every region of the heap segment
+    ([Layout.max_regions]) is assigned: [node] asked for one more, and
+    [regions] were granted so far.  Regions are never returned, and a
+    joined thread's segment is never freed, so a long enough run of
+    thread starts ends here. *)
+exception Exhausted of { node : int; regions : int }
+
 (** [create ~nodes ~initial_per_node ()] assigns the first
     [nodes * initial_per_node] regions round-robin-free: node [i] gets the
     contiguous run [i*initial_per_node ..< (i+1)*initial_per_node]. *)
@@ -23,8 +30,8 @@ val server_node : t -> int
 (** Regions assigned to [node] at startup. *)
 val initial_regions : t -> int -> Region.t list
 
-(** Grant a fresh region to [node].  Raises [Failure] when the address
-    space is exhausted. *)
+(** Grant a fresh region to [node].  Raises {!Exhausted} when the
+    address space is exhausted. *)
 val grant : t -> node:int -> Region.t
 
 (** Ground-truth owner of the region containing a heap address, or [None]

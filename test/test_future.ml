@@ -6,6 +6,8 @@
 module A = Amber
 module San = Analysis.Ambersan
 
+let kind = Hw.Packet.Kind.v
+
 let faults =
   {
     Hw.Ethernet.no_faults with
@@ -216,7 +218,7 @@ let test_delivered_table_bounded () =
          for i = 0 to total - 1 do
            Topaz.Rpc.send_reliable rpc ~src:0
              ~dst:(1 + (i mod (nodes - 1)))
-             ~size:32 ~kind:"flood"
+             ~size:32 ~kind:(kind "flood")
              (fun () ->
                if Hashtbl.mem seen i then
                  Alcotest.failf "datagram %d delivered twice" i;
@@ -252,10 +254,11 @@ let test_coalescing_batches_and_orders () =
          (* Ten small datagrams back-to-back: all park within one flush
             window.  One oversized message must bypass the parking lot. *)
          for i = 0 to 9 do
-           Topaz.Rpc.send_reliable rpc ~src:0 ~dst:1 ~size:24 ~kind:"tiny"
+           Topaz.Rpc.send_reliable rpc ~src:0 ~dst:1 ~size:24
+             ~kind:(kind "tiny")
              (fun () -> order := i :: !order)
          done;
-         Topaz.Rpc.send_reliable rpc ~src:0 ~dst:1 ~size:512 ~kind:"big"
+         Topaz.Rpc.send_reliable rpc ~src:0 ~dst:1 ~size:512 ~kind:(kind "big")
            (fun () -> order := 99 :: !order)));
   ignore (Sim.Engine.run e);
   let z = Topaz.Rpc.coalescing rpc in

@@ -12,6 +12,8 @@
 module A = Amber
 module W = Workloads
 
+let kind = Hw.Packet.Kind.v
+
 let no_faults =
   {
     Hw.Ethernet.drop_prob = 0.0;
@@ -54,8 +56,8 @@ let test_call_dead_node_typed () =
       Alcotest.(check bool) "node marked down" false (A.Runtime.node_is_up rt 1);
       let died =
         try
-          Topaz.Rpc.call (A.Runtime.rpc rt) ~dst:1 ~kind:"probe" ~req_size:64
-            ~work:(fun () -> (8, ()));
+          Topaz.Rpc.call (A.Runtime.rpc rt) ~dst:1 ~kind:(kind "probe")
+            ~req_size:64 ~work:(fun () -> (8, ()));
           None
         with Topaz.Rpc.Node_dead { node } -> Some node
       in
@@ -84,8 +86,8 @@ let test_retransmit_cap_vs_stalled_forever () =
   A.Cluster.run_value (crashy_cfg ~faults ()) (fun rt ->
       let died =
         try
-          Topaz.Rpc.call (A.Runtime.rpc rt) ~dst:2 ~kind:"probe" ~req_size:64
-            ~work:(fun () -> (8, ()));
+          Topaz.Rpc.call (A.Runtime.rpc rt) ~dst:2 ~kind:(kind "probe")
+            ~req_size:64 ~work:(fun () -> (8, ()));
           None
         with Topaz.Rpc.Node_dead { node } -> Some node
       in
@@ -409,8 +411,8 @@ let test_fail_stop_needs_reliable_transport () =
           (Util.contains msg "rpc_reliable");
         Alcotest.(check bool) "node left up" true (A.Runtime.node_is_up rt 1);
         (* Nothing was cut: the node still serves calls and moves. *)
-        Topaz.Rpc.call (A.Runtime.rpc rt) ~dst:1 ~kind:"probe" ~req_size:64
-          ~work:(fun () -> (8, ()));
+        Topaz.Rpc.call (A.Runtime.rpc rt) ~dst:1 ~kind:(kind "probe")
+          ~req_size:64 ~work:(fun () -> (8, ()));
         let obj = A.Api.create rt ~name:"o" (ref 1) in
         A.Api.move_to rt obj ~dest:1;
         Alcotest.(check int) "moved" 1 (A.Api.locate rt obj))

@@ -1,6 +1,8 @@
 (* Topaz RPC fabric: request/reply pairing, local shortcut, server-pool
    queueing, and one-way posts. *)
 
+let kind = Hw.Packet.Kind.v
+
 let build ?(nodes = 3) ?(cpus = 2) ?(servers = 2) () =
   let e = Sim.Engine.create () in
   let machines =
@@ -15,7 +17,7 @@ let test_basic_call () =
   let result = ref 0 in
   ignore
     (Hw.Machine.spawn machines.(0) ~name:"caller" (fun () ->
-         result := Topaz.Rpc.call rpc ~dst:1 ~kind:"add" ~req_size:64
+         result := Topaz.Rpc.call rpc ~dst:1 ~kind:(kind "add") ~req_size:64
              ~work:(fun () -> (8, 21 + 21))));
   ignore (Sim.Engine.run e);
   Alcotest.(check int) "reply value" 42 !result;
@@ -27,7 +29,7 @@ let test_call_takes_time () =
   ignore
     (Hw.Machine.spawn machines.(0) ~name:"c" (fun () ->
          let t0 = Sim.Engine.now e in
-         ignore (Topaz.Rpc.call rpc ~dst:1 ~kind:"nop" ~req_size:0
+         ignore (Topaz.Rpc.call rpc ~dst:1 ~kind:(kind "nop") ~req_size:0
              ~work:(fun () -> (0, ())));
          elapsed := Sim.Engine.now e -. t0));
   ignore (Sim.Engine.run e);
@@ -41,7 +43,7 @@ let test_work_runs_on_destination () =
   ignore
     (Hw.Machine.spawn machines.(0) ~name:"c" (fun () ->
          ignore
-           (Topaz.Rpc.call rpc ~dst:2 ~kind:"where" ~req_size:0
+           (Topaz.Rpc.call rpc ~dst:2 ~kind:(kind "where") ~req_size:0
               ~work:(fun () ->
                 ran_on := Hw.Machine.id (Hw.Machine.self_machine ());
                 (0, ())))));
@@ -58,7 +60,7 @@ let test_local_shortcut () =
   let r = ref 0 in
   ignore
     (Hw.Machine.spawn machines.(1) ~name:"c" (fun () ->
-         r := Topaz.Rpc.call rpc ~dst:1 ~kind:"self" ~req_size:0
+         r := Topaz.Rpc.call rpc ~dst:1 ~kind:(kind "self") ~req_size:0
              ~work:(fun () -> (0, 7))));
   ignore (Sim.Engine.run e);
   Alcotest.(check int) "value" 7 !r;
@@ -73,7 +75,7 @@ let test_concurrent_calls () =
       (Hw.Machine.spawn machines.(0) ~name:(Printf.sprintf "c%d" i) (fun () ->
            sum :=
              !sum
-             + Topaz.Rpc.call rpc ~dst:1 ~kind:"inc" ~req_size:16
+             + Topaz.Rpc.call rpc ~dst:1 ~kind:(kind "inc") ~req_size:16
                  ~work:(fun () -> (8, i))))
   done;
   ignore (Sim.Engine.run e);
@@ -88,7 +90,7 @@ let test_server_pool_queueing () =
     ignore
       (Hw.Machine.spawn machines.(0) ~name:(string_of_int i) (fun () ->
            ignore
-             (Topaz.Rpc.call rpc ~dst:1 ~kind:"slow" ~req_size:0
+             (Topaz.Rpc.call rpc ~dst:1 ~kind:(kind "slow") ~req_size:0
                 ~work:(fun () ->
                   Sim.Fiber.consume 0.1;
                   (0, ())));
@@ -101,7 +103,7 @@ let test_server_pool_queueing () =
 let test_post () =
   let e, _, rpc = build () in
   let got = ref false in
-  Topaz.Rpc.post rpc ~src:0 ~dst:2 ~kind:"oneway" ~size:128 (fun () ->
+  Topaz.Rpc.post rpc ~src:0 ~dst:2 ~kind:(kind "oneway") ~size:128 (fun () ->
       got := true);
   ignore (Sim.Engine.run e);
   Alcotest.(check bool) "handler ran" true !got;
@@ -113,10 +115,10 @@ let test_nested_call_from_server () =
   let r = ref 0 in
   ignore
     (Hw.Machine.spawn machines.(0) ~name:"c" (fun () ->
-         r := Topaz.Rpc.call rpc ~dst:1 ~kind:"outer" ~req_size:0
+         r := Topaz.Rpc.call rpc ~dst:1 ~kind:(kind "outer") ~req_size:0
              ~work:(fun () ->
                let inner =
-                 Topaz.Rpc.call rpc ~dst:2 ~kind:"inner" ~req_size:0
+                 Topaz.Rpc.call rpc ~dst:2 ~kind:(kind "inner") ~req_size:0
                    ~work:(fun () -> (0, 5))
                in
                (0, inner * 2))));
@@ -126,7 +128,7 @@ let test_nested_call_from_server () =
 let test_backlog_drains () =
   let e, _, rpc = build ~servers:1 () in
   for _burst = 0 to 4 do
-    Topaz.Rpc.post rpc ~src:0 ~dst:1 ~kind:"burst" ~size:8 (fun () ->
+    Topaz.Rpc.post rpc ~src:0 ~dst:1 ~kind:(kind "burst") ~size:8 (fun () ->
         Sim.Fiber.consume 0.01)
   done;
   ignore (Sim.Engine.run e);

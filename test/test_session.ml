@@ -223,6 +223,25 @@ let test_chain_exhausted_exits_5 () =
     (String.starts_with ~prefix:"failed: Aobject.Chain_exhausted { addr = 0x"
        (Buffer.contents buf))
 
+(* Heap growth past the last region of the address space fails typed:
+   exit 5 and a [failed:] line naming the asker. *)
+let test_space_exhausted_exits_5 () =
+  let buf = Buffer.create 128 in
+  let o =
+    Session.run ~ppf:(Format.formatter_of_buffer buf) Session.off
+      (A.Config.make ~nodes:1 ~cpus:1 ())
+      (fun rt ->
+        let heap = A.Runtime.heap rt 0 in
+        while true do
+          ignore (Vaspace.Heap.alloc heap Vaspace.Layout.region_size : int)
+        done)
+  in
+  Alcotest.(check int) "exit 5" 5 o.Session.status;
+  Alcotest.(check string) "typed failure printed"
+    "failed: Space_server.Exhausted { node = 0; regions = 4080 } (the \
+     address space has no region left to grant)\n"
+    (Buffer.contents buf)
+
 let test_cli_usage_errors () =
   let headless = Filename.temp_file "amber-headless" ".sched" in
   Out_channel.with_open_text headless (fun oc ->
@@ -326,6 +345,8 @@ let suite =
       Alcotest.test_case "deadlock exits 5" `Quick test_deadlock_exits_5;
       Alcotest.test_case "chain exhausted exits 5" `Quick
         test_chain_exhausted_exits_5;
+      Alcotest.test_case "address space exhausted exits 5" `Quick
+        test_space_exhausted_exits_5;
       Alcotest.test_case "cli: usage errors exit 124" `Quick
         test_cli_usage_errors;
       Alcotest.test_case "cli: each section prints once" `Quick

@@ -68,6 +68,38 @@ let test_server_grants_disjoint () =
   Alcotest.(check bool) "disjoint" true
     (r1.Vaspace.Region.index <> r2.Vaspace.Region.index)
 
+(* Regions are never returned: once every one of [Layout.max_regions] is
+   assigned, a grant fails typed, naming the asker and the count, and
+   leaves the server's bookkeeping as it was. *)
+let test_server_grant_exhausted () =
+  let s = Vaspace.Space_server.create ~nodes:2 () in
+  let granted = ref 0 in
+  (try
+     while true do
+       ignore
+         (Vaspace.Space_server.grant s ~node:(!granted mod 2)
+           : Vaspace.Region.t);
+       incr granted
+     done
+   with Vaspace.Space_server.Exhausted { node; regions } ->
+     Alcotest.(check int) "the asker" (!granted mod 2) node;
+     Alcotest.(check int) "every region assigned" Vaspace.Layout.max_regions
+       regions);
+  Alcotest.(check int) "granted up to the top" (Vaspace.Layout.max_regions - 8)
+    !granted;
+  Alcotest.(check int) "assigned count" Vaspace.Layout.max_regions
+    (Vaspace.Space_server.regions_assigned s);
+  Alcotest.check_raises "again"
+    (Vaspace.Space_server.Exhausted
+       { node = 1; regions = Vaspace.Layout.max_regions })
+    (fun () ->
+      ignore (Vaspace.Space_server.grant s ~node:1 : Vaspace.Region.t));
+  Alcotest.(check string) "printer"
+    "Space_server.Exhausted { node = 0; regions = 4080 } (the address space \
+     has no region left to grant)"
+    (Printexc.to_string
+       (Vaspace.Space_server.Exhausted { node = 0; regions = 4080 }))
+
 (* A table picks its bucket from the hash's low bits.  Block-aligned
    addresses and 8 KB thread segments repeat their low bits, so a hash
    that keeps them would crowd each stride into a few buckets. *)
@@ -96,6 +128,8 @@ let suite =
       test_server_initial_assignment;
     Alcotest.test_case "server grant" `Quick test_server_grant;
     Alcotest.test_case "grants are disjoint" `Quick test_server_grants_disjoint;
+    Alcotest.test_case "grant past the last region raises" `Quick
+      test_server_grant_exhausted;
     Alcotest.test_case "address hash spreads aligned strides" `Quick
       test_addr_hash_spreads_strides;
   ]

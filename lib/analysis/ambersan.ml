@@ -2,9 +2,13 @@ open Amber
 
 module Imap = Map.Make (Int)
 
+(* Tids, addresses, condition tokens, future ids and barrier generations
+   are all ints: one table type keys them, with no polymorphic hash. *)
+module Itbl = Vaspace.Addr_table
+
 type clock = int Imap.t
 
-let cjoin a b = Imap.union (fun _ x y -> Some (max x y)) a b
+let cjoin a b = Imap.union (fun _ x y -> Some (Int.max x y)) a b
 let cget c tid = match Imap.find_opt tid c with Some v -> v | None -> 0
 
 (* ------------------------------------------------------------------ *)
@@ -79,62 +83,61 @@ module Core = struct
 
   type barrier_info = {
     mutable pending : clock;  (* accumulated arrivals of the open gen *)
-    released : (int, clock) Hashtbl.t;  (* generation -> release clock *)
+    released : clock Itbl.t;  (* generation -> release clock *)
   }
 
   type t = {
-    clocks : (int, clock ref) Hashtbl.t;  (* tcb id -> vector clock *)
-    objects : (int, obj_info) Hashtbl.t;
-    sync_addrs : (int, unit) Hashtbl.t;
-    names : (int, string) Hashtbl.t;
-    locks : (int, clock) Hashtbl.t;  (* lock addr -> last-release clock *)
-    barriers : (int, barrier_info) Hashtbl.t;
-    signals : (int, clock) Hashtbl.t;  (* condition token -> signal clock *)
-    futures : (int, clock) Hashtbl.t;  (* future id -> resolve clock *)
-    open_accesses : (int * int, San_hooks.mode list ref) Hashtbl.t;
-    held : (int, int list ref) Hashtbl.t;  (* tid -> held locks, LIFO *)
+    clocks : clock ref Itbl.t;  (* tcb id -> vector clock *)
+    objects : obj_info Itbl.t;
+    sync_addrs : unit Itbl.t;
+    names : string Itbl.t;
+    locks : clock Itbl.t;  (* lock addr -> last-release clock *)
+    barriers : barrier_info Itbl.t;
+    signals : clock Itbl.t;  (* condition token -> signal clock *)
+    futures : clock Itbl.t;  (* future id -> resolve clock *)
+    open_accesses : (int * San_hooks.mode) list ref Itbl.t;
+        (* tid -> its open (addr, mode) accesses, newest first *)
+    held : int list ref Itbl.t;  (* tid -> held locks, LIFO *)
     lock_edges : (int * int, unit) Hashtbl.t;  (* held -> acquired *)
     mutable races : race list;
-    race_keys : (int * int * int, unit) Hashtbl.t;
     mutable events : int;
   }
 
   let create () =
     {
-      clocks = Hashtbl.create 32;
-      objects = Hashtbl.create 64;
-      sync_addrs = Hashtbl.create 16;
-      names = Hashtbl.create 64;
-      locks = Hashtbl.create 16;
-      barriers = Hashtbl.create 8;
-      signals = Hashtbl.create 16;
-      futures = Hashtbl.create 16;
-      open_accesses = Hashtbl.create 16;
-      held = Hashtbl.create 16;
+      clocks = Itbl.create 32;
+      objects = Itbl.create 64;
+      sync_addrs = Itbl.create 16;
+      names = Itbl.create 64;
+      locks = Itbl.create 16;
+      barriers = Itbl.create 8;
+      signals = Itbl.create 16;
+      futures = Itbl.create 16;
+      open_accesses = Itbl.create 16;
+      held = Itbl.create 16;
       lock_edges = Hashtbl.create 16;
       races = [];
-      race_keys = Hashtbl.create 16;
       events = 0;
     }
 
   let thread_clock t tid =
-    match Hashtbl.find_opt t.clocks tid with
+    match Itbl.find_opt t.clocks tid with
     | Some r -> r
     | None ->
       let r = ref (Imap.singleton tid 1) in
-      Hashtbl.replace t.clocks tid r;
+      Itbl.replace t.clocks tid r;
       r
 
   let tick r tid = r := Imap.add tid (cget !r tid + 1) !r
 
   let obj_info t addr =
-    match Hashtbl.find_opt t.objects addr with
+    match Itbl.find_opt t.objects addr with
     | Some o -> o
     | None ->
       let o =
         {
           oname =
-            (match Hashtbl.find_opt t.names addr with
+            (match Itbl.find_opt t.names addr with
             | Some n -> n
             | None -> Printf.sprintf "0x%x" addr);
           oclock = Imap.empty;
@@ -142,23 +145,29 @@ module Core = struct
           reads = [];
         }
       in
-      Hashtbl.replace t.objects addr o;
+      Itbl.replace t.objects addr o;
       o
 
   let barrier_info t addr =
-    match Hashtbl.find_opt t.barriers addr with
+    match Itbl.find_opt t.barriers addr with
     | Some b -> b
     | None ->
-      let b = { pending = Imap.empty; released = Hashtbl.create 8 } in
-      Hashtbl.replace t.barriers addr b;
+      let b = { pending = Imap.empty; released = Itbl.create 8 } in
+      Itbl.replace t.barriers addr b;
       b
 
-  let is_sync t addr = Hashtbl.mem t.sync_addrs addr
+  let is_sync t addr = Itbl.mem t.sync_addrs addr
 
+  (* One finding per object and pair of threads.  Findings are few, so a
+     scan of them is the dedup. *)
   let record_race t ~addr ~name ~tid ~mode ~(prior : epoch) =
-    let key = (addr, min tid prior.etid, max tid prior.etid) in
-    if not (Hashtbl.mem t.race_keys key) then begin
-      Hashtbl.replace t.race_keys key ();
+    let lo = Int.min tid prior.etid and hi = Int.max tid prior.etid in
+    let same (r : race) =
+      r.addr = addr
+      && Int.min r.tid r.prior_tid = lo
+      && Int.max r.tid r.prior_tid = hi
+    in
+    if not (List.exists same t.races) then begin
       t.races <-
         {
           addr;
@@ -208,25 +217,35 @@ module Core = struct
     | San_hooks.Atomic -> o.oclock <- cjoin o.oclock !cr
     | San_hooks.Read | San_hooks.Write -> ());
     tick cr tid;
-    let stack =
-      match Hashtbl.find_opt t.open_accesses (tid, addr) with
+    let opened =
+      match Itbl.find_opt t.open_accesses tid with
       | Some s -> s
       | None ->
         let s = ref [] in
-        Hashtbl.replace t.open_accesses (tid, addr) s;
+        Itbl.replace t.open_accesses tid s;
         s
     in
-    stack := mode :: !stack
+    opened := (addr, mode) :: !opened
+
+  (* The mode of the newest open access to [addr]. *)
+  let rec open_mode (addr : int) = function
+    | [] -> raise_notrace Not_found
+    | (a, mode) :: rest -> if a = addr then mode else open_mode addr rest
+
+  (* The open accesses without the newest one to [addr]. *)
+  let rec close (addr : int) = function
+    | [] -> []
+    | ((a, _) as x) :: rest -> if a = addr then rest else x :: close addr rest
 
   let feed_access_end t ~tid ~addr =
-    match Hashtbl.find_opt t.open_accesses (tid, addr) with
+    match Itbl.find_opt t.open_accesses tid with
     | None -> ()
-    | Some stack -> (
-      match !stack with
-      | [] -> ()
-      | mode :: rest ->
-        stack := rest;
-        (match mode with
+    | Some opened -> (
+      match open_mode addr !opened with
+      | exception Not_found -> ()
+      | mode -> (
+        opened := close addr !opened;
+        match mode with
         | San_hooks.Atomic ->
           (* Exit rendezvous: absorb publications made by invocations that
              overlapped this one, and publish our post-access clock. *)
@@ -237,11 +256,11 @@ module Core = struct
         | San_hooks.Read | San_hooks.Write -> ()))
 
   let held_stack t tid =
-    match Hashtbl.find_opt t.held tid with
+    match Itbl.find_opt t.held tid with
     | Some s -> s
     | None ->
       let s = ref [] in
-      Hashtbl.replace t.held tid s;
+      Itbl.replace t.held tid s;
       s
 
   let feed t (ev : San_hooks.Event.t) =
@@ -269,21 +288,20 @@ module Core = struct
          recorded. *)
       ()
     | Object_created { addr; name } ->
-      Hashtbl.replace t.names addr name;
+      Itbl.replace t.names addr name;
       (* Heap addresses are reused after destroy: a fresh object at a
          known address starts with no access history. *)
-      Hashtbl.replace t.objects addr
+      Itbl.replace t.objects addr
         { oname = name; oclock = Imap.empty; writes = []; reads = [] }
-    | Object_destroyed { addr } -> Hashtbl.remove t.objects addr
-    | Sync_created { addr; kind = _ } ->
-      Hashtbl.replace t.sync_addrs addr ()
+    | Object_destroyed { addr } -> Itbl.remove t.objects addr
+    | Sync_created { addr; kind = _ } -> Itbl.replace t.sync_addrs addr ()
     | Access { tid; addr; mode } ->
       if not (is_sync t addr) then feed_access t ~tid ~addr ~mode
     | Access_end { tid; addr } ->
       if not (is_sync t addr) then feed_access_end t ~tid ~addr
     | Lock_acquired { tid; addr } ->
       let cr = thread_clock t tid in
-      (match Hashtbl.find_opt t.locks addr with
+      (match Itbl.find_opt t.locks addr with
       | Some l -> cr := cjoin !cr l
       | None -> ());
       let h = held_stack t tid in
@@ -295,11 +313,11 @@ module Core = struct
     | Lock_released { tid; addr } ->
       let cr = thread_clock t tid in
       let l =
-        match Hashtbl.find_opt t.locks addr with
+        match Itbl.find_opt t.locks addr with
         | Some l -> l
         | None -> Imap.empty
       in
-      Hashtbl.replace t.locks addr (cjoin l !cr);
+      Itbl.replace t.locks addr (cjoin l !cr);
       tick cr tid;
       let h = held_stack t tid in
       let removed = ref false in
@@ -318,22 +336,22 @@ module Core = struct
       match phase with
       | Arrive -> b.pending <- cjoin b.pending !cr
       | Release ->
-        Hashtbl.replace b.released gen b.pending;
+        Itbl.replace b.released gen b.pending;
         cr := cjoin !cr b.pending;
         b.pending <- Imap.empty;
         tick cr tid
       | Resume ->
-        (match Hashtbl.find_opt b.released gen with
+        (match Itbl.find_opt b.released gen with
         | Some c -> cr := cjoin !cr c
         | None -> ());
         tick cr tid)
     | Cond_signal { tid; token } ->
       let cr = thread_clock t tid in
-      Hashtbl.replace t.signals token !cr;
+      Itbl.replace t.signals token !cr;
       tick cr tid
     | Cond_wake { tid; token } -> (
       let cr = thread_clock t tid in
-      match Hashtbl.find_opt t.signals token with
+      match Itbl.find_opt t.signals token with
       | Some c -> cr := cjoin !cr c
       | None -> ())
     | Replica_read _ ->
@@ -360,16 +378,16 @@ module Core = struct
          under the future id; the awaiter joins it when it observes the
          resolution. *)
       let cr = thread_clock t tid in
-      Hashtbl.replace t.futures id !cr;
+      Itbl.replace t.futures id !cr;
       tick cr tid
     | Future_await { tid; id } -> (
       let cr = thread_clock t tid in
-      match Hashtbl.find_opt t.futures id with
+      match Itbl.find_opt t.futures id with
       | Some c -> cr := cjoin !cr c
       | None -> ())
 
   let lock_name t addr =
-    match Hashtbl.find_opt t.names addr with
+    match Itbl.find_opt t.names addr with
     | Some n -> n
     | None -> Printf.sprintf "0x%x" addr
 
@@ -417,8 +435,8 @@ module Core = struct
       cycles = lock_cycles t;
       violations;
       events = t.events;
-      threads = Hashtbl.length t.clocks;
-      objects_tracked = Hashtbl.length t.objects;
+      threads = Itbl.length t.clocks;
+      objects_tracked = Itbl.length t.objects;
     }
 end
 
@@ -513,15 +531,17 @@ let attach ?(analyze = true) rt =
       violation_keys = Hashtbl.create 16;
     }
   in
+  let spans = Runtime.spans rt in
   let record e =
-    Sim.Span.mark (Runtime.spans rt) ~category:"san"
-      (lazy (San_hooks.Event.to_string e));
+    if Sim.Span.marking spans then
+      Sim.Span.mark spans ~category:"san" (lazy (San_hooks.Event.to_string e));
     if t.analyze then begin
       (* A new race is a typed failure like any crash: let subscribers
-         (the flight recorder) capture the window around it. *)
-      let races_before = List.length t.core.Core.races in
+         (the flight recorder) capture the window around it.  Races are
+         only ever consed on, so a new head is a new race. *)
+      let races_before = t.core.Core.races in
       Core.feed t.core e;
-      if List.length t.core.Core.races > races_before then
+      if t.core.Core.races != races_before then
         match t.core.Core.races with
         | r :: _ ->
           Runtime.notify_failure rt ~kind:"san" ~node:(-1)
@@ -543,7 +563,7 @@ let attach ?(analyze = true) rt =
     | Sync_created { addr; _ } ->
       (* Filled here, not only when fed, so that a record-only run drops
          the same sync-object accesses as an analyzed one. *)
-      Hashtbl.replace t.core.Core.sync_addrs addr ();
+      Itbl.replace t.core.Core.sync_addrs addr ();
       record ev
     | (Access { addr; _ } | Access_end { addr; _ })
       when Core.is_sync t.core addr ->

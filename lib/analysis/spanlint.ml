@@ -25,16 +25,18 @@
 
 let ok_eps = 1e-12
 
+module Itbl = Vaspace.Addr_table
+
 let lint (spans : Sim.Span.span list) : string list =
-  let by_id : (int, Sim.Span.span) Hashtbl.t = Hashtbl.create 256 in
-  List.iter (fun (s : Sim.Span.span) -> Hashtbl.replace by_id s.id s) spans;
+  let by_id : Sim.Span.span Itbl.t = Itbl.create 16 in
+  List.iter (fun (s : Sim.Span.span) -> Itbl.replace by_id s.id s) spans;
   let findings = ref [] in
   let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
   let describe (s : Sim.Span.span) =
     Printf.sprintf "span %d (%s %S, node %d tid %d)" s.id
       (Sim.Span.kind_name s.kind) s.label s.node s.tid
   in
-  let flight_ids : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let flight_ids : unit Itbl.t = Itbl.create 16 in
   List.iter
     (fun (s : Sim.Span.span) ->
       (* balance: a close for every open *)
@@ -42,7 +44,7 @@ let lint (spans : Sim.Span.span list) : string list =
         add "%s opened at %.6fs and never closed" (describe s) s.t0;
       (* async parentage *)
       if s.async && s.parent <> 0 then begin
-        match Hashtbl.find_opt by_id s.parent with
+        match Itbl.find_opt by_id s.parent with
         | None -> add "%s names missing parent %d" (describe s) s.parent
         | Some p ->
           if p.Sim.Span.t0 > s.t0 +. ok_eps then
@@ -53,9 +55,9 @@ let lint (spans : Sim.Span.span list) : string list =
       match s.kind with
       | Sim.Span.Thread_flight | Sim.Span.Net_flight ->
         if s.arg >= 0 && s.arg <> s.node then begin
-          if Hashtbl.mem flight_ids s.id then
+          if Itbl.mem flight_ids s.id then
             add "%s reuses flow-arrow id %d" (describe s) s.id;
-          Hashtbl.replace flight_ids s.id ()
+          Itbl.replace flight_ids s.id ()
         end
       | _ -> ())
     spans;

@@ -85,24 +85,23 @@ let name_of_any (Any o) = o.name
 let size_of_any (Any o) = o.size
 let location_of_any (Any o) = o.location
 
+(* [Mobility.attach] refuses an attached child and any attachment that
+   would close a cycle, so attachments form a forest and a pre-order walk
+   meets each object once.  The walk still skips an object it has met, a
+   scan of a closure a few objects long, so that a hand-built diamond or
+   cycle ends too. *)
 let attachment_closure (Any r as root) =
   if r.attached = [] then [ root ]
   else begin
-    (* Attachment edges cannot form cycles (attach enforces tree shape),
-       but guard against repeats anyway. *)
-    let seen = Hashtbl.create 8 in
+    let met (Any o) = List.exists (fun (Any m) -> m.addr = o.addr) in
     let rec walk acc (Any o as node) =
-      if Hashtbl.mem seen o.addr then acc
-      else begin
-        Hashtbl.replace seen o.addr ();
-        List.fold_left walk (node :: acc) o.attached
-      end
+      if met node acc then acc else List.fold_left walk (node :: acc) o.attached
     in
     List.rev (walk [] root)
   end
 
-let closure_size root =
-  List.fold_left (fun acc a -> acc + size_of_any a) 0 (attachment_closure root)
+let rec closure_size (Any o) =
+  List.fold_left (fun acc a -> acc + closure_size a) o.size o.attached
 
 let usable_on o node =
   o.location = node || (o.immutable_ && List.mem node o.replicas)

@@ -89,10 +89,14 @@ val name_of_any : any -> string
 val size_of_any : any -> int
 val location_of_any : any -> int
 
-(** The object and, transitively, everything attached to it. *)
+(** The object and, transitively, everything attached to it, in pre-order:
+    the object, then each of its [attached] depth-first.  Moves walk it in
+    this order. *)
 val attachment_closure : any -> any list
 
-(** Total representation bytes of the attachment closure. *)
+(** Total representation bytes of the attachment closure, summed over the
+    attachment forest that {!Mobility.attach} keeps, without building the
+    list. *)
 val closure_size : any -> int
 
 (** Is a copy of the object usable on [node]?  True for the master copy's

@@ -81,7 +81,9 @@ type t = {
   mutable enabled : bool;
   mutable buf : span array;  (* spans in start order; ids are 1-based *)
   mutable n : int;
-  stacks : (int, int list ref) Hashtbl.t;  (* tid -> open span ids *)
+  mutable stacks : int list array;
+      (* [stacks.(tid + 1)]: [tid]'s open span ids, innermost first.  Tids
+         are dense within a cluster, and tid -1 is event context. *)
   mutable marking : bool;
   mutable rev_marks : mark list;  (* newest first *)
 }
@@ -111,7 +113,7 @@ let create ~clock ~current_tid ~current_node ~current_cpu () =
     enabled = false;
     buf = [||];
     n = 0;
-    stacks = Hashtbl.create 64;
+    stacks = Array.make 16 [];
     marking = false;
     rev_marks = [];
   }
@@ -132,12 +134,18 @@ let set_marks t flag = t.marking <- flag
 let marking t = t.marking
 
 let stack t tid =
-  match Hashtbl.find_opt t.stacks tid with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Hashtbl.replace t.stacks tid s;
-      s
+  let i = tid + 1 in
+  if i >= 0 && i < Array.length t.stacks then t.stacks.(i) else []
+
+let set_stack t tid st =
+  let i = tid + 1 in
+  let n = Array.length t.stacks in
+  if i >= n then begin
+    let bigger = Array.make (Int.max (2 * n) (i + 1)) [] in
+    Array.blit t.stacks 0 bigger 0 n;
+    t.stacks <- bigger
+  end;
+  t.stacks.(i) <- st
 
 let find t id = if id >= 1 && id <= t.n then Some t.buf.(id - 1) else None
 
@@ -158,7 +166,7 @@ let open_span t kind ~label ~tag ~obj ~arg ~async ~tid ~parent =
   let parent =
     match parent with
     | Some p -> p
-    | None -> ( match !(stack t tid) with [] -> 0 | p :: _ -> p)
+    | None -> ( match stack t tid with [] -> 0 | p :: _ -> p)
   in
   let id = t.n + 1 in
   append t
@@ -184,8 +192,7 @@ let start t kind ?(label = "") ?(tag = "") ?(obj = -1) ?(arg = -1)
   else begin
     let tid = t.current_tid () in
     let id = open_span t kind ~label ~tag ~obj ~arg ~async ~tid ~parent in
-    let st = stack t tid in
-    st := id :: !st;
+    set_stack t tid (id :: stack t tid);
     id
   end
 
@@ -196,31 +203,29 @@ let start_flow t kind ?(label = "") ?(tag = "") ?(obj = -1) ?(arg = -1) ?tid
     let tid = match tid with Some v -> v | None -> t.current_tid () in
     open_span t kind ~label ~tag ~obj ~arg ~async:true ~tid ~parent
 
+(* The stack below [id]; [Not_found] when [id] is not on it. *)
+let rec below (id : int) = function
+  | [] -> raise_notrace Not_found
+  | x :: rest -> if x = id then rest else below id rest
+
 let finish t id =
-  if id > 0 then
-    match find t id with
-    | None -> ()
-    | Some s ->
-        if s.t1 < 0.0 then begin
-          s.t1 <- t.clock ();
-          (* Pop it (and anything opened above it that an exception
-             unwound past) off its thread's stack; flow spans are never
-             on a stack, so this is a no-op for them. *)
-          let st = stack t s.tid in
-          if List.mem id !st then begin
-            let rec pop = function
-              | [] -> []
-              | x :: rest -> if x = id then rest else pop rest
-            in
-            st := pop !st
-          end
-        end
+  if id >= 1 && id <= t.n then begin
+    let s = t.buf.(id - 1) in
+    if s.t1 < 0.0 then begin
+      s.t1 <- t.clock ();
+      (* Pop it (and anything opened above it that an exception unwound
+         past) off its thread's stack; flow spans are never on a stack, so
+         this is a no-op for them. *)
+      match below id (stack t s.tid) with
+      | rest -> set_stack t s.tid rest
+      | exception Not_found -> ()
+    end
+  end
 
 let set_kind t id kind =
-  if id > 0 then match find t id with Some s -> s.kind <- kind | None -> ()
+  if id >= 1 && id <= t.n then t.buf.(id - 1).kind <- kind
 
-let set_arg t id arg =
-  if id > 0 then match find t id with Some s -> s.arg <- arg | None -> ()
+let set_arg t id arg = if id >= 1 && id <= t.n then t.buf.(id - 1).arg <- arg
 
 let with_span t kind ?label ?tag ?obj ?arg f =
   let id = start t kind ?label ?tag ?obj ?arg () in
@@ -236,25 +241,23 @@ let with_span t kind ?label ?tag ?obj ?arg f =
    never unwinds its own spans, so the recovery path retires them at the
    kill instant to keep traces balanced. *)
 let finish_all_for t ~tid =
-  match Hashtbl.find_opt t.stacks tid with
-  | None -> ()
-  | Some st ->
+  match stack t tid with
+  | [] -> ()
+  | st ->
       List.iter
         (fun id ->
           match find t id with
           | Some s when s.t1 < 0.0 -> s.t1 <- t.clock ()
           | Some _ | None -> ())
-        !st;
-      st := []
+        st;
+      set_stack t tid []
 
 let current t =
   if not t.enabled then 0
-  else
-    match Hashtbl.find_opt t.stacks (t.current_tid ()) with
-    | Some { contents = p :: _ } -> p
-    | _ -> 0
+  else match stack t (t.current_tid ()) with p :: _ -> p | [] -> 0
 
-let parent_of t id = match find t id with Some s -> s.parent | None -> 0
+let parent_of t id =
+  if id >= 1 && id <= t.n then t.buf.(id - 1).parent else 0
 
 (* Marks take no span id and never touch a stack, so span ids and every
    span export are the same whether marks are on or off. *)
@@ -292,5 +295,5 @@ let count t = t.n
 let clear t =
   t.buf <- [||];
   t.n <- 0;
-  Hashtbl.reset t.stacks;
+  Array.fill t.stacks 0 (Array.length t.stacks) [];
   t.rev_marks <- []

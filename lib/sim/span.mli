@@ -101,7 +101,9 @@ val create :
   t
 (** The callbacks supply virtual time and the identity of the simulated
     thread executing the caller ([-1] outside any thread, e.g. in a timer
-    event); the CPU only feeds marks. *)
+    event); the CPU only feeds marks.  Each tid's stack of open spans sits
+    at index [tid + 1] of an array that grows to the highest tid seen, so
+    tids must be dense from 0, as a cluster's are. *)
 
 val disabled : unit -> t
 (** A shared collector that records nothing; the default wired into

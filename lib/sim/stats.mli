@@ -22,7 +22,11 @@ end
     add order.  Count, total, mean, min
     and max are exact.  Non-positive and sub-[lo] values land in an
     underflow counter (reported as [min]); values beyond the last bucket
-    in overflow (reported as [max]). *)
+    in overflow (reported as [max]).
+
+    Counts are held only over the window of buckets the histogram has
+    seen, which doubles as new values land outside it: a fresh histogram
+    holds no bucket, and one of latency-shaped data a few dozen. *)
 module Log_histogram : sig
   type t
 
@@ -32,8 +36,8 @@ module Log_histogram : sig
 
   val create : ?lo:float -> ?growth:float -> ?buckets:int -> unit -> t
   (** Defaults span ~1ns to ~3.6e4 s of latency-shaped data in 640
-      buckets (5KiB).  Raises [Invalid_argument] on [lo <= 0],
-      [growth <= 1] or [buckets <= 0]. *)
+      buckets, of which only the window seen so far is held.  Raises
+      [Invalid_argument] on [lo <= 0], [growth <= 1] or [buckets <= 0]. *)
 
   val add : t -> float -> unit
   val count : t -> int
@@ -75,10 +79,10 @@ end
     Count, mean, variance, min, max and total are exact.  Percentiles
     carry the histogram's bounded relative error (at most half a bucket,
     ~2.5%); a summary of one repeated value reports it exactly.  Memory
-    is fixed (640 buckets) whatever the sample count, and results depend
-    only on the multiset of added values.  Values below 1 ns, including
-    zero and negatives, share the underflow bucket and report as the
-    exact minimum. *)
+    is bounded (at most 640 buckets) whatever the sample count, and
+    results depend only on the multiset of added values.  Values below
+    1 ns, including zero and negatives, share the underflow bucket and
+    report as the exact minimum. *)
 module Summary : sig
   type t
 

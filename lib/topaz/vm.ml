@@ -7,7 +7,9 @@ type t = {
 let create ?(page_size = 1024) () =
   if page_size <= 0 || page_size land 7 <> 0 then
     invalid_arg "Vm.create: page size must be positive and 8-byte aligned";
-  { psize = page_size; pages = Hashtbl.create 256; zero_fill_count = 0 }
+  (* Every node has a page table, but only Ivy maps pages: it starts at
+     the smallest size and grows with them. *)
+  { psize = page_size; pages = Hashtbl.create 16; zero_fill_count = 0 }
 
 let page_size t = t.psize
 

@@ -46,6 +46,30 @@ let test_closure_dedup () =
   Alcotest.(check int) "dedup" 2
     (List.length (Amber.Aobject.attachment_closure (Amber.Aobject.Any root)))
 
+(* Moves walk the closure in order: the root, then each of [attached]
+   depth-first. *)
+let test_closure_order () =
+  let node addr name size = mk ~addr ~size name () in
+  let root = node 1 "root" 1 and a = node 2 "a" 2 and b = node 3 "b" 4 in
+  let c = node 4 "c" 8 and d = node 5 "d" 16 and e = node 6 "e" 32 in
+  let f = node 7 "f" 64 in
+  let attach p children =
+    p.Amber.Aobject.attached <- List.map (fun o -> Amber.Aobject.Any o) children
+  in
+  attach root [ a; b ];
+  attach a [ c; d ];
+  attach c [ e ];
+  attach b [ f ];
+  Alcotest.(check (list string)) "pre-order"
+    [ "root"; "a"; "c"; "e"; "d"; "b"; "f" ]
+    (List.map Amber.Aobject.name_of_any
+       (Amber.Aobject.attachment_closure (Amber.Aobject.Any root)));
+  Alcotest.(check (list string)) "a subtree" [ "a"; "c"; "e"; "d" ]
+    (List.map Amber.Aobject.name_of_any
+       (Amber.Aobject.attachment_closure (Amber.Aobject.Any a)));
+  Alcotest.(check int) "size of the forest" 127
+    (Amber.Aobject.closure_size (Amber.Aobject.Any root))
+
 let test_any_accessors () =
   let o = mk ~addr:0x42 ~size:77 "thing" () in
   let a = Amber.Aobject.Any o in
@@ -61,5 +85,6 @@ let suite =
     Alcotest.test_case "closure of a lone object" `Quick test_closure_single;
     Alcotest.test_case "closure of a tree" `Quick test_closure_tree;
     Alcotest.test_case "closure dedups" `Quick test_closure_dedup;
+    Alcotest.test_case "closure order" `Quick test_closure_order;
     Alcotest.test_case "any accessors" `Quick test_any_accessors;
   ]

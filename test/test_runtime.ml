@@ -179,6 +179,30 @@ let test_worker_failure_detected_after_run () =
                     Sim.Fiber.consume 50e-3;
                     failwith "worker boom")))))
 
+(* A cluster holds nothing big before its first event: no block of
+   [Runtime.create] is too large for the minor heap.  The first create
+   builds the shared bucket-edge table, so the second is the one
+   measured.  The runtime adds major-heap words to [major_words] only at
+   a major slice, so a full major at each end settles the count; after a
+   minor collection alone, words left by earlier tests can land inside
+   the window. *)
+let test_create_off_major_heap () =
+  let fx = Option.get (Analysis.Modelcheck.find_fixture "replica") in
+  let cfg = fx.Analysis.Modelcheck.cfg in
+  ignore (Sys.opaque_identity (A.Runtime.create cfg));
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let rt = A.Runtime.create cfg in
+  Gc.full_major ();
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity rt);
+  let direct =
+    s1.Gc.major_words -. s0.Gc.major_words
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  Alcotest.(check (float 0.0)) "words allocated straight on the major heap" 0.0
+    direct
+
 let suite =
   [
     Alcotest.test_case "object creation and placement" `Quick
@@ -200,4 +224,6 @@ let suite =
     Alcotest.test_case "run report populated" `Quick test_cluster_report;
     Alcotest.test_case "worker failure detected" `Quick
       test_worker_failure_detected_after_run;
+    Alcotest.test_case "create allocates nothing on the major heap" `Quick
+      test_create_off_major_heap;
   ]

@@ -158,6 +158,219 @@ let test_log_bad_args () =
       ("Log_histogram.create: buckets", fun () -> ignore (L.create ~buckets:0 ()));
     ]
 
+(* --- the windowed histogram against a dense one --------------------------- *)
+
+(* The dense histogram the windowed one replaced: all 640 buckets of the
+   default geometry held from creation.  The windowed histogram must
+   answer every query with the same bits. *)
+module Dense = struct
+  type t = {
+    lo : float;
+    inv_log_growth : float;
+    edges : float array;
+    counts : int array;
+    mutable underflow : int;
+    mutable overflow : int;
+    mutable n : int;
+    mutable total : float;
+    mutable min : float;
+    mutable max : float;
+  }
+
+  let create () =
+    let lo = L.default_lo and growth = L.default_growth in
+    let buckets = L.default_buckets in
+    {
+      lo;
+      inv_log_growth = 1.0 /. log growth;
+      edges =
+        Array.init (buckets + 1) (fun i -> lo *. (growth ** float_of_int i));
+      counts = Array.make buckets 0;
+      underflow = 0;
+      overflow = 0;
+      n = 0;
+      total = 0.0;
+      min = Float.infinity;
+      max = Float.neg_infinity;
+    }
+
+  let bucket_index t x =
+    if not (x >= t.lo) then -1
+    else begin
+      let i =
+        int_of_float (Float.floor (log (x /. t.lo) *. t.inv_log_growth))
+      in
+      let nb = Array.length t.counts in
+      let i = Stdlib.max 0 (Stdlib.min nb i) in
+      let i = if x < t.edges.(i) then i - 1 else i in
+      let i = if i < nb && x >= t.edges.(i + 1) then i + 1 else i in
+      Stdlib.min nb i
+    end
+
+  let add t x =
+    t.n <- t.n + 1;
+    t.total <- t.total +. x;
+    if x < t.min then t.min <- x;
+    if x > t.max then t.max <- x;
+    let i = bucket_index t x in
+    if i < 0 then t.underflow <- t.underflow + 1
+    else if i >= Array.length t.counts then t.overflow <- t.overflow + 1
+    else t.counts.(i) <- t.counts.(i) + 1
+
+  let mean t = if t.n = 0 then 0.0 else t.total /. float_of_int t.n
+
+  let percentile t p =
+    let rank =
+      Stdlib.max 1
+        (int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.n)))
+    in
+    let clamp v = Stdlib.max t.min (Stdlib.min t.max v) in
+    if rank <= t.underflow then clamp t.lo
+    else begin
+      let seen = ref t.underflow in
+      let result = ref None in
+      let nb = Array.length t.counts in
+      let i = ref 0 in
+      while !result = None && !i < nb do
+        seen := !seen + t.counts.(!i);
+        if rank <= !seen then
+          result := Some (clamp (sqrt (t.edges.(!i) *. t.edges.(!i + 1))));
+        incr i
+      done;
+      match !result with Some v -> v | None -> t.max
+    end
+
+  let merge dst src =
+    Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
+    dst.underflow <- dst.underflow + src.underflow;
+    dst.overflow <- dst.overflow + src.overflow;
+    dst.n <- dst.n + src.n;
+    dst.total <- dst.total +. src.total;
+    if src.min < dst.min then dst.min <- src.min;
+    if src.max > dst.max then dst.max <- src.max
+
+  let clear t =
+    Array.fill t.counts 0 (Array.length t.counts) 0;
+    t.underflow <- 0;
+    t.overflow <- 0;
+    t.n <- 0;
+    t.total <- 0.0;
+    t.min <- Float.infinity;
+    t.max <- Float.neg_infinity
+end
+
+(* Values of every kind a histogram meets: log-uniform over its range
+   and past both ends, exact bucket edges and their float neighbours,
+   and zeros of both signs, negatives, infinities and NaN. *)
+let gen_value =
+  let dense = Dense.create () in
+  let top = Array.length dense.Dense.edges - 1 in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun u -> 10.0 ** u) (float_range (-11.0) 6.0));
+        ( 3,
+          map2
+            (fun i nudge ->
+              let e = dense.Dense.edges.(i) in
+              match nudge with 0 -> Float.pred e | 1 -> e | _ -> Float.succ e)
+            (int_range 0 top) (int_range 0 2) );
+        ( 1,
+          oneofl
+            [
+              0.0; -0.0; -1.0; 1e-12; 5e4; 1e9; Float.infinity;
+              Float.neg_infinity; Float.nan;
+            ] );
+      ])
+
+let arb_values =
+  QCheck.make
+    ~print:QCheck.Print.(list float)
+    QCheck.Gen.(list_size (int_range 0 120) gen_value)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every query the two answer, compared by bits; [QCheck.Test.fail_reportf]
+   names the first that differs. *)
+let agree what (w : L.t) (d : Dense.t) =
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) what in
+  let float name a b =
+    if not (same_bits a b) then fail "%s %h (dense %h)" name a b
+  in
+  if L.count w <> d.Dense.n then
+    fail "count %d (dense %d)" (L.count w) d.Dense.n;
+  if L.underflow w <> d.Dense.underflow || L.overflow w <> d.Dense.overflow
+  then fail "underflow or overflow";
+  float "total" (L.total w) d.Dense.total;
+  float "min" (L.min w) d.Dense.min;
+  float "max" (L.max w) d.Dense.max;
+  float "mean" (L.mean w) (Dense.mean d);
+  if d.Dense.n > 0 then
+    List.iter
+      (fun p ->
+        float (Printf.sprintf "p%g" p) (L.percentile w p)
+          (Dense.percentile d p))
+      [ 0.0; 1.0; 50.0; 99.0; 99.9; 100.0 ];
+  true
+
+let both xs =
+  let w = L.create () and d = Dense.create () in
+  List.iter
+    (fun x ->
+      if L.bucket_index w x <> Dense.bucket_index d x then
+        QCheck.Test.fail_reportf "bucket_index %h: %d (dense %d)" x
+          (L.bucket_index w x) (Dense.bucket_index d x);
+      L.add w x;
+      Dense.add d x)
+    xs;
+  (w, d)
+
+let prop_window_matches_dense =
+  QCheck.Test.make ~name:"windowed histogram answers as the dense one"
+    ~count:300 (QCheck.pair arb_values arb_values) (fun (xs, ys) ->
+      let w, d = both xs in
+      ignore (agree "adds" w d : bool);
+      (* Overlapping ranges, as the generator draws them. *)
+      let w2, d2 = both ys in
+      L.merge w2 w;
+      Dense.merge d2 d;
+      ignore (agree "overlapping merge" w2 d2 : bool);
+      (* Disjoint ranges: the values below a cut into those above it, and
+         the other way round. *)
+      let cut = 1e-3 in
+      let below = List.filter (fun x -> x < cut) xs
+      and above = List.filter (fun x -> x >= cut) xs in
+      let wb, db = both below and wa, da = both above in
+      L.merge wb wa;
+      Dense.merge db da;
+      ignore (agree "merge of a higher range" wb db : bool);
+      let wb, db = both below in
+      L.merge wa wb;
+      Dense.merge da db;
+      ignore (agree "merge of a lower range" wa da : bool);
+      (* Clear, then reuse. *)
+      L.clear w;
+      Dense.clear d;
+      ignore (agree "cleared" w d : bool);
+      List.iter
+        (fun y ->
+          L.add w y;
+          Dense.add d y)
+        ys;
+      agree "reused after clear" w d)
+
+(* Bucket bounds are the dense table's, bit for bit, over the whole
+   geometry. *)
+let test_window_bounds_match_dense () =
+  let w = L.create () and d = Dense.create () in
+  Alcotest.(check int) "buckets" (Array.length d.Dense.counts) (L.buckets w);
+  for i = 0 to L.buckets w - 1 do
+    let lo, hi = L.bucket_bounds w i in
+    let e = d.Dense.edges in
+    if not (same_bits lo e.(i) && same_bits hi e.(i + 1)) then
+      Alcotest.failf "bucket %d bounds differ" i
+  done
+
 let suite =
   [
     Alcotest.test_case "summary basics" `Quick test_summary_basic;
@@ -176,4 +389,7 @@ let suite =
     Alcotest.test_case "log histogram merge and clear" `Quick
       test_log_merge_and_clear;
     Alcotest.test_case "log histogram bad args" `Quick test_log_bad_args;
+    QCheck_alcotest.to_alcotest prop_window_matches_dense;
+    Alcotest.test_case "window bounds match the dense table" `Quick
+      test_window_bounds_match_dense;
   ]

@@ -137,6 +137,103 @@ let test_marks_leave_spans () =
     (Scope.Export.spans_jsonl off)
     (Scope.Export.spans_jsonl on)
 
+(* --- per-thread span stacks ----------------------------------------------- *)
+
+let span_of t id = Option.get (Sim.Span.find t id)
+let parent_of t id = (span_of t id).Sim.Span.parent
+let closed t id = (span_of t id).Sim.Span.t1 >= 0.0
+
+(* Stacks are kept per tid, and event context (tid -1) has its own: spans
+   nest per thread whatever the tid, beyond the stacks' first size too. *)
+let test_stacks_nest_per_tid () =
+  let t = collector ~marks:false () in
+  Sim.Span.set_enabled t true;
+  tid := 100;
+  let outer = Sim.Span.start t Sim.Span.Invoke_remote () in
+  tid := -1;
+  let ev = Sim.Span.start t Sim.Span.Rpc_server () in
+  tid := 100;
+  let inner = Sim.Span.start t Sim.Span.Chase_hop () in
+  tid := 37;
+  let other = Sim.Span.start t Sim.Span.Lock_wait () in
+  tid := -1;
+  let ev_inner = Sim.Span.start t Sim.Span.Net_flight () in
+  Alcotest.(check (list int))
+    "parents" [ 0; 0; outer; 0; ev ]
+    (List.map (parent_of t) [ outer; ev; inner; other; ev_inner ]);
+  Alcotest.(check int) "current in event context" ev_inner (Sim.Span.current t);
+  Sim.Span.finish t ev_inner;
+  Alcotest.(check int) "event context pops" ev (Sim.Span.current t);
+  tid := 100;
+  Alcotest.(check int) "current on tid 100" inner (Sim.Span.current t);
+  Sim.Span.finish t inner;
+  Alcotest.(check int) "tid 100 pops" outer (Sim.Span.current t);
+  tid := 37;
+  Alcotest.(check int) "tid 37 untouched" other (Sim.Span.current t);
+  tid := 5;
+  Alcotest.(check int) "a tid with no spans" 0 (Sim.Span.current t);
+  Sim.Span.set_enabled t false;
+  tid := 100;
+  Alcotest.(check int) "nothing current while disabled" 0 (Sim.Span.current t)
+
+(* Finishing a span pops whatever was opened above it, and finishing one
+   no longer on its stack leaves the stack alone. *)
+let test_finish_pops_through () =
+  let t = collector ~marks:false () in
+  Sim.Span.set_enabled t true;
+  tid := 70;
+  let a = Sim.Span.start t Sim.Span.Invoke_local () in
+  let b = Sim.Span.start t Sim.Span.Chase_hop () in
+  let c = Sim.Span.start t Sim.Span.Lock_wait () in
+  Sim.Span.finish t b;
+  Alcotest.(check int) "b and c popped" a (Sim.Span.current t);
+  Alcotest.(check (list bool)) "only b closed" [ false; true; false ]
+    (List.map (closed t) [ a; b; c ]);
+  Sim.Span.finish t c;
+  Alcotest.(check int) "c was off the stack" a (Sim.Span.current t);
+  Alcotest.(check bool) "c closed" true (closed t c)
+
+(* [finish_all_for] closes one thread's open spans at the current time and
+   empties its stack, leaving every other thread's alone. *)
+let test_finish_all_for () =
+  let t = collector ~marks:false () in
+  Sim.Span.set_enabled t true;
+  tid := 90;
+  let a = Sim.Span.start t Sim.Span.Invoke_remote () in
+  let b = Sim.Span.start t Sim.Span.Lock_wait () in
+  tid := 2;
+  let other = Sim.Span.start t Sim.Span.Join_wait () in
+  now := 4.0;
+  Sim.Span.finish_all_for t ~tid:90;
+  Sim.Span.finish_all_for t ~tid:500;
+  Alcotest.(check (list (float 0.0))) "closed at the kill instant" [ 4.0; 4.0 ]
+    (List.map (fun id -> (span_of t id).Sim.Span.t1) [ a; b ]);
+  Alcotest.(check int) "tid 2 untouched" other (Sim.Span.current t);
+  tid := 90;
+  Alcotest.(check int) "tid 90 emptied" 0 (Sim.Span.current t);
+  let fresh = Sim.Span.start t Sim.Span.Invoke_local () in
+  Alcotest.(check int) "a new span on tid 90 is a root" 0 (parent_of t fresh)
+
+(* [clear] empties every stack: no span after it has a parent. *)
+let test_clear_empties_stacks () =
+  let t = collector ~marks:false () in
+  Sim.Span.set_enabled t true;
+  List.iter
+    (fun v ->
+      tid := v;
+      ignore (Sim.Span.start t Sim.Span.Invoke_local () : int))
+    [ -1; 3; 64; 200 ];
+  Sim.Span.clear t;
+  Alcotest.(check int) "no spans" 0 (Sim.Span.count t);
+  List.iter
+    (fun v ->
+      tid := v;
+      Alcotest.(check int) (Printf.sprintf "tid %d current" v) 0
+        (Sim.Span.current t);
+      let id = Sim.Span.start t Sim.Span.Invoke_local () in
+      Alcotest.(check int) (Printf.sprintf "tid %d root" v) 0 (parent_of t id))
+    [ -1; 3; 64; 200 ]
+
 let suite =
   [
     Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
@@ -150,4 +247,9 @@ let suite =
       test_net_mark_at_transmit_start;
     Alcotest.test_case "marks leave spans byte-identical" `Quick
       test_marks_leave_spans;
+    Alcotest.test_case "stacks nest per tid" `Quick test_stacks_nest_per_tid;
+    Alcotest.test_case "finish pops through" `Quick test_finish_pops_through;
+    Alcotest.test_case "finish_all_for" `Quick test_finish_all_for;
+    Alcotest.test_case "clear empties every stack" `Quick
+      test_clear_empties_stacks;
   ]
